@@ -189,7 +189,9 @@ def _finish_series(series_id, env, start, horizon, terms, partial, zetas,
     if mu_w > 0:
         zbar = float(zetas[-max(1, min(window, len(zetas))):].max())
         damp = drift_scale * (env.s[start + horizon] - env.s[start])
-        tail = zbar * math.exp(-damp) / (1.0 - math.exp(-drift_scale * mu_w))
+        # omitted terms r = 1, 2, ... past the last one are damped by at
+        # least r drift steps more, as in psi_series' tail bound
+        tail = zbar * math.exp(-damp) / math.expm1(drift_scale * mu_w)
         return ConditionReport(series_id, start, partial, horizon, tail,
                                "finite", detail)
     if partial > divergence_threshold and _nondecreasing_tail(terms, window):
@@ -220,10 +222,12 @@ def psi_series(env: QuenchedEnvironment, start: int = 1,
     if phi.zero:
         return ConditionReport("psi_series", start, 0.0, horizon, 0.0,
                                "finite", {"phi": "zero"})
+    # one accuracy for the terms and for the moments in the tail bound
+    term_tol = tol * 1e-3
     terms = np.zeros(horizon + 1)
     for j in range(1, horizon + 1):
         scale = math.exp(-(env.s[start + j - 1] - env.s[start]))
-        t = env.dists[start - 1 + j].psi_moment(phi, scale, tol=tol * 1e-3)
+        t = env.dists[start - 1 + j].psi_moment(phi, scale, tol=term_tol)
         if math.isinf(t):
             return ConditionReport(
                 "psi_series", start, math.inf, horizon, None, "divergent",
@@ -247,7 +251,7 @@ def psi_series(env: QuenchedEnvironment, start: int = 1,
     wlen = max(1, min(window, horizon))
     trailing = env.dists[start + horizon - wlen:start + horizon]
     next_scale = math.exp(-(env.s[start + horizon] - env.s[start]))
-    tail = _psi_tail_bound(phi, trailing, next_scale, mu_w, tol)
+    tail = _psi_tail_bound(phi, trailing, next_scale, mu_w, term_tol)
     if tail is None or math.isinf(tail):
         return ConditionReport("psi_series", start, partial, horizon, None,
                                "inconclusive", detail)

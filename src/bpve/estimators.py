@@ -159,8 +159,7 @@ def _quenched_block(env: QuenchedEnvironment, z0: int, n: int,
         logz[frozen] += xi_i
         act = (~frozen) & (z > 0)
         if act.any():
-            totals, _ = dist.sample_generation_totals(z[act], rng)
-            z[act] = totals
+            z[act] = dist.sample_generation_totals(z[act], rng)
         switch = log_switch_threshold(dist, heavy_switch)
         newly = act & (z > switch)
         if newly.any():
@@ -451,9 +450,8 @@ def _annealed_block(spec: EnvironmentSpec, z0: int, n: int,
                 for c, dist in enumerate(comp_dists):
                     sel = act & (comp == c)
                     if sel.any():
-                        totals, _ = dist.sample_generation_totals(z[sel],
-                                                                  rep_rng)
-                        z[sel] = totals
+                        z[sel] = dist.sample_generation_totals(z[sel],
+                                                               rep_rng)
                     switch = log_switch_threshold(dist, heavy_switch)
                     newly = sel & (z > switch)
                     if newly.any():

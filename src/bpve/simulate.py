@@ -34,10 +34,12 @@ __all__ = [
 
 # Beyond these population sizes the trajectory continues in log scale.
 # Finite-variance families: relative fluctuation of the normalized value is
-# ~ Z^{-1/2} ~ 1e-6 at the switch.  Infinite-variance families must sample
-# every offspring exactly (tail events are the object of study), which costs
-# O(Z) per generation, so the switch sits much lower; the residual relative
-# fluctuation ~ Z^{-alpha/(1+alpha)} is still far below estimator tolerances.
+# ~ Z^{-1/2} ~ 1e-6 at the switch.  Infinite-variance families switch much
+# lower; the residual relative fluctuation ~ Z^{-alpha/(1+alpha)} is still far
+# below estimator tolerances.  Their exact totals cost O(1) per parent row
+# plus one draw per rare large offspring count (see
+# OffspringDistribution._power_law_totals), so the switch is no cost limit;
+# it stays because moving it changes what the estimators compute.
 FINITE_VAR_LOG_SWITCH = 10**12
 HEAVY_TAIL_LOG_SWITCH = 4000
 
@@ -76,7 +78,6 @@ class Trajectory:
 
 def simulate_trajectory(env: QuenchedEnvironment, z0: int, n: int,
                         rng: np.random.Generator,
-                        cap: int = 10**7,
                         heavy_switch: int = HEAVY_TAIL_LOG_SWITCH) -> Trajectory:
     """Simulate ``n`` generations from ``z0`` ancestors on ``env``.
 
@@ -100,8 +101,7 @@ def simulate_trajectory(env: QuenchedEnvironment, z0: int, n: int,
             break
         if approx_from is None:
             switch = log_switch_threshold(dist, heavy_switch)
-            total, _ = dist.sample_generation_total(cur, rng, cap=cap)
-            cur = total
+            cur = dist.sample_generation_total(cur, rng)
             if cur == 0:
                 extinction_time = i
                 continue

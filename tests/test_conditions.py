@@ -115,6 +115,18 @@ def test_psi_series_heavy_tail_log():
     assert bad.verdict == "divergent"
 
 
+def test_psi_power_series_agrees_with_fractional_series():
+    # phi(x) = x^delta turns psi_series into fractional_variance_series (one
+    # index apart), so both must certify the same value
+    env = quench(PRESETS["heavy_tail_supercritical"](), 1, 210)
+    frac = fractional_variance_series(env, start=1, delta=0.25, horizon=200)
+    psi = psi_series(env, start=1, phi=PhiFunction(power=0.25), horizon=8)
+    assert frac.verdict == psi.verdict == "finite"
+    assert abs(psi.certified_value - frac.certified_value) <= 1e-12
+    # 3.1e-10 below the earlier bound, whose tail missed one damping step
+    assert frac.certified_value == pytest.approx(12.543117321774664, abs=1e-9)
+
+
 def test_increment_variance_series_closed_form(gw_env):
     # [DERIVED] sum 0.44 * 0.8^(j-1) = 2.2; this is the halving budget
     rep = increment_variance_series(gw_env, start=0, horizon=300)

@@ -1,12 +1,14 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import integrate, special, stats
 
+from bpve import distributions
 from bpve.distributions import (NotApplicableError, OffspringDistribution,
                                 PhiFunction, PopulationOverflowError)
 from bpve.streams import substream
@@ -96,6 +98,29 @@ def test_extinction_probability_power_law():
     assert d.generating_function(q) == pytest.approx(q, abs=1e-8)
 
 
+def test_extinction_probability_power_law_fixed_point():
+    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    q = d.extinction_probability()
+    assert abs(d.generating_function(q) - q) <= 1e-13
+    assert q == pytest.approx(0.6399778900427007, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.0 + 1e-7, 1.5])
+def test_pgf_power_law_against_mpmath(alpha):
+    # integer and nearly integer 2 + alpha take the pole-cancelling branch
+    mpmath = pytest.importorskip("mpmath")
+    d = OffspringDistribution.power_law_tail(alpha=alpha, p0=0.2)
+    with mpmath.workdps(30):
+        sigma = 2 + mpmath.mpf(alpha)
+        c = (1 - mpmath.mpf(0.2)) / mpmath.zeta(sigma)
+        for s in (0.2, 0.5, 0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12):
+            x = mpmath.mpf(s)
+            pgf = float(mpmath.mpf(0.2) + c * mpmath.polylog(sigma, x))
+            slope = float(c * mpmath.polylog(sigma - 1, x) / x)
+            assert abs(d.generating_function(s) - pgf) <= 1e-13, s
+            assert d._pgf_slope(s) == pytest.approx(slope, rel=1e-12), s
+
+
 # ------------------------------------------------------------------- sampling
 
 def test_sample_chi_square_gof(gw_dist):
@@ -114,7 +139,7 @@ def test_geometric_total_closure_matches_naive():
     rng = substream(5, 1)
     parents = 40
     reps = 20000
-    closed = np.array([d.sample_generation_total(parents, rng)[0]
+    closed = np.array([d.sample_generation_total(parents, rng)
                        for _ in range(reps)])
     naive = np.array([int(d.sample(rng, size=parents).sum())
                       for _ in range(reps)])
@@ -125,7 +150,7 @@ def test_geometric_total_closure_matches_naive():
 def test_finite_pmf_total_closure_matches_naive(gw_dist):
     rng = substream(6, 2)
     reps = 20000
-    closed = np.array([gw_dist.sample_generation_total(25, rng)[0]
+    closed = np.array([gw_dist.sample_generation_total(25, rng)
                        for _ in range(reps)])
     naive = np.array([int(gw_dist.sample(rng, size=25).sum())
                       for _ in range(reps)])
@@ -137,7 +162,7 @@ def test_power_law_total_closure_matches_naive():
     d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
     rng = substream(7, 3)
     reps = 5000
-    closed = np.array([d.sample_generation_total(10, rng)[0]
+    closed = np.array([d.sample_generation_total(10, rng)
                        for _ in range(reps)])
     naive = np.array([int(d.sample(rng, size=10).sum()) for _ in range(reps)])
     # heavy tails: compare on a truncated range where mass is appreciable
@@ -148,9 +173,8 @@ def test_power_law_total_closure_matches_naive():
 def test_totals_vectorized_consistency(gw_dist):
     rng = substream(8, 4)
     parents = np.array([0, 1, 5, 1000, 0], dtype=np.int64)
-    totals, approx = gw_dist.sample_generation_totals(parents, rng)
+    totals = gw_dist.sample_generation_totals(parents, rng)
     assert totals[0] == 0 and totals[4] == 0
-    assert not approx.any()
     assert totals[3] <= 2 * 1000
 
 
@@ -162,12 +186,89 @@ def test_overflow_guard():
     assert ei.value.log_estimate > 40.0
 
 
-def test_gaussian_aggregate_flagged():
+def test_power_law_total_exact_at_large_parent_count():
+    # finite variance: the exact total of 2e7 offspring counts sits within
+    # 6 standard deviations of its mean, and costs O(head) not O(parents)
     d = OffspringDistribution.power_law_tail(alpha=1.5, p0=0.1)
     rng = substream(10, 0)
-    total, approx = d.sample_generation_total(2 * 10**7, rng)
-    assert approx
-    assert abs(total / (2e7 * d.mean) - 1.0) < 0.01
+    n = 2 * 10**7
+    start = time.perf_counter()
+    total = d.sample_generation_total(n, rng)
+    assert time.perf_counter() - start < 0.5
+    assert isinstance(total, int)
+    assert abs(total - n * d.mean) < 6 * math.sqrt(n * d.variance)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_power_law_composition_matches_naive_sums(alpha):
+    # oracle: per-offspring zipf draws through sample()
+    d = OffspringDistribution.power_law_tail(alpha=alpha, p0=0.2)
+    rng = substream(11, int(alpha * 10))
+    reps = 4000
+    for parents in (1, 10, 64, 300):
+        closed = d.sample_generation_totals(np.full(reps, parents), rng)
+        naive = np.array([int(d.sample(rng, size=parents).sum())
+                          for _ in range(reps)])
+        _, p = stats.ks_2samp(np.minimum(closed, 500), np.minimum(naive, 500))
+        assert p > 1e-3, (parents, p)
+
+
+def test_power_law_composition_tail_count_binomial(monkeypatch):
+    # the number of offspring drawn beyond the multinomial head is
+    # Binomial(parents, P(X > head))
+    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    head = distributions._TOTALS_HEAD
+    sizes = []
+    draw = d._tail_draws
+    monkeypatch.setattr(d, "_tail_draws",
+                        lambda size, rng: sizes.append(size) or draw(size, rng))
+    parents = np.full(2000, 1000)
+    d.sample_generation_totals(parents, substream(12, 0))
+    p_tail = d._c * float(special.zeta(2.5, head + 1))
+    res = stats.binomtest(sum(sizes), int(parents.sum()), p_tail)
+    assert res.pvalue > 1e-3
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.5])
+def test_power_law_tail_draws_chi_square(alpha):
+    # rejection draws beyond the head against P(k | X > head) ~ k^-(2+alpha)
+    d = OffspringDistribution.power_law_tail(alpha=alpha, p0=0.2)
+    head = distributions._TOTALS_HEAD
+    size = 400000
+    draws = d._tail_draws(size, substream(13, int(alpha * 10)))
+    assert draws.min() == head + 1
+    bins = 100
+    ks = np.arange(head + 1, head + 1 + bins)
+    probs = ks ** -(2.0 + alpha) / float(special.zeta(2.0 + alpha, head + 1))
+    obs = np.bincount(draws - head - 1, minlength=bins)[:bins]
+    obs = np.append(obs, size - obs.sum())
+    exp = np.append(probs, 1.0 - probs.sum()) * size
+    chi2 = float(((obs - exp) ** 2 / exp).sum())
+    assert chi2 < stats.chi2.ppf(1 - 1e-3, df=bins)
+
+
+def test_power_law_tail_chunks_add_up(monkeypatch):
+    # fixed tail values make the totals a deterministic function of the
+    # multinomial, which must not depend on how tail draws are batched
+    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    monkeypatch.setattr(d, "_tail_draws",
+                        lambda size, rng: np.full(size, 1000, dtype=np.int64))
+    parents = np.array([0, 5, 0, 3000, 1, 0, 20000, 200], dtype=np.int64)
+    whole = d.sample_generation_totals(parents, substream(14, 0))
+    monkeypatch.setattr(distributions, "_TAIL_CHUNK", 3)
+    chunked = d.sample_generation_totals(parents, substream(14, 0))
+    np.testing.assert_array_equal(whole, chunked)
+    assert whole[0] == whole[2] == whole[5] == 0
+    assert whole[6] > 1000
+
+
+def test_power_law_totals_overflow_is_caught(monkeypatch):
+    # an int64 sum that would wrap raises instead
+    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    monkeypatch.setattr(d, "_tail_draws",
+                        lambda size, rng: np.full(size, 2**61, dtype=np.int64))
+    with pytest.raises(PopulationOverflowError):
+        d.sample_generation_totals(np.array([10**6]), substream(15, 0))
 
 
 # ------------------------------------------------------------ deviation moments
@@ -204,6 +305,90 @@ def test_delta_moment_power_law_against_brute():
     val = d.delta_moment(0.25)
     assert brute <= val <= brute + tail_upper * 1.001
     assert val == pytest.approx(brute + tail_upper, rel=0.02)
+
+
+def _brute_power_tail_moments(d, cases, cut=1 << 23, block=1 << 20):
+    """``E[U^upow scale^(upow-1) log(1+U scale)^logpow]`` per case: exact
+    sum over ``k <= cut``, then the integral remainder from ``cut + 1/2``."""
+    m, sigma = d.mean, 2.0 + d._alpha
+    sums = dict.fromkeys(cases, 0.0)
+    for start in range(0, cut + 1, block):
+        ks = np.arange(start, min(start + block, cut + 1))
+        p = d.pmf_vector(ks)
+        u = np.abs(ks / m - 1.0)
+        for upow, logpow, scale in cases:
+            val = p * u**upow * scale ** (upow - 1.0)
+            if logpow:
+                val = val * np.log1p(u * scale) ** logpow
+            sums[upow, logpow, scale] += float(val.sum())
+    k0 = cut + 0.5
+
+    def h(x, upow, logpow, scale):
+        u = x / m - 1.0
+        return (d._c * x**-sigma * u**upow * scale ** (upow - 1.0)
+                * math.log1p(u * scale) ** logpow)
+
+    for case in cases:
+        tail, _ = integrate.quad(lambda t: h(k0 / t, *case) * k0 / (t * t),
+                                 0.0, 1.0, limit=200)
+        sums[case] += tail
+    return sums
+
+
+@pytest.fixture(scope="module")
+def power_tail_oracle():
+    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    cases = [(1.0 + power, logpow, scale)
+             for power, logpow in ((0.25, 0.0), (0.0, 1.0), (0.0, 3.0))
+             for scale in (1.0, 0.3, 0.05)]
+    return _brute_power_tail_moments(d, cases)
+
+
+@pytest.mark.parametrize("power,logpow", [(0.25, 0.0), (0.0, 1.0), (0.0, 3.0)])
+@pytest.mark.parametrize("scale", [1.0, 0.3, 0.05])
+def test_power_tail_psi_moment_against_brute_oracle(power_tail_oracle, power,
+                                                    logpow, scale):
+    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    phi = PhiFunction(power=power, log_power=logpow)
+    oracle = power_tail_oracle[1.0 + power, logpow, scale]
+    assert d.psi_moment(phi, scale, tol=1e-12) == pytest.approx(oracle,
+                                                                rel=1e-12)
+
+
+@pytest.mark.parametrize("upow,logpow,scale",
+                         [(1.25, 0.0, 1.0), (1.0, 1.0, 0.3), (1.0, 3.0, 0.05),
+                          (1.0, 3.0, 1.0)])
+def test_power_tail_remainder_bound_holds_at_short_heads(monkeypatch, upow,
+                                                         logpow, scale):
+    # the certified remainder bound must cover the actual error even at
+    # heads short enough for it to be visible
+    ref = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2) \
+        ._u_weighted_moment(upow, logpow, scale, 1e-12)
+    bounds = []
+    bound = distributions._remainder_bound
+    monkeypatch.setattr(distributions, "_remainder_bound",
+                        lambda *a: bounds.append(bound(*a)) or bounds[-1])
+    for head in (16, 64):
+        monkeypatch.setattr(distributions, "_MOMENT_HEAD", head)
+        monkeypatch.setattr(distributions, "_MOMENT_HEAD_MAX", head)
+        d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+        val = d._u_weighted_moment(upow, logpow, scale, 1e-12)
+        assert abs(val - ref) <= bounds[-1] + 1e-12 * max(1.0, ref)
+        assert bounds[-1] > 1e-12  # not trivially small at this head
+
+
+def test_power_tail_moment_head_grows_to_meet_tolerance(monkeypatch):
+    phi = PhiFunction(log_power=3.0)
+    ref = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2) \
+        .psi_moment(phi, 0.3, tol=1e-12)
+    cuts = []
+    bound = distributions._remainder_bound
+    monkeypatch.setattr(distributions, "_remainder_bound",
+                        lambda a, *rest: cuts.append(a) or bound(a, *rest))
+    monkeypatch.setattr(distributions, "_MOMENT_HEAD", 64)
+    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    assert d.psi_moment(phi, 0.3, tol=1e-12) == pytest.approx(ref, rel=1e-12)
+    assert len(cuts) > 1 and cuts[0] == 64.5
 
 
 def test_psi_moment_power_one_is_scaled_variance(gw_dist):
@@ -327,8 +512,7 @@ def test_finite_pmf_properties(weights):
 def test_geometric_closure_mean(mean):
     d = OffspringDistribution.geometric(mean=mean)
     rng = substream(123, 7)
-    total, approx = d.sample_generation_total(50000, rng)
-    assert not approx
+    total = d.sample_generation_total(50000, rng)
     se = math.sqrt(50000 * d.variance)
     assert abs(total - 50000 * mean) < 6 * se
 
