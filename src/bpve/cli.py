@@ -19,15 +19,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import conditions, estimators
-from .distributions import NotApplicableError, PhiFunction
+from .conditions import csv_text, jsonable
+from .distributions import NotApplicableError, PhiFunction, check_keys
 from .environment import (EnvironmentSpec, PRESETS, quench)
 
 EXIT_OK = 0
@@ -35,51 +36,116 @@ EXIT_SCHEMA = 2
 EXIT_RESOURCE = 3
 EXIT_NOT_APPLICABLE = 4
 
-EXPERIMENTS = ("conditions", "survival", "w_positivity", "l2", "halving",
-               "flt", "tightness", "critical")
-
 
 class SchemaError(ValueError):
     pass
 
 
-def _require(cfg: dict, allowed: dict, context: str) -> dict:
+def _require(cfg, allowed: dict, context: str) -> dict:
     """Reject unknown keys; fill defaults; None default means required."""
-    unknown = set(cfg) - set(allowed)
-    if unknown:
-        raise SchemaError(f"{context}: unknown keys {sorted(unknown)}")
-    out = {}
-    for key, default in allowed.items():
-        if key in cfg:
-            out[key] = cfg[key]
-        elif default is None:
-            raise SchemaError(f"{context}: missing required key '{key}'")
-        else:
-            out[key] = default
-    return out
+    if not isinstance(cfg, dict):
+        raise SchemaError(f"{context}: expected an object")
+    try:
+        check_keys(cfg, allowed, context,
+                   optional={k for k, v in allowed.items() if v is not None})
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+    return {key: cfg.get(key, default) for key, default in allowed.items()}
 
 
-_PARAM_SCHEMAS = {
-    "conditions": {"series": "variance", "start": 1, "horizon": 200,
-                   "tol": 1e-9, "delta": 1.0,
-                   "phi": {"power": 1.0, "log_power": 0.0}},
-    "survival": {"z0": 1, "n": 200, "replicas": 100000},
-    "w_positivity": {"z0": 1, "n": 200, "replicas": 100000,
-                     "eps_grid": [float(x) for x in
-                                  np.logspace(-3, -1, 13)]},
-    "l2": {"k": 1, "m": 1, "replicas": 1000000},
-    "halving": {"k": 64, "start": 0, "horizon": 400, "replicas": 100000},
-    "flt": {"n_list": [64, 256, 1024], "replicas": 25000, "grid_size": 33},
-    "tightness": {"l_grid": [1, 50, 100], "env_replicas": 200,
-                  "series": "variance", "delta": 1.0,
-                  "phi": {"power": 1.0, "log_power": 0.0},
-                  "blowup_factor": 3.0},
-    "critical": {"n_list": [32, 64, 128], "replicas": 40000, "z0": 1,
-                 "min_survivors": 500},
+def _records_csv(records) -> str:
+    """One CSV row per summary record, one column per field."""
+    dicts = [r.to_dict() for r in records]
+    return csv_text(",".join(dicts[0]), [d.values() for d in dicts])
+
+
+# Checker functions are looked up at call time, as are the estimators in
+# _estimator, so wrappers installed on their modules take effect.
+_CONDITION_SERIES = {
+    "variance": lambda env, p: conditions.variance_series(
+        env, p["start"], p["horizon"], p["tol"]),
+    "fractional_variance": lambda env, p: conditions.fractional_variance_series(
+        env, p["start"], p["delta"], p["horizon"], p["tol"]),
+    "psi": lambda env, p: conditions.psi_series(
+        env, p["start"], PhiFunction.from_config(p["phi"]), p["horizon"],
+        p["tol"]),
+    "jagers": lambda env, p: conditions.jagers_sum(env, p["horizon"]),
+    "moment_ratio": lambda env, p: conditions.moment_ratio_sup(env,
+                                                               p["horizon"]),
 }
 
-_CONDITION_SERIES = ("variance", "fractional_variance", "psi", "jagers",
-                     "moment_ratio")
+
+def _tightness(spec, p, cfg, threads):
+    series = p["series"]
+    return conditions.tightness_diagnostic(
+        spec, p["l_grid"], p["env_replicas"], cfg["master_seed"], series,
+        delta=p["delta"] if series == "fractional_variance" else None,
+        phi=PhiFunction.from_config(p["phi"]) if series == "psi" else None,
+        blowup_factor=p["blowup_factor"])
+
+
+def _estimator(name: str, **from_config):
+    """Runner of ``estimators.<name>``, whose argument names are the
+    experiment's param keys."""
+    def run(target, p, cfg, threads):
+        return getattr(estimators, name)(
+            target, **p, seed=cfg["master_seed"], threads=threads,
+            **{arg: cfg[key] for arg, key in from_config.items()})
+    return run
+
+
+class Experiment(NamedTuple):
+    """One row of the experiment table.  ``run(target, params, resolved,
+    threads)`` gets the environment quenched to ``horizon(params)``
+    generations, or the spec itself when ``horizon`` is None; its result
+    goes to results.json under ``key`` and, through ``csv``, to
+    series.csv."""
+    params: dict     # defaults; None marks a required key
+    horizon: object
+    key: str
+    run: object
+    csv: object = None
+
+
+EXPERIMENTS = {
+    "conditions": Experiment(
+        {"series": "variance", "start": 1, "horizon": 200, "tol": 1e-9,
+         "delta": 1.0, "phi": {"power": 1.0, "log_power": 0.0}},
+        lambda p: p["start"] + p["horizon"] + 1, "report",
+        lambda env, p, cfg, threads: _CONDITION_SERIES[p["series"]](env, p)),
+    "survival": Experiment(
+        {"z0": 1, "n": 200, "replicas": 100000}, lambda p: p["n"],
+        "survival", _estimator("mc_survival")),
+    "w_positivity": Experiment(
+        {"z0": 1, "n": 200, "replicas": 100000,
+         "eps_grid": [float(x) for x in np.logspace(-3, -1, 13)]},
+        lambda p: p["n"], "equality_check", _estimator("mc_w_positivity"),
+        lambda chk: csv_text("eps,p_above,std_error",
+                             [(eps, est.value, est.std_error)
+                              for eps, est in sorted(chk.p_w_above.items())])),
+    "l2": Experiment(
+        {"k": 1, "m": 1, "replicas": 1000000}, lambda p: max(p["m"], 1),
+        "l2_increment", _estimator("mc_l2_increment")),
+    "halving": Experiment(
+        {"k": 64, "start": 0, "horizon": 400, "replicas": 100000},
+        lambda p: p["start"] + p["horizon"] + 2, "halving",
+        _estimator("mc_halving_bound")),
+    "flt": Experiment(
+        {"n_list": [64, 256, 1024], "replicas": 25000, "grid_size": 33},
+        lambda p: max(p["n_list"]), "path_spread",
+        _estimator("mc_flt_discrepancy"), _records_csv),
+    "tightness": Experiment(
+        {"l_grid": [1, 50, 100], "env_replicas": 200, "series": "variance",
+         "delta": 1.0, "phi": {"power": 1.0, "log_power": 0.0},
+         "blowup_factor": 3.0},
+        None, "tightness", _tightness, lambda table: table.to_csv()),
+    "critical": Experiment(
+        {"n_list": [32, 64, 128], "replicas": 40000, "z0": 1,
+         "min_survivors": 500},
+        None, "conditioned",
+        _estimator("mc_conditioned_critical", env_seed="env_seed"),
+        _records_csv),
+}
 
 
 def resolve_config(cfg: dict) -> dict:
@@ -88,23 +154,21 @@ def resolve_config(cfg: dict) -> dict:
                          "params": {}, "output_dir": ""}, "config")
     exp = top["experiment"]
     if exp not in EXPERIMENTS:
-        raise SchemaError(f"config: experiment must be one of {EXPERIMENTS}, "
-                          f"got {exp!r}")
+        raise SchemaError(f"config: experiment must be one of "
+                          f"{tuple(EXPERIMENTS)}, got {exp!r}")
     # Validate the environment spec eagerly so errors name the field.
     try:
         spec = EnvironmentSpec.from_config(top["environment"])
     except (ValueError, KeyError, TypeError) as exc:
         raise SchemaError(f"environment: {exc}") from exc
-    top["environment"] = top["environment"]
-    top["params"] = _require(top["params"], _PARAM_SCHEMAS[exp],
+    top["params"] = _require(top["params"], EXPERIMENTS[exp].params,
                              f"params({exp})")
     if exp == "conditions" and top["params"]["series"] not in _CONDITION_SERIES:
         raise SchemaError(f"params(conditions): series must be one of "
-                          f"{_CONDITION_SERIES}")
-    if exp in ("tightness", "critical") and not spec.is_random:
-        if exp == "critical":
-            raise SchemaError("params(critical): environment must be a "
-                              "random kind (iid_random or cooling)")
+                          f"{tuple(_CONDITION_SERIES)}")
+    if exp == "critical" and not spec.is_random:
+        raise SchemaError("params(critical): environment must be a "
+                          "random kind (iid_random or cooling)")
     return top
 
 
@@ -113,129 +177,18 @@ def config_digest(resolved: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _env_horizon_needed(exp: str, p: dict) -> int:
-    if exp == "conditions":
-        return p["start"] + p["horizon"] + 1
-    if exp == "survival":
-        return p["n"]
-    if exp == "w_positivity":
-        return p["n"]
-    if exp == "l2":
-        return max(p["m"], 1)
-    if exp == "halving":
-        return p["start"] + p["horizon"] + 2
-    if exp == "flt":
-        return max(p["n_list"])
-    return 1
-
-
 def run_experiment(resolved: dict, threads=None):
     """Execute one resolved config; returns (results_dict, csv_text_or_None)."""
-    exp = resolved["experiment"]
+    exp = EXPERIMENTS[resolved["experiment"]]
     p = resolved["params"]
-    seed = resolved["master_seed"]
     spec = EnvironmentSpec.from_config(resolved["environment"])
-    results = {"experiment": exp}
-    csv_text = None
-    env = None
-    if exp not in ("tightness", "critical"):
-        env = quench(spec, resolved["env_seed"], _env_horizon_needed(exp, p))
-
-    if exp == "conditions":
-        series = p["series"]
-        if series == "variance":
-            rep = conditions.variance_series(env, p["start"], p["horizon"],
-                                             p["tol"])
-        elif series == "fractional_variance":
-            rep = conditions.fractional_variance_series(
-                env, p["start"], p["delta"], p["horizon"], p["tol"])
-        elif series == "psi":
-            rep = conditions.psi_series(env, p["start"],
-                                        PhiFunction.from_config(p["phi"]),
-                                        p["horizon"], p["tol"])
-        elif series == "jagers":
-            rep = conditions.jagers_sum(env, p["horizon"])
-        else:
-            rep = conditions.moment_ratio_sup(env, p["horizon"])
-        results["report"] = json.loads(rep.to_json())
-    elif exp == "survival":
-        est = estimators.mc_survival(env, p["z0"], p["n"], p["replicas"],
-                                     seed, threads)
-        results["survival"] = est.to_dict()
-    elif exp == "w_positivity":
-        chk = estimators.mc_w_positivity(env, p["z0"], p["n"], p["eps_grid"],
-                                         p["replicas"], seed, threads)
-        results["equality_check"] = chk.to_dict()
-        lines = ["eps,p_above,std_error"]
-        for eps in sorted(chk.p_w_above):
-            est = chk.p_w_above[eps]
-            lines.append(f"{eps:.10g},{est.value:.10g},{est.std_error:.10g}")
-        csv_text = "\n".join(lines) + "\n"
-    elif exp == "l2":
-        est = estimators.mc_l2_increment(env, p["k"], p["m"], p["replicas"],
-                                         seed, threads)
-        results["l2_increment"] = est.to_dict()
-    elif exp == "halving":
-        res = estimators.mc_halving_bound(env, p["k"], p["start"],
-                                          p["horizon"], p["replicas"], seed,
-                                          threads)
-        results["halving"] = res.to_dict()
-    elif exp == "flt":
-        summaries = estimators.mc_flt_discrepancy(env, p["n_list"],
-                                                  p["replicas"], seed,
-                                                  p["grid_size"], threads)
-        results["path_spread"] = [s.to_dict() for s in summaries]
-        lines = ["n,survivors,median,q90"]
-        for s in summaries:
-            lines.append(f"{s.n},{s.survivors},{s.median:.10g},{s.q90:.10g}")
-        csv_text = "\n".join(lines) + "\n"
-    elif exp == "tightness":
-        kwargs = {}
-        if p["series"] == "fractional_variance":
-            kwargs["delta"] = p["delta"]
-        if p["series"] == "psi":
-            kwargs["phi"] = PhiFunction.from_config(p["phi"])
-        table = conditions.tightness_diagnostic(
-            spec, p["l_grid"], p["env_replicas"], seed, p["series"],
-            blowup_factor=p["blowup_factor"], **kwargs)
-        results["tightness"] = {
-            "series": table.series,
-            "truncations": table.truncations,
-            "quantiles": [[float(v) for v in row] for row in table.rows],
-            "blowup_flag": table.blowup_flag,
-        }
-        lines = ["l,q10,q50,q90,flag"]
-        for l, row in zip(table.truncations, table.rows):
-            vals = ",".join(f"{v:.10g}" for v in row)
-            lines.append(f"{l},{vals},{int(table.blowup_flag)}")
-        csv_text = "\n".join(lines) + "\n"
-    else:  # critical
-        summaries = estimators.mc_conditioned_critical(
-            spec, p["n_list"], p["replicas"], seed,
-            env_seed=resolved["env_seed"], z0=p["z0"],
-            min_survivors=p["min_survivors"], threads=threads)
-        results["conditioned"] = [s.to_dict() for s in summaries]
-        lines = ["n,survivors,median_w,q10_w,inconclusive"]
-        for s in summaries:
-            lines.append(f"{s.n},{s.survivors},{s.median_w:.10g},"
-                         f"{s.q10_w:.10g},{int(s.inconclusive)}")
-        csv_text = "\n".join(lines) + "\n"
-    return results, csv_text
-
-
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-    if isinstance(obj, np.generic):
-        return _sanitize(obj.item())
-    return obj
+    target = spec if exp.horizon is None else \
+        quench(spec, resolved["env_seed"], exp.horizon(p))
+    result = exp.run(target, p, resolved, threads)
+    payload = ([r.to_dict() for r in result] if isinstance(result, list)
+               else result.to_dict())
+    return ({"experiment": resolved["experiment"], exp.key: payload},
+            exp.csv(result) if exp.csv else None)
 
 
 def cmd_run(args) -> int:
@@ -271,14 +224,16 @@ def cmd_run(args) -> int:
             return EXIT_RESOURCE
 
     try:
-        results, csv_text = run_experiment(resolved, threads=args.threads)
+        results, series = run_experiment(resolved, threads=args.threads)
     except NotApplicableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
-    except MemoryError as exc:
+    except (MemoryError, OverflowError) as exc:
+        # OverflowError includes PopulationOverflowError
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except SchemaError as exc:
+    except ValueError as exc:
+        # a parameter value the library refuses, e.g. n beyond the horizon
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 
@@ -288,12 +243,12 @@ def cmd_run(args) -> int:
     results["resolved_config"] = {k: v for k, v in resolved.items()
                                   if k != "output_dir"}
     results_path.write_text(
-        json.dumps(_sanitize(results), sort_keys=True, indent=2) + "\n")
+        json.dumps(jsonable(results), sort_keys=True, indent=2) + "\n")
     (out / "resolved_config.json").write_text(
-        json.dumps(_sanitize(resolved), sort_keys=True, indent=2) + "\n")
-    if csv_text is not None:
+        json.dumps(jsonable(resolved), sort_keys=True, indent=2) + "\n")
+    if series is not None:
         (out / "series.csv").write_text(f"# config_digest={digest}\n"
-                                        + csv_text)
+                                        + series)
     print(f"wrote {results_path} (digest {digest})")
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,6 +28,7 @@ from .streams import substream
 
 __all__ = [
     "ConditionReport",
+    "damped_series",
     "variance_series",
     "fractional_variance_series",
     "psi_series",
@@ -59,32 +60,40 @@ class ConditionReport:
             return self.partial_sum
         return self.partial_sum + self.tail_bound
 
+    def to_dict(self) -> dict:
+        return asdict(self)
+
     def to_json(self) -> str:
-        payload = {
-            "series_id": self.series_id,
-            "start": self.start,
-            "partial_sum": _jsonable(self.partial_sum),
-            "horizon": self.horizon,
-            "tail_bound": _jsonable(self.tail_bound),
-            "verdict": self.verdict,
-            "detail": {k: _jsonable(v) for k, v in self.detail.items()},
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(jsonable(self.to_dict()), sort_keys=True)
 
 
-def _jsonable(v):
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if math.isnan(v):
+def csv_text(header: str, rows) -> str:
+    """CSV text; floats as ``%.10g``, integers and booleans as integers."""
+    def cell(v):
+        return f"{v:.10g}" if isinstance(v, float) else str(int(v))
+    return "\n".join([header] + [",".join(map(cell, row))
+                                 for row in rows]) + "\n"
+
+
+def jsonable(obj):
+    """``obj`` ready for strict JSON, recursively: non-finite floats become
+    ``"inf"``, ``"-inf"`` or ``"nan"`` and numpy scalars Python values."""
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        if math.isnan(obj):
             return "nan"
-    if isinstance(v, np.generic):
-        return v.item()
-    return v
+    if isinstance(obj, np.generic):
+        return jsonable(obj.item())
+    return obj
 
 
-def _check_range(env: QuenchedEnvironment, start: int, horizon: Optional[int],
-                 need_prev: bool = False) -> int:
+def _check_range(env: QuenchedEnvironment, start: int,
+                 horizon: Optional[int]) -> int:
     if start < 1:
         raise ValueError("series start index is 1-based")
     if horizon is None:
@@ -98,14 +107,19 @@ def _check_range(env: QuenchedEnvironment, start: int, horizon: Optional[int],
     return horizon
 
 
+def _whole_range(env: QuenchedEnvironment, horizon: Optional[int]) -> int:
+    horizon = env.horizon if horizon is None else horizon
+    if horizon > env.horizon or horizon < 1:
+        raise ValueError("horizon out of range")
+    return horizon
+
+
 def _trailing_drift(xi: np.ndarray, window: int) -> Tuple[float, int]:
     """Smallest sliding-window average of the log-means over the trailing
     half of the evaluated range; returns (drift, window_used)."""
     n = len(xi)
     w = min(window, n)
     tail = xi[n // 2:] if n >= 2 * w else xi
-    if len(tail) < w:
-        w = len(tail)
     if w == 0:
         return -math.inf, 0
     csum = np.concatenate(([0.0], np.cumsum(tail)))
@@ -121,30 +135,111 @@ def _nondecreasing_tail(terms: np.ndarray, window: int) -> bool:
     return bool(np.all(np.diff(tail) >= -1e-15))
 
 
+def damped_series(env: QuenchedEnvironment, first: int, count: int,
+                  offset: int, exponent: float, term) -> np.ndarray:
+    """The ``count`` terms ``term(dist_g, w_g)`` of generations
+    ``g = first, first+1, ...`` with damping
+    ``w_g = exp(-exponent (S_{g+offset} - S_{first+offset}))``, so the first
+    term is undamped.  Infinite terms stay ``inf``."""
+    base = first + offset
+    damp = np.exp(-exponent * (env.s[base:base + count] - env.s[base]))
+    return np.array([term(env.dists[first - 1 + k], float(w))
+                     for k, w in enumerate(damp)])
+
+
+def _geometric_tail(bound: float, next_damping: float, rate: float) -> float:
+    """The one tail certificate: terms below ``bound`` times a damping that
+    starts at ``next_damping`` and falls by at least ``exp(-rate)`` per
+    generation sum to at most this."""
+    return bound * next_damping / -math.expm1(-rate)
+
+
+def _certify(series_id: str, start: int, horizon: int, first: int,
+             terms: np.ndarray, xi: np.ndarray, tail, detail: dict,
+             window: int, divergence_threshold: float,
+             what: str = "term") -> ConditionReport:
+    """Verdict of a damped series with terms from generation ``first``: an
+    infinite term is ``divergent``; a positive trailing drift ``mu`` of the
+    log-means ``xi`` with a finite ``tail(mu)`` is ``finite``; otherwise
+    partial sums past the threshold with nondecreasing terms are
+    ``divergent``, and anything else ``inconclusive``."""
+    bad = np.flatnonzero(np.isinf(terms))
+    if len(bad):
+        detail["reason"] = f"infinite {what} at generation {first + bad[0]}"
+        return ConditionReport(series_id, start, math.inf, horizon, None,
+                               "divergent", detail)
+    partial = float(terms.sum())
+    mu_w, w_used = _trailing_drift(xi, window)
+    detail.update(trailing_drift=mu_w, drift_window=w_used)
+    bound = tail(mu_w) if mu_w > 0 else None
+    if bound is not None and math.isfinite(bound):
+        return ConditionReport(series_id, start, partial, horizon, bound,
+                               "finite", detail)
+    if mu_w <= 0 and partial > divergence_threshold \
+            and _nondecreasing_tail(terms, window):
+        detail["reason"] = "partial sums exceed threshold with nondecreasing terms"
+        return ConditionReport(series_id, start, partial, horizon, None,
+                               "divergent", detail)
+    return ConditionReport(series_id, start, partial, horizon, None,
+                           "inconclusive", detail)
+
+
+# The checkers' term functions ``term(dist, damping)``; tightness_diagnostic
+# sums the same ones.  Moments are evaluated to ``tol * 1e-3``.
+
+def _times(moment: float, damping: float) -> float:
+    return moment if math.isinf(moment) else moment * damping
+
+
+def _variance_term(dist: OffspringDistribution, damping: float) -> float:
+    return _times(dist.normalized_variance, damping)
+
+
+def _fractional_term(delta: float, tol: float):
+    return lambda dist, damping: _times(
+        dist.delta_moment(delta, tol=tol * 1e-3), damping)
+
+
+def _psi_term(phi: PhiFunction, tol: float):
+    return lambda dist, damping: dist.psi_moment(phi, damping, tol=tol * 1e-3)
+
+
+def _moment_series(series_id, env, start, horizon, shift, exponent, term,
+                   window, divergence_threshold, detail,
+                   what="normalized variance") -> ConditionReport:
+    """Terms ``term(dist_g, 1) * w_g`` for the ``horizon + 1`` generations
+    from ``g = start + shift``, damped by ``S_{g-shift} - S_start``.  The
+    tail bound takes the largest moment of the trailing window; the first
+    omitted term's damping is exact when ``shift = 1`` and one drift step
+    beyond the last included term's when ``shift = 0``."""
+    first, last = start + shift, start + shift + horizon
+    terms = damped_series(env, first, horizon + 1, -shift, exponent, term)
+
+    def tail(mu):
+        zbar = max(term(d, 1.0) for d in
+                   env.dists[last - min(window, horizon + 1):last])
+        damp = math.exp(-exponent * (env.s[last] - env.s[start]
+                                     + (1 - shift) * mu))
+        return _geometric_tail(zbar, damp, exponent * mu)
+    return _certify(series_id, start, horizon, first, terms,
+                    env.xi[start:last], tail, detail, window,
+                    divergence_threshold, what)
+
+
 def variance_series(env: QuenchedEnvironment, start: int = 1,
                     horizon: Optional[int] = None, tol: float = 1e-9,
                     window: int = DEFAULT_WINDOW,
                     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
                     ) -> ConditionReport:
-    """Weighted series of normalized variances from generation ``start``:
-    term ``i`` is the normalized variance of generation ``start + i`` damped
-    by the growth accumulated since ``start``."""
+    """Weighted series of normalized variances from generation ``start``.
+
+    Index convention: generations ``g = start .. start + horizon``
+    (``horizon + 1`` terms); term ``g`` is the normalized variance of
+    generation ``g`` times ``exp(-(S_g - S_start))``.
+    """
     horizon = _check_range(env, start, horizon)
-    zetas = np.empty(horizon + 1)
-    for i in range(horizon + 1):
-        z = env.dists[start - 1 + i].normalized_variance
-        if math.isinf(z):
-            return ConditionReport(
-                "variance_series", start, math.inf, horizon, None, "divergent",
-                {"reason": f"infinite normalized variance at generation {start + i}"})
-        zetas[i] = z
-    weights = np.exp(-(env.s[start:start + horizon + 1] - env.s[start]))
-    terms = zetas * weights
-    partial = float(terms.sum())
-    return _finish_series("variance_series", env, start, horizon, terms,
-                          partial, zetas, drift_scale=1.0, tol=tol,
-                          window=window,
-                          divergence_threshold=divergence_threshold)
+    return _moment_series("variance_series", env, start, horizon, 0, 1.0,
+                          _variance_term, window, divergence_threshold, {})
 
 
 def fractional_variance_series(env: QuenchedEnvironment, start: int = 1,
@@ -155,51 +250,15 @@ def fractional_variance_series(env: QuenchedEnvironment, start: int = 1,
                                divergence_threshold: float =
                                DEFAULT_DIVERGENCE_THRESHOLD) -> ConditionReport:
     """Like :func:`variance_series` but with the fractional deviation moment
-    of order ``1 + delta`` and damping exponent scaled by ``delta``; usable
-    when variances are infinite."""
+    of order ``1 + delta`` and damping ``exp(-delta (S_g - S_start))``;
+    usable when variances are infinite.  Same index convention."""
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
     horizon = _check_range(env, start, horizon)
-    zetas = np.empty(horizon + 1)
-    for i in range(horizon + 1):
-        z = env.dists[start - 1 + i].delta_moment(delta, tol=tol * 1e-3)
-        if math.isinf(z):
-            return ConditionReport(
-                "fractional_variance_series", start, math.inf, horizon, None,
-                "divergent",
-                {"delta": delta,
-                 "reason": f"infinite deviation moment at generation {start + i}"})
-        zetas[i] = z
-    weights = np.exp(-delta * (env.s[start:start + horizon + 1] - env.s[start]))
-    terms = zetas * weights
-    partial = float(terms.sum())
-    rep = _finish_series("fractional_variance_series", env, start, horizon,
-                         terms, partial, zetas, drift_scale=delta, tol=tol,
-                         window=window,
-                         divergence_threshold=divergence_threshold)
-    rep.detail["delta"] = delta
-    return rep
-
-
-def _finish_series(series_id, env, start, horizon, terms, partial, zetas,
-                   drift_scale, tol, window, divergence_threshold):
-    xi = env.xi[start:start + horizon]
-    mu_w, w_used = _trailing_drift(xi, window)
-    detail = {"trailing_drift": mu_w, "drift_window": w_used}
-    if mu_w > 0:
-        zbar = float(zetas[-max(1, min(window, len(zetas))):].max())
-        damp = drift_scale * (env.s[start + horizon] - env.s[start])
-        # omitted terms r = 1, 2, ... past the last one are damped by at
-        # least r drift steps more, as in psi_series' tail bound
-        tail = zbar * math.exp(-damp) / math.expm1(drift_scale * mu_w)
-        return ConditionReport(series_id, start, partial, horizon, tail,
-                               "finite", detail)
-    if partial > divergence_threshold and _nondecreasing_tail(terms, window):
-        detail["reason"] = "partial sums exceed threshold with nondecreasing terms"
-        return ConditionReport(series_id, start, partial, horizon, None,
-                               "divergent", detail)
-    return ConditionReport(series_id, start, partial, horizon, None,
-                           "inconclusive", detail)
+    return _moment_series("fractional_variance_series", env, start, horizon,
+                          0, delta, _fractional_term(delta, tol), window,
+                          divergence_threshold, {"delta": delta},
+                          "deviation moment")
 
 
 def psi_series(env: QuenchedEnvironment, start: int = 1,
@@ -208,9 +267,11 @@ def psi_series(env: QuenchedEnvironment, start: int = 1,
                window: int = DEFAULT_WINDOW,
                divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
                ) -> ConditionReport:
-    """Weighted deviation-moment series: term ``j >= 1`` is
-    ``E[U phi(U * damping_j)]`` for generation ``start + j``, with damping
-    accumulated from ``start`` through ``start + j - 1``.
+    """Weighted deviation-moment series.
+
+    Index convention: generations ``g = start + 1 .. start + horizon``
+    (``horizon`` terms); term ``g`` is ``E[U phi(U * damping_g)]`` for
+    generation ``g`` with ``damping_g = exp(-(S_{g-1} - S_start))``.
 
     Certified tails exist only for the catalog weight functions: a pure
     power (or power-log) rides the geometric damping directly; a pure
@@ -222,73 +283,38 @@ def psi_series(env: QuenchedEnvironment, start: int = 1,
     if phi.zero:
         return ConditionReport("psi_series", start, 0.0, horizon, 0.0,
                                "finite", {"phi": "zero"})
-    # one accuracy for the terms and for the moments in the tail bound
-    term_tol = tol * 1e-3
-    terms = np.zeros(horizon + 1)
-    for j in range(1, horizon + 1):
-        scale = math.exp(-(env.s[start + j - 1] - env.s[start]))
-        t = env.dists[start - 1 + j].psi_moment(phi, scale, tol=term_tol)
-        if math.isinf(t):
-            return ConditionReport(
-                "psi_series", start, math.inf, horizon, None, "divergent",
-                {"phi": phi.identifier,
-                 "reason": f"infinite term at generation {start + j}"})
-        terms[j] = t
-    partial = float(terms[1:].sum())
-    xi = env.xi[start:start + horizon]
-    mu_w, w_used = _trailing_drift(xi, window)
-    detail = {"phi": phi.identifier, "trailing_drift": mu_w,
-              "drift_window": w_used}
-    if mu_w <= 0:
-        if partial > divergence_threshold and _nondecreasing_tail(terms[1:], window):
-            detail["reason"] = ("partial sums exceed threshold with "
-                                "nondecreasing terms")
-            return ConditionReport("psi_series", start, partial, horizon,
-                                   None, "divergent", detail)
-        return ConditionReport("psi_series", start, partial, horizon, None,
-                               "inconclusive", detail)
-
+    terms = damped_series(env, start + 1, horizon, -1, 1.0, _psi_term(phi, tol))
     wlen = max(1, min(window, horizon))
-    trailing = env.dists[start + horizon - wlen:start + horizon]
+    trailing = set(env.dists[start + horizon - wlen:start + horizon])
     next_scale = math.exp(-(env.s[start + horizon] - env.s[start]))
-    tail = _psi_tail_bound(phi, trailing, next_scale, mu_w, term_tol)
-    if tail is None or math.isinf(tail):
-        return ConditionReport("psi_series", start, partial, horizon, None,
-                               "inconclusive", detail)
-    return ConditionReport("psi_series", start, partial, horizon, tail,
-                           "finite", detail)
+    return _certify(
+        "psi_series", start, horizon, start + 1, terms,
+        env.xi[start:start + horizon],
+        lambda mu: _psi_tail_bound(phi, trailing, next_scale, mu, tol * 1e-3),
+        {"phi": phi.identifier}, window, divergence_threshold)
 
 
-def _psi_tail_bound(phi: PhiFunction, trailing: List[OffspringDistribution],
-                    next_scale: float, mu_w: float,
-                    tol: float) -> Optional[float]:
+def _psi_tail_bound(phi: PhiFunction, trailing, next_scale: float,
+                    mu_w: float, tol: float) -> Optional[float]:
     d, g = phi.power, phi.log_power
     if d > 0:
         if next_scale > 1.0:
             return None
         # term <= scale^d * E[U^{1+d} log^g(1+U)] once damping <= 1
-        m1 = max(dd.psi_moment(phi, 1.0, tol=tol) for dd in set(trailing))
-        if math.isinf(m1):
-            return None
-        return m1 * next_scale**d / (1.0 - math.exp(-d * mu_w))
-    # pure log-power: split at U = damping^{-1/2}
-    if next_scale >= 1.0:
+        m1 = max(dd.psi_moment(phi, 1.0, tol=tol) for dd in trailing)
+        return _geometric_tail(m1, next_scale**d, d * mu_w)
+    # pure log-power: split at U = damping^{-1/2}; phi = 1 has no damping
+    if next_scale >= 1.0 or g <= 0:
         return None
-    u_mean = max(dd.delta_moment(0.0, tol=tol) for dd in set(trailing))
+    u_mean = max(dd.delta_moment(0.0, tol=tol) for dd in trailing)
     high = PhiFunction(power=0.0, log_power=1.0 + 2.0 * g)
-    m2 = max(dd.psi_moment(high, 1.0, tol=tol) for dd in set(trailing))
-    if math.isinf(m2):
-        return None
+    m2 = max(dd.psi_moment(high, 1.0, tol=tol) for dd in trailing)
     # below threshold: U*phi <= U * log^g(1 + sqrt(scale)) <= U * scale^{g/2}
-    piece1 = u_mean * next_scale ** (g / 2.0) \
-        / (1.0 - math.exp(-g * mu_w / 2.0))
+    piece1 = _geometric_tail(u_mean, next_scale ** (g / 2.0), g * mu_w / 2.0)
     # above threshold: Markov against the higher log-moment; log(1/sqrt(s_j))
     # grows at least linearly with certified slope mu_w / 2
     c0 = -math.log(next_scale) / 2.0
-    if c0 <= 0:
-        return None
-    gam = 1.0 + g
-    piece2 = m2 * (c0 ** -gam + (c0 ** -(gam - 1.0)) / ((gam - 1.0) * (mu_w / 2.0)))
+    piece2 = m2 * (c0 ** -(1.0 + g) + c0 ** -g / (g * mu_w / 2.0))
     return piece1 + piece2
 
 
@@ -297,41 +323,19 @@ def increment_variance_series(env: QuenchedEnvironment, start: int = 0,
                               tol: float = 1e-9,
                               window: int = DEFAULT_WINDOW) -> ConditionReport:
     """Sum of one-step conditional second moments of the normalized process
-    after ``start``, per unit ancestor: term ``j >= 1`` is the normalized
-    variance of generation ``start + j`` damped by the growth accumulated
-    over generations ``start+1 .. start+j-1``.
+    after ``start``, per unit ancestor: the exact variance budget behind the
+    halving-probability bound.
 
-    This is the exact variance budget behind the halving-probability bound.
+    Index convention: generations ``g = start + 1 .. start + horizon + 1``
+    (``horizon + 1`` terms); term ``g`` is the normalized variance of
+    generation ``g`` times ``exp(-(S_{g-1} - S_start))``.  Only an infinite
+    term makes it divergent.
     """
     if start < 0:
         raise ValueError("start must be >= 0")
-    if horizon is None:
-        horizon = env.horizon - start - 1
-    if start + horizon + 1 > env.horizon:
-        raise ValueError("start + horizon exceeds environment horizon")
-    zetas = np.empty(horizon + 1)
-    for j in range(1, horizon + 2):
-        z = env.dists[start + j - 1].normalized_variance
-        if math.isinf(z):
-            return ConditionReport(
-                "increment_variance_series", start, math.inf, horizon, None,
-                "divergent",
-                {"reason": f"infinite normalized variance at generation {start + j}"})
-        zetas[j - 1] = z
-    damp = np.exp(-(env.s[start:start + horizon + 1] - env.s[start]))
-    terms = zetas * damp
-    partial = float(terms.sum())
-    xi = env.xi[start:start + horizon + 1]
-    mu_w, w_used = _trailing_drift(xi, window)
-    detail = {"trailing_drift": mu_w, "drift_window": w_used}
-    if mu_w > 0:
-        zbar = float(zetas[-max(1, min(window, len(zetas))):].max())
-        tail = zbar * math.exp(-(env.s[start + horizon + 1] - env.s[start])) \
-            / (1.0 - math.exp(-mu_w))
-        return ConditionReport("increment_variance_series", start, partial,
-                               horizon, tail, "finite", detail)
-    return ConditionReport("increment_variance_series", start, partial,
-                           horizon, None, "inconclusive", detail)
+    horizon = _check_range(env, start + 1, horizon)
+    return _moment_series("increment_variance_series", env, start, horizon,
+                          1, 1.0, _variance_term, window, math.inf, {})
 
 
 def jagers_sum(env: QuenchedEnvironment, horizon: Optional[int] = None,
@@ -344,10 +348,7 @@ def jagers_sum(env: QuenchedEnvironment, horizon: Optional[int] = None,
     below by ``eps`` at stable frequency in both halves of the range;
     ``finite`` needs a certified geometrically decaying tail.
     """
-    if horizon is None:
-        horizon = env.horizon
-    if horizon > env.horizon or horizon < 1:
-        raise ValueError("horizon out of range")
+    horizon = _whole_range(env, horizon)
     p0s = np.array([env.dists[i].pmf(0) for i in range(horizon)])
     if np.any(p0s >= 1.0):
         idx = int(np.argmax(p0s >= 1.0)) + 1
@@ -365,10 +366,8 @@ def jagers_sum(env: QuenchedEnvironment, horizon: Optional[int] = None,
         detail["reason"] = "terms bounded below at stable frequency"
         return ConditionReport("jagers_sum", 1, partial, horizon, None,
                                "divergent", detail)
-    w = min(window, horizon)
-    tail = terms[-w:]
-    pos = tail[tail > 0]
-    if len(pos) == 0:
+    tail = terms[-min(window, horizon):]
+    if not tail.any():
         return ConditionReport("jagers_sum", 1, partial, horizon, 0.0,
                                "finite", detail)
     ratios = tail[1:] / np.maximum(tail[:-1], 1e-300)
@@ -389,10 +388,7 @@ def moment_ratio_sup(env: QuenchedEnvironment,
     verdict is ``inconclusive`` unless some term is infinite; reported for
     comparison against the series checkers.
     """
-    if horizon is None:
-        horizon = env.horizon
-    if horizon > env.horizon or horizon < 1:
-        raise ValueError("horizon out of range")
+    horizon = _whole_range(env, horizon)
     best = -math.inf
     defined = 0
     for i in range(horizon):
@@ -426,16 +422,20 @@ class TightnessTable:
     blowup_flag: bool
     env_replicas: int
 
-    def to_csv(self, path):
-        header = "l," + ",".join(f"q{int(100 * q)}" for q in self.quantile_levels) \
-            + ",flag"
-        lines = [header]
-        for l, row in zip(self.truncations, self.rows):
-            vals = ",".join(f"{v:.10g}" for v in row)
-            lines.append(f"{l},{vals},{int(self.blowup_flag)}")
-        text = "\n".join(lines) + "\n"
-        with open(path, "w") as fh:
-            fh.write(text)
+    def to_dict(self) -> dict:
+        return {"series": self.series, "truncations": self.truncations,
+                "quantiles": [[float(v) for v in row] for row in self.rows],
+                "blowup_flag": self.blowup_flag}
+
+    def to_csv(self, path=None) -> str:
+        """CSV rows ``l, q.., flag``; also written to ``path`` if given."""
+        header = ",".join(["l"] + [f"q{int(100 * q)}"
+                                   for q in self.quantile_levels] + ["flag"])
+        text = csv_text(header, [(l, *map(float, row), self.blowup_flag)
+                                 for l, row in zip(self.truncations, self.rows)])
+        if path is not None:
+            with open(path, "w") as fh:
+                fh.write(text)
         return text
 
 
@@ -451,55 +451,44 @@ def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
 
     For each truncation length ``l`` in ``l_grid``, draws ``env_replicas``
     independent environments and records quantiles of the series partial
-    sum truncated at ``l`` terms.  For an i.i.d. environment the series
-    either converges almost surely (quantiles stabilize along the grid) or
-    its partial sums drift to infinity (all quantiles keep growing): the
-    flag fires when every tracked quantile grows by more than
-    ``blowup_factor`` between every pair of consecutive truncations.
+    sum truncated at ``l`` terms: the partial sum of the matching checker
+    from ``start = 1`` (``variance_series`` and
+    ``fractional_variance_series`` with ``horizon = l - 1``, ``psi_series``
+    with ``horizon = l``), at the checkers' default accuracy.  For an
+    i.i.d. environment the series either converges almost surely (quantiles
+    stabilize along the grid) or its partial sums drift to infinity (all
+    quantiles keep growing): the flag fires when every tracked quantile
+    grows by more than ``blowup_factor`` between every pair of consecutive
+    truncations.
     """
     l_grid = sorted(int(l) for l in l_grid)
     if not l_grid or l_grid[0] < 1:
         raise ValueError("l_grid must contain positive truncation lengths")
     if env_replicas < 1:
         raise ValueError("need at least one environment replica")
+    tol = 1e-9
+    if series == "variance":
+        first, offset, exponent, term = 1, 0, 1.0, _variance_term
+    elif series == "fractional_variance":
+        if delta is None:
+            raise ValueError("fractional_variance series needs delta")
+        first, offset, exponent, term = 1, 0, delta, _fractional_term(delta, tol)
+    elif series == "psi":
+        if phi is None:
+            raise ValueError("psi series needs a catalog phi")
+        first, offset, exponent, term = 2, -1, 1.0, _psi_term(phi, tol)
+    else:
+        raise ValueError(f"unknown series {series!r}")
     hmax = l_grid[-1]
     values = np.zeros((env_replicas, len(l_grid)))
     for r in range(env_replicas):
         env_seed = int(substream(seed, r).integers(0, 2**63 - 1))
-        env = quench(spec, env_seed, hmax)
-        terms = _series_terms(env, series, delta, phi)
-        csum = np.cumsum(terms)
-        values[r] = csum[np.array(l_grid) - 1]
+        env = quench(spec, env_seed, first + hmax - 1)
+        terms = damped_series(env, first, hmax, offset, exponent, term)
+        values[r] = np.cumsum(terms)[np.array(l_grid) - 1]
     rows = np.quantile(values, quantile_levels, axis=0).T
-    flag = True
-    for a, b in zip(rows[:-1], rows[1:]):
-        if not np.all(b > blowup_factor * np.maximum(a, 1e-300)):
-            flag = False
-            break
-    if len(l_grid) < 2:
-        flag = False
+    flag = len(l_grid) >= 2 and all(
+        np.all(b > blowup_factor * np.maximum(a, 1e-300))
+        for a, b in zip(rows[:-1], rows[1:]))
     return TightnessTable(series, l_grid, quantile_levels, rows, flag,
                           env_replicas)
-
-
-def _series_terms(env: QuenchedEnvironment, series: str,
-                  delta: Optional[float], phi: Optional[PhiFunction]
-                  ) -> np.ndarray:
-    h = env.horizon
-    if series == "variance":
-        zetas = np.array([d.normalized_variance for d in env.dists])
-        return zetas * np.exp(-(env.s[1:] - env.s[1]))
-    if series == "fractional_variance":
-        if delta is None:
-            raise ValueError("fractional_variance series needs delta")
-        zetas = np.array([d.delta_moment(delta) for d in env.dists])
-        return zetas * np.exp(-delta * (env.s[1:] - env.s[1]))
-    if series == "psi":
-        if phi is None:
-            raise ValueError("psi series needs a catalog phi")
-        out = np.zeros(h)
-        for j in range(1, h + 1):
-            scale = math.exp(-(env.s[j - 1] - env.s[0]))
-            out[j - 1] = env.dists[j - 1].psi_moment(phi, scale)
-        return out
-    raise ValueError(f"unknown series {series!r}")

@@ -41,6 +41,7 @@ from scipy import integrate, special
 
 __all__ = [
     "OffspringDistribution",
+    "GeometricRows",
     "PhiFunction",
     "UnsupportedDistributionError",
     "NotApplicableError",
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 _INT64_SAFE = 2**62
+# numpy's negative_binomial refuses a row whose Poisson stage could pass this
+# rate (its POISSON_LAM_MAX).
+_NB_LAM_MAX = float(np.iinfo(np.int64).max) - math.sqrt(np.iinfo(np.int64).max) * 10
 
 # Power-law totals: offspring counts up to _TOTALS_HEAD come from one
 # multinomial per row, larger ones (a share ~ _TOTALS_HEAD^-(1+alpha) of the
@@ -94,6 +98,17 @@ class PopulationOverflowError(OverflowError):
         self.log_estimate = log_estimate
 
 
+def check_keys(cfg: dict, allowed: set, what: str, optional=frozenset()):
+    """Reject a config with keys outside ``allowed`` or missing a required
+    (not ``optional``) one."""
+    unknown = set(cfg) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = set(allowed) - set(optional) - set(cfg)
+    if missing:
+        raise ValueError(f"missing {what} keys: {sorted(missing)}")
+
+
 @dataclass(frozen=True)
 class PhiFunction:
     """A weight function ``phi(x) = x^power * log(1+x)^log_power``.
@@ -112,17 +127,6 @@ class PhiFunction:
         if self.power < 0 or self.log_power < 0:
             raise ValueError("phi catalog requires nonnegative exponents")
 
-    def __call__(self, x):
-        if self.zero:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        x = np.asarray(x, dtype=float)
-        out = np.ones_like(x)
-        if self.power:
-            out = out * np.power(x, self.power)
-        if self.log_power:
-            out = out * np.power(np.log1p(x), self.log_power)
-        return out
-
     @property
     def identifier(self) -> str:
         if self.zero:
@@ -134,12 +138,38 @@ class PhiFunction:
         if cfg == "zero":
             return cls(zero=True)
         if isinstance(cfg, dict):
-            unknown = set(cfg) - {"power", "log_power"}
-            if unknown:
-                raise ValueError(f"unknown phi keys: {sorted(unknown)}")
+            check_keys(cfg, {"power", "log_power"}, "phi",
+                       optional={"power", "log_power"})
             return cls(power=float(cfg.get("power", 0.0)),
                        log_power=float(cfg.get("log_power", 0.0)))
         raise ValueError(f"cannot parse phi spec {cfg!r}")
+
+
+def _negative_binomial_refuses(parents, p):
+    """Rows on which numpy's ``negative_binomial(parents, p)`` raises:
+    ``p`` outside ``(0, 1]`` or the Poisson rate ``(1-p)/p (n + 10 sqrt n)``
+    above :data:`_NB_LAM_MAX` (numpy's own test)."""
+    n, p = np.asarray(parents, dtype=float), np.asarray(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ~(p > 0) | ((1.0 - p) / p * (n + 10.0 * np.sqrt(n)) > _NB_LAM_MAX)
+
+
+class GeometricRows:
+    """Geometric laws ``P(X=k) = (1-q) q^k``, one ``q`` per parent row (the
+    per-replica laws of a Gaussian log-mean environment), with the
+    :meth:`OffspringDistribution.overflow_rows` and
+    :meth:`OffspringDistribution.sample_generation_totals` interface."""
+
+    def __init__(self, q: np.ndarray):
+        self.q = q
+
+    def overflow_rows(self, parents: np.ndarray) -> Optional[np.ndarray]:
+        bad = _negative_binomial_refuses(parents, 1.0 - self.q)
+        return bad if bad.any() else None
+
+    def sample_generation_totals(self, parents: np.ndarray,
+                                 rng: np.random.Generator) -> np.ndarray:
+        return rng.negative_binomial(parents, 1.0 - self.q)
 
 
 def _build_alias_table(probs: np.ndarray):
@@ -288,6 +318,9 @@ class OffspringDistribution:
             if mean <= 0:
                 raise ValueError("geometric mean must be positive")
             self._q = mean / (1.0 + mean)
+            if not self._q < 1.0:
+                raise ValueError(f"geometric mean {mean!r} too large: "
+                                 "q = mean/(1+mean) rounds to 1")
         elif kind == "poisson":
             lam = float(params["lam"])
             if lam <= 0:
@@ -355,12 +388,7 @@ class OffspringDistribution:
         }
         if kind not in known:
             raise ValueError(f"unknown offspring family {kind!r}")
-        unknown = set(cfg) - known[kind]
-        if unknown:
-            raise ValueError(f"unknown keys for {kind}: {sorted(unknown)}")
-        missing = known[kind] - set(cfg)
-        if missing:
-            raise ValueError(f"missing keys for {kind}: {sorted(missing)}")
+        check_keys(cfg, known[kind], kind)
         return cls(kind, **cfg)
 
     # -- convenience constructors ------------------------------------------
@@ -454,21 +482,7 @@ class OffspringDistribution:
     def pmf(self, k: int) -> float:
         if k < 0:
             raise ValueError("offspring counts are nonnegative")
-        if self.kind == "finite_pmf":
-            return float(self._pmf[k]) if k < len(self._pmf) else 0.0
-        if self.kind == "geometric":
-            return (1.0 - self._q) * self._q**k
-        if self.kind == "poisson":
-            return float(math.exp(-self._lam) * self._lam**k / math.factorial(k)) \
-                if k < 30 else float(np.exp(k * math.log(self._lam) - self._lam
-                                            - special.gammaln(k + 1)))
-        if self.kind == "linear_fractional":
-            if k == 0:
-                return self._p0
-            return (1.0 - self._p0) * (1.0 - self._q) * self._q ** (k - 1)
-        if k == 0:
-            return self._p0
-        return self._c * k ** -(2.0 + self._alpha)
+        return float(self.pmf_vector(np.array([k]))[0])
 
     def pmf_vector(self, ks: np.ndarray) -> np.ndarray:
         ks = np.asarray(ks, dtype=np.int64)
@@ -580,7 +594,7 @@ class OffspringDistribution:
         :class:`PopulationOverflowError` when a total could leave int64.
         """
         parents = np.asarray(parents, dtype=np.int64)
-        if parents.size and int(parents.max()) * max(self.mean, 1.0) > _INT64_SAFE:
+        if self.overflow_rows(parents) is not None:
             worst = int(parents.max())
             raise PopulationOverflowError(math.log(worst) + max(self.log_mean, 0.0))
         totals = np.zeros(parents.shape, dtype=np.int64)
@@ -605,6 +619,15 @@ class OffspringDistribution:
         else:
             totals[pos] = self._power_law_totals(n, rng)
         return totals
+
+    def overflow_rows(self, parents: np.ndarray) -> Optional[np.ndarray]:
+        """Rows :meth:`sample_generation_totals` refuses because a total
+        could leave int64; None when every row is safe.  (A geometric mean
+        small enough for ``q < 1`` trips this before numpy's
+        negative-binomial range.)"""
+        m = max(self.mean, 1.0)
+        return parents * m > _INT64_SAFE \
+            if len(parents) and parents.max() * m > _INT64_SAFE else None
 
     def _power_law_totals(self, n: np.ndarray,
                           rng: np.random.Generator) -> np.ndarray:
@@ -667,8 +690,6 @@ class OffspringDistribution:
         """Scalar wrapper over :meth:`sample_generation_totals`."""
         if parents < 0:
             raise ValueError("parent count must be nonnegative")
-        if parents == 0:
-            return 0
         return int(self.sample_generation_totals(
             np.array([parents], dtype=np.int64), rng)[0])
 

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .distributions import OffspringDistribution
+from .distributions import OffspringDistribution, check_keys
 from .streams import substream
 
 __all__ = [
@@ -52,7 +52,6 @@ class Mixer:
 
     def __init__(self, kind: str, **params):
         self.kind = kind
-        self.params = dict(params)
         if kind == "finite":
             dists = list(params["dists"])
             weights = np.asarray(params["weights"], dtype=float)
@@ -97,22 +96,14 @@ class Mixer:
         cfg = dict(cfg)
         kind = cfg.pop("kind", None)
         if kind == "finite":
-            unknown = set(cfg) - {"dists", "weights"}
-            if unknown:
-                raise ValueError(f"unknown mixer keys: {sorted(unknown)}")
+            check_keys(cfg, {"dists", "weights"}, "mixer")
             dists = [OffspringDistribution.from_config(d) for d in cfg["dists"]]
             return cls("finite", dists=dists, weights=cfg["weights"])
         if kind == "gaussian_logmean_geometric":
-            unknown = set(cfg) - {"mu", "sigma"}
-            if unknown:
-                raise ValueError(f"unknown mixer keys: {sorted(unknown)}")
+            check_keys(cfg, {"mu", "sigma"}, "mixer")
             return cls("gaussian_logmean_geometric",
                        mu=cfg["mu"], sigma=cfg["sigma"])
         raise ValueError(f"unknown mixer kind {kind!r}")
-
-
-def _doubling_blocks(n_blocks: int) -> List[int]:
-    return [2**j for j in range(n_blocks)]
 
 
 @dataclass(frozen=True)
@@ -220,34 +211,26 @@ class EnvironmentSpec:
             return PRESETS[preset]()
         kind = cfg.pop("kind", None)
         if kind == "constant":
-            _expect_keys(cfg, {"dist"})
+            check_keys(cfg, {"dist"}, "environment")
             return cls.constant(OffspringDistribution.from_config(cfg["dist"]))
         if kind == "explicit_sequence":
-            _expect_keys(cfg, {"dists"})
+            check_keys(cfg, {"dists"}, "environment")
             return cls.explicit([OffspringDistribution.from_config(d)
                                  for d in cfg["dists"]])
         if kind == "periodic":
-            _expect_keys(cfg, {"dists"})
+            check_keys(cfg, {"dists"}, "environment")
             return cls.periodic([OffspringDistribution.from_config(d)
                                  for d in cfg["dists"]])
         if kind == "iid_random":
-            _expect_keys(cfg, {"mixer"})
+            check_keys(cfg, {"mixer"}, "environment")
             return cls.iid_random(Mixer.from_config(cfg["mixer"]))
         if kind == "cooling":
-            _expect_keys(cfg, {"mixer", "schedule"}, optional={"schedule"})
+            check_keys(cfg, {"mixer", "schedule"}, "environment",
+                       optional={"schedule"})
             sched = cfg.get("schedule", "doubling")
             bl = None if sched == "doubling" else sched
             return cls.cooling(Mixer.from_config(cfg["mixer"]), block_lengths=bl)
         raise ValueError(f"unknown environment kind {kind!r}")
-
-
-def _expect_keys(cfg: dict, allowed: set, optional: set = frozenset()):
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ValueError(f"unknown environment keys: {sorted(unknown)}")
-    missing = (allowed - optional) - set(cfg)
-    if missing:
-        raise ValueError(f"missing environment keys: {sorted(missing)}")
 
 
 @dataclass

@@ -3,8 +3,8 @@
 All estimators run replicas in fixed-size blocks.  Block ``b`` draws its
 randomness from the counter-based stream keyed by ``(master_seed, b)`` and
 blocks are merged in index order, so results are bitwise identical for any
-worker count.  Within a block the population recursion is vectorized across
-replicas.
+worker count.  Within a block the replicas step together through
+:func:`bpve.simulate.simulate_block`.
 
 Quenched estimators take a materialized environment (one fixed sequence of
 laws); annealed estimators take a random-environment spec and draw a fresh
@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .conditions import increment_variance_series
-from .distributions import NotApplicableError, OffspringDistribution
+from .distributions import NotApplicableError
 from .environment import EnvironmentSpec, QuenchedEnvironment
-from .simulate import log_switch_threshold, HEAVY_TAIL_LOG_SWITCH
+from .simulate import (AnnealedLaws, QuenchedLaws, simulate_block,
+                       stretched_indices)
 from .streams import substream
 
 __all__ = [
@@ -48,18 +49,27 @@ __all__ = [
 DEFAULT_BLOCK = 32768
 
 
+class _Fields:
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass
-class McEstimate:
+class McEstimate(_Fields):
     value: float
     std_error: float
     replicas: int
     master_seed: int
     config_digest: str = ""
 
-    def to_dict(self) -> dict:
-        return {"value": self.value, "std_error": self.std_error,
-                "replicas": self.replicas, "master_seed": self.master_seed,
-                "config_digest": self.config_digest}
+    @classmethod
+    def proportion(cls, p: float, replicas: int, seed: int) -> "McEstimate":
+        return cls(p, math.sqrt(p * (1.0 - p) / replicas), replicas, seed)
+
+    @classmethod
+    def sample_mean(cls, x: np.ndarray, seed: int) -> "McEstimate":
+        return cls(float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x))),
+                   len(x), seed)
 
 
 @dataclass
@@ -71,15 +81,10 @@ class EqualityCheck:
     gap: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "p_survive": self.p_survive.to_dict(),
-            "p_w_above": {repr(eps): est.to_dict()
-                          for eps, est in sorted(self.p_w_above.items())},
-            "plateau_window": list(self.plateau_window)
-            if self.plateau_window else None,
-            "plateau_value": self.plateau_value,
-            "gap": self.gap,
-        }
+        out = asdict(self)
+        out["p_w_above"] = {repr(eps): est for eps, est
+                            in sorted(out["p_w_above"].items())}
+        return out
 
 
 @dataclass
@@ -94,29 +99,20 @@ class HalvingResult:
 
 
 @dataclass
-class PathSpreadSummary:
+class PathSpreadSummary(_Fields):
     n: int
     survivors: int
     median: float
     q90: float
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "survivors": self.survivors,
-                "median": self.median, "q90": self.q90}
-
 
 @dataclass
-class ConditionedSummary:
+class ConditionedSummary(_Fields):
     n: int
     survivors: int
     median_w: float
     q10_w: float
     inconclusive: bool = False
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "survivors": self.survivors,
-                "median_w": self.median_w, "q10_w": self.q10_w,
-                "inconclusive": self.inconclusive}
 
 
 # -- block engine -----------------------------------------------------------
@@ -135,55 +131,9 @@ def _map_blocks(replicas: int, block: int, fn, threads: Optional[int]):
         return [f.result() for f in futures]
 
 
-def _quenched_block(env: QuenchedEnvironment, z0: int, n: int,
-                    rng: np.random.Generator, size: int,
-                    record: Sequence[int],
-                    heavy_switch: int = HEAVY_TAIL_LOG_SWITCH,
-                    halving_start: Optional[int] = None):
-    """Vectorized simulation of ``size`` replicas; returns log-normalized
-    values at the requested generation indices (and halving flags if
-    tracking is on)."""
-    record = list(record)
-    pos = {idx: j for j, idx in enumerate(record)}
-    z = np.full(size, z0, dtype=np.int64)
-    logz = np.full(size, math.log(z0))
-    frozen = np.zeros(size, dtype=bool)
-    out = np.empty((size, len(record)))
-    if 0 in pos:
-        out[:, pos[0]] = math.log(z0) - env.s[0]
-    halv = np.zeros(size, dtype=bool) if halving_start is not None else None
-    ref = math.log(z0 / 2.0) if halving_start is not None else 0.0
-    for i in range(1, n + 1):
-        dist = env.dists[i - 1]
-        xi_i = float(env.xi[i - 1])
-        logz[frozen] += xi_i
-        act = (~frozen) & (z > 0)
-        if act.any():
-            z[act] = dist.sample_generation_totals(z[act], rng)
-        switch = log_switch_threshold(dist, heavy_switch)
-        newly = act & (z > switch)
-        if newly.any():
-            frozen[newly] = True
-            logz[newly] = np.log(z[newly].astype(float))
-        need_log = (i in pos) or (halving_start is not None
-                                  and i > halving_start)
-        if need_log:
-            with np.errstate(divide="ignore"):
-                cur = np.where(frozen, logz,
-                               np.where(z > 0, np.log(np.maximum(z, 1)),
-                                        -np.inf))
-            if i in pos:
-                out[:, pos[i]] = cur - env.s[i]
-            if halving_start is not None and i > halving_start:
-                rel = cur - (env.s[i] - env.s[halving_start])
-                halv |= rel < ref
-    return (out, halv) if halving_start is not None else out
-
-
 def collect_w(env: QuenchedEnvironment, z0: int, indices: Sequence[int],
-              replicas: int, seed: int, threads: Optional[int] = None,
-              block: int = DEFAULT_BLOCK,
-              heavy_switch: int = HEAVY_TAIL_LOG_SWITCH) -> np.ndarray:
+              replicas: int, seed: int,
+              threads: Optional[int] = None) -> np.ndarray:
     """Normalized population values at ``indices`` for every replica;
     shape ``(replicas, len(indices))``, zeros after extinction."""
     indices = sorted(set(int(i) for i in indices))
@@ -192,32 +142,25 @@ def collect_w(env: QuenchedEnvironment, z0: int, indices: Sequence[int],
         raise ValueError("requested index beyond environment horizon")
 
     def run(b, sz):
-        rng = substream(seed, b)
-        return _quenched_block(env, z0, n, rng, sz, indices,
-                               heavy_switch=heavy_switch)
+        return simulate_block(QuenchedLaws(env), z0, n, sz, substream(seed, b),
+                              indices).log_w
 
-    parts = _map_blocks(replicas, block, run, threads)
-    logw = np.concatenate(parts, axis=0)
-    return np.exp(logw)
+    parts = _map_blocks(replicas, DEFAULT_BLOCK, run, threads)
+    return np.exp(np.concatenate(parts, axis=0))
 
 
 # -- quenched estimators ----------------------------------------------------
 
 def mc_survival(env: QuenchedEnvironment, z0: int, n: int, replicas: int,
-                seed: int, threads: Optional[int] = None,
-                block: int = DEFAULT_BLOCK) -> McEstimate:
+                seed: int, threads: Optional[int] = None) -> McEstimate:
     """Fraction of replicas still alive at generation ``n``."""
-    w = collect_w(env, z0, [n], replicas, seed, threads, block)[:, 0]
-    p = float(np.mean(w > 0))
-    se = math.sqrt(p * (1.0 - p) / replicas)
-    return McEstimate(p, se, replicas, seed)
+    w = collect_w(env, z0, [n], replicas, seed, threads)[:, 0]
+    return McEstimate.proportion(float(np.mean(w > 0)), replicas, seed)
 
 
 def mc_w_positivity(env: QuenchedEnvironment, z0: int, n: int,
                     eps_grid: Sequence[float], replicas: int, seed: int,
-                    threads: Optional[int] = None,
-                    block: int = DEFAULT_BLOCK,
-                    heavy_switch: int = HEAVY_TAIL_LOG_SWITCH) -> EqualityCheck:
+                    threads: Optional[int] = None) -> EqualityCheck:
     """Survival fraction versus the fraction with normalized value above
     each threshold, plus the widest decade-wide flat window of the latter.
 
@@ -228,18 +171,12 @@ def mc_w_positivity(env: QuenchedEnvironment, z0: int, n: int,
     eps_grid = sorted(float(e) for e in eps_grid)
     if not eps_grid or eps_grid[0] <= 0:
         raise ValueError("thresholds must be positive")
-    w = collect_w(env, z0, [n], replicas, seed, threads, block,
-                  heavy_switch=heavy_switch)[:, 0]
-    p_surv = float(np.mean(w > 0))
-    surv = McEstimate(p_surv, math.sqrt(p_surv * (1 - p_surv) / replicas),
-                      replicas, seed)
-    above = {}
-    for eps in eps_grid:
-        p = float(np.mean(w > eps))
-        above[eps] = McEstimate(p, math.sqrt(p * (1 - p) / replicas),
-                                replicas, seed)
+    w = collect_w(env, z0, [n], replicas, seed, threads)[:, 0]
+    surv = McEstimate.proportion(float(np.mean(w > 0)), replicas, seed)
+    above = {eps: McEstimate.proportion(float(np.mean(w > eps)), replicas, seed)
+             for eps in eps_grid}
     window, value = _find_plateau(eps_grid, above)
-    gap = None if value is None else p_surv - value
+    gap = None if value is None else surv.value - value
     return EqualityCheck(surv, above, window, value, gap)
 
 
@@ -275,23 +212,19 @@ def _check_finite_variance(env: QuenchedEnvironment, upto: int):
 
 
 def mc_l2_increment(env: QuenchedEnvironment, k: int, m: int, replicas: int,
-                    seed: int, threads: Optional[int] = None,
-                    block: int = DEFAULT_BLOCK) -> McEstimate:
+                    seed: int, threads: Optional[int] = None) -> McEstimate:
     """Mean squared one-step increment of the normalized process at step
     ``m`` from ``k`` ancestors; compare with ``k * zeta_m * exp(-S_{m-1})``."""
     if m < 1:
         raise ValueError("m must be >= 1")
     _check_finite_variance(env, m)
-    w = collect_w(env, k, [m - 1, m], replicas, seed, threads, block)
-    sq = (w[:, 1] - w[:, 0]) ** 2
-    return McEstimate(float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(replicas)),
-                      replicas, seed)
+    w = collect_w(env, k, [m - 1, m], replicas, seed, threads)
+    return McEstimate.sample_mean((w[:, 1] - w[:, 0]) ** 2, seed)
 
 
 def mc_increment_covariance(env: QuenchedEnvironment, k: int, n: int, m: int,
                             replicas: int, seed: int,
-                            threads: Optional[int] = None,
-                            block: int = DEFAULT_BLOCK) -> McEstimate:
+                            threads: Optional[int] = None) -> McEstimate:
     """Covariance of a later one-step increment with the earlier span
     increment; zero in expectation by the martingale property."""
     if n < 0 or m < 1:
@@ -300,31 +233,25 @@ def mc_increment_covariance(env: QuenchedEnvironment, k: int, n: int, m: int,
     # collect_w deduplicates and sorts its index list, so look positions up
     idx = sorted({n, n + m - 1, n + m})
     pos = {v: j for j, v in enumerate(idx)}
-    w = collect_w(env, k, idx, replicas, seed, threads, block)
+    w = collect_w(env, k, idx, replicas, seed, threads)
     x = w[:, pos[n + m]] - w[:, pos[n + m - 1]]
     y = w[:, pos[n + m - 1]] - w[:, pos[n]]
-    prod = (x - x.mean()) * (y - y.mean())
-    return McEstimate(float(prod.mean()),
-                      float(prod.std(ddof=1) / math.sqrt(replicas)),
-                      replicas, seed)
+    return McEstimate.sample_mean((x - x.mean()) * (y - y.mean()), seed)
 
 
 def mc_l2_span(env: QuenchedEnvironment, k: int, n: int, m: int,
-               replicas: int, seed: int, threads: Optional[int] = None,
-               block: int = DEFAULT_BLOCK) -> McEstimate:
+               replicas: int, seed: int,
+               threads: Optional[int] = None) -> McEstimate:
     """Mean squared increment of the normalized process between generations
     ``n`` and ``n + m``."""
     _check_finite_variance(env, n + m)
-    w = collect_w(env, k, [n, n + m], replicas, seed, threads, block)
-    sq = (w[:, 1] - w[:, 0]) ** 2
-    return McEstimate(float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(replicas)),
-                      replicas, seed)
+    w = collect_w(env, k, [n, n + m], replicas, seed, threads)
+    return McEstimate.sample_mean((w[:, 1] - w[:, 0]) ** 2, seed)
 
 
 def mc_halving_bound(env: QuenchedEnvironment, k: int, start: int,
                      horizon: int, replicas: int, seed: int,
-                     threads: Optional[int] = None,
-                     block: int = DEFAULT_BLOCK) -> HalvingResult:
+                     threads: Optional[int] = None) -> HalvingResult:
     """Probability that the renormalized population ever halves relative to
     its value at ``start``, against the Chebyshev-type analytic bound
     ``4 * (variance budget) / k``.
@@ -344,29 +271,27 @@ def mc_halving_bound(env: QuenchedEnvironment, k: int, start: int,
     # the original process given Z_start = k, on the shifted environment.
     env_sim = env if start == 0 else env.shifted(start)
     steps = min(horizon, env_sim.horizon)
+    # S_0 = 0, so the renormalized population halves when log W < log(k/2)
+    ref = math.log(k / 2.0)
 
     def run(b, sz):
-        rng = substream(seed, b)
-        _, halv = _quenched_block(env_sim, k, steps, rng, sz, [],
-                                  halving_start=0)
-        return int(halv.sum())
+        low = simulate_block(QuenchedLaws(env_sim), k, steps, sz,
+                             substream(seed, b), low=True).low
+        return int(np.count_nonzero(low < ref))
 
-    hits = sum(_map_blocks(replicas, block, run, threads))
-    p = hits / replicas
-    se = math.sqrt(p * (1 - p) / replicas)
-    est = McEstimate(p, se, replicas, seed)
+    hits = sum(_map_blocks(replicas, DEFAULT_BLOCK, run, threads))
+    est = McEstimate.proportion(hits / replicas, replicas, seed)
     # one-sided 99% exact (Clopper-Pearson) upper confidence limit
     if hits == replicas:
         ucl = 1.0
     else:
-        ucl = float(stats.beta.ppf(0.99, hits + 1, replicas - hits))
+        ucl = float(special.betaincinv(hits + 1, replicas - hits, 0.99))
     return HalvingResult(est, bound, ucl)
 
 
 def mc_flt_discrepancy(env: QuenchedEnvironment, n_list: Sequence[int],
                        replicas: int, seed: int, grid_size: int = 33,
-                       threads: Optional[int] = None,
-                       block: int = DEFAULT_BLOCK) -> List[PathSpreadSummary]:
+                       threads: Optional[int] = None) -> List[PathSpreadSummary]:
     """Spread of the normalized path over stretched time, conditioned on
     being alive at the endpoint.
 
@@ -378,9 +303,8 @@ def mc_flt_discrepancy(env: QuenchedEnvironment, n_list: Sequence[int],
     out = []
     grid = np.linspace(0.0, 1.0, grid_size)
     for li, n in enumerate(sorted(int(x) for x in n_list)):
-        r = math.isqrt(n)
-        idx = np.unique(np.floor(r + (n - r) * grid).astype(int))
-        w = collect_w(env, 1, list(idx), replicas, seed + li, threads, block)
+        idx = np.unique(stretched_indices(n, grid))
+        w = collect_w(env, 1, list(idx), replicas, seed + li, threads)
         endpoint = w[:, -1]
         alive = endpoint > 0
         spread = np.abs(w[alive] - endpoint[alive, None]).max(axis=1)
@@ -395,92 +319,12 @@ def mc_flt_discrepancy(env: QuenchedEnvironment, n_list: Sequence[int],
 
 # -- annealed estimators ----------------------------------------------------
 
-def _annealed_block(spec: EnvironmentSpec, z0: int, n: int,
-                    env_rng: np.random.Generator,
-                    rep_rng: np.random.Generator, size: int,
-                    record: Sequence[int],
-                    heavy_switch: int = HEAVY_TAIL_LOG_SWITCH) -> np.ndarray:
-    """Fresh random environment per replica, vectorized.
-
-    Supports i.i.d. and cooling specs; a finite mixer is stepped per
-    component group, a Gaussian log-mean mixer via elementwise negative
-    binomial draws.
-    """
-    if not spec.is_random:
-        raise ValueError("annealed simulation needs a random environment spec")
-    mixer = spec.mixer
-    record = list(record)
-    pos = {idx: j for j, idx in enumerate(record)}
-    z = np.full(size, z0, dtype=np.int64)
-    logz = np.full(size, math.log(z0))
-    frozen = np.zeros(size, dtype=bool)
-    svec = np.zeros(size)
-    out = np.empty((size, len(record)))
-    if 0 in pos:
-        out[:, pos[0]] = math.log(z0)
-    comp = None
-    qvec = None
-    if mixer.kind == "finite":
-        comp_dists = mixer.dists
-        comp_xi = np.array([d.log_mean for d in comp_dists])
-    prev_block = -1
-    for i in range(1, n + 1):
-        redraw = True
-        if spec.kind == "cooling":
-            cur_block = spec._cooling_block_index(i)
-            redraw = cur_block != prev_block
-            prev_block = cur_block
-        if mixer.kind == "finite":
-            if redraw or comp is None:
-                comp = env_rng.choice(len(comp_dists), size=size,
-                                      p=mixer.weights)
-            xi_vec = comp_xi[comp]
-        else:
-            if redraw or qvec is None:
-                xi_draw = mixer.mu + mixer.sigma * env_rng.standard_normal(size)
-                mvec = np.exp(xi_draw)
-                qvec = mvec / (1.0 + mvec)
-                xi_cur = xi_draw
-            xi_vec = xi_cur
-        svec += xi_vec
-        logz[frozen] += xi_vec[frozen]
-        act = (~frozen) & (z > 0)
-        if act.any():
-            if mixer.kind == "finite":
-                for c, dist in enumerate(comp_dists):
-                    sel = act & (comp == c)
-                    if sel.any():
-                        z[sel] = dist.sample_generation_totals(z[sel],
-                                                               rep_rng)
-                    switch = log_switch_threshold(dist, heavy_switch)
-                    newly = sel & (z > switch)
-                    if newly.any():
-                        frozen[newly] = True
-                        logz[newly] = np.log(z[newly].astype(float))
-            else:
-                zi = z[act]
-                totals = rep_rng.negative_binomial(zi, 1.0 - qvec[act])
-                z[act] = totals
-                newly = act & (z > 10**12)
-                if newly.any():
-                    frozen[newly] = True
-                    logz[newly] = np.log(z[newly].astype(float))
-        if i in pos:
-            with np.errstate(divide="ignore"):
-                cur = np.where(frozen, logz,
-                               np.where(z > 0, np.log(np.maximum(z, 1)),
-                                        -np.inf))
-            out[:, pos[i]] = cur - svec
-    return out
-
-
 def mc_conditioned_critical(spec: EnvironmentSpec, n_list: Sequence[int],
                             replicas: int, seed: int,
                             env_seed: Optional[int] = None,
                             z0: int = 1,
                             min_survivors: int = 500,
                             threads: Optional[int] = None,
-                            block: int = DEFAULT_BLOCK,
                             ) -> List[ConditionedSummary]:
     """Annealed run of a random-environment spec; among replicas alive at
     each checkpoint, summarizes the normalized population value.
@@ -495,10 +339,11 @@ def mc_conditioned_critical(spec: EnvironmentSpec, n_list: Sequence[int],
     n = n_list[-1]
 
     def run(b, sz):
-        return _annealed_block(spec, z0, n, substream(env_seed, b),
-                               substream(seed, b), sz, n_list)
+        laws = AnnealedLaws(spec, substream(env_seed, b), sz)
+        return simulate_block(laws, z0, n, sz, substream(seed, b),
+                              n_list).log_w
 
-    parts = _map_blocks(replicas, block, run, threads)
+    parts = _map_blocks(replicas, DEFAULT_BLOCK, run, threads)
     logw = np.concatenate(parts, axis=0)
     w = np.exp(logw)
     out = []

@@ -166,3 +166,42 @@ def test_critical_requires_random_environment(tmp_path):
         "params": {"n_list": [8], "replicas": 100},
     })
     assert main(["run", cfg]) == 2
+
+
+@pytest.mark.parametrize("experiment,environment,params,code", [
+    # a second generation of 1e11 * 1e11 would pass int64: log scale instead
+    ("survival", {"kind": "constant",
+                  "dist": {"kind": "geometric", "mean": 1e11}},
+     {"n": 5, "replicas": 200}, 0),
+    # log-means up to ~40 put p = 1 - q beyond numpy's negative binomial
+    ("critical", {"kind": "iid_random",
+                  "mixer": {"kind": "gaussian_logmean_geometric",
+                            "mu": 3.0, "sigma": 8.0}},
+     {"n_list": [4, 8], "replicas": 500, "min_survivors": 10}, 0),
+    # q = mean / (1 + mean) rounds to 1: no such geometric law
+    ("survival", {"kind": "constant",
+                  "dist": {"kind": "geometric", "mean": 1e18}},
+     {"n": 5, "replicas": 200}, 2),
+])
+def test_huge_populations_end_in_documented_exit_codes(tmp_path, experiment,
+                                                       environment, params,
+                                                       code):
+    cfg = write_config(tmp_path, {"experiment": experiment,
+                                  "environment": environment,
+                                  "params": params})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == code
+
+
+def test_population_overflow_exit_code(tmp_path, monkeypatch):
+    from bpve import estimators
+    from bpve.distributions import PopulationOverflowError
+
+    def overflow(*args, **kwargs):
+        raise PopulationOverflowError(50.0)
+    monkeypatch.setattr(estimators, "mc_survival", overflow)
+    cfg = write_config(tmp_path, {
+        "experiment": "survival",
+        "environment": {"preset": "critical_two_point"},
+        "params": {"n": 10, "replicas": 100},
+    })
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3

@@ -11,6 +11,7 @@ from bpve.conditions import (fractional_variance_series,
 from bpve.distributions import OffspringDistribution, PhiFunction
 from bpve.environment import (EnvironmentSpec, PRESETS, QuenchedEnvironment,
                               quench)
+from bpve.streams import substream
 
 
 def test_variance_series_closed_form(gw_env):
@@ -255,3 +256,27 @@ def test_tightness_validation():
         tightness_diagnostic(spec, [1, 5], 0, seed=0)
     with pytest.raises(ValueError):
         tightness_diagnostic(spec, [1, 5], 5, seed=0, series="psi")
+
+
+@pytest.mark.parametrize("series,kwargs,checker", [
+    ("variance", {}, lambda env, l: variance_series(env, 1, l - 1)),
+    ("fractional_variance", {"delta": 0.5},
+     lambda env, l: fractional_variance_series(env, 1, 0.5, l - 1)),
+    ("psi", {"phi": PhiFunction(power=1.0)},
+     lambda env, l: psi_series(env, 1, PhiFunction(power=1.0), l)),
+    ("psi", {"phi": PhiFunction(power=0.0, log_power=1.0)},
+     lambda env, l: psi_series(env, 1, PhiFunction(power=0.0, log_power=1.0),
+                               l)),
+])
+def test_tightness_partial_sums_are_checker_partial_sums(series, kwargs,
+                                                         checker):
+    # one environment replica: every quantile is that environment's value
+    spec = PRESETS["supercritical_mu0.2"]()
+    l_grid = [1, 10, 50]
+    table = tightness_diagnostic(spec, l_grid, 1, seed=5, series=series,
+                                 **kwargs)
+    env_seed = int(substream(5, 0).integers(0, 2**63 - 1))
+    env = quench(spec, env_seed, 51)
+    for l, row in zip(l_grid, table.rows):
+        expected = checker(env, l).partial_sum
+        assert np.allclose(row, expected, rtol=1e-12, atol=0.0), (l, row)

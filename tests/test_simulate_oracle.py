@@ -1,0 +1,132 @@
+"""The block kernel against a reference: the masked full-width recursion it
+replaced, kept here as an oracle.  Both consume the random streams the same
+way, so extinction masks must agree exactly and ``log W`` to rounding."""
+
+import math
+
+import numpy as np
+import pytest
+
+from bpve.distributions import OffspringDistribution
+from bpve.environment import EnvironmentSpec, Mixer, PRESETS, quench
+from bpve.simulate import (AnnealedLaws, QuenchedLaws, log_switch_threshold,
+                           simulate_block)
+from bpve.streams import substream
+
+
+def _log_or_frozen(frozen, logz, z):
+    with np.errstate(divide="ignore"):
+        return np.where(frozen, logz,
+                        np.where(z > 0, np.log(np.maximum(z, 1)), -np.inf))
+
+
+def reference_quenched(env, z0, n, rng, size, record):
+    """log W at ``record`` and halving flags (relative to generation 0)."""
+    pos = {idx: j for j, idx in enumerate(record)}
+    z = np.full(size, z0, dtype=np.int64)
+    logz = np.full(size, math.log(z0))
+    frozen = np.zeros(size, dtype=bool)
+    out = np.empty((size, len(record)))
+    if 0 in pos:
+        out[:, pos[0]] = math.log(z0) - env.s[0]
+    halv = np.zeros(size, dtype=bool)
+    for i in range(1, n + 1):
+        dist = env.dists[i - 1]
+        logz[frozen] += float(env.xi[i - 1])
+        act = (~frozen) & (z > 0)
+        if act.any():
+            z[act] = dist.sample_generation_totals(z[act], rng)
+        newly = act & (z > log_switch_threshold(dist))
+        frozen[newly] = True
+        logz[newly] = np.log(z[newly].astype(float))
+        cur = _log_or_frozen(frozen, logz, z)
+        if i in pos:
+            out[:, pos[i]] = cur - env.s[i]
+        halv |= cur - env.s[i] < math.log(z0 / 2.0)
+    return out, halv
+
+
+def reference_annealed(spec, z0, n, env_rng, rep_rng, size, record):
+    mixer = spec.mixer
+    pos = {idx: j for j, idx in enumerate(record)}
+    z = np.full(size, z0, dtype=np.int64)
+    logz = np.full(size, math.log(z0))
+    frozen = np.zeros(size, dtype=bool)
+    svec = np.zeros(size)
+    out = np.empty((size, len(record)))
+    if 0 in pos:
+        out[:, pos[0]] = math.log(z0)
+    prev_block = None
+    for i in range(1, n + 1):
+        block = spec._cooling_block_index(i) if spec.kind == "cooling" else i
+        if block != prev_block:
+            prev_block = block
+            if mixer.kind == "finite":
+                comp = env_rng.choice(len(mixer.dists), size=size,
+                                      p=mixer.weights)
+                xi = np.array([d.log_mean for d in mixer.dists])[comp]
+            else:
+                xi = mixer.mu + mixer.sigma * env_rng.standard_normal(size)
+                q = np.exp(xi) / (1.0 + np.exp(xi))
+        svec += xi
+        logz[frozen] += xi[frozen]
+        act = (~frozen) & (z > 0)
+        if mixer.kind == "finite":
+            for c, dist in enumerate(mixer.dists):
+                sel = act & (comp == c)
+                if sel.any():
+                    z[sel] = dist.sample_generation_totals(z[sel], rep_rng)
+                newly = sel & (z > log_switch_threshold(dist))
+                frozen[newly] = True
+                logz[newly] = np.log(z[newly].astype(float))
+        elif act.any():
+            z[act] = rep_rng.negative_binomial(z[act], 1.0 - q[act])
+            newly = act & (z > 10**12)
+            frozen[newly] = True
+            logz[newly] = np.log(z[newly].astype(float))
+        if i in pos:
+            out[:, pos[i]] = _log_or_frozen(frozen, logz, z) - svec
+    return out
+
+
+def assert_same(ref, got):
+    dead = np.isneginf(ref)
+    assert np.array_equal(dead, np.isneginf(got))
+    assert np.all(np.isfinite(got[~dead]))
+    assert np.max(np.abs(ref[~dead] - got[~dead]), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["reference_pmf", "heavy_tail"])
+def test_quenched_kernel_matches_reference(case):
+    if case == "reference_pmf":
+        spec = EnvironmentSpec.constant(
+            OffspringDistribution.finite_pmf([0.25, 0.25, 0.5]))
+        z0, n = 2, 150  # crosses the 1e12 switch near generation 122
+    else:
+        spec, z0, n = PRESETS["heavy_tail_supercritical"](), 1, 60
+    env = quench(spec, 1, n)
+    record = [0, 1, n // 2, n - 1, n]
+    ref, ref_halv = reference_quenched(env, z0, n, substream(21, 0), 3000,
+                                       record)
+    block = simulate_block(QuenchedLaws(env), z0, n, 3000, substream(21, 0),
+                           record, low=True)
+    assert_same(ref, block.log_w)
+    assert np.array_equal(ref_halv, block.low < math.log(z0 / 2.0))
+    assert (block.frozen_at >= 0).any() and np.isneginf(ref[:, -1]).any()
+
+
+@pytest.mark.parametrize("mixer", [
+    PRESETS["critical_two_point"]().mixer,
+    Mixer("gaussian_logmean_geometric", mu=0.3, sigma=0.8),
+])
+@pytest.mark.parametrize("cooling", [False, True])
+def test_annealed_kernel_matches_reference(mixer, cooling):
+    spec = (EnvironmentSpec.cooling(mixer) if cooling
+            else EnvironmentSpec.iid_random(mixer))
+    n, record = 80, [0, 8, 40, 80]
+    ref = reference_annealed(spec, 1, n, substream(5, 0), substream(6, 0),
+                             3000, record)
+    laws = AnnealedLaws(spec, substream(5, 0), 3000)
+    got = simulate_block(laws, 1, n, 3000, substream(6, 0), record).log_w
+    assert_same(ref, got)
+    assert np.isneginf(ref[:, -1]).any() and np.isfinite(ref[:, -1]).any()
