@@ -41,15 +41,52 @@ class SchemaError(ValueError):
     pass
 
 
-def _require(cfg, allowed: dict, context: str) -> dict:
-    """Reject unknown keys; fill defaults; None default means required."""
+_JSON_TYPES = {int: "integer", float: "number", str: "string", list: "array",
+               dict: "object"}
+
+
+def _check_type(value, default, field: str):
+    """``value`` must have the JSON type of ``default``: an integer (not a
+    boolean) for an int, an integer or float for a float, and the same
+    container for a list or an object.  Elements of a nonempty list default
+    are checked against its first element, and entries of an object
+    against the default's entries of the same name."""
+    want = type(default)
+    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+          if want is float else type(value) is want)
+    if not ok:
+        raise TypeError(f"{field}: expected {_JSON_TYPES[want]}, got "
+                        f"{type(value).__name__} {value!r}")
+    if want is list and default:
+        for i, item in enumerate(value):
+            _check_type(item, default[0], f"{field}[{i}]")
+    elif want is dict:
+        for key in value.keys() & default.keys():
+            _check_type(value[key], default[key], f"{field}.{key}")
+
+
+def _require(cfg, allowed: dict, context: str, parsers=None) -> dict:
+    """Reject unknown keys; fill defaults; None default means required.
+    A value given for a key with a default must have the default's JSON
+    type, unless ``parsers`` names a parser for that key, which must accept
+    it instead."""
     if not isinstance(cfg, dict):
         raise SchemaError(f"{context}: expected an object")
+    parsers = parsers or {}
     try:
         check_keys(cfg, allowed, context,
                    optional={k for k, v in allowed.items() if v is not None})
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
+    for key, value in cfg.items():
+        try:
+            if key in parsers:
+                parsers[key](value)
+            elif allowed[key] is not None:
+                _check_type(value, allowed[key], key)
+        except (ValueError, TypeError) as exc:
+            where = f"{context}: {key}" if key in parsers else context
+            raise SchemaError(f"{where}: {exc}") from exc
     return {key: cfg.get(key, default) for key, default in allowed.items()}
 
 
@@ -153,7 +190,7 @@ def resolve_config(cfg: dict) -> dict:
                          "env_seed": 1, "master_seed": 12345,
                          "params": {}, "output_dir": ""}, "config")
     exp = top["experiment"]
-    if exp not in EXPERIMENTS:
+    if not isinstance(exp, str) or exp not in EXPERIMENTS:
         raise SchemaError(f"config: experiment must be one of "
                           f"{tuple(EXPERIMENTS)}, got {exp!r}")
     # Validate the environment spec eagerly so errors name the field.
@@ -162,7 +199,8 @@ def resolve_config(cfg: dict) -> dict:
     except (ValueError, KeyError, TypeError) as exc:
         raise SchemaError(f"environment: {exc}") from exc
     top["params"] = _require(top["params"], EXPERIMENTS[exp].params,
-                             f"params({exp})")
+                             f"params({exp})",
+                             {"phi": PhiFunction.from_config})
     if exp == "conditions" and top["params"]["series"] not in _CONDITION_SERIES:
         raise SchemaError(f"params(conditions): series must be one of "
                           f"{tuple(_CONDITION_SERIES)}")

@@ -475,6 +475,10 @@ class OffspringDistribution:
         if math.isinf(v):
             return math.inf
         m = self.mean
+        if m * m == 0.0:
+            raise UnsupportedDistributionError(
+                f"mean offspring count {m} is too small to normalize the "
+                "variance by")
         return v / (m * m)
 
     # -- pmf / pgf ----------------------------------------------------------
@@ -857,4 +861,7 @@ class OffspringDistribution:
         num = ex2 - p1          # E(X^2; X>=2)
         cond = m / p_ge1        # E(X | X>=1); E(X; X>=1) = E X
         trunc = m - p1          # E(X; X>=2)
+        if cond * trunc == 0.0:
+            raise NotApplicableError(
+                "moment ratio undefined: E(X; X>=2) rounds to zero")
         return num / (cond * trunc)

@@ -11,7 +11,8 @@ generation ``i`` can be produced without materializing generations
 ``quench`` freezes a spec into a :class:`QuenchedEnvironment`: a concrete
 sequence of laws together with the running sums of their log-means,
 accumulated with compensated summation (the condition series are
-exponentially sensitive to drift in those sums).
+exponentially sensitive to drift in those sums).  A cooling spec's stream
+is keyed by the block index, so ``quench`` draws once per block.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ class Mixer:
                 raise ValueError("mixer weights must be a probability vector")
             self.dists: List[OffspringDistribution] = dists
             self.weights = weights / weights.sum()
+            # the cdf numpy's Generator.choice builds from p on every call
+            self.cdf = self.weights.cumsum()
+            self.cdf /= self.cdf[-1]
         elif kind == "gaussian_logmean_geometric":
             self.mu = float(params["mu"])
             self.sigma = float(params["sigma"])
@@ -69,10 +73,15 @@ class Mixer:
         else:
             raise ValueError(f"unknown mixer kind {kind!r}")
 
+    def components(self, rng: np.random.Generator, size=None):
+        """Component indices of a finite mixer: one uniform per draw against
+        the weights' cdf, the values ``rng.choice(len(dists), size,
+        p=weights)`` returns, without its per-call checks of ``p``."""
+        return self.cdf.searchsorted(rng.random(size), side="right")
+
     def draw(self, rng: np.random.Generator) -> OffspringDistribution:
         if self.kind == "finite":
-            idx = rng.choice(len(self.dists), p=self.weights)
-            return self.dists[idx]
+            return self.dists[self.components(rng)]
         xi = self.mu + self.sigma * rng.standard_normal()
         return OffspringDistribution.geometric(mean=math.exp(xi))
 
@@ -277,12 +286,21 @@ def _kahan_cumsum(xs: np.ndarray) -> np.ndarray:
 
 def quench(spec: EnvironmentSpec, env_seed: int, horizon: int) -> QuenchedEnvironment:
     """Materialize ``horizon`` generations of ``spec``; idempotent for fixed
-    inputs."""
+    inputs.  Generation ``i`` gets ``spec.dist_at(env_seed, i)``; a cooling
+    spec draws once per block and holds that law for the whole block."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if horizon > MAX_QUENCH_HORIZON:
         raise ResourceWarningError(horizon)
-    dists = [spec.dist_at(env_seed, i) for i in range(1, horizon + 1)]
+    if spec.kind == "cooling":
+        dists, block = [], None
+        for i in range(1, horizon + 1):
+            b = spec._cooling_block_index(i)
+            if b != block:
+                block, law = b, spec.dist_at(env_seed, i)
+            dists.append(law)
+    else:
+        dists = [spec.dist_at(env_seed, i) for i in range(1, horizon + 1)]
     xi = np.array([d.log_mean for d in dists])
     if not np.all(np.isfinite(xi)):
         raise ValueError("environment produced a non-finite log-mean")

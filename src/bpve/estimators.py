@@ -259,6 +259,8 @@ def mc_halving_bound(env: QuenchedEnvironment, k: int, start: int,
     Refuses when the variance budget after ``start`` cannot be certified
     finite.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     budget = increment_variance_series(env, start,
                                        horizon=min(horizon,
                                                    env.horizon - start - 1))

@@ -108,8 +108,7 @@ class AnnealedLaws:
             self.draw_key = key
             mixer = self.mixer
             if mixer.kind == "finite":
-                self.comp = self.env_rng.choice(len(mixer.dists),
-                                                size=self.size, p=mixer.weights)
+                self.comp = mixer.components(self.env_rng, self.size)
                 self.xi = self.comp_xi[self.comp]
             else:
                 self.xi = mixer.mu + mixer.sigma * self.env_rng.standard_normal(
@@ -153,6 +152,8 @@ def simulate_block(laws, z0: int, n: int, size: int,
     of ``log W`` over generations ``1..n``; and ``frozen_at``, the last
     generation with an exact count of each switched replica, else -1.
     """
+    if z0 < 1:
+        raise ValueError(f"need at least one ancestor, got z0 = {z0}")
     record = list(record)
     cols = {i: slice(bisect.bisect_left(record, i),
                      bisect.bisect_right(record, i)) for i in record}

@@ -205,3 +205,49 @@ def test_population_overflow_exit_code(tmp_path, monkeypatch):
         "params": {"n": 10, "replicas": 100},
     })
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("top,params,field", [
+    ({}, {"n": "abc"}, "params(survival): n: expected integer"),
+    ({"master_seed": "x"}, {"n": 10, "replicas": 100},
+     "config: master_seed: expected integer"),
+])
+def test_ill_typed_value_is_schema_error(tmp_path, capsys, top, params, field):
+    cfg = write_config(tmp_path, {
+        "experiment": "survival",
+        "environment": {"preset": "critical_two_point"},
+        "params": params, **top,
+    })
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment,environment,params", [
+    # the mean's square underflows, so the variance cannot be normalized
+    ("conditions", {"kind": "constant",
+                    "dist": {"kind": "geometric", "mean": 1e-200}},
+     {"horizon": 5}),
+    ("halving", {"preset": "supercritical_mu0.2"},
+     {"k": 0, "horizon": 5, "replicas": 100}),
+    ("l2", {"preset": "supercritical_mu0.2"}, {"k": 0, "replicas": 100}),
+])
+def test_refused_values_are_schema_errors(tmp_path, experiment, environment,
+                                          params):
+    cfg = write_config(tmp_path, {"experiment": experiment,
+                                  "environment": environment,
+                                  "params": params})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_moment_ratio_with_vanishing_denominator_is_not_applicable(tmp_path):
+    # E(X; X>=2) rounds to zero for this law
+    dist = {"kind": "linear_fractional", "p0": 0.775932156001901,
+            "q": 1.1361101846983157e-119}
+    cfg = write_config(tmp_path, {
+        "experiment": "conditions",
+        "environment": {"kind": "constant", "dist": dist},
+        "params": {"series": "moment_ratio", "horizon": 5},
+    })
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["report"]["detail"]["not_applicable"]

@@ -6,6 +6,7 @@ import pytest
 from bpve.distributions import OffspringDistribution
 from bpve.environment import (EnvironmentSpec, Mixer, PRESETS,
                               ResourceWarningError, quench)
+from bpve.streams import substream
 
 
 def test_constant_env(gw_dist):
@@ -165,3 +166,32 @@ def test_mixer_validation(gw_dist):
         Mixer("finite", dists=[gw_dist], weights=[0.9])
     with pytest.raises(ValueError):
         Mixer("gaussian_logmean_geometric", mu=0.0, sigma=-1.0)
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.2, 0.3, 0.5),
+                                     (0.1, 0.7, 0.2)])
+def test_finite_mixer_draw_matches_choice(weights):
+    dists = [OffspringDistribution.geometric(mean=m)
+             for m in (0.5, 1.0, 2.0)[:len(weights)]]
+    mixer = Mixer("finite", dists=dists, weights=list(weights))
+    for index in range(10_000):
+        ref = substream(17, index).choice(len(dists), p=mixer.weights)
+        assert mixer.draw(substream(17, index)) is dists[ref]
+    rows = substream(18, 0).choice(len(dists), size=1000, p=mixer.weights)
+    assert np.array_equal(mixer.components(substream(18, 0), 1000), rows)
+
+
+@pytest.mark.parametrize("schedule", [None, [3, 1, 7, 2]])
+def test_cooling_quench_draws_once_per_block(schedule, monkeypatch):
+    spec = EnvironmentSpec.cooling(PRESETS["critical_two_point"]().mixer,
+                                   block_lengths=schedule)
+    per_generation = [spec.dist_at(9, i) for i in range(1, 2001)]
+    draws = []
+    real_draw = Mixer.draw
+    monkeypatch.setattr(Mixer, "draw",
+                        lambda self, rng: draws.append(1) or real_draw(self, rng))
+    env = quench(spec, 9, 2000)
+    assert env.dists == per_generation
+    blocks = (11 if schedule is None
+              else 4 + math.ceil((2000 - sum(schedule)) / schedule[-1]))
+    assert len(draws) == blocks

@@ -1,0 +1,106 @@
+"""Golden digests: one small config per experiment, run through the CLI.
+
+Each config's ``results.json`` must hash to the recorded sha256.  Together
+the configs cover every experiment and every environment kind (constant,
+explicit, periodic, i.i.d. and cooling with both mixers and both
+schedules), so a change that consumes any random stream differently, or
+changes what a series or estimator computes, shows up here.  A change that
+alters a stream on purpose updates the digests and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from bpve.cli import main
+
+GEOMETRIC_PAIR = {"kind": "finite",
+                  "dists": [{"kind": "geometric", "mean": 2.0},
+                            {"kind": "geometric", "mean": 0.5}],
+                  "weights": [0.5, 0.5]}
+GAUSSIAN = {"kind": "gaussian_logmean_geometric", "mu": 0.1, "sigma": 0.5}
+PMF = {"kind": "finite_pmf", "pmf": [0.25, 0.25, 0.5]}
+
+CONFIGS = {
+    "conditions": {
+        "experiment": "conditions",
+        "environment": {"preset": "cooling_doubling_blocks"},
+        "env_seed": 5,
+        "params": {"series": "variance", "horizon": 600}},
+    "survival": {
+        "experiment": "survival",
+        "environment": {"preset": "supercritical_mu0.2"},
+        "env_seed": 3, "master_seed": 11,
+        "params": {"n": 60, "replicas": 4000}},
+    "w_positivity": {
+        "experiment": "w_positivity",
+        "environment": {"kind": "cooling", "mixer": GAUSSIAN,
+                        "schedule": [3, 5, 8]},
+        "env_seed": 9, "master_seed": 12,
+        "params": {"n": 40, "replicas": 4000}},
+    "l2": {
+        "experiment": "l2",
+        "environment": {"kind": "constant", "dist": PMF},
+        "master_seed": 13,
+        "params": {"k": 3, "m": 5, "replicas": 20000}},
+    "halving": {
+        "experiment": "halving",
+        "environment": {"kind": "periodic",
+                        "dists": [PMF, {"kind": "geometric", "mean": 1.5}]},
+        "master_seed": 14,
+        "params": {"k": 16, "horizon": 60, "replicas": 4000}},
+    "flt": {
+        "experiment": "flt",
+        "environment": {"kind": "explicit_sequence",
+                        "dists": [PMF, {"kind": "geometric", "mean": 1.8},
+                                  {"kind": "power_law_tail", "alpha": 1.5,
+                                   "p0": 0.2}] * 11},
+        "master_seed": 15,
+        "params": {"n_list": [16, 32], "replicas": 2000, "grid_size": 9}},
+    "tightness": {
+        "experiment": "tightness",
+        "environment": {"kind": "iid_random", "mixer": GEOMETRIC_PAIR},
+        "master_seed": 16,
+        "params": {"l_grid": [1, 10, 20], "env_replicas": 25,
+                   "series": "psi", "phi": {"power": 0.5, "log_power": 0.0}}},
+    "critical": {
+        "experiment": "critical",
+        "environment": {"kind": "cooling", "mixer": GEOMETRIC_PAIR},
+        "env_seed": 7, "master_seed": 17,
+        "params": {"n_list": [16, 32], "replicas": 4000,
+                   "min_survivors": 50}},
+}
+
+DIGESTS = {
+    "conditions":
+        "6c72bbc3b640555619dc1600bd56f98baa16a90edc1534f522cc08f48658035c",
+    "critical":
+        "e3acd99e11c9aa0f29ce5839a983f1eecbd50d9aa922a99bab9703c0b8e2dc84",
+    "flt":
+        "dde5e6c9f3d2b8984d402dbe977093dd72f7d0e15fd4ada7440f30189b4d7907",
+    "halving":
+        "7b39a997a61593a0ba80b1cd83aea0d4d17c1cf6d411c7e146e61896d819a7c5",
+    "l2":
+        "549c0d7094c1144aa09f0506dc875978ba12ed7f0d82a43cb741199b7ef6ae67",
+    "survival":
+        "6318316cd80d7516521a54eff0f76fae24caaa3eb1f888e7195185005bf9db4f",
+    "tightness":
+        "fc56982d2d43e45f6f98b40fe6622c8f7c61fb151147c3d9cd9909b5ad9afbd5",
+    "w_positivity":
+        "58e74ea5a3431ac3c7e74b6892e371ebfbc6e9b4f2b233c3199ba275be49a6d1",
+}
+
+
+def results_sha256(tmp_path, name: str, threads: int = 2) -> str:
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(CONFIGS[name]))
+    out = tmp_path / f"{name}-out"
+    assert main(["run", str(cfg), "--threads", str(threads),
+                 "--out", str(out)]) == 0
+    return hashlib.sha256((out / "results.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_results_digest(tmp_path, name):
+    assert results_sha256(tmp_path, name) == DIGESTS[name]
