@@ -23,7 +23,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .distributions import NotApplicableError, OffspringDistribution, PhiFunction
-from .environment import EnvironmentSpec, QuenchedEnvironment, quench
+# ``quench`` is not called here but stays bound, like ``substream``: the
+# benchmark's tracer (bench/spans.py) wraps both names in this module
+from .environment import (EnvironmentSpec, QuenchedEnvironment, quench,
+                          quench_many)
 from .streams import substream
 
 __all__ = [
@@ -41,6 +44,9 @@ __all__ = [
 
 DEFAULT_WINDOW = 64
 DEFAULT_DIVERGENCE_THRESHOLD = 1e9
+# generations tightness_diagnostic quenches at once, so its memory stays
+# bounded whatever ``env_replicas * max(l_grid)`` is
+TIGHTNESS_CHUNK = 2**16
 
 
 @dataclass
@@ -142,7 +148,8 @@ def damped_series(env: QuenchedEnvironment, first: int, count: int,
     ``w_g = exp(-exponent (S_{g+offset} - S_{first+offset}))``, so the first
     term is undamped.  Infinite terms stay ``inf``."""
     base = first + offset
-    damp = np.exp(-exponent * (env.s[base:base + count] - env.s[base]))
+    with np.errstate(over="ignore"):  # an infinite damping is a verdict
+        damp = np.exp(-exponent * (env.s[base:base + count] - env.s[base]))
     return np.array([term(env.dists[first - 1 + k], float(w))
                      for k, w in enumerate(damp)])
 
@@ -460,6 +467,11 @@ def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
     quantiles keep growing): the flag fires when every tracked quantile
     grows by more than ``blowup_factor`` between every pair of consecutive
     truncations.
+
+    Environment ``r`` has the seed ``substream(seed, r).integers(0, 2**63 -
+    1)``.  The environments are quenched in bulk through
+    :func:`~bpve.environment.quench_many`, at most ``TIGHTNESS_CHUNK``
+    generations at a time, with values identical to quenching each alone.
     """
     l_grid = sorted(int(l) for l in l_grid)
     if not l_grid or l_grid[0] < 1:
@@ -480,12 +492,16 @@ def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
     else:
         raise ValueError(f"unknown series {series!r}")
     hmax = l_grid[-1]
+    horizon = first + hmax - 1
+    seeds = [int(substream(seed, r).integers(0, 2**63 - 1))
+             for r in range(env_replicas)]
+    group = max(1, TIGHTNESS_CHUNK // horizon)
     values = np.zeros((env_replicas, len(l_grid)))
-    for r in range(env_replicas):
-        env_seed = int(substream(seed, r).integers(0, 2**63 - 1))
-        env = quench(spec, env_seed, first + hmax - 1)
-        terms = damped_series(env, first, hmax, offset, exponent, term)
-        values[r] = np.cumsum(terms)[np.array(l_grid) - 1]
+    for lo in range(0, env_replicas, group):
+        envs = quench_many(spec, seeds[lo:lo + group], horizon)
+        for r, env in enumerate(envs, lo):
+            terms = damped_series(env, first, hmax, offset, exponent, term)
+            values[r] = np.cumsum(terms)[np.array(l_grid) - 1]
     rows = np.quantile(values, quantile_levels, axis=0).T
     flag = len(l_grid) >= 2 and all(
         np.all(b > blowup_factor * np.maximum(a, 1e-300))

@@ -13,6 +13,10 @@ sequence of laws together with the running sums of their log-means,
 accumulated with compensated summation (the condition series are
 exponentially sensitive to drift in those sums).  A cooling spec's stream
 is keyed by the block index, so ``quench`` draws once per block.
+``quench_many`` freezes many environments of one spec at once; for an
+i.i.d. finite mixer it picks every generation of every environment from one
+vectorized pass over the streams' first uniforms, with the values
+generation-by-generation draws would give.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .distributions import OffspringDistribution, check_keys
-from .streams import substream
+from .streams import first_uniforms, substream
 
 __all__ = [
     "Mixer",
     "EnvironmentSpec",
     "QuenchedEnvironment",
+    "quench",
+    "quench_many",
     "critical_preset",
     "supercritical_preset",
     "subcritical_preset",
@@ -77,7 +83,11 @@ class Mixer:
         """Component indices of a finite mixer: one uniform per draw against
         the weights' cdf, the values ``rng.choice(len(dists), size,
         p=weights)`` returns, without its per-call checks of ``p``."""
-        return self.cdf.searchsorted(rng.random(size), side="right")
+        return self.pick(rng.random(size))
+
+    def pick(self, uniforms):
+        """Component index of each uniform in ``[0, 1)``."""
+        return self.cdf.searchsorted(uniforms, side="right")
 
     def draw(self, rng: np.random.Generator) -> OffspringDistribution:
         if self.kind == "finite":
@@ -272,39 +282,72 @@ class QuenchedEnvironment:
 
 
 def _kahan_cumsum(xs: np.ndarray) -> np.ndarray:
-    out = np.empty(len(xs) + 1)
-    out[0] = 0.0
+    """Compensated running sums along the last axis, after a leading 0.
+    The rows of a 2-D ``xs`` are summed side by side, each with the same
+    float operations in the same order as on its own."""
+    out = np.zeros(xs.shape[:-1] + (xs.shape[-1] + 1,))
+    # a single row steps faster through Python floats than numpy scalars
+    steps = xs.T if xs.ndim == 2 and len(xs) > 1 else xs.ravel().tolist()
     total, comp = 0.0, 0.0
-    for i, x in enumerate(xs):
+    for i, x in enumerate(steps, 1):
         y = x - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        out[i + 1] = total
+        out[..., i] = total
     return out
+
+
+def _laws(spec: EnvironmentSpec, env_seed: int,
+          horizon: int) -> List[OffspringDistribution]:
+    """Generation ``i`` gets ``spec.dist_at(env_seed, i)``; a cooling spec
+    draws once per block and holds that law for the whole block."""
+    if spec.kind != "cooling":
+        return [spec.dist_at(env_seed, i) for i in range(1, horizon + 1)]
+    dists, block = [], None
+    for i in range(1, horizon + 1):
+        b = spec._cooling_block_index(i)
+        if b != block:
+            block, law = b, spec.dist_at(env_seed, i)
+        dists.append(law)
+    return dists
 
 
 def quench(spec: EnvironmentSpec, env_seed: int, horizon: int) -> QuenchedEnvironment:
     """Materialize ``horizon`` generations of ``spec``; idempotent for fixed
     inputs.  Generation ``i`` gets ``spec.dist_at(env_seed, i)``; a cooling
     spec draws once per block and holds that law for the whole block."""
+    return quench_many(spec, [env_seed], horizon)[0]
+
+
+def quench_many(spec: EnvironmentSpec, env_seeds: Sequence[int],
+                horizon: int) -> List[QuenchedEnvironment]:
+    """``[quench(spec, s, horizon) for s in env_seeds]``, bitwise, computed
+    together.  An i.i.d. finite mixer's draw for generation ``i`` is the
+    first uniform of stream ``(s, i)`` against the weights' cdf, so all of
+    them come from one :func:`first_uniforms` pass; other specs resolve
+    each environment through ``dist_at``."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if horizon > MAX_QUENCH_HORIZON:
         raise ResourceWarningError(horizon)
-    if spec.kind == "cooling":
-        dists, block = [], None
-        for i in range(1, horizon + 1):
-            b = spec._cooling_block_index(i)
-            if b != block:
-                block, law = b, spec.dist_at(env_seed, i)
-            dists.append(law)
+    seeds = [int(s) for s in env_seeds]
+    if spec.kind == "iid_random" and spec.mixer.kind == "finite":
+        table = spec.mixer.dists
+        picks = spec.mixer.pick(first_uniforms(
+            np.array(seeds, dtype=object)[:, None],
+            np.arange(1, horizon + 1, dtype=np.uint64)))
+        laws = [[table[c] for c in row] for row in picks.tolist()]
+        xi = np.array([d.log_mean for d in table])[picks]
     else:
-        dists = [spec.dist_at(env_seed, i) for i in range(1, horizon + 1)]
-    xi = np.array([d.log_mean for d in dists])
+        laws = [_laws(spec, s, horizon) for s in seeds]
+        xi = np.array([[d.log_mean for d in row] for row in laws])
+    xi = xi.reshape(len(laws), horizon)
     if not np.all(np.isfinite(xi)):
         raise ValueError("environment produced a non-finite log-mean")
-    return QuenchedEnvironment(dists, _kahan_cumsum(xi), xi)
+    s = _kahan_cumsum(xi)
+    return [QuenchedEnvironment(d, s_row, xi_row)
+            for d, s_row, xi_row in zip(laws, s, xi)]
 
 
 class ResourceWarningError(MemoryError):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -237,6 +238,20 @@ def test_refused_values_are_schema_errors(tmp_path, experiment, environment,
                                   "environment": environment,
                                   "params": params})
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_vanishing_mean_refusal_emits_no_warning(tmp_path):
+    # S_g - S_1 of a geometric law with mean 1e-200 is about -460 per
+    # generation, so its damping exp(-(S_g - S_1)) overflows to inf
+    cfg = write_config(tmp_path, {
+        "experiment": "conditions",
+        "environment": {"kind": "constant",
+                        "dist": {"kind": "geometric", "mean": 1e-200}},
+        "params": {"horizon": 5}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert [str(w.message) for w in caught] == []
 
 
 def test_moment_ratio_with_vanishing_denominator_is_not_applicable(tmp_path):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from bpve.distributions import OffspringDistribution
+from bpve import streams
 from bpve.environment import (EnvironmentSpec, Mixer, PRESETS,
-                              ResourceWarningError, quench)
+                              QuenchedEnvironment, ResourceWarningError,
+                              quench, quench_many)
 from bpve.streams import substream
 
 
@@ -195,3 +197,78 @@ def test_cooling_quench_draws_once_per_block(schedule, monkeypatch):
     blocks = (11 if schedule is None
               else 4 + math.ceil((2000 - sum(schedule)) / schedule[-1]))
     assert len(draws) == blocks
+
+
+QUENCH_SPECS = {
+    **{name: make() for name, make in PRESETS.items()},
+    "gaussian_iid": EnvironmentSpec.iid_random(
+        Mixer("gaussian_logmean_geometric", mu=0.1, sigma=0.5)),
+    "cooling_schedule": EnvironmentSpec.cooling(
+        PRESETS["critical_two_point"]().mixer, block_lengths=[3, 1, 7, 2]),
+}
+QUENCH_SEEDS = [0, 5, -1, 2**63 + 5, 2**64 - 1, 123456789]
+
+
+def assert_same_environment(got: QuenchedEnvironment,
+                            want: QuenchedEnvironment, identical=True):
+    """Equal laws (the same objects if ``identical``), bitwise sums."""
+    assert got.dists == want.dists
+    if identical:
+        assert all(a is b for a, b in zip(got.dists, want.dists))
+    assert np.array_equal(got.s, want.s)
+    assert np.array_equal(got.xi, want.xi)
+
+
+def kahan_oracle(xs):
+    """Compensated running sums, one Python float at a time."""
+    out, total, comp = [0.0], 0.0, 0.0
+    for x in xs:
+        y = x - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        out.append(total)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", sorted(QUENCH_SPECS))
+@pytest.mark.parametrize("horizon", [1, 1000])
+def test_quench_many_matches_quench(name, horizon):
+    spec = QUENCH_SPECS[name]
+    envs = quench_many(spec, QUENCH_SEEDS, horizon)
+    assert len(envs) == len(QUENCH_SEEDS)
+    # a Gaussian draw builds a new law object every time
+    identical = name != "gaussian_iid"
+    for seed, env in zip(QUENCH_SEEDS, envs):
+        assert_same_environment(env, quench(spec, seed, horizon), identical)
+
+
+@pytest.mark.parametrize("name", ["critical_two_point", "gaussian_iid"])
+def test_quench_matches_per_generation_draws(name):
+    spec = QUENCH_SPECS[name]
+    for seed in (0, -1, 2**64 - 1):
+        env = quench(spec, seed, 1000)
+        laws = [spec.dist_at(seed, i) for i in range(1, 1001)]
+        assert env.dists == laws
+        xi = np.array([d.log_mean for d in laws])
+        assert np.array_equal(env.xi, xi)
+        assert np.array_equal(env.s, kahan_oracle(xi))
+
+
+def test_quench_many_across_passes():
+    # 70 environments of 1000 generations are 70,000 keys: the first
+    # uniforms take two Philox passes
+    spec = PRESETS["supercritical_mu0.2"]()
+    seeds = list(range(1000, 1070))
+    assert len(seeds) * 1000 > streams._PASS_KEYS
+    for seed, env in zip(seeds, quench_many(spec, seeds, 1000)):
+        assert_same_environment(env, quench(spec, seed, 1000))
+
+
+def test_quench_many_edge_cases():
+    spec = PRESETS["critical_two_point"]()
+    assert quench_many(spec, [], 10) == []
+    with pytest.raises(ValueError):
+        quench_many(spec, [1], 0)
+    with pytest.raises(ResourceWarningError):
+        quench_many(spec, [1], 10**7 + 1)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bpve.streams import substream
+from bpve import streams
+from bpve.streams import first_uniforms, substream
 
 MASK = (1 << 64) - 1
 
@@ -50,3 +51,44 @@ def test_substream_draws_no_os_entropy(monkeypatch):
 def test_substream_rejects_negative_index():
     with pytest.raises(ValueError):
         substream(0, -1)
+
+
+SEEDS = [0, 1, -1, 2**63 + 5, 2**64 - 1]
+INDICES = list(range(1001)) + [2**40, 2**63, 2**64 - 1]
+
+
+def test_first_uniforms_match_substreams():
+    # every seed against every index, mixed seeds in one call
+    want = np.array([[substream(s, i).random() for i in INDICES]
+                     for s in SEEDS])
+    got = first_uniforms(np.array(SEEDS, dtype=object)[:, None],
+                         np.array(INDICES, dtype=object))
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    pairs = [(s, i) for s in SEEDS for i in INDICES]
+    flat = first_uniforms([s for s, _ in pairs], [i for _, i in pairs])
+    assert np.array_equal(flat, want.ravel())
+
+
+def test_first_uniforms_integer_arrays_and_scalars():
+    seeds = np.array([-1, 0, 7, 2**62], dtype=np.int64)
+    indices = np.array([0, 3, 2**40, 9], dtype=np.uint64)
+    want = [substream(int(s), int(i)).random() for s, i in zip(seeds, indices)]
+    assert np.array_equal(first_uniforms(seeds, indices), want)
+    assert first_uniforms(3, 4) == substream(3, 4).random()
+    assert first_uniforms([], []).shape == (0,)
+
+
+def test_first_uniforms_across_passes(monkeypatch):
+    monkeypatch.setattr(streams, "_PASS_KEYS", 7)
+    seeds = np.arange(5)[:, None] * 1000003
+    indices = np.arange(1, 24)
+    want = [[substream(int(s), int(i)).random() for i in indices]
+            for s in seeds[:, 0]]
+    assert np.array_equal(first_uniforms(seeds, indices), want)
+
+
+@pytest.mark.parametrize("indices", [[-1], np.array([2, -1])])
+def test_first_uniforms_reject_negative_index(indices):
+    with pytest.raises(ValueError):
+        first_uniforms(0, indices)
