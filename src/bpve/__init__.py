@@ -22,13 +22,6 @@ from .environment import (
     subcritical_preset,
     supercritical_preset,
 )
-from .simulate import (
-    Trajectory,
-    halving_first_passage,
-    path_functional,
-    simulate_trajectory,
-    trajectory_csv,
-)
 from .conditions import (
     ConditionReport,
     TightnessTable,

@@ -15,7 +15,6 @@ Verdicts are conservative:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -68,9 +67,6 @@ class ConditionReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(jsonable(self.to_dict()), sort_keys=True)
 
 
 def csv_text(header: str, rows) -> str:
@@ -434,16 +430,12 @@ class TightnessTable:
                 "quantiles": [[float(v) for v in row] for row in self.rows],
                 "blowup_flag": self.blowup_flag}
 
-    def to_csv(self, path=None) -> str:
-        """CSV rows ``l, q.., flag``; also written to ``path`` if given."""
+    def to_csv(self) -> str:
+        """CSV rows ``l, q.., flag``."""
         header = ",".join(["l"] + [f"q{int(100 * q)}"
                                    for q in self.quantile_levels] + ["flag"])
-        text = csv_text(header, [(l, *map(float, row), self.blowup_flag)
+        return csv_text(header, [(l, *map(float, row), self.blowup_flag)
                                  for l, row in zip(self.truncations, self.rows)])
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
 
 def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],

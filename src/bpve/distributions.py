@@ -1,16 +1,15 @@
 """Single-generation offspring laws.
 
 Each :class:`OffspringDistribution` represents the reproduction law of one
-generation: exact sampling of individual offspring counts and of
-whole-generation totals, and the moment functionals the convergence checkers
-consume -- log-mean, normalized variance, fractional deviation moments and
-weighted deviation moments.
+generation: exact sampling of whole-generation totals, and the moment
+functionals the convergence checkers consume -- log-mean, normalized
+variance, fractional deviation moments and weighted deviation moments.
 
 Families
 --------
 ``finite_pmf``
-    explicit pmf ``p_0..p_K``; individual draws via an alias table,
-    generation totals via a multinomial (exact for any parent count).
+    explicit pmf ``p_0..p_K``; generation totals via a multinomial (exact
+    for any parent count).
 ``geometric``
     ``P(X=k) = (1-q) q^k`` on ``{0,1,...}``; totals are negative binomial.
 ``poisson``
@@ -172,28 +171,6 @@ class GeometricRows:
         return rng.negative_binomial(parents, 1.0 - self.q)
 
 
-def _build_alias_table(probs: np.ndarray):
-    """Vose alias table: O(K) setup, O(1) exact draws."""
-    k = len(probs)
-    accept = np.zeros(k)
-    alias = np.zeros(k, dtype=np.int64)
-    scaled = probs * k
-    small = [i for i, v in enumerate(scaled) if v < 1.0]
-    large = [i for i, v in enumerate(scaled) if v >= 1.0]
-    scaled = scaled.copy()
-    while small and large:
-        s = small.pop()
-        g = large.pop()
-        accept[s] = scaled[s]
-        alias[s] = g
-        scaled[g] = scaled[g] - (1.0 - scaled[s])
-        (small if scaled[g] < 1.0 else large).append(g)
-    for i in large + small:
-        accept[i] = 1.0
-        alias[i] = i
-    return accept, alias
-
-
 @functools.lru_cache(maxsize=64)
 def _wood_coefficients(sigma: float):
     """``zeta(sigma - k) / k!`` for ``k < _WOOD_TERMS``, and the index ``j``
@@ -312,7 +289,6 @@ class OffspringDistribution:
                 raise ValueError(f"pmf must sum to 1 within 1e-12, got {pmf.sum()!r}")
             self._pmf = pmf / pmf.sum()
             self._ks = np.arange(len(pmf), dtype=np.int64)
-            self._alias = _build_alias_table(self._pmf)
         elif kind == "geometric":
             mean = float(params["mean"])
             if mean <= 0:
@@ -564,30 +540,6 @@ class OffspringDistribution:
             s = nxt
         return s
 
-    # -- individual sampling ------------------------------------------------
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        """Exact draw(s) of one individual's offspring count."""
-        n = 1 if size is None else size
-        if self.kind == "finite_pmf":
-            accept, alias = self._alias
-            idx = rng.integers(0, len(accept), size=n)
-            keep = rng.random(n) < accept[idx]
-            out = np.where(keep, idx, alias[idx]).astype(np.int64)
-        elif self.kind == "geometric":
-            out = rng.geometric(1.0 - self._q, size=n) - 1
-        elif self.kind == "poisson":
-            out = rng.poisson(self._lam, size=n)
-        elif self.kind == "linear_fractional":
-            nonzero = rng.random(n) >= self._p0
-            out = nonzero * rng.geometric(1.0 - self._q, size=n)
-        else:
-            nonzero = rng.random(n) >= self._p0
-            out = nonzero * rng.zipf(2.0 + self._alpha, size=n)
-        if size is None:
-            return int(out[0])
-        return out.astype(np.int64)
-
     # -- generation totals --------------------------------------------------
 
     def sample_generation_totals(self, parents: np.ndarray,
@@ -688,14 +640,6 @@ class OffspringDistribution:
             out[filled:filled + len(k)] = k
             filled += len(k)
         return out
-
-    def sample_generation_total(self, parents: int,
-                                rng: np.random.Generator) -> int:
-        """Scalar wrapper over :meth:`sample_generation_totals`."""
-        if parents < 0:
-            raise ValueError("parent count must be nonnegative")
-        return int(self.sample_generation_totals(
-            np.array([parents], dtype=np.int64), rng)[0])
 
     # -- deviation moments --------------------------------------------------
 

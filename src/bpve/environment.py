@@ -95,13 +95,6 @@ class Mixer:
         xi = self.mu + self.sigma * rng.standard_normal()
         return OffspringDistribution.geometric(mean=math.exp(xi))
 
-    def log_mean_expectation(self) -> float:
-        """Mean of the log-mean of one environment draw."""
-        if self.kind == "finite":
-            return float(np.dot(self.weights,
-                                [d.log_mean for d in self.dists]))
-        return self.mu
-
     def to_config(self) -> dict:
         if self.kind == "finite":
             return {"kind": "finite",
@@ -185,6 +178,13 @@ class EnvironmentSpec:
         # generations [2^j, 2^{j+1} - 1]
         return i.bit_length() - 1
 
+    def stream_index(self, i):
+        """Index of the stream (keyed ``(env_seed, index)``) that the law of
+        generation ``i`` is drawn from, for a random spec: ``i`` itself
+        (element-wise for an array) when i.i.d., the block index when
+        cooling."""
+        return self._cooling_block_index(i) if self.kind == "cooling" else i
+
     def dist_at(self, env_seed: int, i: int) -> OffspringDistribution:
         """Offspring law of generation ``i`` (1-based); deterministic in
         ``(spec, env_seed, i)``."""
@@ -198,10 +198,7 @@ class EnvironmentSpec:
             return self.dists[i - 1]
         if self.kind == "periodic":
             return self.dists[(i - 1) % len(self.dists)]
-        if self.kind == "iid_random":
-            return self.mixer.draw(substream(env_seed, i))
-        block = self._cooling_block_index(i)
-        return self.mixer.draw(substream(env_seed, block))
+        return self.mixer.draw(substream(env_seed, self.stream_index(i)))
 
     def to_config(self) -> dict:
         cfg = {"kind": self.kind}
@@ -306,7 +303,7 @@ def _laws(spec: EnvironmentSpec, env_seed: int,
         return [spec.dist_at(env_seed, i) for i in range(1, horizon + 1)]
     dists, block = [], None
     for i in range(1, horizon + 1):
-        b = spec._cooling_block_index(i)
+        b = spec.stream_index(i)
         if b != block:
             block, law = b, spec.dist_at(env_seed, i)
         dists.append(law)
@@ -336,7 +333,7 @@ def quench_many(spec: EnvironmentSpec, env_seeds: Sequence[int],
         table = spec.mixer.dists
         picks = spec.mixer.pick(first_uniforms(
             np.array(seeds, dtype=object)[:, None],
-            np.arange(1, horizon + 1, dtype=np.uint64)))
+            spec.stream_index(np.arange(1, horizon + 1, dtype=np.uint64))))
         laws = [[table[c] for c in row] for row in picks.tolist()]
         xi = np.array([d.log_mean for d in table])[picks]
     else:

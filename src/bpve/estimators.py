@@ -244,6 +244,8 @@ def mc_l2_span(env: QuenchedEnvironment, k: int, n: int, m: int,
                threads: Optional[int] = None) -> McEstimate:
     """Mean squared increment of the normalized process between generations
     ``n`` and ``n + m``."""
+    if n < 0 or m < 1:
+        raise ValueError("need n >= 0 and m >= 1")
     _check_finite_variance(env, n + m)
     w = collect_w(env, k, [n, n + m], replicas, seed, threads)
     return McEstimate.sample_mean((w[:, 1] - w[:, 0]) ** 2, seed)
@@ -338,6 +340,8 @@ def mc_conditioned_critical(spec: EnvironmentSpec, n_list: Sequence[int],
     if env_seed is None:
         env_seed = seed ^ 0x9E3779B97F4A7C15
     n_list = sorted(int(x) for x in n_list)
+    if not n_list:
+        raise ValueError("n_list must name at least one checkpoint")
     n = n_list[-1]
 
     def run(b, sz):

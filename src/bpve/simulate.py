@@ -1,14 +1,14 @@
 """Forward simulation of the population process.
 
 The process starts from ``z0`` individuals; generation ``n+1`` is the sum of
-the offspring of all generation-``n`` individuals.  Alongside the counts we
-track the log-scale normalized value ``log W_n = log Z_n - S_n`` (``-inf``
-after extinction), which is the quantity all estimators consume.
+the offspring of all generation-``n`` individuals.  The kernel reports the
+log-scale normalized value ``log W_n = log Z_n - S_n`` (``-inf`` after
+extinction), which is the quantity all estimators consume.
 
-:func:`simulate_block` is the one population recursion: estimators run it on
-blocks of replicas, :func:`simulate_trajectory` at size 1.  The laws come
-from :class:`QuenchedLaws` (one fixed environment) or :class:`AnnealedLaws`
-(a fresh random environment per replica).
+:func:`simulate_block` is the one population recursion; the estimators run
+it on blocks of replicas.  The laws come from :class:`QuenchedLaws` (one
+fixed environment) or :class:`AnnealedLaws` (a fresh random environment per
+replica).
 
 Counts are exact integers until they cross a per-family switch point; from
 there a replica continues deterministically in log scale (the normalized
@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,19 +30,14 @@ from .distributions import GeometricRows, OffspringDistribution
 from .environment import EnvironmentSpec, QuenchedEnvironment
 
 __all__ = [
-    "Trajectory",
     "QuenchedLaws",
     "AnnealedLaws",
     "simulate_block",
-    "simulate_trajectory",
     "stretched_indices",
-    "path_functional",
-    "halving_first_passage",
     "log_switch_threshold",
-    "trajectory_csv",
 ]
 
-# Beyond these population sizes the trajectory continues in log scale.
+# Beyond these population sizes a replica continues in log scale.
 # Finite-variance families: relative fluctuation of the normalized value is
 # ~ Z^{-1/2} ~ 1e-6 at the switch.  Infinite-variance families switch much
 # lower; the residual relative fluctuation ~ Z^{-alpha/(1+alpha)} is still far
@@ -55,10 +49,9 @@ FINITE_VAR_LOG_SWITCH = 10**12
 HEAVY_TAIL_LOG_SWITCH = 4000
 
 
-def log_switch_threshold(dist: OffspringDistribution,
-                         heavy_switch: int = HEAVY_TAIL_LOG_SWITCH) -> int:
+def log_switch_threshold(dist: OffspringDistribution) -> int:
     if math.isinf(dist.variance):
-        return heavy_switch
+        return HEAVY_TAIL_LOG_SWITCH
     return FINITE_VAR_LOG_SWITCH
 
 
@@ -71,18 +64,15 @@ def log_switch_threshold(dist: OffspringDistribution,
 class QuenchedLaws:
     """Every replica follows the same fixed environment."""
 
-    def __init__(self, env: QuenchedEnvironment,
-                 heavy_switch: int = HEAVY_TAIL_LOG_SWITCH):
+    def __init__(self, env: QuenchedEnvironment):
         self.env = env
-        self.heavy_switch = heavy_switch
 
     def advance(self, i: int):
         self.dist = self.env.dists[i - 1]
         self.s, self.xi = self.env.s[i], self.env.xi[i - 1]
 
     def groups(self, rows: np.ndarray):
-        return [(self.dist, log_switch_threshold(self.dist, self.heavy_switch),
-                 slice(None))]
+        return [(self.dist, log_switch_threshold(self.dist), slice(None))]
 
 
 class AnnealedLaws:
@@ -102,8 +92,7 @@ class AnnealedLaws:
             self.comp_xi = np.array([d.log_mean for d in self.mixer.dists])
 
     def advance(self, i: int):
-        key = (self.spec._cooling_block_index(i)
-               if self.spec.kind == "cooling" else i)
+        key = self.spec.stream_index(i)
         if key != self.draw_key:
             self.draw_key = key
             mixer = self.mixer
@@ -130,7 +119,6 @@ class AnnealedLaws:
 
 class Block(NamedTuple):
     log_w: np.ndarray
-    counts: Optional[np.ndarray]
     low: Optional[np.ndarray]
     frozen_at: np.ndarray
 
@@ -141,27 +129,27 @@ def _take(v, rows):
 
 def simulate_block(laws, z0: int, n: int, size: int,
                    rng: np.random.Generator, record: Sequence[int] = (),
-                   counts: bool = False, low: bool = False) -> Block:
+                   low: bool = False) -> Block:
     """Simulate ``size`` replicas for ``n`` generations from ``z0``
     ancestors each; totals are drawn on the live replicas in index order,
     one call per law group and generation.
 
     Returns ``log_w[r, j]``, the ``log W`` of replica ``r`` at generation
-    ``record[j]`` (sorted, in ``[0, n]``); with ``counts``, the exact counts
-    there (meaningless once a replica switched); with ``low``, the minimum
-    of ``log W`` over generations ``1..n``; and ``frozen_at``, the last
-    generation with an exact count of each switched replica, else -1.
+    ``record[j]`` (sorted, in ``[0, n]``, else ValueError); with ``low``,
+    the minimum of ``log W`` over generations ``1..n``; and ``frozen_at``,
+    the last generation with an exact count of each switched replica, else
+    -1.
     """
     if z0 < 1:
         raise ValueError(f"need at least one ancestor, got z0 = {z0}")
     record = list(record)
+    if record and not 0 <= min(record) <= max(record) <= n:
+        raise ValueError(f"recorded generations must lie in [0, {n}], got "
+                         f"{min(record)} to {max(record)}")
     cols = {i: slice(bisect.bisect_left(record, i),
                      bisect.bisect_right(record, i)) for i in record}
     # generation-0 columns keep this; a replica overwrites every later one
     log_w = np.full((size, len(record)), math.log(z0))
-    cnt = np.zeros((size, len(record)), dtype=np.int64) if counts else None
-    if counts and 0 in cols:
-        cnt[:, cols[0]] = z0
     low_w = np.full(size, np.inf) if low else None
     frozen_at = np.full(size, -1, dtype=np.int64)
     rows = np.arange(size)
@@ -204,8 +192,6 @@ def simulate_block(laws, z0: int, n: int, size: int,
                 cur = np.log(z) - s
                 if i in cols:
                     log_w[rows, cols[i]] = cur[:, None]
-                    if counts:
-                        cnt[rows, cols[i]] = z[:, None]
                 if low:
                     low_w[rows] = np.minimum(low_w[rows], cur)
             if gone.any():
@@ -213,58 +199,7 @@ def simulate_block(laws, z0: int, n: int, size: int,
                 if i < n:  # the last generation is fully written already
                     retire(gone, np.log(z[gone]) - _take(s, gone),
                            bisect.bisect_right(record, i))
-    return Block(log_w, cnt, low_w, frozen_at)
-
-
-# -- single trajectories ----------------------------------------------------
-
-@dataclass
-class Trajectory:
-    """One simulated path.
-
-    ``z[n]`` is exact for ``n <= approx_from`` (and everywhere when
-    ``approx_from`` is None); afterwards it is ``round(exp(log_z[n]))``
-    saturated at ``2**63 - 1``.  ``log_w[n] = log_z[n] - s[n]`` always,
-    with ``-inf`` after extinction.
-    """
-
-    z: List[int]
-    s: np.ndarray
-    log_z: np.ndarray
-    log_w: np.ndarray
-    extinction_time: Optional[int]
-    approx_from: Optional[int]
-
-    @property
-    def horizon(self) -> int:
-        return len(self.z) - 1
-
-    def w(self, n: int) -> float:
-        return float(np.exp(self.log_w[n]))
-
-
-def simulate_trajectory(env: QuenchedEnvironment, z0: int, n: int,
-                        rng: np.random.Generator,
-                        heavy_switch: int = HEAVY_TAIL_LOG_SWITCH) -> Trajectory:
-    """Simulate ``n`` generations from ``z0`` ancestors on ``env``: the
-    kernel at block size 1.  After extinction the entries are exact zeros."""
-    if z0 < 1:
-        raise ValueError("initial population must be >= 1")
-    if n > env.horizon:
-        raise ValueError(f"n={n} exceeds environment horizon {env.horizon}")
-    block = simulate_block(QuenchedLaws(env, heavy_switch), z0, n, 1, rng,
-                           record=range(n + 1), counts=True)
-    s, log_w = env.s[:n + 1], block.log_w[0]
-    log_z = log_w + s
-    z = [int(c) for c in block.counts[0]]
-    approx_from = int(block.frozen_at[0]) if block.frozen_at[0] >= 0 else None
-    for i in range(n + 1 if approx_from is None else approx_from + 1, n + 1):
-        z[i] = min(int(round(math.exp(min(log_z[i], 62 * math.log(2))))),
-                   2**63 - 1)
-    dead = np.flatnonzero(np.isneginf(log_w))
-    return Trajectory(z=z, s=s, log_z=log_z, log_w=log_w,
-                      extinction_time=int(dead[0]) if len(dead) else None,
-                      approx_from=approx_from)
+    return Block(log_w, low_w, frozen_at)
 
 
 def stretched_indices(n: int, grid: Sequence[float],
@@ -280,32 +215,3 @@ def stretched_indices(n: int, grid: Sequence[float],
     if np.any((grid < 0.0) | (grid > 1.0)):
         raise ValueError("grid points must lie in [0, 1]")
     return np.floor(r_n + (n - r_n) * grid).astype(int)
-
-
-def path_functional(traj: Trajectory, r_n: Optional[int] = None,
-                    grid: Sequence[float] = ()) -> np.ndarray:
-    """Normalized-path values sampled along a stretched time grid (see
-    :func:`stretched_indices`)."""
-    return np.exp(traj.log_w[stretched_indices(traj.horizon, grid, r_n)])
-
-
-def halving_first_passage(traj: Trajectory, start: int = 0) -> Optional[int]:
-    """First generation after ``start`` where the population, renormalized by
-    the growth accumulated since ``start``, falls below half its value at
-    ``start``; None if it never does within the horizon."""
-    n = traj.horizon
-    if not (0 <= start <= n):
-        raise ValueError("start out of range")
-    if traj.log_z[start] == -np.inf:
-        raise ValueError("population already extinct at start")
-    ref = traj.log_z[start] + math.log(0.5)
-    rel = traj.log_z[start + 1:] - (traj.s[start + 1:] - traj.s[start])
-    below = np.flatnonzero(rel < ref)
-    return int(start + 1 + below[0]) if len(below) else None
-
-
-def trajectory_csv(traj: Trajectory, replica: int = 0) -> str:
-    """CSV rows ``replica, n, log_z, s, log_w`` for one trajectory."""
-    return "".join(["replica,n,log_z,s,log_w\n"] + [
-        f"{replica},{i},{traj.log_z[i]:.12g},{traj.s[i]:.12g},"
-        f"{traj.log_w[i]:.12g}\n" for i in range(traj.horizon + 1)])

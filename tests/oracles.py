@@ -1,0 +1,61 @@
+"""Reference samplers the tests compare the library's totals against: draws
+of individual offspring counts (an alias table for a finite pmf), and their
+sum per generation.  No run path needs them, so they live with the tests."""
+
+from typing import Optional
+
+import numpy as np
+
+
+def build_alias_table(probs: np.ndarray):
+    """Vose alias table: O(K) setup, O(1) exact draws."""
+    k = len(probs)
+    accept = np.zeros(k)
+    alias = np.zeros(k, dtype=np.int64)
+    scaled = probs * k
+    small = [i for i, v in enumerate(scaled) if v < 1.0]
+    large = [i for i, v in enumerate(scaled) if v >= 1.0]
+    scaled = scaled.copy()
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        accept[s] = scaled[s]
+        alias[s] = g
+        scaled[g] = scaled[g] - (1.0 - scaled[s])
+        (small if scaled[g] < 1.0 else large).append(g)
+    for i in large + small:
+        accept[i] = 1.0
+        alias[i] = i
+    return accept, alias
+
+
+def sample(dist, rng: np.random.Generator, size: Optional[int] = None):
+    """Exact draw(s) of one individual's offspring count under ``dist``."""
+    n = 1 if size is None else size
+    if dist.kind == "finite_pmf":
+        accept, alias = build_alias_table(dist._pmf)
+        idx = rng.integers(0, len(accept), size=n)
+        keep = rng.random(n) < accept[idx]
+        out = np.where(keep, idx, alias[idx]).astype(np.int64)
+    elif dist.kind == "geometric":
+        out = rng.geometric(1.0 - dist._q, size=n) - 1
+    elif dist.kind == "poisson":
+        out = rng.poisson(dist._lam, size=n)
+    elif dist.kind == "linear_fractional":
+        nonzero = rng.random(n) >= dist._p0
+        out = nonzero * rng.geometric(1.0 - dist._q, size=n)
+    else:
+        nonzero = rng.random(n) >= dist._p0
+        out = nonzero * rng.zipf(2.0 + dist._alpha, size=n)
+    if size is None:
+        return int(out[0])
+    return out.astype(np.int64)
+
+
+def sample_generation_total(dist, parents: int,
+                            rng: np.random.Generator) -> int:
+    """Scalar wrapper over ``dist.sample_generation_totals``."""
+    if parents < 0:
+        raise ValueError("parent count must be nonnegative")
+    return int(dist.sample_generation_totals(
+        np.array([parents], dtype=np.int64), rng)[0])

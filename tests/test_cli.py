@@ -231,6 +231,12 @@ def test_ill_typed_value_is_schema_error(tmp_path, capsys, top, params, field):
     ("halving", {"preset": "supercritical_mu0.2"},
      {"k": 0, "horizon": 5, "replicas": 100}),
     ("l2", {"preset": "supercritical_mu0.2"}, {"k": 0, "replicas": 100}),
+    # no checkpoint to run to
+    ("critical", {"preset": "critical_two_point"},
+     {"n_list": [], "replicas": 200}),
+    # a generation before the start has no recorded value
+    ("critical", {"preset": "critical_two_point"},
+     {"n_list": [-3, 8], "replicas": 200}),
 ])
 def test_refused_values_are_schema_errors(tmp_path, experiment, environment,
                                           params):

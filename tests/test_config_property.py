@@ -81,7 +81,7 @@ phi = st.one_of(st.just("zero"),
                 st.fixed_dictionaries({}, optional={
                     "power": st.floats(0.0, 2.0),
                     "log_power": st.floats(0.0, 2.0)}))
-n_list = st.lists(positive, min_size=1, max_size=3)
+n_list = st.lists(st.integers(-3, 12), max_size=3)
 
 PARAMS = {
     "conditions": {

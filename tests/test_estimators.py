@@ -173,3 +173,6 @@ def test_replica_validation(gw_env200):
         collect_w(gw_env200, 1, [500], 10, 1)
     with pytest.raises(ValueError):
         mc_w_positivity(gw_env200, 1, 10, [-0.1, 0.5], 10, 1)
+    for n, m in ((-1, 2), (3, 0)):
+        with pytest.raises(ValueError):
+            mc_l2_span(gw_env200, 1, n, m, 10, 1)

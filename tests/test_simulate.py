@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from bpve import simulate
 from bpve.distributions import OffspringDistribution
-from bpve.environment import EnvironmentSpec, PRESETS, quench
-from bpve.simulate import (FINITE_VAR_LOG_SWITCH, Trajectory,
-                           halving_first_passage, log_switch_threshold,
-                           path_functional, simulate_trajectory,
-                           trajectory_csv)
+from bpve.environment import EnvironmentSpec, quench
+from bpve.estimators import collect_w
+from bpve.simulate import (FINITE_VAR_LOG_SWITCH, QuenchedLaws,
+                           log_switch_threshold, simulate_block,
+                           stretched_indices)
 from bpve.streams import substream
 
 
@@ -18,117 +19,76 @@ def gw_env_short(gw_dist):
 
 
 def test_deterministic_given_stream(gw_env_short):
-    a = simulate_trajectory(gw_env_short, 5, 40, substream(3, 0))
-    b = simulate_trajectory(gw_env_short, 5, 40, substream(3, 0))
-    assert a.z == b.z
-    assert np.array_equal(a.log_w, b.log_w, equal_nan=True)
+    a, b = (simulate_block(QuenchedLaws(gw_env_short), 5, 40, 64,
+                           substream(3, 0), range(41), low=True)
+            for _ in range(2))
+    assert np.array_equal(a.log_w, b.log_w)
+    assert np.array_equal(a.low, b.low)
+    assert np.array_equal(a.frozen_at, b.frozen_at)
 
 
 def test_absorption_at_zero(gw_dist):
     env = quench(EnvironmentSpec.constant(gw_dist), 1, 200)
-    found = False
-    for i in range(200):
-        t = simulate_trajectory(env, 1, 200, substream(4, i))
-        if t.extinction_time is not None:
-            found = True
-            e = t.extinction_time
-            assert all(z == 0 for z in t.z[e:])
-            assert np.all(np.isneginf(t.log_w[e:]))
-            assert t.z[e - 1] > 0
-    assert found
-
-
-def test_normalized_mean_near_one(gw_env_short):
-    # martingale property: the normalized value has mean 1 at every index
-    vals = []
-    for i in range(4000):
-        t = simulate_trajectory(gw_env_short, 1, 30, substream(5, i))
-        vals.append(t.w(30) if t.extinction_time is None else 0.0)
-    vals = np.asarray(vals)
-    se = vals.std(ddof=1) / math.sqrt(len(vals))
-    assert abs(vals.mean() - 1.0) < 4 * se
+    log_w = simulate_block(QuenchedLaws(env), 1, 200, 200, substream(4, 0),
+                           range(201)).log_w
+    dead = np.isneginf(log_w)
+    assert dead[:, -1].any()
+    for row, d in zip(log_w, dead):
+        if d.any():
+            e = int(np.argmax(d))
+            assert e >= 1 and np.all(d[e:])
+            assert np.isfinite(row[e - 1])
 
 
 def test_switch_threshold(gw_dist):
     heavy = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
     assert log_switch_threshold(gw_dist) == FINITE_VAR_LOG_SWITCH
     assert log_switch_threshold(heavy) == 4000
-    assert log_switch_threshold(heavy, heavy_switch=99) == 99
 
 
-def test_log_scale_continuation():
+def test_log_scale_continuation(monkeypatch):
+    monkeypatch.setattr(simulate, "HEAVY_TAIL_LOG_SWITCH", 200)
     heavy = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
     env = quench(EnvironmentSpec.constant(heavy), 1, 120)
-    t = None
+    block = None
     for i in range(300):
-        cand = simulate_trajectory(env, 50, 120, substream(6, i),
-                                   heavy_switch=200)
-        if cand.approx_from is not None:
-            t = cand
+        cand = simulate_block(QuenchedLaws(env), 50, 120, 1, substream(6, i),
+                              range(121))
+        if cand.frozen_at[0] >= 0:
+            block = cand
             break
-    assert t is not None, "no replica crossed the switch"
-    a = t.approx_from
-    assert t.z[a] > 200
+    assert block is not None, "no replica crossed the switch"
+    a = int(block.frozen_at[0])
+    log_z = block.log_w[0] + env.s
+    assert math.exp(log_z[a]) > 200
     # after the switch the log value moves by exactly the per-generation
     # log-mean
     xi = math.log(heavy.mean)
-    diffs = np.diff(t.log_z[a:])
+    diffs = np.diff(log_z[a:])
     assert np.allclose(diffs, xi, atol=1e-12)
 
 
 def test_horizon_validation(gw_env_short):
     with pytest.raises(ValueError):
-        simulate_trajectory(gw_env_short, 1, 100, substream(0, 0))
-    with pytest.raises(ValueError):
-        simulate_trajectory(gw_env_short, 0, 10, substream(0, 0))
+        collect_w(gw_env_short, 1, [100], 10, 0)
+    for z0, record in ((0, [10]), (1, [11]), (1, [-3, 8])):
+        with pytest.raises(ValueError):
+            simulate_block(QuenchedLaws(gw_env_short), z0, 10, 4,
+                           substream(0, 0), record)
 
 
 def test_path_functional_grid(gw_env_short):
-    t = simulate_trajectory(gw_env_short, 10, 64, substream(7, 1))
-    vals = path_functional(t, grid=[0.0, 0.5, 1.0])
+    # the stretched-time path as mc_flt_discrepancy reads it: the kernel's
+    # log W recorded at the stretched indices only
     n, r = 64, 8
-    assert vals[0] == pytest.approx(math.exp(t.log_w[r]))
-    assert vals[2] == pytest.approx(math.exp(t.log_w[n]))
-    mid = math.floor(r + (n - r) * 0.5)
-    assert vals[1] == pytest.approx(math.exp(t.log_w[mid]))
+    idx = stretched_indices(n, [0.0, 0.5, 1.0])
+    assert idx.tolist() == [r, math.floor(r + (n - r) * 0.5), n]
+    full = simulate_block(QuenchedLaws(gw_env_short), 10, n, 16,
+                          substream(7, 1), range(n + 1)).log_w
+    path = simulate_block(QuenchedLaws(gw_env_short), 10, n, 16,
+                          substream(7, 1), idx).log_w
+    assert np.array_equal(path, full[:, idx])
     with pytest.raises(ValueError):
-        path_functional(t, grid=[1.5])
+        stretched_indices(n, [1.5])
     with pytest.raises(ValueError):
-        path_functional(t, r_n=100, grid=[0.0])
-
-
-def test_halving_first_passage_crafted():
-    # hand-built trajectory: values 8, 8, 3 with flat growth means
-    s = np.zeros(3)
-    log_z = np.log(np.array([8.0, 8.0, 3.0]))
-    t = Trajectory(z=[8, 8, 3], s=s, log_z=log_z, log_w=log_z - s,
-                   extinction_time=None, approx_from=None)
-    assert halving_first_passage(t, 0) == 2
-    assert halving_first_passage(t, 1) == 2
-    flat = Trajectory(z=[8, 8, 8], s=s, log_z=np.log(np.full(3, 8.0)),
-                      log_w=np.log(np.full(3, 8.0)), extinction_time=None,
-                      approx_from=None)
-    assert halving_first_passage(flat, 0) is None
-    with pytest.raises(ValueError):
-        halving_first_passage(t, 5)
-
-
-def test_halving_uses_relative_growth():
-    # doubling mean: a population that stays constant has halved relative
-    # to the accumulated growth by the second step
-    g = OffspringDistribution.geometric(mean=2.0)
-    s = np.array([0.0, math.log(2.0), 2 * math.log(2.0)])
-    log_z = np.log(np.array([4.0, 4.0, 4.0]))
-    t = Trajectory(z=[4, 4, 4], s=s, log_z=log_z, log_w=log_z - s,
-                   extinction_time=None, approx_from=None)
-    assert g.mean == pytest.approx(2.0)
-    assert halving_first_passage(t, 0) == 2
-
-
-def test_trajectory_csv(gw_env_short):
-    t = simulate_trajectory(gw_env_short, 1, 5, substream(8, 0))
-    text = trajectory_csv(t, replica=3)
-    lines = text.strip().split("\n")
-    assert lines[0] == "replica,n,log_z,s,log_w"
-    assert len(lines) == 7
-    assert lines[1].startswith("3,0,")
+        stretched_indices(n, [0.0], r_n=100)
