@@ -136,12 +136,14 @@ class Experiment(NamedTuple):
     threads)`` gets the environment quenched to ``horizon(params)``
     generations, or the spec itself when ``horizon`` is None; its result
     goes to results.json under ``key`` and, through ``csv``, to
-    series.csv."""
+    series.csv.  ``check(params)``, when given, raises ValueError for
+    values the experiment refuses, before anything runs."""
     params: dict     # defaults; None marks a required key
     horizon: object
     key: str
     run: object
     csv: object = None
+    check: object = None
 
 
 EXPERIMENTS = {
@@ -149,7 +151,8 @@ EXPERIMENTS = {
         {"series": "variance", "start": 1, "horizon": 200, "tol": 1e-9,
          "delta": 1.0, "phi": {"power": 1.0, "log_power": 0.0}},
         lambda p: p["start"] + p["horizon"] + 1, "report",
-        lambda env, p, cfg, threads: _CONDITION_SERIES[p["series"]](env, p)),
+        lambda env, p, cfg, threads: _CONDITION_SERIES[p["series"]](env, p),
+        check=lambda p: conditions.check_tol(p["tol"])),
     "survival": Experiment(
         {"z0": 1, "n": 200, "replicas": 100000}, lambda p: p["n"],
         "survival", _estimator("mc_survival")),
@@ -170,7 +173,8 @@ EXPERIMENTS = {
     "flt": Experiment(
         {"n_list": [64, 256, 1024], "replicas": 25000, "grid_size": 33},
         lambda p: max(p["n_list"]), "path_spread",
-        _estimator("mc_flt_discrepancy"), _records_csv),
+        _estimator("mc_flt_discrepancy"), _records_csv,
+        lambda p: estimators.check_path_grid(p["n_list"], p["grid_size"])),
     "tightness": Experiment(
         {"l_grid": [1, 50, 100], "env_replicas": 200, "series": "variance",
          "delta": 1.0, "phi": {"power": 1.0, "log_power": 0.0},
@@ -201,6 +205,11 @@ def resolve_config(cfg: dict) -> dict:
     top["params"] = _require(top["params"], EXPERIMENTS[exp].params,
                              f"params({exp})",
                              {"phi": PhiFunction.from_config})
+    if EXPERIMENTS[exp].check is not None:
+        try:
+            EXPERIMENTS[exp].check(top["params"])
+        except ValueError as exc:
+            raise SchemaError(f"params({exp}): {exc}") from exc
     if exp == "conditions" and top["params"]["series"] not in _CONDITION_SERIES:
         raise SchemaError(f"params(conditions): series must be one of "
                           f"{tuple(_CONDITION_SERIES)}")

@@ -229,6 +229,14 @@ def _moment_series(series_id, env, start, horizon, shift, exponent, term,
                     divergence_threshold, what)
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not a positive finite number: the moment
+    functionals could never meet it and would grow their exact heads to the
+    maximum."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+
+
 def variance_series(env: QuenchedEnvironment, start: int = 1,
                     horizon: Optional[int] = None, tol: float = 1e-9,
                     window: int = DEFAULT_WINDOW,
@@ -257,6 +265,7 @@ def fractional_variance_series(env: QuenchedEnvironment, start: int = 1,
     usable when variances are infinite.  Same index convention."""
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
+    check_tol(tol)
     horizon = _check_range(env, start, horizon)
     return _moment_series("fractional_variance_series", env, start, horizon,
                           0, delta, _fractional_term(delta, tol), window,
@@ -282,6 +291,7 @@ def psi_series(env: QuenchedEnvironment, start: int = 1,
     """
     if not isinstance(phi, PhiFunction):
         raise NotApplicableError("phi must come from the catalog")
+    check_tol(tol)
     horizon = _check_range(env, start, horizon)
     if phi.zero:
         return ConditionReport("psi_series", start, 0.0, horizon, 0.0,

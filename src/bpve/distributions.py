@@ -31,12 +31,12 @@ from __future__ import annotations
 import functools
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, special
+
+from .numerics import graded_quad, zeta
 
 __all__ = [
     "OffspringDistribution",
@@ -179,7 +179,7 @@ def _wood_coefficients(sigma: float):
     n = round(sigma)
     j = n - 1 if abs(sigma - n) < _NEAR_INTEGER else None
     coeffs = np.array([0.0 if k == j else
-                       float(special.zeta(sigma - k)) / math.factorial(k)
+                       zeta(sigma - k) / math.factorial(k)
                        for k in range(_WOOD_TERMS)])
     return coeffs, j
 
@@ -201,7 +201,7 @@ def _polylog(sigma: float, s: float) -> float:
     if s == 0.0:
         return 0.0
     if s == 1.0:
-        return float(special.zeta(sigma))
+        return zeta(sigma)
     if s < math.exp(-1.0):
         total, power, k = 0.0, s, 1
         while True:
@@ -215,13 +215,13 @@ def _polylog(sigma: float, s: float) -> float:
     coeffs, j = _wood_coefficients(sigma)
     total = float(np.polynomial.polynomial.polyval(mu, coeffs))
     if j is None:
-        return total + float(special.gamma(1.0 - sigma)) * (-mu) ** (sigma - 1.0)
+        return total + math.gamma(1.0 - sigma) * (-mu) ** (sigma - 1.0)
     e = sigma - (j + 1)
     if e == 0.0:
         bracket = sum(1.0 / i for i in range(1, j + 1)) - math.log(-mu)
     else:
         log_gamma = _STIELTJES[0] * e + sum(
-            float(special.zeta(k)) * e**k / k for k in range(2, 16))
+            zeta(k) * e**k / k for k in range(2, 16))
         y = log_gamma + e * math.log(-mu) - sum(
             math.log1p(e / i) for i in range(1, j + 1))
         zeta_regular = sum((-e) ** k * g / math.factorial(k)
@@ -263,6 +263,59 @@ def _remainder_bound(a: float, integral: float, sigma: float, upow: float,
              for i in range(5) for j in range(5 - i))
     lam = (1.0 + 1.0 / a) ** max(sigma, rho * (upow + logpow))
     return (1.0 / 576.0 + 1.0 / 1920.0) * b4 * lam * integral / a**4
+
+
+def _power_tail_integral(a: float, m: float, log_c: float, sigma: float,
+                         upow: float, logpow: float, scale: float):
+    """``int_a^inf f``, an error estimate and ``a f(a)``, for ``f(x) =
+    e^log_c x^-sigma u^upow log(1 + u scale)^logpow``, ``u = x/m - 1``,
+    ``a >= 2m`` and ``kappa = sigma - 1 - upow > 0``.
+
+    The substitution ``x = a e^v`` turns the power decay into an exponential
+    one, ``x f(x) ~ e^(-kappa v)``, for :func:`numerics.graded_quad`.  Its
+    bound beyond ``V``: with ``X = x/m`` at ``V``, ``R = X / (X - 1)`` and
+    ``L = log(1 + u scale)`` there, ``x f(x)`` at ``V + w`` is at most
+    ``R^upow e^(-kappa w) (1 + (log R + w)/L)^logpow`` times its value at
+    ``V``, so the rest of the integral is at most that value times
+    ``R^upow e^(logpow log R / L) / (kappa - logpow / L)`` once
+    ``kappa > logpow / L``.
+    """
+    log_a, log_m, log_s = math.log(a), math.log(m), math.log(scale)
+    kappa = sigma - 1.0 - upow
+    # x f(x) = exp(k0 - kappa v + upow log(1 - m/x) + logpow log L)
+    k0 = log_c + (1.0 - sigma) * log_a + upow * (log_a - log_m)
+    k0_size = abs(log_c) + (sigma - 1.0 + upow) * log_a + upow * abs(log_m)
+
+    def xf(v):
+        """``x f(x)`` at ``x = a e^v``, in logs so no factor overflows, and
+        a bound on its relative rounding error: a few ulp per unit of the
+        exponent's terms."""
+        log1m = np.log1p(-np.exp(log_m - log_a - v))
+        expo = k0 - kappa * v + upow * log1m
+        size = k0_size + kappa * v
+        if logpow:
+            # L = log(1 + e^ly), ly = log(u scale); d log L / d ly <= 1/ly
+            ly = log_a + v - log_m + log1m + log_s
+            log_ell = np.log(np.logaddexp(0.0, ly))
+            expo = expo + logpow * log_ell
+            size = size + logpow * (
+                2.0 * (log_a + v + abs(log_m) + abs(log_s)) / np.maximum(ly, 1.0)
+                + np.abs(log_ell) + 1.0)
+        return np.exp(expo), 2.0**-53 * (3.0 * size + 2.0)
+
+    def beyond(v: float) -> float:
+        log_r = -math.log1p(-math.exp(log_m - log_a - v))
+        rate, spread = kappa, upow * log_r
+        if logpow:
+            ell = float(np.logaddexp(0.0, log_a + v - log_m - log_r + log_s))
+            rate -= logpow / ell
+            spread += logpow * log_r / ell
+        if rate <= 0.0:
+            return math.inf
+        return float(xf(v)[0]) * math.exp(spread) / rate
+
+    tail, err = graded_quad(xf, beyond)
+    return tail, err, float(xf(0.0)[0])
 
 
 class OffspringDistribution:
@@ -314,9 +367,9 @@ class OffspringDistribution:
             if not (0 <= p0 < 1):
                 raise ValueError("head mass p0 must be in [0,1)")
             self._alpha, self._p0 = alpha, p0
-            # Normalization of the k^{-(2+alpha)} tail; Hurwitz zeta gives
-            # the same 1e-12 accuracy as summation with a zeta tail estimate.
-            self._zeta_norm = float(special.zeta(2.0 + alpha))
+            # Normalization of the k^{-(2+alpha)} tail: zeta(2 + alpha),
+            # within 2 ulp by Euler-Maclaurin summation.
+            self._zeta_norm = zeta(2.0 + alpha)
             self._c = (1.0 - p0) / self._zeta_norm
         else:
             raise ValueError(f"unknown offspring family {kind!r}")
@@ -413,7 +466,7 @@ class OffspringDistribution:
             if self.kind == "linear_fractional":
                 return (1.0 - self._p0) / (1.0 - self._q)
             # power_law_tail: c * sum k^{-(1+alpha)}
-            return self._c * float(special.zeta(1.0 + self._alpha))
+            return self._c * zeta(1.0 + self._alpha)
         return self._cached("mean", compute)
 
     @property
@@ -431,7 +484,7 @@ class OffspringDistribution:
                 return ex2 - m * m
             if self._alpha <= 1.0:
                 return math.inf
-            ex2 = self._c * float(special.zeta(self._alpha))
+            ex2 = self._c * zeta(self._alpha)
             return ex2 - m * m
         return self._cached("variance", compute)
 
@@ -474,8 +527,8 @@ class OffspringDistribution:
         if self.kind == "geometric":
             return (1.0 - self._q) * self._q ** ks.astype(float)
         if self.kind == "poisson":
-            lg = ks * math.log(self._lam) - self._lam - special.gammaln(ks + 1)
-            return np.exp(lg)
+            log_factorial = np.array([math.lgamma(k + 1.0) for k in ks.tolist()])
+            return np.exp(ks * math.log(self._lam) - self._lam - log_factorial)
         if self.kind == "linear_fractional":
             out = np.where(ks == 0, self._p0,
                            (1.0 - self._p0) * (1.0 - self._q)
@@ -594,7 +647,7 @@ class OffspringDistribution:
         catches an int64 sum that would wrap."""
         pvals = self._cached("totals_head", lambda: np.append(
             self.pmf_vector(np.arange(_TOTALS_HEAD + 1)),
-            self._c * float(special.zeta(2.0 + self._alpha, _TOTALS_HEAD + 1))))
+            self._c * zeta(2.0 + self._alpha, _TOTALS_HEAD + 1.0)))
         counts = rng.multinomial(n, pvals)
         ks = np.arange(_TOTALS_HEAD + 1, dtype=np.int64)
         head = counts[:, :-1]
@@ -724,13 +777,15 @@ class OffspringDistribution:
     def _power_tail_moment(self, integrand, upow: float, logpow: float,
                            scale: float, tol: float) -> float:
         """Exact sum of the terms ``k <= K``, plus ``int_{K+1/2}^inf f``
-        (quadrature) and the Euler-Maclaurin correction ``f'(K+1/2)/24``.
+        (:func:`_power_tail_integral`) and the Euler-Maclaurin correction
+        ``f'(K+1/2)/24``.
 
         :func:`_remainder_bound` certifies the error of the last two; with
-        quad's error estimate it must stay within ``tol`` (relative once the
-        moment exceeds 1), else the exact head grows fourfold.  At
-        ``K = 2^16`` the certified bound is below 2e-18 times the tail
-        integral for log powers up to 7, so quad's error dominates.
+        the quadrature's error estimate it must stay within ``tol``
+        (relative once the moment exceeds 1), else the exact head grows
+        fourfold.  At ``K = 2^16`` the certified bound is below 2e-18 times
+        the tail integral for log powers up to 7, so the quadrature's
+        estimate dominates.
         """
         alpha = self._alpha
         sigma = 2.0 + alpha
@@ -740,17 +795,6 @@ class OffspringDistribution:
             return math.inf
         m = self.mean
         log_c = math.log(self._c) + (upow - 1.0) * math.log(scale)
-
-        def xf(lx: float) -> float:
-            """``x f(x)`` at ``x = e^lx``, in logs so no factor overflows."""
-            lu = lx - math.log(m) + math.log1p(-math.exp(math.log(m) - lx))
-            expo = log_c + (1.0 - sigma) * lx + upow * lu
-            if logpow:
-                ly = lu + math.log(scale)  # log(u * scale); log1p(e^ly) next
-                ell = ly + math.log1p(math.exp(-ly)) if ly > 0 \
-                    else math.log1p(math.exp(ly))
-                expo += logpow * math.log(ell)
-            return math.exp(expo)
 
         def head(lo: int, hi: int) -> float:
             total = 0.0
@@ -765,18 +809,14 @@ class OffspringDistribution:
         total = head(0, cut + 1)
         while True:
             a = cut + 0.5
-            # x = a e^v turns the slow power decay into an exponential one
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                tail, q_err = integrate.quad(
-                    lambda v: xf(math.log(a) + v), 0.0, math.inf,
-                    epsabs=0.0, epsrel=1e-13, limit=200)
+            tail, q_err, af = _power_tail_integral(a, m, log_c, sigma, upow,
+                                                   logpow, scale)
             u = a / m - 1.0
             slope = -sigma / a + upow / (m * u)  # f'(a) / f(a)
             if logpow:
                 slope += logpow * scale / (m * (1.0 + u * scale)
                                            * math.log1p(u * scale))
-            value = total + tail + xf(math.log(a)) / a * slope / 24.0
+            value = total + tail + af / a * slope / 24.0
             err = q_err + _remainder_bound(a, tail, sigma, upow, logpow, m)
             if err <= tol * max(1.0, value) or cut >= _MOMENT_HEAD_MAX:
                 return value

@@ -20,11 +20,11 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special
 
 from .conditions import increment_variance_series
 from .distributions import NotApplicableError
 from .environment import EnvironmentSpec, QuenchedEnvironment
+from .numerics import clopper_pearson_upper
 from .simulate import (AnnealedLaws, QuenchedLaws, simulate_block,
                        stretched_indices)
 from .streams import substream
@@ -203,6 +203,12 @@ def _find_plateau(eps_grid: List[float], above: Dict[float, McEstimate]):
     return (lo, hi), float(np.mean(vals))
 
 
+def _check_sample_mean_replicas(replicas: int):
+    if replicas < 2:
+        raise ValueError("replicas must be >= 2 for a sample-mean standard "
+                         f"error, got {replicas}")
+
+
 def _check_finite_variance(env: QuenchedEnvironment, upto: int):
     for i in range(upto):
         if math.isinf(env.dists[i].normalized_variance):
@@ -217,6 +223,7 @@ def mc_l2_increment(env: QuenchedEnvironment, k: int, m: int, replicas: int,
     ``m`` from ``k`` ancestors; compare with ``k * zeta_m * exp(-S_{m-1})``."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    _check_sample_mean_replicas(replicas)
     _check_finite_variance(env, m)
     w = collect_w(env, k, [m - 1, m], replicas, seed, threads)
     return McEstimate.sample_mean((w[:, 1] - w[:, 0]) ** 2, seed)
@@ -229,6 +236,7 @@ def mc_increment_covariance(env: QuenchedEnvironment, k: int, n: int, m: int,
     increment; zero in expectation by the martingale property."""
     if n < 0 or m < 1:
         raise ValueError("need n >= 0 and m >= 1")
+    _check_sample_mean_replicas(replicas)
     _check_finite_variance(env, n + m)
     # collect_w deduplicates and sorts its index list, so look positions up
     idx = sorted({n, n + m - 1, n + m})
@@ -246,6 +254,7 @@ def mc_l2_span(env: QuenchedEnvironment, k: int, n: int, m: int,
     ``n`` and ``n + m``."""
     if n < 0 or m < 1:
         raise ValueError("need n >= 0 and m >= 1")
+    _check_sample_mean_replicas(replicas)
     _check_finite_variance(env, n + m)
     w = collect_w(env, k, [n, n + m], replicas, seed, threads)
     return McEstimate.sample_mean((w[:, 1] - w[:, 0]) ** 2, seed)
@@ -286,11 +295,19 @@ def mc_halving_bound(env: QuenchedEnvironment, k: int, start: int,
     hits = sum(_map_blocks(replicas, DEFAULT_BLOCK, run, threads))
     est = McEstimate.proportion(hits / replicas, replicas, seed)
     # one-sided 99% exact (Clopper-Pearson) upper confidence limit
-    if hits == replicas:
-        ucl = 1.0
-    else:
-        ucl = float(special.betaincinv(hits + 1, replicas - hits, 0.99))
+    ucl = clopper_pearson_upper(hits, replicas, 0.99)
     return HalvingResult(est, bound, ucl)
+
+
+def check_path_grid(n_list: Sequence[int], grid_size: int) -> None:
+    """Refuse the path-spread inputs :func:`mc_flt_discrepancy` cannot
+    use: an empty ``n_list``, an entry below 1, or ``grid_size`` below 1."""
+    if not n_list:
+        raise ValueError("n_list must name at least one horizon")
+    if min(n_list) < 1:
+        raise ValueError(f"n_list entries must be >= 1, got {min(n_list)}")
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
 
 
 def mc_flt_discrepancy(env: QuenchedEnvironment, n_list: Sequence[int],
@@ -304,6 +321,7 @@ def mc_flt_discrepancy(env: QuenchedEnvironment, n_list: Sequence[int],
     ``sup_t |Y(t) - Y(1)|`` over surviving replicas.  Convergence of the
     normalized process makes these summaries shrink as ``n`` grows.
     """
+    check_path_grid(n_list, grid_size)
     out = []
     grid = np.linspace(0.0, 1.0, grid_size)
     for li, n in enumerate(sorted(int(x) for x in n_list)):

@@ -246,6 +246,47 @@ def test_refused_values_are_schema_errors(tmp_path, experiment, environment,
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_conditions_tol_must_be_positive_finite(tmp_path, capsys, tol):
+    # such a tol can never be met: the moment head grew to its maximum, and
+    # a NaN was written to resolved_config.json as "nan", which re-running
+    # refused
+    cfg = write_config(tmp_path, {
+        "experiment": "conditions",
+        "environment": {"preset": "heavy_tail_supercritical"},
+        "params": {"series": "psi", "phi": {"log_power": 1}, "horizon": 8,
+                   "tol": tol}})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "params(conditions): tol" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.json").exists()
+
+
+@pytest.mark.parametrize("params,field", [
+    ({"n_list": []}, "n_list"),
+    ({"grid_size": 0}, "grid_size"),
+    ({"grid_size": -2}, "grid_size"),
+    ({"n_list": [-3, 8]}, "n_list"),
+    ({"n_list": [0]}, "n_list"),
+])
+def test_flt_refusals_name_the_field(tmp_path, capsys, params, field):
+    cfg = write_config(tmp_path, {
+        "experiment": "flt", "environment": {"preset": "critical_two_point"},
+        "params": {"replicas": 100, **params}})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"params(flt): {field}" in capsys.readouterr().err
+
+
+def test_l2_refuses_one_replica_without_warning(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "experiment": "l2", "environment": {"preset": "supercritical_mu0.2"},
+        "params": {"replicas": 1}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert "replicas must be >= 2" in capsys.readouterr().err
+
+
 def test_vanishing_mean_refusal_emits_no_warning(tmp_path):
     # S_g - S_1 of a geometric law with mean 1e-200 is about -460 per
     # generation, so its damping exp(-(S_g - S_1)) overflows to inf

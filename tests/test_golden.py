@@ -78,7 +78,7 @@ DIGESTS = {
     "critical":
         "e3acd99e11c9aa0f29ce5839a983f1eecbd50d9aa922a99bab9703c0b8e2dc84",
     "flt":
-        "dde5e6c9f3d2b8984d402dbe977093dd72f7d0e15fd4ada7440f30189b4d7907",
+        "0655abcce263ab89b34e280a9966ac166d3682811eeff3590ff4224f6cad8b3e",
     "halving":
         "7b39a997a61593a0ba80b1cd83aea0d4d17c1cf6d411c7e146e61896d819a7c5",
     "l2":

@@ -1,10 +1,13 @@
-"""Checks that run in a fresh interpreter: what importing the CLI costs, and
+"""Checks that run in a fresh interpreter: that runs never load scipy, and
 that the benchmark's per-layer hooks still find every call boundary."""
 
+import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from test_golden import CONFIGS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,10 +22,35 @@ def run_python(code: str) -> str:
     return proc.stdout
 
 
-def test_cli_import_skips_scipy_stats():
-    out = run_python("import bpve.cli\n"
-                     "print('scipy.stats' in sys.modules)")
-    assert out.strip() == "False"
+def test_runs_never_load_scipy(tmp_path):
+    # every golden config, plus a heavy-tail log-power psi series (zeta and
+    # the tail quadrature), run through the CLI in one fresh interpreter
+    configs = dict(CONFIGS, heavy_psi={
+        "experiment": "conditions",
+        "environment": {"preset": "heavy_tail_supercritical"},
+        "params": {"series": "psi", "phi": {"log_power": 1}, "horizon": 8}})
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    out = run_python(
+        "import json, bpve.cli\n"
+        f"for name in {sorted(configs)!r}:\n"
+        f"    cfg = {str(tmp_path)!r} + '/' + name\n"
+        "    assert bpve.cli.main(['run', cfg + '.json', '--threads', '2',\n"
+        "                          '--out', cfg + '-out']) == 0, name\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.partition('.')[0] == 'scipy')))")
+    assert json.loads(out.splitlines()[-1]) == []
+
+
+def test_no_module_imports_scipy():
+    for path in sorted((ROOT / "src" / "bpve").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            assert not any(n.partition(".")[0] == "scipy" for n in names), \
+                f"{path.name}:{node.lineno} imports scipy"
 
 
 def test_bench_tracer_finds_every_hook():
