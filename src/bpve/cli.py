@@ -100,7 +100,7 @@ def _records_csv(records) -> str:
 # _estimator, so wrappers installed on their modules take effect.
 _CONDITION_SERIES = {
     "variance": lambda env, p: conditions.variance_series(
-        env, p["start"], p["horizon"], p["tol"]),
+        env, p["start"], p["horizon"]),
     "fractional_variance": lambda env, p: conditions.fractional_variance_series(
         env, p["start"], p["delta"], p["horizon"], p["tol"]),
     "psi": lambda env, p: conditions.psi_series(

@@ -41,8 +41,16 @@ __all__ = [
     "TightnessTable",
 ]
 
-DEFAULT_WINDOW = 64
-DEFAULT_DIVERGENCE_THRESHOLD = 1e9
+# generations the trailing drift and the tail bounds look back over
+WINDOW = 64
+# partial sum past which nondecreasing terms make a series divergent
+DIVERGENCE_THRESHOLD = 1e9
+# jagers_sum: a term counts as bounded below from JAGERS_EPS; divergence needs
+# that in at least a JAGERS_DENSITY share of each half of the range
+JAGERS_EPS = 1e-6
+JAGERS_DENSITY = 0.2
+# quantiles tightness_diagnostic reports
+QUANTILE_LEVELS = (0.1, 0.5, 0.9)
 # generations tightness_diagnostic quenches at once, so its memory stays
 # bounded whatever ``env_replicas * max(l_grid)`` is
 TIGHTNESS_CHUNK = 2**16
@@ -116,11 +124,11 @@ def _whole_range(env: QuenchedEnvironment, horizon: Optional[int]) -> int:
     return horizon
 
 
-def _trailing_drift(xi: np.ndarray, window: int) -> Tuple[float, int]:
+def _trailing_drift(xi: np.ndarray) -> Tuple[float, int]:
     """Smallest sliding-window average of the log-means over the trailing
     half of the evaluated range; returns (drift, window_used)."""
     n = len(xi)
-    w = min(window, n)
+    w = min(WINDOW, n)
     tail = xi[n // 2:] if n >= 2 * w else xi
     if w == 0:
         return -math.inf, 0
@@ -129,8 +137,8 @@ def _trailing_drift(xi: np.ndarray, window: int) -> Tuple[float, int]:
     return float(avgs.min()), w
 
 
-def _nondecreasing_tail(terms: np.ndarray, window: int) -> bool:
-    w = min(window, len(terms))
+def _nondecreasing_tail(terms: np.ndarray) -> bool:
+    w = min(WINDOW, len(terms))
     if w < 2:
         return False
     tail = terms[-w:]
@@ -159,7 +167,7 @@ def _geometric_tail(bound: float, next_damping: float, rate: float) -> float:
 
 def _certify(series_id: str, start: int, horizon: int, first: int,
              terms: np.ndarray, xi: np.ndarray, tail, detail: dict,
-             window: int, divergence_threshold: float,
+             divergence_threshold: float = DIVERGENCE_THRESHOLD,
              what: str = "term") -> ConditionReport:
     """Verdict of a damped series with terms from generation ``first``: an
     infinite term is ``divergent``; a positive trailing drift ``mu`` of the
@@ -172,14 +180,14 @@ def _certify(series_id: str, start: int, horizon: int, first: int,
         return ConditionReport(series_id, start, math.inf, horizon, None,
                                "divergent", detail)
     partial = float(terms.sum())
-    mu_w, w_used = _trailing_drift(xi, window)
+    mu_w, w_used = _trailing_drift(xi)
     detail.update(trailing_drift=mu_w, drift_window=w_used)
     bound = tail(mu_w) if mu_w > 0 else None
     if bound is not None and math.isfinite(bound):
         return ConditionReport(series_id, start, partial, horizon, bound,
                                "finite", detail)
     if mu_w <= 0 and partial > divergence_threshold \
-            and _nondecreasing_tail(terms, window):
+            and _nondecreasing_tail(terms):
         detail["reason"] = "partial sums exceed threshold with nondecreasing terms"
         return ConditionReport(series_id, start, partial, horizon, None,
                                "divergent", detail)
@@ -199,6 +207,11 @@ def _variance_term(dist: OffspringDistribution, damping: float) -> float:
 
 
 def _fractional_term(delta: float, tol: float):
+    """Refuses ``delta`` outside ``(0, 1]`` and a bad ``tol``, for the
+    checker and :func:`tightness_diagnostic` alike."""
+    if not (0.0 < delta <= 1.0):
+        raise ValueError("delta must lie in (0, 1]")
+    check_tol(tol)
     return lambda dist, damping: _times(
         dist.delta_moment(delta, tol=tol * 1e-3), damping)
 
@@ -208,7 +221,7 @@ def _psi_term(phi: PhiFunction, tol: float):
 
 
 def _moment_series(series_id, env, start, horizon, shift, exponent, term,
-                   window, divergence_threshold, detail,
+                   detail, divergence_threshold=DIVERGENCE_THRESHOLD,
                    what="normalized variance") -> ConditionReport:
     """Terms ``term(dist_g, 1) * w_g`` for the ``horizon + 1`` generations
     from ``g = start + shift``, damped by ``S_{g-shift} - S_start``.  The
@@ -220,13 +233,13 @@ def _moment_series(series_id, env, start, horizon, shift, exponent, term,
 
     def tail(mu):
         zbar = max(term(d, 1.0) for d in
-                   env.dists[last - min(window, horizon + 1):last])
+                   env.dists[last - min(WINDOW, horizon + 1):last])
         damp = math.exp(-exponent * (env.s[last] - env.s[start]
                                      + (1 - shift) * mu))
         return _geometric_tail(zbar, damp, exponent * mu)
     return _certify(series_id, start, horizon, first, terms,
-                    env.xi[start:last], tail, detail, window,
-                    divergence_threshold, what)
+                    env.xi[start:last], tail, detail, divergence_threshold,
+                    what)
 
 
 def check_tol(tol: float) -> None:
@@ -238,10 +251,7 @@ def check_tol(tol: float) -> None:
 
 
 def variance_series(env: QuenchedEnvironment, start: int = 1,
-                    horizon: Optional[int] = None, tol: float = 1e-9,
-                    window: int = DEFAULT_WINDOW,
-                    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
-                    ) -> ConditionReport:
+                    horizon: Optional[int] = None) -> ConditionReport:
     """Weighted series of normalized variances from generation ``start``.
 
     Index convention: generations ``g = start .. start + horizon``
@@ -250,34 +260,26 @@ def variance_series(env: QuenchedEnvironment, start: int = 1,
     """
     horizon = _check_range(env, start, horizon)
     return _moment_series("variance_series", env, start, horizon, 0, 1.0,
-                          _variance_term, window, divergence_threshold, {})
+                          _variance_term, {})
 
 
 def fractional_variance_series(env: QuenchedEnvironment, start: int = 1,
                                delta: float = 1.0,
                                horizon: Optional[int] = None,
-                               tol: float = 1e-9,
-                               window: int = DEFAULT_WINDOW,
-                               divergence_threshold: float =
-                               DEFAULT_DIVERGENCE_THRESHOLD) -> ConditionReport:
+                               tol: float = 1e-9) -> ConditionReport:
     """Like :func:`variance_series` but with the fractional deviation moment
     of order ``1 + delta`` and damping ``exp(-delta (S_g - S_start))``;
     usable when variances are infinite.  Same index convention."""
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
-    check_tol(tol)
+    term = _fractional_term(delta, tol)
     horizon = _check_range(env, start, horizon)
     return _moment_series("fractional_variance_series", env, start, horizon,
-                          0, delta, _fractional_term(delta, tol), window,
-                          divergence_threshold, {"delta": delta},
-                          "deviation moment")
+                          0, delta, term, {"delta": delta},
+                          what="deviation moment")
 
 
 def psi_series(env: QuenchedEnvironment, start: int = 1,
                phi: PhiFunction = PhiFunction(power=1.0),
                horizon: Optional[int] = None, tol: float = 1e-9,
-               window: int = DEFAULT_WINDOW,
-               divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
                ) -> ConditionReport:
     """Weighted deviation-moment series.
 
@@ -297,14 +299,14 @@ def psi_series(env: QuenchedEnvironment, start: int = 1,
         return ConditionReport("psi_series", start, 0.0, horizon, 0.0,
                                "finite", {"phi": "zero"})
     terms = damped_series(env, start + 1, horizon, -1, 1.0, _psi_term(phi, tol))
-    wlen = max(1, min(window, horizon))
+    wlen = max(1, min(WINDOW, horizon))
     trailing = set(env.dists[start + horizon - wlen:start + horizon])
     next_scale = math.exp(-(env.s[start + horizon] - env.s[start]))
     return _certify(
         "psi_series", start, horizon, start + 1, terms,
         env.xi[start:start + horizon],
         lambda mu: _psi_tail_bound(phi, trailing, next_scale, mu, tol * 1e-3),
-        {"phi": phi.identifier}, window, divergence_threshold)
+        {"phi": phi.identifier})
 
 
 def _psi_tail_bound(phi: PhiFunction, trailing, next_scale: float,
@@ -332,9 +334,7 @@ def _psi_tail_bound(phi: PhiFunction, trailing, next_scale: float,
 
 
 def increment_variance_series(env: QuenchedEnvironment, start: int = 0,
-                              horizon: Optional[int] = None,
-                              tol: float = 1e-9,
-                              window: int = DEFAULT_WINDOW) -> ConditionReport:
+                              horizon: Optional[int] = None) -> ConditionReport:
     """Sum of one-step conditional second moments of the normalized process
     after ``start``, per unit ancestor: the exact variance budget behind the
     halving-probability bound.
@@ -348,18 +348,17 @@ def increment_variance_series(env: QuenchedEnvironment, start: int = 0,
         raise ValueError("start must be >= 0")
     horizon = _check_range(env, start + 1, horizon)
     return _moment_series("increment_variance_series", env, start, horizon,
-                          1, 1.0, _variance_term, window, math.inf, {})
+                          1, 1.0, _variance_term, {}, math.inf)
 
 
-def jagers_sum(env: QuenchedEnvironment, horizon: Optional[int] = None,
-               eps: float = 1e-6, density: float = 0.2,
-               window: int = DEFAULT_WINDOW) -> ConditionReport:
+def jagers_sum(env: QuenchedEnvironment,
+               horizon: Optional[int] = None) -> ConditionReport:
     """Sum of ``1 - P(one child)`` across generations.
 
     Divergence of this sum is the classical certificate that the process
-    either dies out or explodes.  Verdict ``divergent`` needs terms bounded
-    below by ``eps`` at stable frequency in both halves of the range;
-    ``finite`` needs a certified geometrically decaying tail.
+    either dies out or explodes.  Verdict ``divergent`` needs terms of at
+    least ``JAGERS_EPS`` in a ``JAGERS_DENSITY`` share of both halves of the
+    range; ``finite`` needs a certified geometrically decaying tail.
     """
     horizon = _whole_range(env, horizon)
     p0s = np.array([env.dists[i].pmf(0) for i in range(horizon)])
@@ -372,20 +371,20 @@ def jagers_sum(env: QuenchedEnvironment, horizon: Optional[int] = None,
     terms = np.array([1.0 - env.dists[i].pmf(1) for i in range(horizon)])
     partial = float(terms.sum())
     half = horizon // 2
-    dens1 = float(np.mean(terms[:half] >= eps)) if half else 0.0
-    dens2 = float(np.mean(terms[half:] >= eps))
+    dens1 = float(np.mean(terms[:half] >= JAGERS_EPS)) if half else 0.0
+    dens2 = float(np.mean(terms[half:] >= JAGERS_EPS))
     detail = {"density_first_half": dens1, "density_second_half": dens2}
-    if half and dens1 >= density and dens2 >= density:
+    if half and dens1 >= JAGERS_DENSITY and dens2 >= JAGERS_DENSITY:
         detail["reason"] = "terms bounded below at stable frequency"
         return ConditionReport("jagers_sum", 1, partial, horizon, None,
                                "divergent", detail)
-    tail = terms[-min(window, horizon):]
+    tail = terms[-min(WINDOW, horizon):]
     if not tail.any():
         return ConditionReport("jagers_sum", 1, partial, horizon, 0.0,
                                "finite", detail)
     ratios = tail[1:] / np.maximum(tail[:-1], 1e-300)
     r = float(ratios.max())
-    if r < 1.0 and float(tail.max()) < eps * 10:
+    if r < 1.0 and float(tail.max()) < JAGERS_EPS * 10:
         bound = float(tail[-1]) * r / (1.0 - r)
         return ConditionReport("jagers_sum", 1, partial, horizon, bound,
                                "finite", detail)
@@ -430,8 +429,7 @@ def moment_ratio_sup(env: QuenchedEnvironment,
 class TightnessTable:
     series: str
     truncations: List[int]
-    quantile_levels: Tuple[float, ...]
-    rows: np.ndarray  # shape (len(truncations), len(quantile_levels))
+    rows: np.ndarray  # shape (len(truncations), len(QUANTILE_LEVELS))
     blowup_flag: bool
     env_replicas: int
 
@@ -443,7 +441,7 @@ class TightnessTable:
     def to_csv(self) -> str:
         """CSV rows ``l, q.., flag``."""
         header = ",".join(["l"] + [f"q{int(100 * q)}"
-                                   for q in self.quantile_levels] + ["flag"])
+                                   for q in QUANTILE_LEVELS] + ["flag"])
         return csv_text(header, [(l, *map(float, row), self.blowup_flag)
                                  for l, row in zip(self.truncations, self.rows)])
 
@@ -453,22 +451,23 @@ def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
                          series: str = "variance",
                          delta: Optional[float] = None,
                          phi: Optional[PhiFunction] = None,
-                         blowup_factor: float = 3.0,
-                         quantile_levels: Tuple[float, ...] = (0.1, 0.5, 0.9),
-                         ) -> TightnessTable:
+                         blowup_factor: float = 3.0) -> TightnessTable:
     """Empirical dichotomy check for i.i.d./cooling environments.
 
     For each truncation length ``l`` in ``l_grid``, draws ``env_replicas``
-    independent environments and records quantiles of the series partial
-    sum truncated at ``l`` terms: the partial sum of the matching checker
-    from ``start = 1`` (``variance_series`` and
+    independent environments and records the ``QUANTILE_LEVELS`` quantiles
+    of the series partial sum truncated at ``l`` terms: the partial sum of
+    the matching checker from ``start = 1`` (``variance_series`` and
     ``fractional_variance_series`` with ``horizon = l - 1``, ``psi_series``
-    with ``horizon = l``), at the checkers' default accuracy.  For an
-    i.i.d. environment the series either converges almost surely (quantiles
-    stabilize along the grid) or its partial sums drift to infinity (all
-    quantiles keep growing): the flag fires when every tracked quantile
-    grows by more than ``blowup_factor`` between every pair of consecutive
-    truncations.
+    with ``horizon = l``), at the checkers' default accuracy and with their
+    checks of ``delta``.  A term that is not finite leaves no quantiles: it
+    raises :class:`NotApplicableError` naming the environment and the
+    generation.
+    For an i.i.d. environment the series either converges almost surely
+    (quantiles stabilize along the grid) or its partial sums drift to
+    infinity (all quantiles keep growing): the flag fires when every
+    tracked quantile grows by more than ``blowup_factor``, a positive finite
+    number, between every pair of consecutive truncations.
 
     Environment ``r`` has the seed ``substream(seed, r).integers(0, 2**63 -
     1)``.  The environments are quenched in bulk through
@@ -480,6 +479,9 @@ def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
         raise ValueError("l_grid must contain positive truncation lengths")
     if env_replicas < 1:
         raise ValueError("need at least one environment replica")
+    if not 0.0 < blowup_factor < math.inf:
+        raise ValueError("blowup_factor must be a positive finite number, "
+                         f"got {blowup_factor!r}")
     tol = 1e-9
     if series == "variance":
         first, offset, exponent, term = 1, 0, 1.0, _variance_term
@@ -503,10 +505,15 @@ def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
         envs = quench_many(spec, seeds[lo:lo + group], horizon)
         for r, env in enumerate(envs, lo):
             terms = damped_series(env, first, hmax, offset, exponent, term)
+            bad = np.flatnonzero(~np.isfinite(terms))
+            if len(bad):
+                raise NotApplicableError(
+                    f"environment {r} has a {series} term of "
+                    f"{terms[bad[0]]} at generation {first + bad[0]}; its "
+                    "partial sums have no quantiles")
             values[r] = np.cumsum(terms)[np.array(l_grid) - 1]
-    rows = np.quantile(values, quantile_levels, axis=0).T
+    rows = np.quantile(values, QUANTILE_LEVELS, axis=0).T
     flag = len(l_grid) >= 2 and all(
         np.all(b > blowup_factor * np.maximum(a, 1e-300))
         for a, b in zip(rows[:-1], rows[1:]))
-    return TightnessTable(series, l_grid, quantile_levels, rows, flag,
-                          env_replicas)
+    return TightnessTable(series, l_grid, rows, flag, env_replicas)

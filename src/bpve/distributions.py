@@ -23,12 +23,11 @@ Families
     as ``math.inf``, never raised as errors, because the heavy-tail regime
     is a first-class object of study here.  Totals come from a composition
     sampler (a multinomial over the small counts, rejection draws for the
-    rare large ones); the pgf is ``p0 + c Li_{2+alpha}(s)``.
+    rare large ones).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -64,17 +63,8 @@ _TAIL_CHUNK = 1 << 16
 _MOMENT_HEAD = 1 << 16
 _MOMENT_HEAD_MAX = 1 << 22
 
-_NEWTON_STEPS = 200
-
-# Stieltjes constants: zeta(1 + e) = 1/e + sum_n (-1)^n gamma_n e^n / n!.
-_STIELTJES = (0.5772156649015329, -0.07281584548367672,
-              -0.009690363192872318, 0.002053834420303346,
-              0.002325370065467300, 0.0007933238173010627,
-              -0.0002387693454301996)
 # Unsigned Stirling numbers of the first kind c(n, r), n <= 4.
 _STIRLING1 = ((1,), (0, 1), (0, 1, 1), (0, 2, 3, 1), (0, 6, 11, 6, 1))
-_WOOD_TERMS = 40
-_NEAR_INTEGER = 0.05
 
 
 class UnsupportedDistributionError(ValueError):
@@ -169,65 +159,6 @@ class GeometricRows:
     def sample_generation_totals(self, parents: np.ndarray,
                                  rng: np.random.Generator) -> np.ndarray:
         return rng.negative_binomial(parents, 1.0 - self.q)
-
-
-@functools.lru_cache(maxsize=64)
-def _wood_coefficients(sigma: float):
-    """``zeta(sigma - k) / k!`` for ``k < _WOOD_TERMS``, and the index ``j``
-    of the pole term when ``sigma`` is within ``_NEAR_INTEGER`` of an
-    integer (its coefficient is then left at 0), else None."""
-    n = round(sigma)
-    j = n - 1 if abs(sigma - n) < _NEAR_INTEGER else None
-    coeffs = np.array([0.0 if k == j else
-                       zeta(sigma - k) / math.factorial(k)
-                       for k in range(_WOOD_TERMS)])
-    return coeffs, j
-
-
-def _polylog(sigma: float, s: float) -> float:
-    """``Li_sigma(s) = sum_{k>=1} s^k k^-sigma`` for ``sigma > 1``, ``s`` in
-    [0, 1], to about 1e-15 relative.
-
-    Below ``s = 1/e`` the series is summed directly.  Above, Wood's
-    expansion in ``mu = log s`` (D. C. Wood, Univ. of Kent TR 15-92, 1992)
-    ``Li_sigma(e^mu) = Gamma(1-sigma) (-mu)^(sigma-1)
-    + sum_k zeta(sigma-k) mu^k / k!`` converges for ``|mu| < 2 pi``.  When
-    ``sigma = n + e`` is near an integer, the Gamma term and the term
-    ``k = j = n-1`` have opposite poles in ``e``; they are summed in closed form,
-    ``mu^j/j! [zeta(1+e) - 1/e - expm1(Y)/e]`` with
-    ``Y = log Gamma(1-e) + e log(-mu) - sum_{i<=j} log1p(e/i)``, whose
-    ``e -> 0`` limit is ``mu^j/j! (H_j - log(-mu))``.
-    """
-    if s == 0.0:
-        return 0.0
-    if s == 1.0:
-        return zeta(sigma)
-    if s < math.exp(-1.0):
-        total, power, k = 0.0, s, 1
-        while True:
-            term = power * k ** -sigma
-            total += term
-            if term < 1e-18 * total:
-                return total
-            k += 1
-            power *= s
-    mu = math.log1p(s - 1.0)
-    coeffs, j = _wood_coefficients(sigma)
-    total = float(np.polynomial.polynomial.polyval(mu, coeffs))
-    if j is None:
-        return total + math.gamma(1.0 - sigma) * (-mu) ** (sigma - 1.0)
-    e = sigma - (j + 1)
-    if e == 0.0:
-        bracket = sum(1.0 / i for i in range(1, j + 1)) - math.log(-mu)
-    else:
-        log_gamma = _STIELTJES[0] * e + sum(
-            zeta(k) * e**k / k for k in range(2, 16))
-        y = log_gamma + e * math.log(-mu) - sum(
-            math.log1p(e / i) for i in range(1, j + 1))
-        zeta_regular = sum((-e) ** k * g / math.factorial(k)
-                           for k, g in enumerate(_STIELTJES))
-        bracket = zeta_regular - math.expm1(y) / e
-    return total + mu**j / math.factorial(j) * bracket
 
 
 def _remainder_bound(a: float, integral: float, sigma: float, upow: float,
@@ -510,7 +441,7 @@ class OffspringDistribution:
                 "variance by")
         return v / (m * m)
 
-    # -- pmf / pgf ----------------------------------------------------------
+    # -- pmf ----------------------------------------------------------------
 
     def pmf(self, k: int) -> float:
         if k < 0:
@@ -537,61 +468,6 @@ class OffspringDistribution:
         out = np.where(ks == 0, self._p0,
                        self._c * np.maximum(ks, 1).astype(float) ** -(2.0 + self._alpha))
         return out
-
-    def generating_function(self, s: float) -> float:
-        """Probability generating function ``E s^X`` for ``s`` in [0, 1].
-
-        Closed forms for every family; the power-law tail is
-        ``p0 + c Li_{2+alpha}(s)``, accurate to about 1e-15 up to ``s = 1``.
-        """
-        if not (0.0 <= s <= 1.0):
-            raise ValueError("pgf argument must be in [0, 1]")
-        if self.kind == "finite_pmf":
-            return float(np.polyval(self._pmf[::-1], s))
-        if self.kind == "geometric":
-            return (1.0 - self._q) / (1.0 - self._q * s)
-        if self.kind == "poisson":
-            return math.exp(self._lam * (s - 1.0))
-        if self.kind == "linear_fractional":
-            return self._p0 + (1.0 - self._p0) * (1.0 - self._q) * s / (1.0 - self._q * s)
-        return self._p0 + self._c * _polylog(2.0 + self._alpha, s)
-
-    def _pgf_slope(self, s: float) -> float:
-        """Derivative of the pgf at ``s`` in [0, 1]."""
-        if self.kind == "finite_pmf":
-            return float(np.polyval((self._pmf * self._ks)[:0:-1], s))
-        if self.kind == "geometric":
-            return (1.0 - self._q) * self._q / (1.0 - self._q * s) ** 2
-        if self.kind == "poisson":
-            return self._lam * math.exp(self._lam * (s - 1.0))
-        if self.kind == "linear_fractional":
-            return (1.0 - self._p0) * (1.0 - self._q) / (1.0 - self._q * s) ** 2
-        if s == 0.0:
-            return self._c
-        return self._c * _polylog(1.0 + self._alpha, s) / s
-
-    def extinction_probability(self) -> float:
-        """Smallest fixed point ``q`` of the pgf ``f``: the extinction
-        probability when every generation has this law.
-
-        Returns 1 when the mean is subcritical or critical.  Otherwise
-        Newton's method on ``f(s) - s`` starts at ``f(0) <= q``; that
-        function is convex and decreasing on ``[0, q]``, so the iterates
-        climb monotonically to ``q`` without overshooting it.
-        """
-        if self.mean <= 1.0:
-            return 1.0
-        s = self.generating_function(0.0)
-        for _ in range(_NEWTON_STEPS):
-            gap = self.generating_function(s) - s
-            room = 1.0 - self._pgf_slope(s)
-            if gap <= 0.0 or room <= 0.0:
-                break
-            nxt = min(s + gap / room, 1.0)
-            if nxt <= s:
-                break
-            s = nxt
-        return s
 
     # -- generation totals --------------------------------------------------
 

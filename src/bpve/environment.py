@@ -126,13 +126,12 @@ class EnvironmentSpec:
     dists: Optional[tuple] = None          # constant / explicit / periodic
     mixer: Optional[Mixer] = None          # iid_random / cooling
     block_lengths: Optional[tuple] = None  # cooling; None means doubling
-    name: Optional[str] = None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, dist: OffspringDistribution, name=None) -> "EnvironmentSpec":
-        return cls("constant", dists=(dist,), name=name)
+    def constant(cls, dist: OffspringDistribution) -> "EnvironmentSpec":
+        return cls("constant", dists=(dist,))
 
     @classmethod
     def explicit(cls, dists: Sequence[OffspringDistribution]) -> "EnvironmentSpec":
@@ -147,15 +146,15 @@ class EnvironmentSpec:
         return cls("periodic", dists=tuple(dists))
 
     @classmethod
-    def iid_random(cls, mixer: Mixer, name=None) -> "EnvironmentSpec":
-        return cls("iid_random", mixer=mixer, name=name)
+    def iid_random(cls, mixer: Mixer) -> "EnvironmentSpec":
+        return cls("iid_random", mixer=mixer)
 
     @classmethod
-    def cooling(cls, mixer: Mixer, block_lengths=None, name=None) -> "EnvironmentSpec":
+    def cooling(cls, mixer: Mixer, block_lengths=None) -> "EnvironmentSpec":
         bl = tuple(block_lengths) if block_lengths is not None else None
         if bl is not None and any(b < 1 for b in bl):
             raise ValueError("block lengths must be positive")
-        return cls("cooling", mixer=mixer, block_lengths=bl, name=name)
+        return cls("cooling", mixer=mixer, block_lengths=bl)
 
     @property
     def is_random(self) -> bool:
@@ -365,33 +364,28 @@ def _two_point_geometric_mixer(mu: float) -> Mixer:
 
 def critical_preset() -> EnvironmentSpec:
     """I.i.d. environment with zero-mean log-means (two-point, +/- log 2)."""
-    return EnvironmentSpec.iid_random(_two_point_geometric_mixer(0.0),
-                                      name="critical_two_point")
+    return EnvironmentSpec.iid_random(_two_point_geometric_mixer(0.0))
 
 
-def supercritical_preset(mu: float = 0.2) -> EnvironmentSpec:
-    """I.i.d. environment with positive-mean log-means (default drift 0.2)."""
-    return EnvironmentSpec.iid_random(_two_point_geometric_mixer(mu),
-                                      name=f"supercritical_mu{mu:g}")
+def supercritical_preset() -> EnvironmentSpec:
+    """I.i.d. environment with positive-mean log-means (drift 0.2)."""
+    return EnvironmentSpec.iid_random(_two_point_geometric_mixer(0.2))
 
 
-def subcritical_preset(mu: float = -0.2) -> EnvironmentSpec:
-    """I.i.d. environment with negative-mean log-means (default drift -0.2)."""
-    return EnvironmentSpec.iid_random(_two_point_geometric_mixer(mu),
-                                      name=f"subcritical_mu{-mu:g}")
+def subcritical_preset() -> EnvironmentSpec:
+    """I.i.d. environment with negative-mean log-means (drift -0.2)."""
+    return EnvironmentSpec.iid_random(_two_point_geometric_mixer(-0.2))
 
 
 def cooling_preset() -> EnvironmentSpec:
     """Random environment held constant over doubling-length blocks."""
-    return EnvironmentSpec.cooling(_two_point_geometric_mixer(0.2),
-                                   name="cooling_doubling_blocks")
+    return EnvironmentSpec.cooling(_two_point_geometric_mixer(0.2))
 
 
 def heavy_tail_supercritical_preset() -> EnvironmentSpec:
     """Constant heavy-tail law: infinite variance, supercritical mean."""
     return EnvironmentSpec.constant(
-        OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2),
-        name="heavy_tail_supercritical")
+        OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2))
 
 
 PRESETS = {

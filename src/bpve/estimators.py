@@ -169,8 +169,9 @@ def mc_w_positivity(env: QuenchedEnvironment, z0: int, n: int,
     decade of thresholds.
     """
     eps_grid = sorted(float(e) for e in eps_grid)
-    if not eps_grid or eps_grid[0] <= 0:
-        raise ValueError("thresholds must be positive")
+    if not eps_grid or not all(0.0 < e < math.inf for e in eps_grid):
+        raise ValueError("eps_grid must hold positive finite thresholds, "
+                         f"got {eps_grid}")
     w = collect_w(env, z0, [n], replicas, seed, threads)[:, 0]
     surv = McEstimate.proportion(float(np.mean(w > 0)), replicas, seed)
     above = {eps: McEstimate.proportion(float(np.mean(w > eps)), replicas, seed)

@@ -30,23 +30,15 @@ _WEIGHT_ERR = 2.0**-46
 
 def zeta(s: float, a: float = 1.0) -> float:
     """Hurwitz zeta ``sum_{k>=0} (k + a)^-s`` for ``s > 1``, ``a > 0``; at
-    ``a = 1`` the Riemann zeta, continued to every real ``s != 1``.
+    ``a = 1`` the Riemann zeta.
 
     Euler-Maclaurin: the terms ``k < N``, with ``x = a + N >= 10 + s``, then
     ``x^(1-s)/(s-1) + x^-s/2 + sum_j B_2j/(2j)! s(s+1)..(s+2j-2)
-    x^(1-s-2j)``.  For ``s > 0`` every derivative of ``x^-s`` keeps one
-    sign, so the remainder is below the first omitted term, which is below
-    ``2^-55`` of the sum.  Below ``s = 0``, the reflection formula
-    ``zeta(s) = 2 (2 pi)^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)``.
+    x^(1-s-2j)``.  Every derivative of ``x^-s`` keeps one sign, so the
+    remainder is below the first omitted term, which is below ``2^-55`` of
+    the sum.
     """
-    if a == 1.0 and s < 0.0:
-        if s % 2.0 == 0.0:
-            return 0.0  # trivial zero
-        # fmod is exact, so the sine is of a reduced argument
-        return (2.0 * (2.0 * math.pi) ** (s - 1.0)
-                * math.sin(math.pi / 2.0 * math.fmod(s, 4.0))
-                * math.gamma(1.0 - s) * zeta(1.0 - s))
-    if not a > 0.0 or s == 1.0 or (s < 1.0 and a != 1.0):
+    if not (s > 1.0 and a > 0.0):
         raise ValueError(f"zeta({s!r}, {a!r}) is outside the implemented domain")
     n = max(0, math.ceil(10.0 + s - a))
     x = a + n

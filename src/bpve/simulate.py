@@ -202,16 +202,12 @@ def simulate_block(laws, z0: int, n: int, size: int,
     return Block(log_w, low_w, frozen_at)
 
 
-def stretched_indices(n: int, grid: Sequence[float],
-                      r_n: Optional[int] = None) -> np.ndarray:
+def stretched_indices(n: int, grid: Sequence[float]) -> np.ndarray:
     """Generation indices ``floor(r + (n - r) t)`` for each ``t`` in
-    ``grid``; ``r`` defaults to ``floor(sqrt(n))``.  ``t=0`` reads
-    generation ``r``, ``t=1`` generation ``n``."""
-    if r_n is None:
-        r_n = math.isqrt(n)
-    if not (0 <= r_n <= n):
-        raise ValueError("r_n must lie in [0, n]")
+    ``grid``, with ``r = floor(sqrt(n))``.  ``t=0`` reads generation ``r``,
+    ``t=1`` generation ``n``."""
+    r = math.isqrt(n)
     grid = np.asarray(grid, dtype=float)
     if np.any((grid < 0.0) | (grid > 1.0)):
         raise ValueError("grid points must lie in [0, 1]")
-    return np.floor(r_n + (n - r_n) * grid).astype(int)
+    return np.floor(r + (n - r) * grid).astype(int)

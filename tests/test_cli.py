@@ -276,6 +276,64 @@ def test_flt_refusals_name_the_field(tmp_path, capsys, params, field):
     assert f"params(flt): {field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params,message", [
+    # the same values the conditions experiment refuses
+    ({"series": "fractional_variance", "delta": 0.0},
+     "delta must lie in (0, 1]"),
+    ({"series": "fractional_variance", "delta": -1.0},
+     "delta must lie in (0, 1]"),
+    ({"series": "fractional_variance", "delta": float("nan")},
+     "delta must lie in (0, 1]"),
+    ({"blowup_factor": float("nan")}, "blowup_factor"),
+    ({"blowup_factor": 0.0}, "blowup_factor"),
+    ({"blowup_factor": float("inf")}, "blowup_factor"),
+])
+def test_tightness_refusals(tmp_path, capsys, params, message):
+    cfg = write_config(tmp_path, {
+        "experiment": "tightness",
+        "environment": {"preset": "supercritical_mu0.2"},
+        "params": {"l_grid": [1, 5], "env_replicas": 4, **params}})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.json").exists()
+
+
+@pytest.mark.parametrize("params,generation", [
+    ({"series": "variance"}, 1),
+    ({"series": "fractional_variance", "delta": 0.75}, 1),
+    ({"series": "psi", "phi": {"power": 1}}, 2),
+])
+def test_tightness_on_infinite_terms_is_not_applicable(tmp_path, capsys,
+                                                       params, generation):
+    # the matching checkers call these series divergent; their partial sums
+    # have no quantiles
+    cfg = write_config(tmp_path, {
+        "experiment": "tightness",
+        "environment": {"preset": "heavy_tail_supercritical"},
+        "params": {"l_grid": [1, 5], "env_replicas": 4, **params}})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert f"environment 0 has a {params['series']} term of inf at " \
+        f"generation {generation}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.json").exists()
+
+
+@pytest.mark.parametrize("eps_grid", [
+    [0.001, 0.01, float("inf")],
+    [float("nan"), 0.01, 0.1],
+    [0.0, 0.01, 0.1],
+    [],
+])
+def test_w_positivity_refuses_thresholds_that_are_not_positive_finite(
+        tmp_path, capsys, eps_grid):
+    cfg = write_config(tmp_path, {
+        "experiment": "w_positivity",
+        "environment": {"preset": "supercritical_mu0.2"},
+        "params": {"n": 5, "replicas": 100, "eps_grid": eps_grid}})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "eps_grid" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.json").exists()
+
+
 def test_l2_refuses_one_replica_without_warning(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "experiment": "l2", "environment": {"preset": "supercritical_mu0.2"},

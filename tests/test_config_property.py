@@ -9,6 +9,7 @@ values that reach the library's own range checks.
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -77,6 +78,8 @@ def environment(draw):
     return env
 
 
+# values every positive range check must refuse
+off_range = st.sampled_from([0.0, math.nan, math.inf])
 phi = st.one_of(st.just("zero"),
                 st.fixed_dictionaries({}, optional={
                     "power": st.floats(0.0, 2.0),
@@ -93,7 +96,8 @@ PARAMS = {
     "survival": {"z0": positive, "n": small, "replicas": st.integers(0, 200)},
     "w_positivity": {"z0": positive, "n": small,
                      "replicas": st.integers(0, 200),
-                     "eps_grid": st.lists(st.floats(1e-3, 1.0), max_size=3)},
+                     "eps_grid": st.lists(st.one_of(st.floats(1e-3, 1.0),
+                                                    off_range), max_size=3)},
     "l2": {"k": small, "m": small, "replicas": st.integers(0, 200)},
     "halving": {"k": small, "start": small, "horizon": small,
                 "replicas": st.integers(0, 200)},
@@ -102,8 +106,8 @@ PARAMS = {
     "tightness": {"l_grid": n_list, "env_replicas": st.integers(0, 4),
                   "series": st.sampled_from(["variance", "fractional_variance",
                                              "psi"]),
-                  "delta": st.floats(0.05, 2.0), "phi": phi,
-                  "blowup_factor": st.floats(1.0, 5.0)},
+                  "delta": st.one_of(st.floats(0.05, 2.0), off_range),
+                  "phi": phi, "blowup_factor": st.floats(1.0, 5.0)},
     "critical": {"n_list": n_list, "replicas": st.integers(0, 300),
                  "z0": positive, "min_survivors": small},
 }

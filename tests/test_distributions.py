@@ -74,54 +74,6 @@ def test_power_law_finite_variance_branch():
     assert pv.sum() == pytest.approx(1.0, abs=1e-4)
 
 
-# ----------------------------------------------------------- generating function
-
-def test_pgf_matches_series(gw_dist):
-    for s in (0.0, 0.3, 0.77, 1.0):
-        direct = 0.25 + 0.25 * s + 0.5 * s * s
-        assert gw_dist.generating_function(s) == pytest.approx(direct, abs=1e-14)
-
-
-def test_extinction_probability_oracles(gw_dist):
-    # [DERIVED] smallest root of 0.5 q^2 - 0.75 q + 0.25 = 0 is exactly 1/2
-    assert gw_dist.extinction_probability() == pytest.approx(0.5, abs=1e-9)
-    sub = OffspringDistribution.geometric(mean=0.7)
-    assert sub.extinction_probability() == 1.0
-    sup = OffspringDistribution.geometric(mean=2.0)
-    # [DERIVED] geometric pgf fixed point: q = (1-p)/p with p = 1/(1+m) => q = 1/m
-    assert sup.extinction_probability() == pytest.approx(0.5, abs=1e-9)
-
-
-def test_extinction_probability_power_law():
-    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
-    q = d.extinction_probability()
-    assert 0.0 < q < 1.0
-    assert d.generating_function(q) == pytest.approx(q, abs=1e-8)
-
-
-def test_extinction_probability_power_law_fixed_point():
-    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
-    q = d.extinction_probability()
-    assert abs(d.generating_function(q) - q) <= 1e-13
-    assert q == pytest.approx(0.6399778900427007, abs=1e-12)
-
-
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.0 + 1e-7, 1.5])
-def test_pgf_power_law_against_mpmath(alpha):
-    # integer and nearly integer 2 + alpha take the pole-cancelling branch
-    mpmath = pytest.importorskip("mpmath")
-    d = OffspringDistribution.power_law_tail(alpha=alpha, p0=0.2)
-    with mpmath.workdps(30):
-        sigma = 2 + mpmath.mpf(alpha)
-        c = (1 - mpmath.mpf(0.2)) / mpmath.zeta(sigma)
-        for s in (0.2, 0.5, 0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12):
-            x = mpmath.mpf(s)
-            pgf = float(mpmath.mpf(0.2) + c * mpmath.polylog(sigma, x))
-            slope = float(c * mpmath.polylog(sigma - 1, x) / x)
-            assert abs(d.generating_function(s) - pgf) <= 1e-13, s
-            assert d._pgf_slope(s) == pytest.approx(slope, rel=1e-12), s
-
-
 # ------------------------------------------------------------------- sampling
 
 def test_sample_chi_square_gof(gw_dist):
@@ -503,9 +455,6 @@ def test_finite_pmf_properties(weights):
     if d.mean > 0:
         assert d.delta_moment(1.0) == pytest.approx(d.normalized_variance,
                                                     rel=1e-9, abs=1e-12)
-        q = d.extinction_probability()
-        assert 0.0 <= q <= 1.0
-        assert d.generating_function(q) == pytest.approx(q, abs=1e-7)
 
 
 @given(st.floats(min_value=0.05, max_value=20.0))

@@ -90,5 +90,3 @@ def test_path_functional_grid(gw_env_short):
     assert np.array_equal(path, full[:, idx])
     with pytest.raises(ValueError):
         stretched_indices(n, [1.5])
-    with pytest.raises(ValueError):
-        stretched_indices(n, [0.0], r_n=100)
