@@ -13,14 +13,10 @@ from .distributions import (
 from .environment import (
     EnvironmentSpec,
     Mixer,
+    PRESET_CONFIGS,
     PRESETS,
     QuenchedEnvironment,
-    cooling_preset,
-    critical_preset,
-    heavy_tail_supercritical_preset,
     quench,
-    subcritical_preset,
-    supercritical_preset,
 )
 from .conditions import (
     ConditionReport,

@@ -29,7 +29,7 @@ import numpy as np
 from . import conditions, estimators
 from .conditions import csv_text, jsonable
 from .distributions import NotApplicableError, PhiFunction, check_keys
-from .environment import (EnvironmentSpec, PRESETS, quench)
+from .environment import EnvironmentSpec, PRESET_CONFIGS, quench
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -113,12 +113,9 @@ _CONDITION_SERIES = {
 
 
 def _tightness(spec, p, cfg, threads):
-    series = p["series"]
     return conditions.tightness_diagnostic(
-        spec, p["l_grid"], p["env_replicas"], cfg["master_seed"], series,
-        delta=p["delta"] if series == "fractional_variance" else None,
-        phi=PhiFunction.from_config(p["phi"]) if series == "psi" else None,
-        blowup_factor=p["blowup_factor"])
+        spec, p["l_grid"], p["env_replicas"], cfg["master_seed"], p["series"],
+        p["delta"], PhiFunction.from_config(p["phi"]), p["blowup_factor"])
 
 
 def _estimator(name: str, **from_config):
@@ -210,9 +207,14 @@ def resolve_config(cfg: dict) -> dict:
             EXPERIMENTS[exp].check(top["params"])
         except ValueError as exc:
             raise SchemaError(f"params({exp}): {exc}") from exc
-    if exp == "conditions" and top["params"]["series"] not in _CONDITION_SERIES:
-        raise SchemaError(f"params(conditions): series must be one of "
-                          f"{tuple(_CONDITION_SERIES)}")
+    if exp == "conditions":
+        series, start = top["params"]["series"], top["params"]["start"]
+        if series not in _CONDITION_SERIES:
+            raise SchemaError(f"params(conditions): series must be one of "
+                              f"{tuple(_CONDITION_SERIES)}")
+        if series in ("jagers", "moment_ratio") and start != 1:
+            raise SchemaError(f"params(conditions): start: series {series} "
+                              f"sums from generation 1, got start {start}")
     if exp == "critical" and not spec.is_random:
         raise SchemaError("params(critical): environment must be a "
                           "random kind (iid_random or cooling)")
@@ -301,9 +303,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_list_presets(_args) -> int:
-    for name in sorted(PRESETS):
-        spec = PRESETS[name]()
-        print(f"{name}: {json.dumps(spec.to_config(), sort_keys=True)}")
+    for name in sorted(PRESET_CONFIGS):
+        print(f"{name}: {json.dumps(PRESET_CONFIGS[name], sort_keys=True)}")
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import NotApplicableError, OffspringDistribution, PhiFunction
+from .distributions import NotApplicableError, PhiFunction
 # ``quench`` is not called here but stays bound, like ``substream``: the
 # benchmark's tracer (bench/spans.py) wraps both names in this module
 from .environment import (EnvironmentSpec, QuenchedEnvironment, quench,
@@ -145,16 +145,15 @@ def _nondecreasing_tail(terms: np.ndarray) -> bool:
     return bool(np.all(np.diff(tail) >= -1e-15))
 
 
-def damped_series(env: QuenchedEnvironment, first: int, count: int,
-                  offset: int, exponent: float, term) -> np.ndarray:
+def damped_series(env: QuenchedEnvironment, start: int, shift: int,
+                  count: int, exponent: float, term) -> np.ndarray:
     """The ``count`` terms ``term(dist_g, w_g)`` of generations
-    ``g = first, first+1, ...`` with damping
-    ``w_g = exp(-exponent (S_{g+offset} - S_{first+offset}))``, so the first
-    term is undamped.  Infinite terms stay ``inf``."""
-    base = first + offset
+    ``g = start + shift, start + shift + 1, ...`` with damping
+    ``w_g = exp(-exponent (S_{g-shift} - S_start))``, so the first term is
+    undamped.  Infinite terms stay ``inf``."""
     with np.errstate(over="ignore"):  # an infinite damping is a verdict
-        damp = np.exp(-exponent * (env.s[base:base + count] - env.s[base]))
-    return np.array([term(env.dists[first - 1 + k], float(w))
+        damp = np.exp(-exponent * (env.s[start:start + count] - env.s[start]))
+    return np.array([term(env.dists[start + shift - 1 + k], float(w))
                      for k, w in enumerate(damp)])
 
 
@@ -195,29 +194,31 @@ def _certify(series_id: str, start: int, horizon: int, first: int,
                            "inconclusive", detail)
 
 
-# The checkers' term functions ``term(dist, damping)``; tightness_diagnostic
-# sums the same ones.  Moments are evaluated to ``tol * 1e-3``.
-
 def _times(moment: float, damping: float) -> float:
     return moment if math.isinf(moment) else moment * damping
 
 
-def _variance_term(dist: OffspringDistribution, damping: float) -> float:
-    return _times(dist.normalized_variance, damping)
-
-
-def _fractional_term(delta: float, tol: float):
-    """Refuses ``delta`` outside ``(0, 1]`` and a bad ``tol``, for the
-    checker and :func:`tightness_diagnostic` alike."""
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
+def _series(series: str, delta: float = 1.0,
+            phi: PhiFunction = PhiFunction(power=1.0), tol: float = 1e-9):
+    """The row ``(shift, exponent, term)`` of :func:`damped_series` that a
+    checker and :func:`tightness_diagnostic` both sum; moments to ``tol *
+    1e-3``.  Refuses ``delta`` outside ``(0, 1]``, a ``phi`` outside the
+    catalog and a bad ``tol``."""
+    if series == "variance":
+        row = 0, 1.0, lambda dist, w: _times(dist.normalized_variance, w)
+    elif series == "fractional_variance":
+        if not (0.0 < delta <= 1.0):
+            raise ValueError("delta must lie in (0, 1]")
+        row = 0, delta, lambda dist, w: _times(
+            dist.delta_moment(delta, tol=tol * 1e-3), w)
+    elif series == "psi":
+        if not isinstance(phi, PhiFunction):
+            raise NotApplicableError("phi must come from the catalog")
+        row = 1, 1.0, lambda dist, w: dist.psi_moment(phi, w, tol=tol * 1e-3)
+    else:
+        raise ValueError(f"unknown series {series!r}")
     check_tol(tol)
-    return lambda dist, damping: _times(
-        dist.delta_moment(delta, tol=tol * 1e-3), damping)
-
-
-def _psi_term(phi: PhiFunction, tol: float):
-    return lambda dist, damping: dist.psi_moment(phi, damping, tol=tol * 1e-3)
+    return row
 
 
 def _moment_series(series_id, env, start, horizon, shift, exponent, term,
@@ -229,7 +230,7 @@ def _moment_series(series_id, env, start, horizon, shift, exponent, term,
     omitted term's damping is exact when ``shift = 1`` and one drift step
     beyond the last included term's when ``shift = 0``."""
     first, last = start + shift, start + shift + horizon
-    terms = damped_series(env, first, horizon + 1, -shift, exponent, term)
+    terms = damped_series(env, start, shift, horizon + 1, exponent, term)
 
     def tail(mu):
         zbar = max(term(d, 1.0) for d in
@@ -259,8 +260,8 @@ def variance_series(env: QuenchedEnvironment, start: int = 1,
     generation ``g`` times ``exp(-(S_g - S_start))``.
     """
     horizon = _check_range(env, start, horizon)
-    return _moment_series("variance_series", env, start, horizon, 0, 1.0,
-                          _variance_term, {})
+    return _moment_series("variance_series", env, start, horizon,
+                          *_series("variance"), {})
 
 
 def fractional_variance_series(env: QuenchedEnvironment, start: int = 1,
@@ -270,11 +271,10 @@ def fractional_variance_series(env: QuenchedEnvironment, start: int = 1,
     """Like :func:`variance_series` but with the fractional deviation moment
     of order ``1 + delta`` and damping ``exp(-delta (S_g - S_start))``;
     usable when variances are infinite.  Same index convention."""
-    term = _fractional_term(delta, tol)
+    row = _series("fractional_variance", delta=delta, tol=tol)
     horizon = _check_range(env, start, horizon)
     return _moment_series("fractional_variance_series", env, start, horizon,
-                          0, delta, term, {"delta": delta},
-                          what="deviation moment")
+                          *row, {"delta": delta}, what="deviation moment")
 
 
 def psi_series(env: QuenchedEnvironment, start: int = 1,
@@ -291,19 +291,17 @@ def psi_series(env: QuenchedEnvironment, start: int = 1,
     power (or power-log) rides the geometric damping directly; a pure
     log-power uses a threshold split against a higher log-moment.
     """
-    if not isinstance(phi, PhiFunction):
-        raise NotApplicableError("phi must come from the catalog")
-    check_tol(tol)
+    shift, exponent, term = _series("psi", phi=phi, tol=tol)
     horizon = _check_range(env, start, horizon)
     if phi.zero:
         return ConditionReport("psi_series", start, 0.0, horizon, 0.0,
                                "finite", {"phi": "zero"})
-    terms = damped_series(env, start + 1, horizon, -1, 1.0, _psi_term(phi, tol))
+    terms = damped_series(env, start, shift, horizon, exponent, term)
     wlen = max(1, min(WINDOW, horizon))
     trailing = set(env.dists[start + horizon - wlen:start + horizon])
     next_scale = math.exp(-(env.s[start + horizon] - env.s[start]))
     return _certify(
-        "psi_series", start, horizon, start + 1, terms,
+        "psi_series", start, horizon, start + shift, terms,
         env.xi[start:start + horizon],
         lambda mu: _psi_tail_bound(phi, trailing, next_scale, mu, tol * 1e-3),
         {"phi": phi.identifier})
@@ -347,8 +345,9 @@ def increment_variance_series(env: QuenchedEnvironment, start: int = 0,
     if start < 0:
         raise ValueError("start must be >= 0")
     horizon = _check_range(env, start + 1, horizon)
+    _, exponent, term = _series("variance")
     return _moment_series("increment_variance_series", env, start, horizon,
-                          1, 1.0, _variance_term, {}, math.inf)
+                          1, exponent, term, {}, math.inf)
 
 
 def jagers_sum(env: QuenchedEnvironment,
@@ -431,6 +430,7 @@ class TightnessTable:
     truncations: List[int]
     rows: np.ndarray  # shape (len(truncations), len(QUANTILE_LEVELS))
     blowup_flag: bool
+    # read by the benchmark's tracer (bench/spans.py) to count terms
     env_replicas: int
 
     def to_dict(self) -> dict:
@@ -448,9 +448,8 @@ class TightnessTable:
 
 def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
                          env_replicas: int, seed: int,
-                         series: str = "variance",
-                         delta: Optional[float] = None,
-                         phi: Optional[PhiFunction] = None,
+                         series: str = "variance", delta: float = 1.0,
+                         phi: PhiFunction = PhiFunction(power=1.0),
                          blowup_factor: float = 3.0) -> TightnessTable:
     """Empirical dichotomy check for i.i.d./cooling environments.
 
@@ -459,9 +458,10 @@ def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
     of the series partial sum truncated at ``l`` terms: the partial sum of
     the matching checker from ``start = 1`` (``variance_series`` and
     ``fractional_variance_series`` with ``horizon = l - 1``, ``psi_series``
-    with ``horizon = l``), at the checkers' default accuracy and with their
-    checks of ``delta``.  A term that is not finite leaves no quantiles: it
-    raises :class:`NotApplicableError` naming the environment and the
+    with ``horizon = l``).  The terms come from the checker's row
+    ``_series(series, delta, phi)``, with its defaults, accuracy and
+    refusals.  A term that is not finite leaves no quantiles: it raises
+    :class:`NotApplicableError` naming the environment and the
     generation.
     For an i.i.d. environment the series either converges almost surely
     (quantiles stabilize along the grid) or its partial sums drift to
@@ -482,21 +482,9 @@ def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
     if not 0.0 < blowup_factor < math.inf:
         raise ValueError("blowup_factor must be a positive finite number, "
                          f"got {blowup_factor!r}")
-    tol = 1e-9
-    if series == "variance":
-        first, offset, exponent, term = 1, 0, 1.0, _variance_term
-    elif series == "fractional_variance":
-        if delta is None:
-            raise ValueError("fractional_variance series needs delta")
-        first, offset, exponent, term = 1, 0, delta, _fractional_term(delta, tol)
-    elif series == "psi":
-        if phi is None:
-            raise ValueError("psi series needs a catalog phi")
-        first, offset, exponent, term = 2, -1, 1.0, _psi_term(phi, tol)
-    else:
-        raise ValueError(f"unknown series {series!r}")
+    shift, exponent, term = _series(series, delta, phi)
     hmax = l_grid[-1]
-    horizon = first + hmax - 1
+    horizon = shift + hmax
     seeds = [int(substream(seed, r).integers(0, 2**63 - 1))
              for r in range(env_replicas)]
     group = max(1, TIGHTNESS_CHUNK // horizon)
@@ -504,12 +492,12 @@ def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
     for lo in range(0, env_replicas, group):
         envs = quench_many(spec, seeds[lo:lo + group], horizon)
         for r, env in enumerate(envs, lo):
-            terms = damped_series(env, first, hmax, offset, exponent, term)
+            terms = damped_series(env, 1, shift, hmax, exponent, term)
             bad = np.flatnonzero(~np.isfinite(terms))
             if len(bad):
                 raise NotApplicableError(
                     f"environment {r} has a {series} term of "
-                    f"{terms[bad[0]]} at generation {first + bad[0]}; its "
+                    f"{terms[bad[0]]} at generation {1 + shift + bad[0]}; its "
                     "partial sums have no quantiles")
             values[r] = np.cumsum(terms)[np.array(l_grid) - 1]
     rows = np.quantile(values, QUANTILE_LEVELS, axis=0).T

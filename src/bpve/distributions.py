@@ -113,8 +113,9 @@ class PhiFunction:
     zero: bool = False
 
     def __post_init__(self):
-        if self.power < 0 or self.log_power < 0:
-            raise ValueError("phi catalog requires nonnegative exponents")
+        if not (0.0 <= self.power < math.inf and 0.0 <= self.log_power < math.inf):
+            raise ValueError("phi power and log_power must be nonnegative and "
+                             f"finite, got {self.power!r}, {self.log_power!r}")
 
     @property
     def identifier(self) -> str:
@@ -263,28 +264,30 @@ class OffspringDistribution:
         # reentrant: computing one cached moment may consult another
         self._lock = threading.RLock()
 
+        # each range check is written so that NaN fails it
         if kind == "finite_pmf":
             pmf = np.asarray(params["pmf"], dtype=float)
             if pmf.ndim != 1 or len(pmf) == 0:
                 raise ValueError("finite_pmf needs a nonempty 1-d pmf vector")
-            if np.any(pmf < 0):
-                raise ValueError("pmf values must be nonnegative")
+            if not np.all(pmf >= 0):
+                raise ValueError("pmf values must be nonnegative numbers")
             if abs(pmf.sum() - 1.0) > 1e-12:
                 raise ValueError(f"pmf must sum to 1 within 1e-12, got {pmf.sum()!r}")
             self._pmf = pmf / pmf.sum()
             self._ks = np.arange(len(pmf), dtype=np.int64)
         elif kind == "geometric":
             mean = float(params["mean"])
-            if mean <= 0:
-                raise ValueError("geometric mean must be positive")
+            if not mean > 0:
+                raise ValueError(f"geometric mean must be positive, got {mean!r}")
             self._q = mean / (1.0 + mean)
             if not self._q < 1.0:
                 raise ValueError(f"geometric mean {mean!r} too large: "
                                  "q = mean/(1+mean) rounds to 1")
         elif kind == "poisson":
             lam = float(params["lam"])
-            if lam <= 0:
-                raise ValueError("poisson rate must be positive")
+            if not 0 < lam < math.inf:
+                raise ValueError("poisson rate lam must be positive and finite, "
+                                 f"got {lam!r}")
             self._lam = lam
         elif kind == "linear_fractional":
             p0, q = float(params["p0"]), float(params["q"])
@@ -293,8 +296,9 @@ class OffspringDistribution:
             self._p0, self._q = p0, q
         elif kind == "power_law_tail":
             alpha, p0 = float(params["alpha"]), float(params["p0"])
-            if alpha <= 0:
-                raise ValueError("tail exponent alpha must be positive")
+            if not 0 < alpha < math.inf:
+                raise ValueError("tail exponent alpha must be positive and "
+                                 f"finite, got {alpha!r}")
             if not (0 <= p0 < 1):
                 raise ValueError("head mass p0 must be in [0,1)")
             self._alpha, self._p0 = alpha, p0
@@ -324,14 +328,6 @@ class OffspringDistribution:
         if self.kind == "finite_pmf":
             return hash((self.kind, self._pmf.tobytes()))
         return hash((self.kind, tuple(sorted(self.params.items()))))
-
-    def to_config(self) -> dict:
-        cfg = {"kind": self.kind}
-        if self.kind == "finite_pmf":
-            cfg["pmf"] = [float(p) for p in self._pmf]
-        else:
-            cfg.update({k: float(v) for k, v in self.params.items()})
-        return cfg
 
     @classmethod
     def from_config(cls, cfg: dict) -> "OffspringDistribution":

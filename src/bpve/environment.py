@@ -17,10 +17,15 @@ is keyed by the block index, so ``quench`` draws once per block.
 i.i.d. finite mixer it picks every generation of every environment from one
 vectorized pass over the streams' first uniforms, with the values
 generation-by-generation draws would give.
+
+Each named preset is one config in :data:`PRESET_CONFIGS`, the dict
+``bpve list-presets`` prints; ``{"preset": name}`` and the inline config
+give the same spec.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -36,11 +41,7 @@ __all__ = [
     "QuenchedEnvironment",
     "quench",
     "quench_many",
-    "critical_preset",
-    "supercritical_preset",
-    "subcritical_preset",
-    "cooling_preset",
-    "heavy_tail_supercritical_preset",
+    "PRESET_CONFIGS",
     "PRESETS",
 ]
 
@@ -64,7 +65,8 @@ class Mixer:
             weights = np.asarray(params["weights"], dtype=float)
             if len(dists) != len(weights) or len(dists) == 0:
                 raise ValueError("finite mixer needs matching dists and weights")
-            if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+            # written so that a NaN weight fails
+            if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):
                 raise ValueError("mixer weights must be a probability vector")
             self.dists: List[OffspringDistribution] = dists
             self.weights = weights / weights.sum()
@@ -74,8 +76,9 @@ class Mixer:
         elif kind == "gaussian_logmean_geometric":
             self.mu = float(params["mu"])
             self.sigma = float(params["sigma"])
-            if self.sigma < 0:
-                raise ValueError("sigma must be nonnegative")
+            if not (math.isfinite(self.mu) and 0.0 <= self.sigma < math.inf):
+                raise ValueError("mixer needs a finite mu and a finite sigma "
+                                 f">= 0, got {self.mu!r} and {self.sigma!r}")
         else:
             raise ValueError(f"unknown mixer kind {kind!r}")
 
@@ -95,14 +98,6 @@ class Mixer:
         xi = self.mu + self.sigma * rng.standard_normal()
         return OffspringDistribution.geometric(mean=math.exp(xi))
 
-    def to_config(self) -> dict:
-        if self.kind == "finite":
-            return {"kind": "finite",
-                    "dists": [d.to_config() for d in self.dists],
-                    "weights": [float(w) for w in self.weights]}
-        return {"kind": "gaussian_logmean_geometric",
-                "mu": self.mu, "sigma": self.sigma}
-
     @classmethod
     def from_config(cls, cfg: dict) -> "Mixer":
         cfg = dict(cfg)
@@ -113,8 +108,7 @@ class Mixer:
             return cls("finite", dists=dists, weights=cfg["weights"])
         if kind == "gaussian_logmean_geometric":
             check_keys(cfg, {"mu", "sigma"}, "mixer")
-            return cls("gaussian_logmean_geometric",
-                       mu=cfg["mu"], sigma=cfg["sigma"])
+            return cls(kind, **cfg)
         raise ValueError(f"unknown mixer kind {kind!r}")
 
 
@@ -151,10 +145,13 @@ class EnvironmentSpec:
 
     @classmethod
     def cooling(cls, mixer: Mixer, block_lengths=None) -> "EnvironmentSpec":
-        bl = tuple(block_lengths) if block_lengths is not None else None
-        if bl is not None and any(b < 1 for b in bl):
-            raise ValueError("block lengths must be positive")
-        return cls("cooling", mixer=mixer, block_lengths=bl)
+        if block_lengths is not None:  # None means doubling blocks
+            if not (isinstance(block_lengths, (list, tuple)) and block_lengths
+                    and all(type(b) is int and b >= 1 for b in block_lengths)):
+                raise ValueError('cooling schedule must be "doubling" or a nonempty '
+                                 f"list of integers >= 1, got {block_lengths!r}")
+            block_lengths = tuple(block_lengths)
+        return cls("cooling", mixer=mixer, block_lengths=block_lengths)
 
     @property
     def is_random(self) -> bool:
@@ -199,20 +196,6 @@ class EnvironmentSpec:
             return self.dists[(i - 1) % len(self.dists)]
         return self.mixer.draw(substream(env_seed, self.stream_index(i)))
 
-    def to_config(self) -> dict:
-        cfg = {"kind": self.kind}
-        if self.dists is not None:
-            if self.kind == "constant":
-                cfg["dist"] = self.dists[0].to_config()
-            else:
-                cfg["dists"] = [d.to_config() for d in self.dists]
-        if self.mixer is not None:
-            cfg["mixer"] = self.mixer.to_config()
-        if self.kind == "cooling":
-            cfg["schedule"] = (list(self.block_lengths)
-                               if self.block_lengths is not None else "doubling")
-        return cfg
-
     @classmethod
     def from_config(cls, cfg: dict) -> "EnvironmentSpec":
         cfg = dict(cfg)
@@ -220,22 +203,19 @@ class EnvironmentSpec:
         if preset is not None:
             if cfg:
                 raise ValueError("preset environments take no extra keys")
-            if preset not in PRESETS:
+            if preset not in PRESET_CONFIGS:
                 raise ValueError(f"unknown preset {preset!r}; "
-                                 f"known: {sorted(PRESETS)}")
-            return PRESETS[preset]()
+                                 f"known: {sorted(PRESET_CONFIGS)}")
+            return cls.from_config(PRESET_CONFIGS[preset])
         kind = cfg.pop("kind", None)
         if kind == "constant":
             check_keys(cfg, {"dist"}, "environment")
             return cls.constant(OffspringDistribution.from_config(cfg["dist"]))
-        if kind == "explicit_sequence":
+        if kind in ("explicit_sequence", "periodic"):
             check_keys(cfg, {"dists"}, "environment")
-            return cls.explicit([OffspringDistribution.from_config(d)
-                                 for d in cfg["dists"]])
-        if kind == "periodic":
-            check_keys(cfg, {"dists"}, "environment")
-            return cls.periodic([OffspringDistribution.from_config(d)
-                                 for d in cfg["dists"]])
+            dists = [OffspringDistribution.from_config(d) for d in cfg["dists"]]
+            return (cls.explicit if kind == "explicit_sequence"
+                    else cls.periodic)(dists)
         if kind == "iid_random":
             check_keys(cfg, {"mixer"}, "environment")
             return cls.iid_random(Mixer.from_config(cfg["mixer"]))
@@ -355,43 +335,27 @@ class ResourceWarningError(MemoryError):
 
 # -- presets ----------------------------------------------------------------
 
-def _two_point_geometric_mixer(mu: float) -> Mixer:
-    """Geometric offspring; log-mean is ``mu +/- log 2`` with equal weights."""
-    up = OffspringDistribution.geometric(mean=math.exp(mu + math.log(2.0)))
-    down = OffspringDistribution.geometric(mean=math.exp(mu - math.log(2.0)))
-    return Mixer("finite", dists=[up, down], weights=[0.5, 0.5])
+def _two_point(mu: float) -> dict:
+    """Finite mixer config: geometric offspring whose log-mean is
+    ``mu +/- log 2`` with equal weights."""
+    up, down = math.exp(mu + math.log(2.0)), math.exp(mu - math.log(2.0))
+    return {"kind": "finite",
+            "dists": [{"kind": "geometric", "mean": m} for m in (up, down)],
+            "weights": [0.5, 0.5]}
 
 
-def critical_preset() -> EnvironmentSpec:
-    """I.i.d. environment with zero-mean log-means (two-point, +/- log 2)."""
-    return EnvironmentSpec.iid_random(_two_point_geometric_mixer(0.0))
-
-
-def supercritical_preset() -> EnvironmentSpec:
-    """I.i.d. environment with positive-mean log-means (drift 0.2)."""
-    return EnvironmentSpec.iid_random(_two_point_geometric_mixer(0.2))
-
-
-def subcritical_preset() -> EnvironmentSpec:
-    """I.i.d. environment with negative-mean log-means (drift -0.2)."""
-    return EnvironmentSpec.iid_random(_two_point_geometric_mixer(-0.2))
-
-
-def cooling_preset() -> EnvironmentSpec:
-    """Random environment held constant over doubling-length blocks."""
-    return EnvironmentSpec.cooling(_two_point_geometric_mixer(0.2))
-
-
-def heavy_tail_supercritical_preset() -> EnvironmentSpec:
-    """Constant heavy-tail law: infinite variance, supercritical mean."""
-    return EnvironmentSpec.constant(
-        OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2))
-
-
-PRESETS = {
-    "critical_two_point": critical_preset,
-    "supercritical_mu0.2": supercritical_preset,
-    "subcritical_mu0.2": subcritical_preset,
-    "cooling_doubling_blocks": cooling_preset,
-    "heavy_tail_supercritical": heavy_tail_supercritical_preset,
+PRESET_CONFIGS = {
+    # i.i.d. environments with log-mean drift 0, 0.2 and -0.2
+    "critical_two_point": {"kind": "iid_random", "mixer": _two_point(0.0)},
+    "supercritical_mu0.2": {"kind": "iid_random", "mixer": _two_point(0.2)},
+    "subcritical_mu0.2": {"kind": "iid_random", "mixer": _two_point(-0.2)},
+    # random environment held constant over doubling-length blocks
+    "cooling_doubling_blocks": {"kind": "cooling", "mixer": _two_point(0.2),
+                                "schedule": "doubling"},
+    # constant heavy-tail law: infinite variance, supercritical mean
+    "heavy_tail_supercritical": {"kind": "constant", "dist": {
+        "kind": "power_law_tail", "alpha": 0.5, "p0": 0.2}},
 }
+
+PRESETS = {name: functools.partial(EnvironmentSpec.from_config, cfg)
+           for name, cfg in PRESET_CONFIGS.items()}

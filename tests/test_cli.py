@@ -1,9 +1,11 @@
 import json
+import math
 import warnings
 
 import pytest
 
 from bpve.cli import main
+from bpve.environment import PRESET_CONFIGS
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -17,6 +19,11 @@ def test_list_presets(capsys):
     out = capsys.readouterr().out
     assert "critical_two_point" in out
     assert "heavy_tail_supercritical" in out
+    # every line parses back to the config it prints
+    printed = dict(line.split(": ", 1) for line in out.splitlines())
+    assert sorted(printed) == sorted(PRESET_CONFIGS)
+    for name, cfg in printed.items():
+        assert json.loads(cfg) == PRESET_CONFIGS[name]
 
 
 def test_run_conditions(tmp_path):
@@ -237,6 +244,39 @@ def test_ill_typed_value_is_schema_error(tmp_path, capsys, top, params, field):
     # a generation before the start has no recorded value
     ("critical", {"preset": "critical_two_point"},
      {"n_list": [-3, 8], "replicas": 200}),
+    # non-finite mixer and phi values used to run to a meaningless exit 0
+    ("conditions", {"kind": "iid_random", "mixer": {
+        "kind": "finite", "weights": [math.nan, 1.0], "dists": [
+            {"kind": "geometric", "mean": 2.0},
+            {"kind": "geometric", "mean": 0.5}]}}, {"horizon": 20}),
+    ("critical", {"kind": "iid_random", "mixer": {
+        "kind": "finite", "weights": [math.nan, 1.0], "dists": [
+            {"kind": "geometric", "mean": 2.0},
+            {"kind": "geometric", "mean": 0.5}]}},
+     {"n_list": [8], "replicas": 200}),
+    ("critical", {"kind": "iid_random", "mixer": {
+        "kind": "gaussian_logmean_geometric", "mu": math.nan, "sigma": 0.5}},
+     {"n_list": [8], "replicas": 200}),
+    ("critical", {"kind": "iid_random", "mixer": {
+        "kind": "gaussian_logmean_geometric", "mu": 0.0, "sigma": math.nan}},
+     {"n_list": [8], "replicas": 200}),
+    ("critical", {"kind": "iid_random", "mixer": {
+        "kind": "gaussian_logmean_geometric", "mu": 0.0, "sigma": math.inf}},
+     {"n_list": [8], "replicas": 200}),
+    ("conditions", {"preset": "heavy_tail_supercritical"},
+     {"series": "psi", "phi": {"power": math.nan}, "horizon": 4}),
+    ("conditions", {"preset": "heavy_tail_supercritical"},
+     {"series": "psi", "phi": {"power": math.inf}, "horizon": 4}),
+    ("conditions", {"preset": "heavy_tail_supercritical"},
+     {"series": "psi", "phi": {"log_power": math.nan}, "horizon": 4}),
+] + [
+    # these schedules ended in an IndexError or TypeError traceback
+    (experiment, {"kind": "cooling", "schedule": schedule,
+                  "mixer": PRESET_CONFIGS["critical_two_point"]["mixer"]},
+     params)
+    for experiment, params in [("conditions", {"horizon": 5}),
+                               ("critical", {"n_list": [8], "replicas": 200})]
+    for schedule in ([], [math.nan], [2.5])
 ])
 def test_refused_values_are_schema_errors(tmp_path, experiment, environment,
                                           params):
@@ -244,6 +284,18 @@ def test_refused_values_are_schema_errors(tmp_path, experiment, environment,
                                   "environment": environment,
                                   "params": params})
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("series", ["jagers", "moment_ratio"])
+def test_whole_range_series_refuse_start(tmp_path, capsys, series):
+    # these sum from generation 1; a start of 50 was recorded but ignored
+    cfg = write_config(tmp_path, {
+        "experiment": "conditions",
+        "environment": {"preset": "heavy_tail_supercritical"},
+        "params": {"series": series, "start": 50, "horizon": 5}})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "params(conditions): start" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.json").exists()
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])

@@ -255,8 +255,8 @@ def test_tightness_validation():
         tightness_diagnostic(spec, [0, 5], 10, seed=0)
     with pytest.raises(ValueError):
         tightness_diagnostic(spec, [1, 5], 0, seed=0)
-    with pytest.raises(ValueError):
-        tightness_diagnostic(spec, [1, 5], 5, seed=0, series="psi")
+    with pytest.raises(ValueError, match="unknown series"):
+        tightness_diagnostic(spec, [1, 5], 5, seed=0, series="jagers")
 
 
 @pytest.mark.parametrize("series,kwargs,checker", [
@@ -283,36 +283,33 @@ def test_tightness_partial_sums_are_checker_partial_sums(series, kwargs,
         assert np.allclose(row, expected, rtol=1e-12, atol=0.0), (l, row)
 
 
-def tightness_oracle(spec, l_grid, env_replicas, seed, first, offset,
-                     exponent, term):
+def tightness_oracle(spec, l_grid, env_replicas, seed, shift, exponent,
+                     term):
     """Quantile rows of tightness_diagnostic, quenching one environment at
     a time."""
     hmax = max(l_grid)
     values = np.zeros((env_replicas, len(l_grid)))
     for r in range(env_replicas):
         env_seed = int(substream(seed, r).integers(0, 2**63 - 1))
-        env = quench(spec, env_seed, first + hmax - 1)
-        terms = conditions.damped_series(env, first, hmax, offset, exponent,
-                                         term)
+        env = quench(spec, env_seed, shift + hmax)
+        terms = conditions.damped_series(env, 1, shift, hmax, exponent, term)
         values[r] = np.cumsum(terms)[np.array(l_grid) - 1]
     return np.quantile(values, (0.1, 0.5, 0.9), axis=0).T
 
 
 @pytest.mark.parametrize("preset", ["supercritical_mu0.2",
                                     "subcritical_mu0.2"])
-@pytest.mark.parametrize("series,kwargs,first,offset,exponent,term", [
-    ("variance", {}, 1, 0, 1.0, conditions._variance_term),
-    ("fractional_variance", {"delta": 0.25}, 1, 0, 0.25,
-     conditions._fractional_term(0.25, 1e-9)),
-    ("psi", {"phi": PhiFunction(power=0.5)}, 2, -1, 1.0,
-     conditions._psi_term(PhiFunction(power=0.5), 1e-9)),
+@pytest.mark.parametrize("series,kwargs", [
+    ("variance", {}),
+    ("fractional_variance", {"delta": 0.25}),
+    ("psi", {"phi": PhiFunction(power=0.5)}),
 ], ids=["variance", "fractional", "psi"])
 def test_tightness_rows_match_per_environment_oracle(
-        monkeypatch, preset, series, kwargs, first, offset, exponent, term):
+        monkeypatch, preset, series, kwargs):
     spec = PRESETS[preset]()
     l_grid = [1, 50, 100]
-    want = tightness_oracle(spec, l_grid, 30, 88, first, offset, exponent,
-                            term)
+    want = tightness_oracle(spec, l_grid, 30, 88,
+                            *conditions._series(series, **kwargs))
     # all environments in one bulk quench, then 2 and 1 per quench
     for chunk in (conditions.TIGHTNESS_CHUNK, 250, 1):
         monkeypatch.setattr(conditions, "TIGHTNESS_CHUNK", chunk)

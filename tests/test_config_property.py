@@ -17,13 +17,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bpve.cli import EXPERIMENTS, main
-from bpve.environment import PRESETS
+from bpve.environment import PRESET_CONFIGS
 
 EXIT_CODES = {0, 2, 3, 4}
 
 unit = st.floats(0.0, 1.0)
 small = st.integers(0, 12)
 positive = st.integers(1, 12)
+# values every positive range check must refuse
+off_range = st.sampled_from([0.0, math.nan, math.inf])
 
 
 @st.composite
@@ -54,10 +56,13 @@ def offspring(draw):
 def mixer(draw):
     if draw(st.booleans()):
         dists = draw(st.lists(offspring(), min_size=1, max_size=3))
-        return {"kind": "finite", "dists": dists,
-                "weights": draw(probability_vector(len(dists)))}
+        weights = draw(probability_vector(len(dists)))
+        if draw(st.booleans()):
+            weights[draw(st.integers(0, len(dists) - 1))] = draw(off_range)
+        return {"kind": "finite", "dists": dists, "weights": weights}
     return {"kind": "gaussian_logmean_geometric",
-            "mu": draw(st.floats(-1.0, 1.0)), "sigma": draw(st.floats(0.0, 1.0))}
+            "mu": draw(st.one_of(st.floats(-1.0, 1.0), off_range)),
+            "sigma": draw(st.one_of(st.floats(0.0, 1.0), off_range))}
 
 
 @st.composite
@@ -65,7 +70,7 @@ def environment(draw):
     kind = draw(st.sampled_from(["preset", "constant", "explicit_sequence",
                                  "periodic", "iid_random", "cooling"]))
     if kind == "preset":
-        return {"preset": draw(st.sampled_from(sorted(PRESETS)))}
+        return {"preset": draw(st.sampled_from(sorted(PRESET_CONFIGS)))}
     if kind == "constant":
         return {"kind": kind, "dist": draw(offspring())}
     if kind in ("explicit_sequence", "periodic"):
@@ -74,16 +79,15 @@ def environment(draw):
     env = {"kind": kind, "mixer": draw(mixer())}
     if kind == "cooling" and draw(st.booleans()):
         env["schedule"] = draw(st.one_of(
-            st.just("doubling"), st.lists(positive, min_size=1, max_size=4)))
+            st.just("doubling"), st.lists(positive, min_size=1, max_size=4),
+            st.sampled_from([[], [2.5], [math.nan]])))
     return env
 
 
-# values every positive range check must refuse
-off_range = st.sampled_from([0.0, math.nan, math.inf])
 phi = st.one_of(st.just("zero"),
                 st.fixed_dictionaries({}, optional={
-                    "power": st.floats(0.0, 2.0),
-                    "log_power": st.floats(0.0, 2.0)}))
+                    "power": st.one_of(st.floats(0.0, 2.0), off_range),
+                    "log_power": st.one_of(st.floats(0.0, 2.0), off_range)}))
 n_list = st.lists(st.integers(-3, 12), max_size=3)
 
 PARAMS = {

@@ -411,13 +411,32 @@ def test_truncated_moment_ratio_not_applicable():
 # ------------------------------------------------------------- config round trip
 
 def test_config_round_trip(gw_dist):
-    for d in (gw_dist,
-              OffspringDistribution.geometric(mean=1.5),
-              OffspringDistribution.poisson(lam=2.0),
-              OffspringDistribution.linear_fractional(p0=0.2, q=0.5),
-              OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)):
-        d2 = OffspringDistribution.from_config(d.to_config())
-        assert d2 == d
+    for cfg, d in (
+            ({"kind": "finite_pmf", "pmf": [0.25, 0.25, 0.5]}, gw_dist),
+            ({"kind": "geometric", "mean": 1.5},
+             OffspringDistribution.geometric(mean=1.5)),
+            ({"kind": "poisson", "lam": 2.0},
+             OffspringDistribution.poisson(lam=2.0)),
+            ({"kind": "linear_fractional", "p0": 0.2, "q": 0.5},
+             OffspringDistribution.linear_fractional(p0=0.2, q=0.5)),
+            ({"kind": "power_law_tail", "alpha": 0.5, "p0": 0.2},
+             OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2))):
+        assert OffspringDistribution.from_config(cfg) == d
+
+
+@pytest.mark.parametrize("kind,params,field", [
+    ("finite_pmf", {"pmf": [math.nan, 1.0]}, "pmf"),
+    ("geometric", {"mean": math.nan}, "mean"),
+    ("poisson", {"lam": math.nan}, "lam"),
+    ("poisson", {"lam": math.inf}, "lam"),
+    ("power_law_tail", {"alpha": math.nan, "p0": 0.2}, "alpha"),
+    ("power_law_tail", {"alpha": math.inf, "p0": 0.2}, "alpha"),
+])
+def test_non_finite_parameters_are_refused_by_name(kind, params, field):
+    # NaN used to pass the range check and fail later, in another's words
+    with pytest.raises(ValueError, match=f"{field} (values )?must be"):
+        OffspringDistribution(kind, **params)
+
 
 
 def test_config_rejects_unknown_keys():
@@ -437,8 +456,10 @@ def test_invalid_parameters_rejected():
         OffspringDistribution.geometric(mean=0.0)
     with pytest.raises(ValueError):
         OffspringDistribution.power_law_tail(alpha=-1.0, p0=0.2)
-    with pytest.raises(ValueError):
-        PhiFunction(power=-1.0)
+    for power, log_power in [(-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+                             (0.0, math.nan), (0.0, math.inf)]:
+        with pytest.raises(ValueError, match="phi"):
+            PhiFunction(power=power, log_power=log_power)
 
 
 # ---------------------------------------------------------------- property tests

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 
 from bpve.distributions import OffspringDistribution
 from bpve import streams
-from bpve.environment import (EnvironmentSpec, Mixer, PRESETS,
-                              QuenchedEnvironment, ResourceWarningError,
-                              quench, quench_many)
+from bpve.environment import (EnvironmentSpec, Mixer, PRESET_CONFIGS,
+                              PRESETS, QuenchedEnvironment,
+                              ResourceWarningError, quench, quench_many)
 from bpve.streams import substream
 
 
@@ -128,20 +129,30 @@ def test_mixer_gaussian_logmean():
 
 
 def test_spec_config_round_trip(gw_dist):
-    specs = [
-        EnvironmentSpec.constant(gw_dist),
-        EnvironmentSpec.periodic([gw_dist,
-                                  OffspringDistribution.geometric(mean=2.0)]),
-        PRESETS["critical_two_point"](),
-        PRESETS["cooling_doubling_blocks"](),
-        EnvironmentSpec.iid_random(
-            Mixer("gaussian_logmean_geometric", mu=0.0, sigma=0.3)),
+    # each preset written inline is the named preset; a literal config is
+    # the spec its constructors build
+    pairs = [(cfg, EnvironmentSpec.from_config({"preset": name}))
+             for name, cfg in PRESET_CONFIGS.items()]
+    pairs += [
+        ({"kind": "constant",
+          "dist": {"kind": "finite_pmf", "pmf": [0.25, 0.25, 0.5]}},
+         EnvironmentSpec.constant(gw_dist)),
+        ({"kind": "periodic",
+          "dists": [{"kind": "finite_pmf", "pmf": [0.25, 0.25, 0.5]},
+                    {"kind": "geometric", "mean": 2.0}]},
+         EnvironmentSpec.periodic([gw_dist,
+                                   OffspringDistribution.geometric(mean=2.0)])),
+        ({"kind": "iid_random",
+          "mixer": {"kind": "gaussian_logmean_geometric",
+                    "mu": 0.0, "sigma": 0.3}},
+         EnvironmentSpec.iid_random(
+             Mixer("gaussian_logmean_geometric", mu=0.0, sigma=0.3))),
     ]
-    for spec in specs:
-        spec2 = EnvironmentSpec.from_config(spec.to_config())
-        assert spec2.kind == spec.kind
+    for cfg, other in pairs:
+        spec = EnvironmentSpec.from_config(json.loads(json.dumps(cfg)))
+        assert spec.kind == other.kind
         env_a = quench(spec, 13, 30)
-        env_b = quench(spec2, 13, 30)
+        env_b = quench(other, 13, 30)
         assert env_a.dists == env_b.dists
         assert np.array_equal(env_a.s, env_b.s)
 
@@ -159,7 +170,7 @@ def test_preset_config_reference():
 def test_config_rejects_unknown_keys(gw_dist):
     with pytest.raises(ValueError):
         EnvironmentSpec.from_config({"kind": "constant",
-                                     "dist": gw_dist.to_config(),
+                                     "dist": {"kind": "geometric", "mean": 1.0},
                                      "bogus": 1})
     with pytest.raises(ValueError):
         EnvironmentSpec.from_config({"kind": "whatever"})
@@ -172,6 +183,21 @@ def test_mixer_validation(gw_dist):
         Mixer("finite", dists=[gw_dist], weights=[0.9])
     with pytest.raises(ValueError):
         Mixer("gaussian_logmean_geometric", mu=0.0, sigma=-1.0)
+    # non-finite values used to make a mixer of meaningless draws
+    with pytest.raises(ValueError, match="mixer"):
+        Mixer("finite", dists=[gw_dist, gw_dist], weights=[math.nan, 1.0])
+    for mu, sigma in [(math.nan, 0.5), (math.inf, 0.5), (0.0, math.nan),
+                      (0.0, math.inf)]:
+        with pytest.raises(ValueError, match="mixer"):
+            Mixer("gaussian_logmean_geometric", mu=mu, sigma=sigma)
+
+
+@pytest.mark.parametrize("schedule", [[], [2.5], [math.nan], [0], [3, -1],
+                                      [True], "blocks", 4])
+def test_cooling_refuses_bad_schedules(gw_dist, schedule):
+    mixer = Mixer("finite", dists=[gw_dist], weights=[1.0])
+    with pytest.raises(ValueError, match="cooling schedule"):
+        EnvironmentSpec.cooling(mixer, block_lengths=schedule)
 
 
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.2, 0.3, 0.5),
