@@ -19,15 +19,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
+from dataclasses import astuple, fields, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import conditions, estimators
-from .conditions import csv_text, jsonable
 from .distributions import NotApplicableError, PhiFunction, check_keys
 from .environment import EnvironmentSpec, PRESET_CONFIGS, quench
 
@@ -90,10 +91,43 @@ def _require(cfg, allowed: dict, context: str, parsers=None) -> dict:
     return {key: cfg.get(key, default) for key, default in allowed.items()}
 
 
+def jsonable(obj):
+    """``obj`` ready for strict JSON, recursively.  A dataclass becomes the
+    object of its fields, each under its ``metadata["key"]`` when that is
+    given (``None`` leaves the field out); float dict keys become their
+    ``repr``, so that they are strings before ``sort_keys`` orders them;
+    lists, tuples and arrays become lists; non-finite floats become
+    ``"inf"``, ``"-inf"`` or ``"nan"`` and numpy scalars Python values."""
+    if is_dataclass(obj):
+        return {key: jsonable(getattr(obj, f.name)) for f in fields(obj)
+                if (key := f.metadata.get("key", f.name)) is not None}
+    if isinstance(obj, dict):
+        return {repr(k) if isinstance(k, float) else k: jsonable(v)
+                for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        if math.isnan(obj):
+            return "nan"
+    if isinstance(obj, np.generic):
+        return jsonable(obj.item())
+    return obj
+
+
+def csv_text(header: str, rows) -> str:
+    """CSV text; floats as ``%.10g``, integers and booleans as integers."""
+    def cell(v):
+        return f"{v:.10g}" if isinstance(v, float) else str(int(v))
+    return "\n".join([header] + [",".join(map(cell, row))
+                                 for row in rows]) + "\n"
+
+
 def _records_csv(records) -> str:
     """One CSV row per summary record, one column per field."""
-    dicts = [r.to_dict() for r in records]
-    return csv_text(",".join(dicts[0]), [d.values() for d in dicts])
+    return csv_text(",".join(f.name for f in fields(records[0])),
+                    map(astuple, records))
 
 
 # Checker functions are looked up at call time, as are the estimators in
@@ -176,7 +210,12 @@ EXPERIMENTS = {
         {"l_grid": [1, 50, 100], "env_replicas": 200, "series": "variance",
          "delta": 1.0, "phi": {"power": 1.0, "log_power": 0.0},
          "blowup_factor": 3.0},
-        None, "tightness", _tightness, lambda table: table.to_csv()),
+        None, "tightness", _tightness,
+        lambda table: csv_text(
+            ",".join(["l", *(f"q{int(100 * q)}"
+                             for q in conditions.QUANTILE_LEVELS), "flag"]),
+            [(l, *row, table.blowup_flag)
+             for l, row in zip(table.truncations, table.rows.tolist())])),
     "critical": Experiment(
         {"n_list": [32, 64, 128], "replicas": 40000, "z0": 1,
          "min_survivors": 500},
@@ -227,16 +266,15 @@ def config_digest(resolved: dict) -> str:
 
 
 def run_experiment(resolved: dict, threads=None):
-    """Execute one resolved config; returns (results_dict, csv_text_or_None)."""
+    """Execute one resolved config; returns (results, csv_text_or_None),
+    where results holds the result object under the experiment's key."""
     exp = EXPERIMENTS[resolved["experiment"]]
     p = resolved["params"]
     spec = EnvironmentSpec.from_config(resolved["environment"])
     target = spec if exp.horizon is None else \
         quench(spec, resolved["env_seed"], exp.horizon(p))
     result = exp.run(target, p, resolved, threads)
-    payload = ([r.to_dict() for r in result] if isinstance(result, list)
-               else result.to_dict())
-    return ({"experiment": resolved["experiment"], exp.key: payload},
+    return ({"experiment": resolved["experiment"], exp.key: result},
             exp.csv(result) if exp.csv else None)
 
 
@@ -291,10 +329,10 @@ def cmd_run(args) -> int:
     # that only differ in where they were written
     results["resolved_config"] = {k: v for k, v in resolved.items()
                                   if k != "output_dir"}
-    results_path.write_text(
-        json.dumps(jsonable(results), sort_keys=True, indent=2) + "\n")
-    (out / "resolved_config.json").write_text(
-        json.dumps(jsonable(resolved), sort_keys=True, indent=2) + "\n")
+    for name, obj in (("results.json", results),
+                      ("resolved_config.json", resolved)):
+        (out / name).write_text(
+            json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n")
     if series is not None:
         (out / "series.csv").write_text(f"# config_digest={digest}\n"
                                         + series)

@@ -11,12 +11,14 @@ Verdicts are conservative:
 * ``divergent`` requires an infinite term, or partial sums beyond a
   configured threshold together with a nondecreasing-terms certificate;
 * everything else is ``inconclusive``.
+
+Reports and tables are plain dataclasses; :mod:`bpve.cli` writes them out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,34 +74,6 @@ class ConditionReport:
         if self.tail_bound is None:
             return self.partial_sum
         return self.partial_sum + self.tail_bound
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def csv_text(header: str, rows) -> str:
-    """CSV text; floats as ``%.10g``, integers and booleans as integers."""
-    def cell(v):
-        return f"{v:.10g}" if isinstance(v, float) else str(int(v))
-    return "\n".join([header] + [",".join(map(cell, row))
-                                 for row in rows]) + "\n"
-
-
-def jsonable(obj):
-    """``obj`` ready for strict JSON, recursively: non-finite floats become
-    ``"inf"``, ``"-inf"`` or ``"nan"`` and numpy scalars Python values."""
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-    if isinstance(obj, np.generic):
-        return jsonable(obj.item())
-    return obj
 
 
 def _check_range(env: QuenchedEnvironment, start: int,
@@ -428,22 +402,12 @@ def moment_ratio_sup(env: QuenchedEnvironment,
 class TightnessTable:
     series: str
     truncations: List[int]
-    rows: np.ndarray  # shape (len(truncations), len(QUANTILE_LEVELS))
+    # shape (len(truncations), len(QUANTILE_LEVELS))
+    rows: np.ndarray = field(metadata={"key": "quantiles"})
     blowup_flag: bool
-    # read by the benchmark's tracer (bench/spans.py) to count terms
-    env_replicas: int
-
-    def to_dict(self) -> dict:
-        return {"series": self.series, "truncations": self.truncations,
-                "quantiles": [[float(v) for v in row] for row in self.rows],
-                "blowup_flag": self.blowup_flag}
-
-    def to_csv(self) -> str:
-        """CSV rows ``l, q.., flag``."""
-        header = ",".join(["l"] + [f"q{int(100 * q)}"
-                                   for q in QUANTILE_LEVELS] + ["flag"])
-        return csv_text(header, [(l, *map(float, row), self.blowup_flag)
-                                 for l, row in zip(self.truncations, self.rows)])
+    # not written out; read by the benchmark's tracer (bench/spans.py) to
+    # count terms
+    env_replicas: int = field(metadata={"key": None})
 
 
 def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],

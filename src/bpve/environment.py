@@ -96,7 +96,11 @@ class Mixer:
         if self.kind == "finite":
             return self.dists[self.components(rng)]
         xi = self.mu + self.sigma * rng.standard_normal()
-        return OffspringDistribution.geometric(mean=math.exp(xi))
+        try:
+            mean = math.exp(xi)
+        except OverflowError:  # an infinite mean, which the law refuses
+            mean = math.inf
+        return OffspringDistribution.geometric(mean=mean)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Mixer":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,13 +49,8 @@ __all__ = [
 DEFAULT_BLOCK = 32768
 
 
-class _Fields:
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 @dataclass
-class McEstimate(_Fields):
+class McEstimate:
     value: float
     std_error: float
     replicas: int
@@ -80,26 +75,16 @@ class EqualityCheck:
     plateau_value: Optional[float]
     gap: Optional[float]
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["p_w_above"] = {repr(eps): est for eps, est
-                            in sorted(out["p_w_above"].items())}
-        return out
-
 
 @dataclass
 class HalvingResult:
     estimate: McEstimate
     bound: float
-    upper_confidence: float
-
-    def to_dict(self) -> dict:
-        return {"estimate": self.estimate.to_dict(), "bound": self.bound,
-                "upper_confidence_99": self.upper_confidence}
+    upper_confidence: float = field(metadata={"key": "upper_confidence_99"})
 
 
 @dataclass
-class PathSpreadSummary(_Fields):
+class PathSpreadSummary:
     n: int
     survivors: int
     median: float
@@ -107,7 +92,7 @@ class PathSpreadSummary(_Fields):
 
 
 @dataclass
-class ConditionedSummary(_Fields):
+class ConditionedSummary:
     n: int
     survivors: int
     median_w: float
@@ -224,10 +209,7 @@ def mc_l2_increment(env: QuenchedEnvironment, k: int, m: int, replicas: int,
     ``m`` from ``k`` ancestors; compare with ``k * zeta_m * exp(-S_{m-1})``."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    _check_sample_mean_replicas(replicas)
-    _check_finite_variance(env, m)
-    w = collect_w(env, k, [m - 1, m], replicas, seed, threads)
-    return McEstimate.sample_mean((w[:, 1] - w[:, 0]) ** 2, seed)
+    return mc_l2_span(env, k, m - 1, 1, replicas, seed, threads)
 
 
 def mc_increment_covariance(env: QuenchedEnvironment, k: int, n: int, m: int,

@@ -102,8 +102,13 @@ class AnnealedLaws:
             else:
                 self.xi = mixer.mu + mixer.sigma * self.env_rng.standard_normal(
                     self.size)
-                m = np.exp(self.xi)
-                self.q = m / (1.0 + m)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    m = np.exp(self.xi)
+                    self.q = m / (1.0 + m)
+                if not np.all(self.q < 1.0):
+                    # the geometric law's own check refuses this mean
+                    OffspringDistribution.geometric(
+                        float(m[np.argmin(self.q < 1.0)]))
         self.s += self.xi
 
     def groups(self, rows: np.ndarray):

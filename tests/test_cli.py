@@ -153,6 +153,9 @@ def test_run_tightness_and_critical(tmp_path):
     assert main(["run", cfg, "--out", str(out)]) == 0
     res = json.loads((out / "results.json").read_text())
     assert res["tightness"]["blowup_flag"] is True
+    lines = (out / "series.csv").read_text().splitlines()[1:]
+    assert lines[0] == "l,q10,q50,q90,flag"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "20", "40"]
 
     cfg2 = write_config(tmp_path, {
         "experiment": "critical",
@@ -277,6 +280,18 @@ def test_ill_typed_value_is_schema_error(tmp_path, capsys, top, params, field):
     for experiment, params in [("conditions", {"horizon": 5}),
                                ("critical", {"n_list": [8], "replicas": 200})]
     for schedule in ([], [math.nan], [2.5])
+] + [
+    # a Gaussian log-mean whose exponential overflows gives a geometric law
+    # of infinite mean, refused on the annealed and the quenched path alike
+    ("critical", {"kind": "iid_random", "mixer": {
+        "kind": "gaussian_logmean_geometric", "mu": 800, "sigma": 0}},
+     {"n_list": [8], "replicas": 200}),
+    ("survival", {"kind": "iid_random", "mixer": {
+        "kind": "gaussian_logmean_geometric", "mu": 800, "sigma": 0}},
+     {"n": 8, "replicas": 200}),
+    ("tightness", {"kind": "iid_random", "mixer": {
+        "kind": "gaussian_logmean_geometric", "mu": 0, "sigma": 1e300}},
+     {"l_grid": [1, 5], "env_replicas": 4}),
 ])
 def test_refused_values_are_schema_errors(tmp_path, experiment, environment,
                                           params):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from bpve import conditions
+from bpve.cli import EXPERIMENTS, jsonable
 from bpve.conditions import (fractional_variance_series,
-                             increment_variance_series, jagers_sum, jsonable,
+                             increment_variance_series, jagers_sum,
                              moment_ratio_sup, psi_series,
                              tightness_diagnostic, variance_series)
 from bpve.distributions import OffspringDistribution, PhiFunction
@@ -194,12 +195,11 @@ def test_moment_ratio_sup_heavy():
 
 def test_report_json_round_trip(gw_env):
     rep = variance_series(gw_env, horizon=100)
-    payload = json.loads(json.dumps(jsonable(rep.to_dict())))
+    payload = json.loads(json.dumps(jsonable(rep)))
     assert payload["verdict"] == "finite"
     assert payload["series_id"] == "variance_series"
     heavy = quench(PRESETS["heavy_tail_supercritical"](), 0, 10)
-    payload2 = json.loads(json.dumps(jsonable(
-        variance_series(heavy).to_dict())))
+    payload2 = json.loads(json.dumps(jsonable(variance_series(heavy))))
     assert payload2["partial_sum"] == "inf"
 
 
@@ -242,7 +242,7 @@ def test_tightness_fractional_series():
 def test_tightness_to_csv():
     table = tightness_diagnostic(PRESETS["supercritical_mu0.2"](),
                                  [1, 20], 10, seed=1)
-    lines = table.to_csv().splitlines()
+    lines = EXPERIMENTS["tightness"].csv(table).splitlines()
     assert lines[0] == "l,q10,q50,q90,flag"
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "20"]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bpve import estimators
+from bpve.cli import jsonable
 from bpve.distributions import NotApplicableError
 from bpve.environment import EnvironmentSpec, PRESETS, quench
 from bpve.estimators import (collect_w, mc_conditioned_critical,
@@ -162,7 +163,7 @@ def test_conditioned_gaussian_mixer_supported():
 
 def test_estimate_to_dict(gw_env200):
     est = mc_survival(gw_env200, 1, 10, 1000, 2)
-    d = est.to_dict()
+    d = jsonable(est)
     assert set(d) >= {"value", "std_error", "replicas", "master_seed"}
 
 

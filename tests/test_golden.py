@@ -1,10 +1,13 @@
 """Golden digests: one small config per experiment, run through the CLI.
 
-Each config's ``results.json`` must hash to the recorded sha256.  Together
+Each config's ``results.json``, and its ``series.csv`` when it writes one,
+must hash to the recorded sha256.  Together
 the configs cover every experiment and every environment kind (constant,
 explicit, periodic, i.i.d. and cooling with both mixers and both
 schedules), so a change that consumes any random stream differently, or
-changes what a series or estimator computes, shows up here.  A change that
+changes what a series or estimator computes, shows up here.
+``w_positivity_heavy`` has thresholds whose string order differs from their
+numeric order, which pins how ``results.json`` keys them.  A change that
 alters a stream on purpose updates the digests and says so in CHANGES.md.
 """
 
@@ -70,6 +73,12 @@ CONFIGS = {
         "env_seed": 7, "master_seed": 17,
         "params": {"n_list": [16, 32], "replicas": 4000,
                    "min_survivors": 50}},
+    "w_positivity_heavy": {
+        "experiment": "w_positivity",
+        "environment": {"preset": "heavy_tail_supercritical"},
+        "master_seed": 18,
+        "params": {"n": 40, "replicas": 4000,
+                   "eps_grid": [10.0 ** (-8 + 3 * i / 12) for i in range(13)]}},
 }
 
 DIGESTS = {
@@ -89,18 +98,37 @@ DIGESTS = {
         "fc56982d2d43e45f6f98b40fe6622c8f7c61fb151147c3d9cd9909b5ad9afbd5",
     "w_positivity":
         "58e74ea5a3431ac3c7e74b6892e371ebfbc6e9b4f2b233c3199ba275be49a6d1",
+    "w_positivity_heavy":
+        "a6a5451747b4faf85af8fa72a3c8b662313402b81d70cb87f4d38a066f4f4df7",
+}
+
+SERIES_DIGESTS = {
+    "critical":
+        "0a992fd70217331fe31b9bb71320eb4b011211f671d268409e4bcbba6da6cfd2",
+    "flt":
+        "3253ef73aafab6d8ef8d6320c9723af316fa385d7d999aa39797ebfe583ae7fa",
+    "tightness":
+        "7e0dabe788972e638bd6025f121e7d9936bb9fb1f804398fcbe61e0cda31108f",
+    "w_positivity":
+        "aad39d9134dd55fbb4f1bd87eb66c7b4f5f06555e822f392424bd562af887c07",
+    "w_positivity_heavy":
+        "ea10c1b97685bdee1b9276e103bb69057f49d32c3159399ac756be8009b247e8",
 }
 
 
-def results_sha256(tmp_path, name: str, threads: int = 2) -> str:
+def output_sha256(tmp_path, name: str, threads: int = 2) -> dict:
+    """sha256 of each file a run of ``CONFIGS[name]`` writes, by name."""
     cfg = tmp_path / f"{name}.json"
     cfg.write_text(json.dumps(CONFIGS[name]))
     out = tmp_path / f"{name}-out"
     assert main(["run", str(cfg), "--threads", str(threads),
                  "--out", str(out)]) == 0
-    return hashlib.sha256((out / "results.json").read_bytes()).hexdigest()
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_results_digest(tmp_path, name):
-    assert results_sha256(tmp_path, name) == DIGESTS[name]
+    digests = output_sha256(tmp_path, name)
+    assert digests["results.json"] == DIGESTS[name]
+    assert digests.get("series.csv") == SERIES_DIGESTS.get(name)

@@ -1,5 +1,7 @@
 """Checks that run in a fresh interpreter: that runs never load scipy, and
-that the benchmark's per-layer hooks still find every call boundary."""
+that the benchmark's per-layer hooks still find every call boundary.  Also
+static checks of the source: no module imports scipy, and only ``cli``
+defines the output format."""
 
 import ast
 import json
@@ -42,15 +44,37 @@ def test_runs_never_load_scipy(tmp_path):
     assert json.loads(out.splitlines()[-1]) == []
 
 
-def test_no_module_imports_scipy():
+def source_nodes():
+    """``(file name, node)`` for every syntax node of every bpve module."""
     for path in sorted((ROOT / "src" / "bpve").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            names = ([alias.name for alias in node.names]
-                     if isinstance(node, ast.Import) else
-                     [node.module or ""] if isinstance(node, ast.ImportFrom)
-                     else [])
-            assert not any(n.partition(".")[0] == "scipy" for n in names), \
-                f"{path.name}:{node.lineno} imports scipy"
+            yield path.name, node
+
+
+def imported_packages(node) -> list:
+    """Top-level names of the packages an import statement imports."""
+    names = ([alias.name for alias in node.names]
+             if isinstance(node, ast.Import) else
+             [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+    return [n.partition(".")[0] for n in names]
+
+
+def test_no_module_imports_scipy():
+    for name, node in source_nodes():
+        assert "scipy" not in imported_packages(node), \
+            f"{name}:{node.lineno} imports scipy"
+
+
+def test_output_format_lives_in_cli():
+    # cli.jsonable serializes every result dataclass from its fields
+    for name, node in source_nodes():
+        if name == "cli.py":
+            continue
+        assert "json" not in imported_packages(node), \
+            f"{name}:{node.lineno} imports json"
+        assert not (isinstance(node, ast.FunctionDef)
+                    and node.name in ("to_dict", "to_csv")), \
+            f"{name}:{node.lineno} defines {node.name}"
 
 
 def test_bench_tracer_finds_every_hook():
