@@ -310,7 +310,8 @@ def quench_many(spec: EnvironmentSpec, env_seeds: Sequence[int],
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if horizon > MAX_QUENCH_HORIZON:
-        raise ResourceWarningError(horizon)
+        raise ResourceWarningError(f"horizon {horizon} exceeds the in-memory "
+                                   f"quench budget ({MAX_QUENCH_HORIZON})")
     seeds = [int(s) for s in env_seeds]
     if spec.kind == "iid_random" and spec.mixer.kind == "finite":
         table = spec.mixer.dists
@@ -331,10 +332,7 @@ def quench_many(spec: EnvironmentSpec, env_seeds: Sequence[int],
 
 
 class ResourceWarningError(MemoryError):
-    def __init__(self, horizon):
-        super().__init__(
-            f"horizon {horizon} exceeds the in-memory quench budget "
-            f"({MAX_QUENCH_HORIZON})")
+    """A size beyond a fixed in-memory budget."""
 
 
 # -- presets ----------------------------------------------------------------

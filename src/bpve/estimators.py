@@ -1,10 +1,12 @@
 """Monte Carlo verification of the convergence conclusions.
 
-All estimators run replicas in fixed-size blocks.  Block ``b`` draws its
-randomness from the counter-based stream keyed by ``(master_seed, b)`` and
-blocks are merged in index order, so results are bitwise identical for any
-worker count.  Within a block the replicas step together through
-:func:`bpve.simulate.simulate_block`.
+Every estimator runs through one block runner, :func:`_run_blocks`: block
+``b`` draws from the stream keyed by ``(master_seed, b)``, steps through
+:func:`bpve.simulate.simulate_block` and is reduced at once to the
+per-replica array the estimator needs.  Parts are concatenated in block
+order, so results are bitwise identical for any worker count.  A replica is
+alive when ``log W > -inf`` (``Z_n > 0``), decided before any ``exp``: the
+``W`` of a live replica can underflow to 0.
 
 Quenched estimators take a materialized environment (one fixed sequence of
 laws); annealed estimators take a random-environment spec and draw a fresh
@@ -23,7 +25,8 @@ import numpy as np
 
 from .conditions import increment_variance_series
 from .distributions import NotApplicableError
-from .environment import EnvironmentSpec, QuenchedEnvironment
+from .environment import (EnvironmentSpec, QuenchedEnvironment,
+                          ResourceWarningError)
 from .numerics import clopper_pearson_upper
 from .simulate import (AnnealedLaws, QuenchedLaws, simulate_block,
                        stretched_indices)
@@ -58,7 +61,8 @@ class McEstimate:
     config_digest: str = ""
 
     @classmethod
-    def proportion(cls, p: float, replicas: int, seed: int) -> "McEstimate":
+    def proportion(cls, flags: np.ndarray, seed: int) -> "McEstimate":
+        p, replicas = float(np.mean(flags)), len(flags)
         return cls(p, math.sqrt(p * (1.0 - p) / replicas), replicas, seed)
 
     @classmethod
@@ -102,36 +106,56 @@ class ConditionedSummary:
 
 # -- block engine -----------------------------------------------------------
 
+# every per-replica array the runner keeps must fit in memory
+MAX_REPLICAS = 10**8
+
+
 def _map_blocks(replicas: int, block: int, fn, threads: Optional[int]):
     """Apply ``fn(block_index, block_size)`` to every block; merge in index
     order (results therefore do not depend on the worker count)."""
     if replicas < 1:
         raise ValueError("need at least one replica")
+    if replicas > MAX_REPLICAS:
+        raise ResourceWarningError(f"{replicas} replicas exceed the "
+                                   f"in-memory budget ({MAX_REPLICAS})")
     sizes = [(b, min(block, replicas - b * block))
              for b in range((replicas + block - 1) // block)]
     if threads is None or threads <= 1 or len(sizes) == 1:
         return [fn(b, sz) for b, sz in sizes]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, b, sz) for b, sz in sizes]
-        return [f.result() for f in futures]
+        return list(pool.map(fn, *zip(*sizes)))
+
+
+def _run_blocks(make_laws, z0: int, n: int, record: Sequence[int],
+                replicas: int, seed: int, threads: Optional[int], reduce,
+                low: bool = False) -> np.ndarray:
+    """``reduce(block)`` of every block of ``replicas`` replicas run for
+    ``n`` generations, concatenated in block order; block ``b`` takes its
+    laws from ``make_laws(b, size)``."""
+    def run(b, sz):
+        return reduce(simulate_block(make_laws(b, sz), z0, n, sz,
+                                     substream(seed, b), record, low))
+
+    return np.concatenate(_map_blocks(replicas, DEFAULT_BLOCK, run, threads))
+
+
+def _quenched(env: QuenchedEnvironment, n: int):
+    """``make_laws`` of a run on ``env`` to generation ``n``."""
+    if n > env.horizon:
+        raise ValueError("requested index beyond environment horizon")
+    return lambda b, sz: QuenchedLaws(env)
 
 
 def collect_w(env: QuenchedEnvironment, z0: int, indices: Sequence[int],
               replicas: int, seed: int,
               threads: Optional[int] = None) -> np.ndarray:
-    """Normalized population values at ``indices`` for every replica;
-    shape ``(replicas, len(indices))``, zeros after extinction."""
+    """Normalized population values at ``indices`` for every replica, shape
+    ``(replicas, len(indices))``; 0 after extinction and where W underflows."""
     indices = sorted(set(int(i) for i in indices))
     n = max(indices)
-    if n > env.horizon:
-        raise ValueError("requested index beyond environment horizon")
-
-    def run(b, sz):
-        return simulate_block(QuenchedLaws(env), z0, n, sz, substream(seed, b),
-                              indices).log_w
-
-    parts = _map_blocks(replicas, DEFAULT_BLOCK, run, threads)
-    return np.exp(np.concatenate(parts, axis=0))
+    w = _run_blocks(_quenched(env, n), z0, n, indices, replicas, seed,
+                    threads, lambda block: block.log_w)
+    return np.exp(w, out=w)
 
 
 # -- quenched estimators ----------------------------------------------------
@@ -139,8 +163,9 @@ def collect_w(env: QuenchedEnvironment, z0: int, indices: Sequence[int],
 def mc_survival(env: QuenchedEnvironment, z0: int, n: int, replicas: int,
                 seed: int, threads: Optional[int] = None) -> McEstimate:
     """Fraction of replicas still alive at generation ``n``."""
-    w = collect_w(env, z0, [n], replicas, seed, threads)[:, 0]
-    return McEstimate.proportion(float(np.mean(w > 0)), replicas, seed)
+    return McEstimate.proportion(_run_blocks(
+        _quenched(env, n), z0, n, [n], replicas, seed, threads,
+        lambda block: block.log_w[:, 0]) > -np.inf, seed)
 
 
 def mc_w_positivity(env: QuenchedEnvironment, z0: int, n: int,
@@ -157,10 +182,11 @@ def mc_w_positivity(env: QuenchedEnvironment, z0: int, n: int,
     if not eps_grid or not all(0.0 < e < math.inf for e in eps_grid):
         raise ValueError("eps_grid must hold positive finite thresholds, "
                          f"got {eps_grid}")
-    w = collect_w(env, z0, [n], replicas, seed, threads)[:, 0]
-    surv = McEstimate.proportion(float(np.mean(w > 0)), replicas, seed)
-    above = {eps: McEstimate.proportion(float(np.mean(w > eps)), replicas, seed)
-             for eps in eps_grid}
+    log_w = _run_blocks(_quenched(env, n), z0, n, [n], replicas, seed,
+                        threads, lambda block: block.log_w[:, 0])
+    surv = McEstimate.proportion(log_w > -np.inf, seed)
+    w = np.exp(log_w)
+    above = {eps: McEstimate.proportion(w > eps, seed) for eps in eps_grid}
     window, value = _find_plateau(eps_grid, above)
     gap = None if value is None else surv.value - value
     return EqualityCheck(surv, above, window, value, gap)
@@ -169,34 +195,29 @@ def mc_w_positivity(env: QuenchedEnvironment, z0: int, n: int,
 def _find_plateau(eps_grid: List[float], above: Dict[float, McEstimate]):
     """Widest window spanning at least one decade over which the exceedance
     curve is flat within combined 3-sigma noise."""
-    best = None
-    m = len(eps_grid)
-    for i in range(m):
-        for j in range(m - 1, i, -1):
-            lo, hi = eps_grid[i], eps_grid[j]
-            if hi / lo < 10.0 * (1.0 - 1e-9):
-                continue
-            pi, pj = above[lo], above[hi]
-            tol = 3.0 * math.sqrt(pi.std_error**2 + pj.std_error**2)
-            if pi.value - pj.value <= tol:
-                width = hi / lo
-                if best is None or width > best[0]:
-                    best = (width, lo, hi)
-    if best is None:
+    def flat(lo, hi):
+        a, b = above[lo], above[hi]
+        tol = 3.0 * math.sqrt(a.std_error**2 + b.std_error**2)
+        return a.value - b.value <= tol
+
+    windows = [(hi / lo, lo, hi) for i, lo in enumerate(eps_grid)
+               for hi in eps_grid[i + 1:]
+               if hi / lo >= 10.0 * (1.0 - 1e-9) and flat(lo, hi)]
+    if not windows:
         return None, None
-    _, lo, hi = best
+    _, lo, hi = max(windows, key=lambda window: window[0])
     vals = [above[e].value for e in eps_grid if lo <= e <= hi]
     return (lo, hi), float(np.mean(vals))
 
 
-def _check_sample_mean_replicas(replicas: int):
+def _check_span(env: QuenchedEnvironment, n: int, m: int, replicas: int):
+    """Refuse a span the second-moment estimators cannot use."""
+    if n < 0 or m < 1:
+        raise ValueError("need n >= 0 and m >= 1")
     if replicas < 2:
         raise ValueError("replicas must be >= 2 for a sample-mean standard "
                          f"error, got {replicas}")
-
-
-def _check_finite_variance(env: QuenchedEnvironment, upto: int):
-    for i in range(upto):
+    for i in range(n + m):
         if math.isinf(env.dists[i].normalized_variance):
             raise NotApplicableError(
                 f"generation {i + 1} has infinite variance; second-moment "
@@ -217,16 +238,10 @@ def mc_increment_covariance(env: QuenchedEnvironment, k: int, n: int, m: int,
                             threads: Optional[int] = None) -> McEstimate:
     """Covariance of a later one-step increment with the earlier span
     increment; zero in expectation by the martingale property."""
-    if n < 0 or m < 1:
-        raise ValueError("need n >= 0 and m >= 1")
-    _check_sample_mean_replicas(replicas)
-    _check_finite_variance(env, n + m)
-    # collect_w deduplicates and sorts its index list, so look positions up
-    idx = sorted({n, n + m - 1, n + m})
-    pos = {v: j for j, v in enumerate(idx)}
-    w = collect_w(env, k, idx, replicas, seed, threads)
-    x = w[:, pos[n + m]] - w[:, pos[n + m - 1]]
-    y = w[:, pos[n + m - 1]] - w[:, pos[n]]
+    _check_span(env, n, m, replicas)
+    # collect_w merges the two earlier generations when m = 1
+    w = collect_w(env, k, [n, n + m - 1, n + m], replicas, seed, threads)
+    x, y = w[:, -1] - w[:, -2], w[:, -2] - w[:, 0]
     return McEstimate.sample_mean((x - x.mean()) * (y - y.mean()), seed)
 
 
@@ -235,12 +250,10 @@ def mc_l2_span(env: QuenchedEnvironment, k: int, n: int, m: int,
                threads: Optional[int] = None) -> McEstimate:
     """Mean squared increment of the normalized process between generations
     ``n`` and ``n + m``."""
-    if n < 0 or m < 1:
-        raise ValueError("need n >= 0 and m >= 1")
-    _check_sample_mean_replicas(replicas)
-    _check_finite_variance(env, n + m)
-    w = collect_w(env, k, [n, n + m], replicas, seed, threads)
-    return McEstimate.sample_mean((w[:, 1] - w[:, 0]) ** 2, seed)
+    _check_span(env, n, m, replicas)
+    return McEstimate.sample_mean(_run_blocks(
+        _quenched(env, n + m), k, n + m, [n, n + m], replicas, seed, threads,
+        lambda block: np.diff(np.exp(block.log_w))[:, 0] ** 2), seed)
 
 
 def mc_halving_bound(env: QuenchedEnvironment, k: int, start: int,
@@ -248,16 +261,12 @@ def mc_halving_bound(env: QuenchedEnvironment, k: int, start: int,
                      threads: Optional[int] = None) -> HalvingResult:
     """Probability that the renormalized population ever halves relative to
     its value at ``start``, against the Chebyshev-type analytic bound
-    ``4 * (variance budget) / k``.
-
-    Refuses when the variance budget after ``start`` cannot be certified
-    finite.
-    """
+    ``4 * (variance budget) / k``; refused when the variance budget after
+    ``start`` cannot be certified finite."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    budget = increment_variance_series(env, start,
-                                       horizon=min(horizon,
-                                                   env.horizon - start - 1))
+    budget = increment_variance_series(
+        env, start, horizon=min(horizon, env.horizon - start - 1))
     if budget.verdict != "finite":
         raise NotApplicableError(
             "variance budget after start is not certified finite "
@@ -270,16 +279,12 @@ def mc_halving_bound(env: QuenchedEnvironment, k: int, start: int,
     # S_0 = 0, so the renormalized population halves when log W < log(k/2)
     ref = math.log(k / 2.0)
 
-    def run(b, sz):
-        low = simulate_block(QuenchedLaws(env_sim), k, steps, sz,
-                             substream(seed, b), low=True).low
-        return int(np.count_nonzero(low < ref))
-
-    hits = sum(_map_blocks(replicas, DEFAULT_BLOCK, run, threads))
-    est = McEstimate.proportion(hits / replicas, replicas, seed)
+    halved = _run_blocks(_quenched(env_sim, steps), k, steps, (), replicas,
+                         seed, threads, lambda block: block.low < ref,
+                         low=True)
     # one-sided 99% exact (Clopper-Pearson) upper confidence limit
-    ucl = clopper_pearson_upper(hits, replicas, 0.99)
-    return HalvingResult(est, bound, ucl)
+    ucl = clopper_pearson_upper(int(np.count_nonzero(halved)), replicas, 0.99)
+    return HalvingResult(McEstimate.proportion(halved, seed), bound, ucl)
 
 
 def check_path_grid(n_list: Sequence[int], grid_size: int) -> None:
@@ -308,28 +313,32 @@ def mc_flt_discrepancy(env: QuenchedEnvironment, n_list: Sequence[int],
     out = []
     grid = np.linspace(0.0, 1.0, grid_size)
     for li, n in enumerate(sorted(int(x) for x in n_list)):
-        idx = np.unique(stretched_indices(n, grid))
-        w = collect_w(env, 1, list(idx), replicas, seed + li, threads)
-        endpoint = w[:, -1]
-        alive = endpoint > 0
-        spread = np.abs(w[alive] - endpoint[alive, None]).max(axis=1)
-        if alive.sum() == 0:
-            out.append(PathSpreadSummary(n, 0, math.nan, math.nan))
-            continue
-        out.append(PathSpreadSummary(n, int(alive.sum()),
-                                     float(np.median(spread)),
-                                     float(np.quantile(spread, 0.9))))
+        idx = np.unique(stretched_indices(n, grid)).tolist()
+        w = _run_blocks(_quenched(env, idx[-1]), 1, idx[-1], idx, replicas,
+                        seed + li, threads, lambda block: block.log_w)
+        w = w[w[:, -1] > -np.inf]  # log W of the replicas alive at n
+        np.exp(w, out=w)
+        w -= w[:, -1:]
+        spread = np.abs(w, out=w).max(axis=1)
+        out.append(PathSpreadSummary(n, len(spread),
+                                     *_median_and_quantile(spread, 0.9)))
     return out
+
+
+def _median_and_quantile(x: np.ndarray, q: float) -> Tuple[float, float]:
+    """Median and ``q``-quantile of ``x``; both NaN when ``x`` is empty."""
+    if not len(x):
+        return math.nan, math.nan
+    return float(np.median(x)), float(np.quantile(x, q))
 
 
 # -- annealed estimators ----------------------------------------------------
 
 def mc_conditioned_critical(spec: EnvironmentSpec, n_list: Sequence[int],
                             replicas: int, seed: int,
-                            env_seed: Optional[int] = None,
-                            z0: int = 1,
+                            env_seed: Optional[int] = None, z0: int = 1,
                             min_survivors: int = 500,
-                            threads: Optional[int] = None,
+                            threads: Optional[int] = None
                             ) -> List[ConditionedSummary]:
     """Annealed run of a random-environment spec; among replicas alive at
     each checkpoint, summarizes the normalized population value.
@@ -344,24 +353,14 @@ def mc_conditioned_critical(spec: EnvironmentSpec, n_list: Sequence[int],
     if not n_list:
         raise ValueError("n_list must name at least one checkpoint")
     n = n_list[-1]
-
-    def run(b, sz):
-        laws = AnnealedLaws(spec, substream(env_seed, b), sz)
-        return simulate_block(laws, z0, n, sz, substream(seed, b),
-                              n_list).log_w
-
-    parts = _map_blocks(replicas, DEFAULT_BLOCK, run, threads)
-    logw = np.concatenate(parts, axis=0)
-    w = np.exp(logw)
+    log_w = _run_blocks(
+        lambda b, sz: AnnealedLaws(spec, substream(env_seed, b), sz), z0, n,
+        n_list, replicas, seed, threads, lambda block: block.log_w)
     out = []
     for j, nj in enumerate(n_list):
-        alive = w[:, j] > 0
-        cnt = int(alive.sum())
-        if cnt == 0:
-            out.append(ConditionedSummary(nj, 0, math.nan, math.nan, True))
-            continue
-        vals = w[alive, j]
+        vals = np.exp(log_w[log_w[:, j] > -np.inf, j])
+        cnt = len(vals)
         out.append(ConditionedSummary(
-            nj, cnt, float(np.median(vals)), float(np.quantile(vals, 0.1)),
-            inconclusive=(nj == n and cnt < min_survivors)))
+            nj, cnt, *_median_and_quantile(vals, 0.1),
+            inconclusive=cnt == 0 or (nj == n and cnt < min_survivors)))
     return out

@@ -145,8 +145,8 @@ def simulate_block(laws, z0: int, n: int, size: int,
     the last generation with an exact count of each switched replica, else
     -1.
     """
-    if z0 < 1:
-        raise ValueError(f"need at least one ancestor, got z0 = {z0}")
+    if not 1 <= z0 <= 2**63 - 1:  # the counts are int64
+        raise ValueError(f"z0 must lie in [1, 2**63 - 1], got z0 = {z0}")
     record = list(record)
     if record and not 0 <= min(record) <= max(record) <= n:
         raise ValueError(f"recorded generations must lie in [0, {n}], got "

@@ -193,6 +193,9 @@ def test_critical_requires_random_environment(tmp_path):
     ("survival", {"kind": "constant",
                   "dist": {"kind": "geometric", "mean": 1e18}},
      {"n": 5, "replicas": 200}, 2),
+    # refused before the blocks are listed, which did not end within 60 s
+    ("survival", {"preset": "critical_two_point"},
+     {"n": 5, "replicas": 10**30}, 3),
 ])
 def test_huge_populations_end_in_documented_exit_codes(tmp_path, experiment,
                                                        environment, params,
@@ -292,6 +295,15 @@ def test_ill_typed_value_is_schema_error(tmp_path, capsys, top, params, field):
     ("tightness", {"kind": "iid_random", "mixer": {
         "kind": "gaussian_logmean_geometric", "mu": 0, "sigma": 1e300}},
      {"l_grid": [1, 5], "env_replicas": 4}),
+] + [
+    # an ancestor count beyond int64 ended in a resource error (exit 3)
+    (experiment, {"preset": preset}, {**params, key: 10**30})
+    for experiment, preset, key, params in [
+        ("survival", "critical_two_point", "z0", {"n": 8, "replicas": 200}),
+        ("critical", "critical_two_point", "z0",
+         {"n_list": [8], "replicas": 200}),
+        ("halving", "supercritical_mu0.2", "k", {"replicas": 100}),
+        ("l2", "supercritical_mu0.2", "k", {"replicas": 100})]
 ])
 def test_refused_values_are_schema_errors(tmp_path, experiment, environment,
                                           params):

@@ -5,8 +5,8 @@ import pytest
 
 from bpve import estimators
 from bpve.cli import jsonable
-from bpve.distributions import NotApplicableError
-from bpve.environment import EnvironmentSpec, PRESETS, quench
+from bpve.distributions import NotApplicableError, OffspringDistribution
+from bpve.environment import EnvironmentSpec, Mixer, PRESETS, quench
 from bpve.estimators import (collect_w, mc_conditioned_critical,
                              mc_flt_discrepancy, mc_halving_bound,
                              mc_increment_covariance, mc_l2_increment,
@@ -122,6 +122,25 @@ def test_flt_spread_shrinks(gw_dist):
     assert all(s.q90 >= s.median for s in out)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_live_replicas_whose_w_underflows_count_as_alive(threads):
+    # p0 = 0, so every replica survives; about 4.5% of them end with
+    # log W below -745, where exp(log W) underflows to 0
+    pmf = [0.0] * 1001
+    pmf[1], pmf[1000] = 0.99, 0.01
+    law = OffspringDistribution.finite_pmf(pmf)
+    env = quench(EnvironmentSpec.constant(law), 1, 400)
+    assert mc_survival(env, 1, 400, 2000, 5, threads).value == 1.0
+    chk = mc_w_positivity(env, 1, 400, [1e-3, 1e-2], 2000, 5, threads)
+    assert chk.p_survive.value == 1.0
+    assert mc_flt_discrepancy(env, [400], 2000, 5,
+                              threads=threads)[0].survivors == 2000
+    spec = EnvironmentSpec.iid_random(Mixer("finite", dists=[law],
+                                            weights=[1.0]))
+    out = mc_conditioned_critical(spec, [400], 2000, 5, threads=threads)
+    assert out[0].survivors == 2000
+
+
 def test_conditioned_critical_runs():
     out = mc_conditioned_critical(PRESETS["critical_two_point"](), [16, 32],
                                   20000, 15, threads=4, min_survivors=100)
@@ -152,7 +171,6 @@ def test_conditioned_cooling_spec_supported():
 
 
 def test_conditioned_gaussian_mixer_supported():
-    from bpve.environment import Mixer
     spec = EnvironmentSpec.iid_random(
         Mixer("gaussian_logmean_geometric", mu=0.0, sigma=0.5))
     out = mc_conditioned_critical(spec, [16], 5000, 19, threads=2,

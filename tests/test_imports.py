@@ -1,7 +1,7 @@
 """Checks that run in a fresh interpreter: that runs never load scipy, and
 that the benchmark's per-layer hooks still find every call boundary.  Also
-static checks of the source: no module imports scipy, and only ``cli``
-defines the output format."""
+static checks of the source: no module imports scipy, only ``cli`` defines
+the output format, and one call site runs the population loop."""
 
 import ast
 import json
@@ -75,6 +75,49 @@ def test_output_format_lives_in_cli():
         assert not (isinstance(node, ast.FunctionDef)
                     and node.name in ("to_dict", "to_csv")), \
             f"{name}:{node.lineno} defines {node.name}"
+
+
+def holds_exp_w(expr, names) -> bool:
+    """Whether ``expr`` holds an exp'd ``W``: a call of ``exp`` or
+    ``collect_w``, or one of ``names``."""
+    return any(isinstance(n, ast.Call) and getattr(
+                   n.func, "attr", getattr(n.func, "id", None))
+               in ("exp", "collect_w")
+               or isinstance(n, ast.Name) and n.id in names
+               for n in ast.walk(expr))
+
+
+def test_one_population_loop_reads_survival_from_log_w():
+    # the estimators share one block runner, and a replica is alive when
+    # log W > -inf: the exp'd W of a live replica can underflow to 0
+    calls = [f"{name}:{node.lineno}" for name, node in source_nodes()
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "simulate_block"]
+    assert len(calls) == 1, calls
+    tree = ast.parse((ROOT / "src" / "bpve" / "estimators.py").read_text())
+    for func in tree.body:
+        names = set()  # assigned from an exp'd W, in source order
+        for node in sorted((n for n in ast.walk(func)
+                            if isinstance(n, (ast.Assign, ast.Call))),
+                           key=lambda n: n.lineno):
+            value, targets = ((node.value, node.targets)
+                              if isinstance(node, ast.Assign) else
+                              (node, [k.value for k in node.keywords
+                                      if k.arg == "out"]))
+            if holds_exp_w(value, names):
+                names |= {n.id for target in targets
+                          for n in ast.walk(target) if isinstance(n, ast.Name)}
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            for op, lhs, rhs in zip(node.ops, sides, sides[1:]):
+                zero, w = ((rhs, lhs) if isinstance(op, ast.Gt) else
+                           (lhs, rhs) if isinstance(op, ast.Lt) else
+                           (None, None))
+                assert not (isinstance(zero, ast.Constant) and zero.value == 0
+                            and holds_exp_w(w, names)), \
+                    f"estimators.py:{node.lineno} reads {ast.unparse(w)} > 0"
 
 
 def test_bench_tracer_finds_every_hook():
