@@ -24,9 +24,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .distributions import NotApplicableError, PhiFunction
+from .numerics import exp_or_inf
 # ``quench`` is not called here but stays bound, like ``substream``: the
 # benchmark's tracer (bench/spans.py) wraps both names in this module
-from .environment import (EnvironmentSpec, QuenchedEnvironment, quench,
+from .environment import (MAX_REPLICAS, EnvironmentSpec,
+                          QuenchedEnvironment, ResourceWarningError, quench,
                           quench_many)
 from .streams import substream
 
@@ -209,8 +211,8 @@ def _moment_series(series_id, env, start, horizon, shift, exponent, term,
     def tail(mu):
         zbar = max(term(d, 1.0) for d in
                    env.dists[last - min(WINDOW, horizon + 1):last])
-        damp = math.exp(-exponent * (env.s[last] - env.s[start]
-                                     + (1 - shift) * mu))
+        damp = exp_or_inf(-exponent * (env.s[last] - env.s[start]
+                                       + (1 - shift) * mu))
         return _geometric_tail(zbar, damp, exponent * mu)
     return _certify(series_id, start, horizon, first, terms,
                     env.xi[start:last], tail, detail, divergence_threshold,
@@ -273,11 +275,12 @@ def psi_series(env: QuenchedEnvironment, start: int = 1,
     terms = damped_series(env, start, shift, horizon, exponent, term)
     wlen = max(1, min(WINDOW, horizon))
     trailing = set(env.dists[start + horizon - wlen:start + horizon])
-    next_scale = math.exp(-(env.s[start + horizon] - env.s[start]))
     return _certify(
         "psi_series", start, horizon, start + shift, terms,
         env.xi[start:start + horizon],
-        lambda mu: _psi_tail_bound(phi, trailing, next_scale, mu, tol * 1e-3),
+        lambda mu: _psi_tail_bound(
+            phi, trailing, exp_or_inf(env.s[start] - env.s[start + horizon]),
+            mu, tol * 1e-3),
         {"phi": phi.identifier})
 
 
@@ -443,6 +446,10 @@ def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
         raise ValueError("l_grid must contain positive truncation lengths")
     if env_replicas < 1:
         raise ValueError("need at least one environment replica")
+    if env_replicas > MAX_REPLICAS:
+        raise ResourceWarningError(f"{env_replicas} environment replicas "
+                                   "exceed the in-memory budget "
+                                   f"({MAX_REPLICAS})")
     if not 0.0 < blowup_factor < math.inf:
         raise ValueError("blowup_factor must be a positive finite number, "
                          f"got {blowup_factor!r}")

@@ -610,6 +610,8 @@ class OffspringDistribution:
         This is ``E[U * phi(U*scale)]`` for the power-log catalog with
         ``phi(x) = x^(upow-1) * log(1+x)^logpow``; with ``scale=1, logpow=0``
         it reduces to the plain fractional deviation moment ``E U^upow``.
+        A power tail's divergent moment is +inf; any other moment that is
+        not a finite float raises :class:`UnsupportedDistributionError`.
         """
         sfac = scale ** (upow - 1.0)
 
@@ -621,12 +623,24 @@ class OffspringDistribution:
             return val
 
         def compute():
-            if self.kind == "finite_pmf":
-                return float(np.dot(self._pmf, integrand(self._ks)))
             if self.kind == "power_law_tail":
-                return self._power_tail_moment(integrand, upow, logpow, scale,
-                                               tol)
-            return self._light_tail_moment(integrand, tol)
+                # term exponent k^{-(2+alpha)} * k^upow: divergent iff
+                # upow-1 >= alpha (at equality the log factors only worsen it)
+                if upow - 1.0 >= self._alpha:
+                    return math.inf
+                value = self._power_tail_moment(integrand, upow, logpow,
+                                                scale, tol)
+            else:
+                # an overflowing integrand is refused below, not warned about
+                with np.errstate(over="ignore", invalid="ignore"):
+                    value = (float(np.dot(self._pmf, integrand(self._ks)))
+                             if self.kind == "finite_pmf" else
+                             self._light_tail_moment(integrand, tol))
+            if not math.isfinite(value):
+                raise UnsupportedDistributionError(
+                    f"{self!r}: its deviation moment of order {upow:g} is "
+                    f"{value} in floating point")
+            return value
         return self._cached(("u_moment", upow, logpow, scale, tol), compute)
 
     def _light_tail_moment(self, integrand, tol: float) -> float:
@@ -640,7 +654,9 @@ class OffspringDistribution:
             contrib = float(np.dot(p, integrand(ks)))
             total += contrib
             tail_mass = float(p[-256:].sum())
-            if contrib < tol * 1e-3 and tail_mass < 1e-16:
+            # a non-finite block is final: the caller refuses it
+            if not math.isfinite(total) or (contrib < tol * 1e-3
+                                             and tail_mass < 1e-16):
                 return total
             start += block
             if start > 10**8:  # unreachable for these families in practice
@@ -650,21 +666,18 @@ class OffspringDistribution:
                            scale: float, tol: float) -> float:
         """Exact sum of the terms ``k <= K``, plus ``int_{K+1/2}^inf f``
         (:func:`_power_tail_integral`) and the Euler-Maclaurin correction
-        ``f'(K+1/2)/24``.
+        ``f'(K+1/2)/24``, for a convergent moment.
 
         :func:`_remainder_bound` certifies the error of the last two; with
         the quadrature's error estimate it must stay within ``tol``
         (relative once the moment exceeds 1), else the exact head grows
         fourfold.  At ``K = 2^16`` the certified bound is below 2e-18 times
         the tail integral for log powers up to 7, so the quadrature's
-        estimate dominates.
+        estimate dominates.  A head past ``_MOMENT_HEAD_MAX`` terms, needed
+        first (the bound needs ``K >= 2m``) or to meet ``tol``, raises
+        :class:`NotApplicableError`: no value is returned uncertified.
         """
-        alpha = self._alpha
-        sigma = 2.0 + alpha
-        # Term exponent k^{-(2+alpha)} * k^upow: divergent iff upow-1 >= alpha
-        # (at equality the log factors only worsen it).
-        if upow - 1.0 >= alpha:
-            return math.inf
+        sigma = 2.0 + self._alpha
         m = self.mean
         log_c = math.log(self._c) + (upow - 1.0) * math.log(scale)
 
@@ -678,6 +691,10 @@ class OffspringDistribution:
         cut = _MOMENT_HEAD
         while cut < 2.0 * m:  # the remainder bound needs the cut past 2m
             cut *= 4
+        if cut > _MOMENT_HEAD_MAX:
+            raise NotApplicableError(
+                f"{self!r} has mean {m:.3g}: its moments need an exact head "
+                f"of more than {_MOMENT_HEAD_MAX} terms")
         total = head(0, cut + 1)
         while True:
             a = cut + 0.5
@@ -690,8 +707,13 @@ class OffspringDistribution:
                                            * math.log1p(u * scale))
             value = total + tail + af / a * slope / 24.0
             err = q_err + _remainder_bound(a, tail, sigma, upow, logpow, m)
-            if err <= tol * max(1.0, value) or cut >= _MOMENT_HEAD_MAX:
+            if err <= tol * max(1.0, value):
                 return value
+            if cut >= _MOMENT_HEAD_MAX:
+                raise NotApplicableError(
+                    f"{self!r}: a moment's error bound {err:.3g} misses tol "
+                    f"{tol:.3g} at the largest exact head ({_MOMENT_HEAD_MAX} "
+                    "terms)")
             total += head(cut + 1, 4 * cut + 1)
             cut *= 4
 

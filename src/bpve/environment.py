@@ -8,15 +8,19 @@ keyed by ``(env_seed, index)``, so ``dist_at`` is random-access: the law of
 generation ``i`` can be produced without materializing generations
 ``1..i-1``, and two calls always agree.
 
+:meth:`Mixer.sample` is the one rule that turns stream draws into
+log-means and components, for a quenched draw (:meth:`Mixer.draw`) and for
+the annealed per-replica draws (:class:`bpve.simulate.AnnealedLaws`) alike.
+
 ``quench`` freezes a spec into a :class:`QuenchedEnvironment`: a concrete
 sequence of laws together with the running sums of their log-means,
 accumulated with compensated summation (the condition series are
-exponentially sensitive to drift in those sums).  A cooling spec's stream
-is keyed by the block index, so ``quench`` draws once per block.
-``quench_many`` freezes many environments of one spec at once; for an
-i.i.d. finite mixer it picks every generation of every environment from one
-vectorized pass over the streams' first uniforms, with the values
-generation-by-generation draws would give.
+exponentially sensitive to drift in those sums).  ``quench_many`` freezes
+many environments of one spec at once.  It resolves a non-random spec once,
+and a random spec once per distinct stream key: a cooling spec's stream is
+keyed by the block index, so it draws once per block.  Every finite-mixer
+draw comes from one vectorized pass over the streams' first uniforms, with
+the values stream-by-stream draws would give.
 
 Each named preset is one config in :data:`PRESET_CONFIGS`, the dict
 ``bpve list-presets`` prints; ``{"preset": name}`` and the inline config
@@ -33,6 +37,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .distributions import OffspringDistribution, check_keys
+from .numerics import exp_or_inf
 from .streams import first_uniforms, substream
 
 __all__ = [
@@ -49,14 +54,10 @@ MAX_QUENCH_HORIZON = 10**7
 
 
 class Mixer:
-    """A sampling law over offspring distributions (one i.i.d. environment draw).
-
-    Two forms:
-
-    * ``finite``: a finite mixture of fully specified laws with weights.
-    * ``gaussian_logmean_geometric``: geometric offspring whose log-mean is
-      drawn from a Gaussian.
-    """
+    """A sampling law over offspring distributions (one random-environment
+    draw): a ``finite`` mixture of fully specified laws with weights, or
+    ``gaussian_logmean_geometric``, geometric offspring whose log-mean is
+    drawn from a Gaussian."""
 
     def __init__(self, kind: str, **params):
         self.kind = kind
@@ -73,6 +74,7 @@ class Mixer:
             # the cdf numpy's Generator.choice builds from p on every call
             self.cdf = self.weights.cumsum()
             self.cdf /= self.cdf[-1]
+            self.xi = np.array([d.log_mean for d in dists])
         elif kind == "gaussian_logmean_geometric":
             self.mu = float(params["mu"])
             self.sigma = float(params["sigma"])
@@ -82,25 +84,28 @@ class Mixer:
         else:
             raise ValueError(f"unknown mixer kind {kind!r}")
 
-    def components(self, rng: np.random.Generator, size=None):
-        """Component indices of a finite mixer: one uniform per draw against
-        the weights' cdf, the values ``rng.choice(len(dists), size,
-        p=weights)`` returns, without its per-call checks of ``p``."""
-        return self.pick(rng.random(size))
+    def sample(self, rng: np.random.Generator, size=None):
+        """``(xi, component)`` of ``size`` draws (one when ``None``): a
+        finite mixer draws one uniform per draw against the weights' cdf,
+        the components ``rng.choice(len(dists), size, p=weights)`` returns,
+        and their log-means; a Gaussian one draws one normal per draw, the
+        log-mean ``mu + sigma * z``, and component ``None``."""
+        if self.kind == "finite":
+            comp = self.pick(rng.random(size))
+            return self.xi[comp], comp
+        return self.mu + self.sigma * rng.standard_normal(size), None
 
     def pick(self, uniforms):
         """Component index of each uniform in ``[0, 1)``."""
         return self.cdf.searchsorted(uniforms, side="right")
 
     def draw(self, rng: np.random.Generator) -> OffspringDistribution:
-        if self.kind == "finite":
-            return self.dists[self.components(rng)]
-        xi = self.mu + self.sigma * rng.standard_normal()
-        try:
-            mean = math.exp(xi)
-        except OverflowError:  # an infinite mean, which the law refuses
-            mean = math.inf
-        return OffspringDistribution.geometric(mean=mean)
+        """The law of one draw."""
+        xi, comp = self.sample(rng)
+        if comp is not None:
+            return self.dists[comp]
+        # an infinite mean is refused by the law
+        return OffspringDistribution.geometric(mean=exp_or_inf(xi))
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Mixer":
@@ -178,11 +183,11 @@ class EnvironmentSpec:
         # generations [2^j, 2^{j+1} - 1]
         return i.bit_length() - 1
 
-    def stream_index(self, i):
+    def stream_index(self, i: int) -> int:
         """Index of the stream (keyed ``(env_seed, index)``) that the law of
         generation ``i`` is drawn from, for a random spec: ``i`` itself
-        (element-wise for an array) when i.i.d., the block index when
-        cooling."""
+        when i.i.d., the block index when cooling, so a cooling spec holds
+        one draw for a whole block."""
         return self._cooling_block_index(i) if self.kind == "cooling" else i
 
     def dist_at(self, env_seed: int, i: int) -> OffspringDistribution:
@@ -278,21 +283,6 @@ def _kahan_cumsum(xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _laws(spec: EnvironmentSpec, env_seed: int,
-          horizon: int) -> List[OffspringDistribution]:
-    """Generation ``i`` gets ``spec.dist_at(env_seed, i)``; a cooling spec
-    draws once per block and holds that law for the whole block."""
-    if spec.kind != "cooling":
-        return [spec.dist_at(env_seed, i) for i in range(1, horizon + 1)]
-    dists, block = [], None
-    for i in range(1, horizon + 1):
-        b = spec.stream_index(i)
-        if b != block:
-            block, law = b, spec.dist_at(env_seed, i)
-        dists.append(law)
-    return dists
-
-
 def quench(spec: EnvironmentSpec, env_seed: int, horizon: int) -> QuenchedEnvironment:
     """Materialize ``horizon`` generations of ``spec``; idempotent for fixed
     inputs.  Generation ``i`` gets ``spec.dist_at(env_seed, i)``; a cooling
@@ -303,36 +293,49 @@ def quench(spec: EnvironmentSpec, env_seed: int, horizon: int) -> QuenchedEnviro
 def quench_many(spec: EnvironmentSpec, env_seeds: Sequence[int],
                 horizon: int) -> List[QuenchedEnvironment]:
     """``[quench(spec, s, horizon) for s in env_seeds]``, bitwise, computed
-    together.  An i.i.d. finite mixer's draw for generation ``i`` is the
-    first uniform of stream ``(s, i)`` against the weights' cdf, so all of
-    them come from one :func:`first_uniforms` pass; other specs resolve
-    each environment through ``dist_at``."""
+    together.  A non-random spec is resolved once and every seed shares the
+    result.  A random spec is resolved once per distinct stream key of
+    generations ``1..horizon``: a finite mixer's draw is the first uniform
+    of stream ``(s, key)`` against the weights' cdf, so every draw comes
+    from one :func:`first_uniforms` pass; a Gaussian mixer makes one
+    :meth:`Mixer.draw` per key."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if horizon > MAX_QUENCH_HORIZON:
         raise ResourceWarningError(f"horizon {horizon} exceeds the in-memory "
                                    f"quench budget ({MAX_QUENCH_HORIZON})")
     seeds = [int(s) for s in env_seeds]
-    if spec.kind == "iid_random" and spec.mixer.kind == "finite":
-        table = spec.mixer.dists
-        picks = spec.mixer.pick(first_uniforms(
-            np.array(seeds, dtype=object)[:, None],
-            spec.stream_index(np.arange(1, horizon + 1, dtype=np.uint64))))
-        laws = [[table[c] for c in row] for row in picks.tolist()]
-        xi = np.array([d.log_mean for d in table])[picks]
+    gens = range(1, horizon + 1)
+    if not spec.is_random:
+        laws = [spec.dist_at(1, i) for i in gens]
+        xi = np.array([d.log_mean for d in laws])
+        return [QuenchedEnvironment(laws, _kahan_cumsum(xi), xi)] * len(seeds)
+    keys, inverse = np.unique(list(map(spec.stream_index, gens)),
+                              return_inverse=True)
+    mixer = spec.mixer
+    if mixer.kind == "finite":
+        comp = mixer.pick(first_uniforms(
+            np.array(seeds, dtype=object)[:, None], keys))
+        table = [[mixer.dists[c] for c in row] for row in comp.tolist()]
+        xi = mixer.xi[comp]
     else:
-        laws = [_laws(spec, s, horizon) for s in seeds]
-        xi = np.array([[d.log_mean for d in row] for row in laws])
-    xi = xi.reshape(len(laws), horizon)
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("environment produced a non-finite log-mean")
+        table = [[mixer.draw(substream(s, k)) for k in keys.tolist()]
+                 for s in seeds]
+        xi = np.array([[d.log_mean for d in row] for row in table]
+                      ).reshape(len(seeds), len(keys))
+    xi = xi[:, inverse]
     s = _kahan_cumsum(xi)
-    return [QuenchedEnvironment(d, s_row, xi_row)
-            for d, s_row, xi_row in zip(laws, s, xi)]
+    order = inverse.tolist()
+    return [QuenchedEnvironment([row[j] for j in order], s_row, xi_row)
+            for row, s_row, xi_row in zip(table, s, xi)]
 
 
 class ResourceWarningError(MemoryError):
     """A size beyond a fixed in-memory budget."""
+
+
+# every per-replica array a run keeps must fit in memory
+MAX_REPLICAS = 10**8
 
 
 # -- presets ----------------------------------------------------------------

@@ -25,8 +25,8 @@ import numpy as np
 
 from .conditions import increment_variance_series
 from .distributions import NotApplicableError
-from .environment import (EnvironmentSpec, QuenchedEnvironment,
-                          ResourceWarningError)
+from .environment import (MAX_REPLICAS, EnvironmentSpec,
+                          QuenchedEnvironment, ResourceWarningError)
 from .numerics import clopper_pearson_upper
 from .simulate import (AnnealedLaws, QuenchedLaws, simulate_block,
                        stretched_indices)
@@ -105,10 +105,6 @@ class ConditionedSummary:
 
 
 # -- block engine -----------------------------------------------------------
-
-# every per-replica array the runner keeps must fit in memory
-MAX_REPLICAS = 10**8
-
 
 def _map_blocks(replicas: int, block: int, fn, threads: Optional[int]):
     """Apply ``fn(block_index, block_size)`` to every block; merge in index

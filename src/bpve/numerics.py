@@ -3,7 +3,8 @@ Hurwitz zeta (F. Johansson, "Rigorous high-precision computation of the
 Hurwitz zeta function and its derivatives", Numer. Algorithms 69, 2015), the
 one-sided Clopper-Pearson limit through binomial tails in Loader's
 saddle-point form (C. Loader, "Fast and accurate computation of binomial
-probabilities", 2000), and Gauss-Legendre quadrature on graded panels."""
+probabilities", 2000), Gauss-Legendre quadrature on graded panels, and an
+``exp`` that overflows to ``inf``."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["zeta", "clopper_pearson_upper", "graded_quad"]
+__all__ = ["zeta", "clopper_pearson_upper", "graded_quad", "exp_or_inf"]
 
 _EPS = 2.0**-53
 # Bernoulli numbers B_2, B_4, ..., B_30.
@@ -26,6 +27,14 @@ _EM = tuple(b / math.factorial(2 * j + 2) for j, b in enumerate(_BERNOULLI))
 # their weights.
 _ORDERS = (16, 32)
 _WEIGHT_ERR = 2.0**-46
+
+
+def exp_or_inf(x: float) -> float:
+    """``math.exp(x)``, or ``inf`` where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def zeta(s: float, a: float = 1.0) -> float:

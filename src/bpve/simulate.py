@@ -77,8 +77,11 @@ class QuenchedLaws:
 
 class AnnealedLaws:
     """Each replica draws its own environment from a random spec: the mixer
-    is drawn for every replica, alive or not, once per generation (i.i.d.)
-    or per block of generations (cooling)."""
+    is sampled (:meth:`~bpve.environment.Mixer.sample`) for every replica,
+    alive or not, once per stream key of the spec, so once per generation
+    (i.i.d.) or per block of generations (cooling).  A Gaussian draw whose
+    geometric law has no ``q`` in ``(0, 1)`` is refused by that law's own
+    checks."""
 
     def __init__(self, spec: EnvironmentSpec, env_rng: np.random.Generator,
                  size: int):
@@ -88,31 +91,23 @@ class AnnealedLaws:
         self.env_rng, self.size = env_rng, size
         self.s = np.zeros(size)
         self.draw_key = None
-        if self.mixer.kind == "finite":
-            self.comp_xi = np.array([d.log_mean for d in self.mixer.dists])
 
     def advance(self, i: int):
         key = self.spec.stream_index(i)
         if key != self.draw_key:
             self.draw_key = key
-            mixer = self.mixer
-            if mixer.kind == "finite":
-                self.comp = mixer.components(self.env_rng, self.size)
-                self.xi = self.comp_xi[self.comp]
-            else:
-                self.xi = mixer.mu + mixer.sigma * self.env_rng.standard_normal(
-                    self.size)
+            self.xi, self.comp = self.mixer.sample(self.env_rng, self.size)
+            if self.comp is None:
                 with np.errstate(over="ignore", invalid="ignore"):
                     m = np.exp(self.xi)
                     self.q = m / (1.0 + m)
-                if not np.all(self.q < 1.0):
-                    # the geometric law's own check refuses this mean
-                    OffspringDistribution.geometric(
-                        float(m[np.argmin(self.q < 1.0)]))
+                bad = ~((self.q > 0.0) & (self.q < 1.0))
+                if bad.any():
+                    OffspringDistribution.geometric(float(m[bad.argmax()]))
         self.s += self.xi
 
     def groups(self, rows: np.ndarray):
-        if self.mixer.kind == "finite":
+        if self.comp is not None:
             comp = self.comp[rows]
             return [(d, log_switch_threshold(d), comp == c)
                     for c, d in enumerate(self.mixer.dists)]

@@ -196,6 +196,9 @@ def test_critical_requires_random_environment(tmp_path):
     # refused before the blocks are listed, which did not end within 60 s
     ("survival", {"preset": "critical_two_point"},
      {"n": 5, "replicas": 10**30}, 3),
+    # refused before the environment seeds are listed, which did not end
+    ("tightness", {"preset": "critical_two_point"},
+     {"l_grid": [1, 5], "env_replicas": 10**30}, 3),
 ])
 def test_huge_populations_end_in_documented_exit_codes(tmp_path, experiment,
                                                        environment, params,
@@ -204,6 +207,92 @@ def test_huge_populations_end_in_documented_exit_codes(tmp_path, experiment,
                                   "environment": environment,
                                   "params": params})
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == code
+
+
+@pytest.mark.parametrize("kind", ["iid_random", "cooling"])
+@pytest.mark.parametrize("mu,sigma", [(-800, 0), (800, 0), (0, 1e300)])
+def test_quenched_and_annealed_runs_refuse_the_same_draws(tmp_path, capsys,
+                                                         kind, mu, sigma):
+    # each path refuses its first draw through the geometric law's own
+    # checks; the annealed run used to take q = 0 for an underflowing mean
+    # and exit 0
+    outcomes = set()
+    for experiment, params in [
+            ("survival", {"n": 8, "replicas": 200}),
+            ("tightness", {"l_grid": [1, 5], "env_replicas": 4}),
+            ("critical", {"n_list": [8], "replicas": 200})]:
+        cfg = write_config(tmp_path, {
+            "experiment": experiment, "params": params,
+            "environment": {"kind": kind, "mixer": {
+                "kind": "gaussian_logmean_geometric", "mu": mu,
+                "sigma": sigma}}}, f"{experiment}.json")
+        code = main(["run", cfg, "--out", str(tmp_path / experiment)])
+        outcomes.add((code, capsys.readouterr().err))
+    assert len(outcomes) == 1, outcomes
+    code, err = outcomes.pop()
+    assert code == 2 and err.startswith("error: geometric mean")
+
+
+TINY_ALPHA = {"kind": "power_law_tail", "alpha": 1e-9, "p0": 0.2}
+
+
+@pytest.mark.parametrize("environment,params,code,message", [
+    # a mean of 4.9e8 needs an exact moment head of 2^30 terms; both ran
+    # past 15 s
+    ({"kind": "constant", "dist": TINY_ALPHA},
+     {"series": "fractional_variance", "delta": 1e-10, "horizon": 10}, 4,
+     "power_law_tail, alpha=1e-09, p0=0.2) has mean 4.86e+08"),
+    ({"kind": "constant", "dist": TINY_ALPHA},
+     {"series": "psi", "phi": {"log_power": 2}, "horizon": 10}, 4,
+     "power_law_tail, alpha=1e-09, p0=0.2) has mean 4.86e+08"),
+    # the largest head misses this tol, and its value was called finite
+    ({"preset": "heavy_tail_supercritical"},
+     {"series": "fractional_variance", "delta": 0.25, "horizon": 20,
+      "tol": 1e-300}, 4, "power_law_tail, alpha=0.5, p0=0.2): a moment's "
+     "error bound"),
+    # overflowing deviations gave a "nan" partial sum, a run past 20 s, and
+    # an "infinite deviation moment" for a law that variance refuses
+    ({"kind": "constant", "dist": {"kind": "geometric", "mean": 1e-300}},
+     {"series": "fractional_variance", "delta": 0.5, "horizon": 5}, 2,
+     "geometric, mean=1e-300): its deviation moment of order 1.5 is nan"),
+    ({"kind": "constant", "dist": {"kind": "poisson", "lam": 5e-324}},
+     {"series": "fractional_variance", "delta": 0.5, "horizon": 5}, 2,
+     "poisson, lam=5e-324): its deviation moment of order 1.5 is nan"),
+    ({"kind": "constant", "dist": {"kind": "poisson", "lam": 5e-324}},
+     {"series": "psi", "horizon": 5}, 2,
+     "poisson, lam=5e-324): its deviation moment of order 2 is nan"),
+    ({"kind": "constant",
+      "dist": {"kind": "finite_pmf", "pmf": [1.0, 1e-300]}},
+     {"series": "fractional_variance", "delta": 0.5, "horizon": 5}, 2,
+     "finite_pmf, pmf=[1.0, 1e-300]): its deviation moment of order 1.5 "
+     "is inf"),
+])
+def test_extreme_laws_end_in_documented_exit_codes(tmp_path, capsys,
+                                                   environment, params, code,
+                                                   message):
+    cfg = write_config(tmp_path, {"experiment": "conditions",
+                                  "environment": environment,
+                                  "params": params})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == code
+    assert [str(w.message) for w in caught] == []
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.json").exists()
+
+
+@pytest.mark.parametrize("series", ["variance", "psi"])
+def test_vanishing_mean_series_are_divergent(tmp_path, series):
+    # S_g - S_1 falls by 23 per generation, so the damping of the first
+    # omitted psi term overflowed: "math range error", exit 3
+    cfg = write_config(tmp_path, {
+        "experiment": "conditions",
+        "environment": {"kind": "constant",
+                        "dist": {"kind": "geometric", "mean": 1e-10}},
+        "params": {"series": series, "horizon": 100}})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    results = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert results["report"]["verdict"] == "divergent"
 
 
 def test_population_overflow_exit_code(tmp_path, monkeypatch):

@@ -314,7 +314,8 @@ def test_power_tail_psi_moment_against_brute_oracle(power_tail_oracle, power,
 def test_power_tail_remainder_bound_holds_at_short_heads(monkeypatch, upow,
                                                          logpow, scale):
     # the certified remainder bound must cover the actual error even at
-    # heads short enough for it to be visible
+    # heads short enough for it to be visible; a tol of 1e-3 is met there,
+    # so the capped head returns a certified value
     ref = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2) \
         ._u_weighted_moment(upow, logpow, scale, 1e-12)
     bounds = []
@@ -325,7 +326,7 @@ def test_power_tail_remainder_bound_holds_at_short_heads(monkeypatch, upow,
         monkeypatch.setattr(distributions, "_MOMENT_HEAD", head)
         monkeypatch.setattr(distributions, "_MOMENT_HEAD_MAX", head)
         d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
-        val = d._u_weighted_moment(upow, logpow, scale, 1e-12)
+        val = d._u_weighted_moment(upow, logpow, scale, 1e-3)
         assert abs(val - ref) <= bounds[-1] + 1e-12 * max(1.0, ref)
         assert bounds[-1] > 1e-12  # not trivially small at this head
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bpve.distributions import OffspringDistribution
-from bpve import streams
+from bpve import environment, streams
 from bpve.environment import (EnvironmentSpec, Mixer, PRESET_CONFIGS,
                               PRESETS, QuenchedEnvironment,
                               ResourceWarningError, quench, quench_many)
@@ -210,23 +210,33 @@ def test_finite_mixer_draw_matches_choice(weights):
         ref = substream(17, index).choice(len(dists), p=mixer.weights)
         assert mixer.draw(substream(17, index)) is dists[ref]
     rows = substream(18, 0).choice(len(dists), size=1000, p=mixer.weights)
-    assert np.array_equal(mixer.components(substream(18, 0), 1000), rows)
+    xi, comp = mixer.sample(substream(18, 0), 1000)
+    assert np.array_equal(comp, rows)
+    assert np.array_equal(xi, [dists[r].log_mean for r in rows])
 
 
 @pytest.mark.parametrize("schedule", [None, [3, 1, 7, 2]])
 def test_cooling_quench_draws_once_per_block(schedule, monkeypatch):
-    spec = EnvironmentSpec.cooling(PRESETS["critical_two_point"]().mixer,
-                                   block_lengths=schedule)
-    per_generation = [spec.dist_at(9, i) for i in range(1, 2001)]
+    # a finite mixer draws every block's first uniform in one pass, a
+    # Gaussian one opens each block's stream
     draws = []
-    real_draw = Mixer.draw
-    monkeypatch.setattr(Mixer, "draw",
-                        lambda self, rng: draws.append(1) or real_draw(self, rng))
-    env = quench(spec, 9, 2000)
-    assert env.dists == per_generation
+    real_first_uniforms, real_draw = environment.first_uniforms, Mixer.draw
     blocks = (11 if schedule is None
               else 4 + math.ceil((2000 - sum(schedule)) / schedule[-1]))
-    assert len(draws) == blocks
+    for mixer in (PRESETS["critical_two_point"]().mixer,
+                  Mixer("gaussian_logmean_geometric", mu=0.1, sigma=0.5)):
+        spec = EnvironmentSpec.cooling(mixer, block_lengths=schedule)
+        per_generation = [spec.dist_at(9, i) for i in range(1, 2001)]
+        with monkeypatch.context() as patch:
+            patch.setattr(environment, "first_uniforms", lambda seeds, keys: (
+                draws.extend(np.broadcast(seeds, keys).size * [1])
+                or real_first_uniforms(seeds, keys)))
+            patch.setattr(Mixer, "draw", lambda self, rng: (
+                draws.append(1) or real_draw(self, rng)))
+            env = quench(spec, 9, 2000)
+        assert env.dists == per_generation
+        assert len(draws) == blocks
+        draws.clear()
 
 
 QUENCH_SPECS = {

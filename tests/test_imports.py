@@ -1,7 +1,8 @@
 """Checks that run in a fresh interpreter: that runs never load scipy, and
 that the benchmark's per-layer hooks still find every call boundary.  Also
 static checks of the source: no module imports scipy, only ``cli`` defines
-the output format, and one call site runs the population loop."""
+the output format, one call site runs the population loop, and one mixer
+rule turns random-environment draws into laws."""
 
 import ast
 import json
@@ -118,6 +119,29 @@ def test_one_population_loop_reads_survival_from_log_w():
                 assert not (isinstance(zero, ast.Constant) and zero.value == 0
                             and holds_exp_w(w, names)), \
                     f"estimators.py:{node.lineno} reads {ast.unparse(w)} > 0"
+
+
+def test_one_mixer_rule_draws_every_environment():
+    # Mixer.sample turns stream draws into log-means and components for the
+    # quenched and the annealed path alike
+    calls = []
+    for path in sorted((ROOT / "src" / "bpve").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(n): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for n in ast.walk(cls)}
+        for node in ast.walk(tree):
+            attr = getattr(node, "attr", None)
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "attr", None) == "standard_normal"
+                    or getattr(node.func, "attr", None) == "searchsorted"
+                    and getattr(node.func.value, "attr", None) == "cdf"):
+                calls.append((node.func.attr, path.name, owner.get(id(node))))
+            assert not (isinstance(node, ast.Attribute)
+                        and attr in ("mu", "sigma", "cdf")
+                        and path.name != "environment.py"), \
+                f"{path.name}:{node.lineno} reads a mixer's .{attr}"
+    assert sorted(calls) == [("searchsorted", "environment.py", "Mixer"),
+                             ("standard_normal", "environment.py", "Mixer")]
 
 
 def test_bench_tracer_finds_every_hook():
