@@ -122,15 +122,22 @@ def _nondecreasing_tail(terms: np.ndarray) -> bool:
 
 
 def damped_series(env: QuenchedEnvironment, start: int, shift: int,
-                  count: int, exponent: float, term) -> np.ndarray:
-    """The ``count`` terms ``term(dist_g, w_g)`` of generations
-    ``g = start + shift, start + shift + 1, ...`` with damping
-    ``w_g = exp(-exponent (S_{g-shift} - S_start))``, so the first term is
-    undamped.  Infinite terms stay ``inf``."""
+                  count: int, exponent: float, moment, term=None
+                  ) -> np.ndarray:
+    """The ``count`` terms of generations ``g = start + shift, ...`` with
+    damping ``w_g = exp(-exponent (S_{g-shift} - S_start))``, 1 for the
+    first: ``term(dist_g, w_g)`` if given, else ``moment(dist_g) * w_g``
+    with one moment per distinct law object, taken in order of first
+    occurrence, and an infinite moment kept ``inf``."""
     with np.errstate(over="ignore"):  # an infinite damping is a verdict
         damp = np.exp(-exponent * (env.s[start:start + count] - env.s[start]))
-    return np.array([term(env.dists[start + shift - 1 + k], float(w))
-                     for k, w in enumerate(damp)])
+    dists = env.dists[start + shift - 1:start + shift - 1 + count]
+    if term is not None:
+        return np.array([term(d, float(w)) for d, w in zip(dists, damp)])
+    table = {key: moment(d) for key, d in {id(d): d for d in dists}.items()}
+    m = np.array([table[id(d)] for d in dists])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(np.isinf(m), m, m * damp)
 
 
 def _geometric_tail(bound: float, next_damping: float, rate: float) -> float:
@@ -170,46 +177,41 @@ def _certify(series_id: str, start: int, horizon: int, first: int,
                            "inconclusive", detail)
 
 
-def _times(moment: float, damping: float) -> float:
-    return moment if math.isinf(moment) else moment * damping
-
-
 def _series(series: str, delta: float = 1.0,
             phi: PhiFunction = PhiFunction(power=1.0), tol: float = 1e-9):
-    """The row ``(shift, exponent, term)`` of :func:`damped_series` that a
-    checker and :func:`tightness_diagnostic` both sum; moments to ``tol *
-    1e-3``.  Refuses ``delta`` outside ``(0, 1]``, a ``phi`` outside the
-    catalog and a bad ``tol``."""
+    """The row ``(shift, exponent, moment, term)`` of :func:`damped_series`
+    that a checker and :func:`tightness_diagnostic` both sum; moments to
+    ``tol * 1e-3``.  Refuses ``delta`` outside ``(0, 1]``, a ``phi`` outside
+    the catalog and a bad ``tol``."""
     if series == "variance":
-        row = 0, 1.0, lambda dist, w: _times(dist.normalized_variance, w)
+        row = 0, 1.0, lambda d: d.normalized_variance, None
     elif series == "fractional_variance":
         if not (0.0 < delta <= 1.0):
             raise ValueError("delta must lie in (0, 1]")
-        row = 0, delta, lambda dist, w: _times(
-            dist.delta_moment(delta, tol=tol * 1e-3), w)
+        row = 0, delta, lambda d: d.delta_moment(delta, tol=tol * 1e-3), None
     elif series == "psi":
         if not isinstance(phi, PhiFunction):
             raise NotApplicableError("phi must come from the catalog")
-        row = 1, 1.0, lambda dist, w: dist.psi_moment(phi, w, tol=tol * 1e-3)
+        row = 1, 1.0, None, lambda d, w: d.psi_moment(phi, w, tol=tol * 1e-3)
     else:
         raise ValueError(f"unknown series {series!r}")
     check_tol(tol)
     return row
 
 
-def _moment_series(series_id, env, start, horizon, shift, exponent, term,
+def _moment_series(series_id, env, start, horizon, shift, exponent, moment,
                    detail, divergence_threshold=DIVERGENCE_THRESHOLD,
                    what="normalized variance") -> ConditionReport:
-    """Terms ``term(dist_g, 1) * w_g`` for the ``horizon + 1`` generations
+    """Terms ``moment(dist_g) * w_g`` for the ``horizon + 1`` generations
     from ``g = start + shift``, damped by ``S_{g-shift} - S_start``.  The
     tail bound takes the largest moment of the trailing window; the first
     omitted term's damping is exact when ``shift = 1`` and one drift step
     beyond the last included term's when ``shift = 0``."""
     first, last = start + shift, start + shift + horizon
-    terms = damped_series(env, start, shift, horizon + 1, exponent, term)
+    terms = damped_series(env, start, shift, horizon + 1, exponent, moment)
 
     def tail(mu):
-        zbar = max(term(d, 1.0) for d in
+        zbar = max(moment(d) for d in
                    env.dists[last - min(WINDOW, horizon + 1):last])
         damp = exp_or_inf(-exponent * (env.s[last] - env.s[start]
                                        + (1 - shift) * mu))
@@ -237,7 +239,7 @@ def variance_series(env: QuenchedEnvironment, start: int = 1,
     """
     horizon = _check_range(env, start, horizon)
     return _moment_series("variance_series", env, start, horizon,
-                          *_series("variance"), {})
+                          *_series("variance")[:3], {})
 
 
 def fractional_variance_series(env: QuenchedEnvironment, start: int = 1,
@@ -250,7 +252,7 @@ def fractional_variance_series(env: QuenchedEnvironment, start: int = 1,
     row = _series("fractional_variance", delta=delta, tol=tol)
     horizon = _check_range(env, start, horizon)
     return _moment_series("fractional_variance_series", env, start, horizon,
-                          *row, {"delta": delta}, what="deviation moment")
+                          *row[:3], {"delta": delta}, what="deviation moment")
 
 
 def psi_series(env: QuenchedEnvironment, start: int = 1,
@@ -267,12 +269,12 @@ def psi_series(env: QuenchedEnvironment, start: int = 1,
     power (or power-log) rides the geometric damping directly; a pure
     log-power uses a threshold split against a higher log-moment.
     """
-    shift, exponent, term = _series("psi", phi=phi, tol=tol)
+    shift, exponent, _, term = _series("psi", phi=phi, tol=tol)
     horizon = _check_range(env, start, horizon)
     if phi.zero:
         return ConditionReport("psi_series", start, 0.0, horizon, 0.0,
                                "finite", {"phi": "zero"})
-    terms = damped_series(env, start, shift, horizon, exponent, term)
+    terms = damped_series(env, start, shift, horizon, exponent, None, term)
     wlen = max(1, min(WINDOW, horizon))
     trailing = set(env.dists[start + horizon - wlen:start + horizon])
     return _certify(
@@ -322,9 +324,9 @@ def increment_variance_series(env: QuenchedEnvironment, start: int = 0,
     if start < 0:
         raise ValueError("start must be >= 0")
     horizon = _check_range(env, start + 1, horizon)
-    _, exponent, term = _series("variance")
+    _, exponent, moment, _ = _series("variance")
     return _moment_series("increment_variance_series", env, start, horizon,
-                          1, exponent, term, {}, math.inf)
+                          1, exponent, moment, {}, math.inf)
 
 
 def jagers_sum(env: QuenchedEnvironment,
@@ -453,7 +455,7 @@ def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
     if not 0.0 < blowup_factor < math.inf:
         raise ValueError("blowup_factor must be a positive finite number, "
                          f"got {blowup_factor!r}")
-    shift, exponent, term = _series(series, delta, phi)
+    shift, exponent, moment, term = _series(series, delta, phi)
     hmax = l_grid[-1]
     horizon = shift + hmax
     seeds = [int(substream(seed, r).integers(0, 2**63 - 1))
@@ -463,7 +465,7 @@ def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
     for lo in range(0, env_replicas, group):
         envs = quench_many(spec, seeds[lo:lo + group], horizon)
         for r, env in enumerate(envs, lo):
-            terms = damped_series(env, 1, shift, hmax, exponent, term)
+            terms = damped_series(env, 1, shift, hmax, exponent, moment, term)
             bad = np.flatnonzero(~np.isfinite(terms))
             if len(bad):
                 raise NotApplicableError(

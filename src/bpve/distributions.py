@@ -600,6 +600,8 @@ class OffspringDistribution:
         if not phi.log_power:
             return scale**phi.power * self._u_weighted_moment(
                 1.0 + phi.power, 0.0, 1.0, tol)
+        if math.isinf(scale):  # log(1 + U * scale) is inf wherever U > 0
+            return math.inf if self.variance > 0 else 0.0
         return self._u_weighted_moment(1.0 + phi.power, phi.log_power,
                                        scale, tol)
 
@@ -619,7 +621,11 @@ class OffspringDistribution:
             u = self._deviation(ks)
             val = np.power(u, upow) * sfac
             if logpow:
-                val = val * np.power(np.log1p(u * scale), logpow)
+                with np.errstate(over="ignore"):
+                    lg = np.log1p(u * scale)
+                big = np.isinf(lg)  # u * scale overflows: add the logs
+                lg[big] = np.logaddexp(0.0, np.log(u[big]) + math.log(scale))
+                val = val * np.power(lg, logpow)
             return val
 
         def compute():

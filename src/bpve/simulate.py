@@ -56,10 +56,11 @@ def log_switch_threshold(dist: OffspringDistribution) -> int:
 
 
 # -- law providers ----------------------------------------------------------
-# ``advance(i)`` enters generation ``i`` (drawing environment randomness at
-# full block size); then ``s`` and ``xi`` hold ``S_i`` and the log-mean, as
-# scalars or per-replica arrays, and ``groups(rows)`` splits the live
-# replicas ``rows`` into ``(law, switch, selector)`` triples.
+# ``advance(i, rows)`` enters generation ``i`` with the live replicas
+# ``rows`` (only these draw environment randomness); then ``s`` and ``xi``
+# hold ``S_i`` and the log-mean, as scalars or per-replica arrays read on
+# live rows, and ``groups(rows)`` splits ``rows`` into ``(law, switch,
+# selector)`` triples.
 
 class QuenchedLaws:
     """Every replica follows the same fixed environment."""
@@ -67,7 +68,7 @@ class QuenchedLaws:
     def __init__(self, env: QuenchedEnvironment):
         self.env = env
 
-    def advance(self, i: int):
+    def advance(self, i: int, rows: np.ndarray):
         self.dist = self.env.dists[i - 1]
         self.s, self.xi = self.env.s[i], self.env.xi[i - 1]
 
@@ -76,43 +77,44 @@ class QuenchedLaws:
 
 
 class AnnealedLaws:
-    """Each replica draws its own environment from a random spec: the mixer
-    is sampled (:meth:`~bpve.environment.Mixer.sample`) for every replica,
-    alive or not, once per stream key of the spec, so once per generation
-    (i.i.d.) or per block of generations (cooling).  A Gaussian draw whose
-    geometric law has no ``q`` in ``(0, 1)`` is refused by that law's own
-    checks."""
+    """Each replica draws its own environment from a random spec: at each
+    new stream key of the spec, so every generation (i.i.d.) or block of
+    generations (cooling), the mixer is sampled
+    (:meth:`~bpve.environment.Mixer.sample`) for the live replicas alone,
+    in index order.  A Gaussian draw whose geometric law has no ``q`` in
+    ``(0, 1)`` is refused by that law's own checks."""
 
     def __init__(self, spec: EnvironmentSpec, env_rng: np.random.Generator,
                  size: int):
         if not spec.is_random:
             raise ValueError("annealed simulation needs a random environment spec")
-        self.spec, self.mixer = spec, spec.mixer
-        self.env_rng, self.size = env_rng, size
-        self.s = np.zeros(size)
+        self.spec, self.mixer, self.env_rng = spec, spec.mixer, env_rng
+        # per replica, from its latest draw: log-mean, S_i, and the law's
+        # mixer component (finite) or geometric q (Gaussian)
+        self.xi, self.s, self.law = (np.zeros(size) for _ in range(3))
         self.draw_key = None
 
-    def advance(self, i: int):
+    def advance(self, i: int, rows: np.ndarray):
         key = self.spec.stream_index(i)
         if key != self.draw_key:
             self.draw_key = key
-            self.xi, self.comp = self.mixer.sample(self.env_rng, self.size)
-            if self.comp is None:
+            xi, law = self.mixer.sample(self.env_rng, len(rows))
+            if law is None:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    m = np.exp(self.xi)
-                    self.q = m / (1.0 + m)
-                bad = ~((self.q > 0.0) & (self.q < 1.0))
+                    m = np.exp(xi)
+                    law = m / (1.0 + m)
+                bad = ~((law > 0.0) & (law < 1.0))
                 if bad.any():
                     OffspringDistribution.geometric(float(m[bad.argmax()]))
-        self.s += self.xi
+            self.xi[rows], self.law[rows] = xi, law
+        self.s[rows] += self.xi[rows]
 
     def groups(self, rows: np.ndarray):
-        if self.comp is not None:
-            comp = self.comp[rows]
-            return [(d, log_switch_threshold(d), comp == c)
+        law = self.law[rows]
+        if self.mixer.kind == "finite":
+            return [(d, log_switch_threshold(d), law == c)
                     for c, d in enumerate(self.mixer.dists)]
-        return [(GeometricRows(self.q[rows]), FINITE_VAR_LOG_SWITCH,
-                 slice(None))]
+        return [(GeometricRows(law), FINITE_VAR_LOG_SWITCH, slice(None))]
 
 
 # -- the kernel -------------------------------------------------------------
@@ -168,7 +170,7 @@ def simulate_block(laws, z0: int, n: int, size: int,
         for i in range(1, n + 1):
             if not len(rows):
                 break
-            laws.advance(i)
+            laws.advance(i, rows)
             # a total the law cannot sample exactly: switch one generation
             # early and carry on with this generation's log-mean
             unsafe = np.zeros(len(z), dtype=bool)

@@ -281,18 +281,50 @@ def test_extreme_laws_end_in_documented_exit_codes(tmp_path, capsys,
     assert not (tmp_path / "o" / "results.json").exists()
 
 
-@pytest.mark.parametrize("series", ["variance", "psi"])
-def test_vanishing_mean_series_are_divergent(tmp_path, series):
+@pytest.mark.parametrize("params", [
+    pytest.param({"series": "variance"}, id="variance"),
+    pytest.param({"series": "psi"}, id="psi"),
+    # u * damping overflowed in the moment's log(1 + u * damping), and the
+    # moment came out "nan": exit 2
+    pytest.param({"series": "psi", "phi": {"log_power": 1}},
+                 id="psi_log_power"),
+])
+def test_vanishing_mean_series_are_divergent(tmp_path, params):
     # S_g - S_1 falls by 23 per generation, so the damping of the first
     # omitted psi term overflowed: "math range error", exit 3
     cfg = write_config(tmp_path, {
         "experiment": "conditions",
         "environment": {"kind": "constant",
                         "dist": {"kind": "geometric", "mean": 1e-10}},
-        "params": {"series": series, "horizon": 100}})
-    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
-    results = json.loads((tmp_path / "o" / "results.json").read_text())
-    assert results["report"]["verdict"] == "divergent"
+        "params": {**params, "horizon": 100}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert [str(w.message) for w in caught] == []
+    text = (tmp_path / "o" / "results.json").read_text()
+    assert "nan" not in text
+    assert json.loads(text)["report"]["verdict"] == "divergent"
+
+
+@pytest.mark.parametrize("environment", [
+    {"preset": "critical_two_point"},
+    {"kind": "iid_random", "mixer": {"kind": "gaussian_logmean_geometric",
+                                     "mu": 0.0, "sigma": 0.5}},
+    {"kind": "cooling", "mixer": PRESET_CONFIGS["critical_two_point"]["mixer"]},
+], ids=["finite", "gaussian", "cooling"])
+def test_annealed_runs_do_not_depend_on_threads(tmp_path, environment):
+    # two blocks of replicas, each drawing environments for its live rows
+    cfg = write_config(tmp_path, {
+        "experiment": "critical", "environment": environment,
+        "params": {"n_list": [8, 24], "replicas": 40000,
+                   "min_survivors": 50}})
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        assert main(["run", cfg, "--threads", str(threads),
+                     "--out", str(out)]) == 0
+        outputs.append((out / "results.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_population_overflow_exit_code(tmp_path, monkeypatch):

@@ -284,7 +284,7 @@ def test_tightness_partial_sums_are_checker_partial_sums(series, kwargs,
 
 
 def tightness_oracle(spec, l_grid, env_replicas, seed, shift, exponent,
-                     term):
+                     moment, term):
     """Quantile rows of tightness_diagnostic, quenching one environment at
     a time."""
     hmax = max(l_grid)
@@ -292,7 +292,8 @@ def tightness_oracle(spec, l_grid, env_replicas, seed, shift, exponent,
     for r in range(env_replicas):
         env_seed = int(substream(seed, r).integers(0, 2**63 - 1))
         env = quench(spec, env_seed, shift + hmax)
-        terms = conditions.damped_series(env, 1, shift, hmax, exponent, term)
+        terms = conditions.damped_series(env, 1, shift, hmax, exponent,
+                                         moment, term)
         values[r] = np.cumsum(terms)[np.array(l_grid) - 1]
     return np.quantile(values, (0.1, 0.5, 0.9), axis=0).T
 
@@ -316,3 +317,47 @@ def test_tightness_rows_match_per_environment_oracle(
         table = tightness_diagnostic(spec, l_grid, 30, seed=88,
                                      series=series, **kwargs)
         assert np.array_equal(table.rows, want), chunk
+
+
+GEOMETRIC = OffspringDistribution.geometric
+
+
+@pytest.mark.parametrize("env", [
+    quench(PRESETS["supercritical_mu0.2"](), 3, 200),
+    quench(PRESETS["cooling_doubling_blocks"](), 3, 200),
+    # the power tail's variance and its moment of order 1.5 are infinite,
+    # and they stay so where the damping underflows to 0
+    quench(EnvironmentSpec.periodic(
+        [OffspringDistribution.finite_pmf([0.5] + [0.0] * 1999 + [0.5]),
+         OffspringDistribution.power_law_tail(0.5, 0.2)]), 1, 400),
+    # S_g falls by about 11 per generation: the damping overflows to inf
+    quench(EnvironmentSpec.periodic([GEOMETRIC(1e-10), GEOMETRIC(2.0)]),
+           1, 200),
+], ids=["iid", "cooling", "infinite_moment", "overflowing_damping"])
+@pytest.mark.parametrize("series", ["variance", "fractional_variance"])
+@pytest.mark.parametrize("start,shift", [(1, 0), (3, 1)])
+def test_per_law_moments_match_per_generation_terms(env, series, start,
+                                                    shift):
+    _, exponent, moment, term = conditions._series(series, delta=0.5)
+    assert term is None
+    count = env.horizon - start - shift + 1
+    dists = env.dists[start + shift - 1:]
+    with np.errstate(over="ignore"):
+        damp = np.exp(-exponent * (env.s[start:start + count] - env.s[start]))
+    want = []
+    for dist, w in zip(dists, damp):
+        m = moment(dist)
+        want.append(m if math.isinf(m) else m * float(w))
+    want = np.array(want)
+    calls = []
+
+    def counted(dist):
+        calls.append(dist)
+        return moment(dist)
+
+    got = conditions.damped_series(env, start, shift, count, exponent,
+                                   counted)
+    assert got.tobytes() == want.tobytes()
+    # one call per distinct law object, in order of first occurrence
+    assert [id(d) for d in calls] == list(dict.fromkeys(map(id, dists)))
+    assert len(calls) == 2

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -372,6 +373,24 @@ def test_psi_moment_geometric_log_converges():
     u = np.abs(ks / d.mean - 1.0)
     brute = float(p @ (u * np.log1p(u * 0.1)))
     assert v == pytest.approx(brute, rel=1e-6)
+
+
+def test_log_psi_moment_where_u_times_scale_overflows():
+    # u * scale passes 1.8e308 for every k >= 1, where the pmf is positive
+    d = OffspringDistribution.geometric(mean=1e-10)
+    phi = PhiFunction(power=0.0, log_power=1.0)
+    brute = 0.0
+    for k in range(40):
+        u = abs(k / d.mean - 1.0)
+        brute += d.pmf(k) * u * (math.log(u) + math.log(1e300) if k
+                                 else math.log1p(u * 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert d.psi_moment(phi, 1e300) == pytest.approx(brute, rel=1e-12)
+        # an infinite damping: log(1 + u * scale) is inf wherever u > 0
+        assert d.psi_moment(phi, math.inf) == math.inf
+        assert OffspringDistribution.finite_pmf([0.0, 1.0]).psi_moment(
+            phi, math.inf) == 0.0
 
 
 def test_psi_moment_power_law_log_envelope():

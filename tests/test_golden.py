@@ -85,7 +85,7 @@ DIGESTS = {
     "conditions":
         "6c72bbc3b640555619dc1600bd56f98baa16a90edc1534f522cc08f48658035c",
     "critical":
-        "e3acd99e11c9aa0f29ce5839a983f1eecbd50d9aa922a99bab9703c0b8e2dc84",
+        "972a56be1ac50dc2e8bab82f99e758def4f64580e618620797cdc78121e4f658",
     "flt":
         "0655abcce263ab89b34e280a9966ac166d3682811eeff3590ff4224f6cad8b3e",
     "halving":
@@ -104,7 +104,7 @@ DIGESTS = {
 
 SERIES_DIGESTS = {
     "critical":
-        "0a992fd70217331fe31b9bb71320eb4b011211f671d268409e4bcbba6da6cfd2",
+        "d5587ae25d0844a3b34168dd4c5a78f527ef5d947a7504f80b58bc315ba5d362",
     "flt":
         "3253ef73aafab6d8ef8d6320c9723af316fa385d7d999aa39797ebfe583ae7fa",
     "tightness":
@@ -127,8 +127,13 @@ def output_sha256(tmp_path, name: str, threads: int = 2) -> dict:
             for path in out.iterdir()}
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_results_digest(tmp_path, name):
-    digests = output_sha256(tmp_path, name)
+@pytest.mark.parametrize("name,threads", [
+    *(pytest.param(name, 2, id=name) for name in sorted(CONFIGS)),
+    # the runs that draw random environments, at one thread as well
+    *(pytest.param(name, 1, id=f"{name}-threads1")
+      for name in ("critical", "tightness")),
+])
+def test_results_digest(tmp_path, name, threads):
+    digests = output_sha256(tmp_path, name, threads)
     assert digests["results.json"] == DIGESTS[name]
     assert digests.get("series.csv") == SERIES_DIGESTS.get(name)

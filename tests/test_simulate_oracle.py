@@ -61,12 +61,20 @@ def reference_annealed(spec, z0, n, env_rng, rep_rng, size, record):
         block = spec._cooling_block_index(i) if spec.kind == "cooling" else i
         if block != prev_block:
             prev_block = block
+            # only the replicas alive here draw, in index order; the others
+            # add nothing to their log-means from here on
+            live = (~frozen) & (z > 0)
+            xi = np.zeros(size)
             if mixer.kind == "finite":
-                comp = env_rng.choice(len(mixer.dists), size=size,
-                                      p=mixer.weights)
-                xi = np.array([d.log_mean for d in mixer.dists])[comp]
+                comp = np.full(size, -1)
+                comp[live] = env_rng.choice(len(mixer.dists),
+                                            size=int(live.sum()),
+                                            p=mixer.weights)
+                xi[live] = np.array([d.log_mean
+                                     for d in mixer.dists])[comp[live]]
             else:
-                xi = mixer.mu + mixer.sigma * env_rng.standard_normal(size)
+                xi[live] = mixer.mu + mixer.sigma * env_rng.standard_normal(
+                    int(live.sum()))
                 q = np.exp(xi) / (1.0 + np.exp(xi))
         svec += xi
         logz[frozen] += xi[frozen]
@@ -130,3 +138,32 @@ def test_annealed_kernel_matches_reference(mixer, cooling):
     got = simulate_block(laws, 1, n, 3000, substream(6, 0), record).log_w
     assert_same(ref, got)
     assert np.isneginf(ref[:, -1]).any() and np.isfinite(ref[:, -1]).any()
+
+
+@pytest.mark.parametrize("mixer", [
+    PRESETS["critical_two_point"]().mixer,
+    Mixer("gaussian_logmean_geometric", mu=0.0, sigma=0.5),
+], ids=["finite", "gaussian"])
+@pytest.mark.parametrize("cooling", [False, True], ids=["iid", "cooling"])
+def test_annealed_block_draws_only_for_live_replicas(mixer, cooling):
+    # at each new stream key the environment stream gives one value per
+    # replica alive then: every generation when i.i.d., at each block start
+    # when cooling
+    spec = (EnvironmentSpec.cooling(mixer) if cooling
+            else EnvironmentSpec.iid_random(mixer))
+    n, size = 24, 3000
+    env_rng = substream(5, 0)
+    block = simulate_block(AnnealedLaws(spec, env_rng, size), 1, n, size,
+                           substream(6, 0), range(n + 1))
+    assert (block.frozen_at < 0).all()
+    # replicas alive entering generation i, for i = 1..n
+    live = (block.log_w[:, :-1] > -np.inf).sum(axis=0)
+    keys = [spec.stream_index(i) for i in range(1, n + 1)]
+    starts = [j for j in range(n) if j == 0 or keys[j] != keys[j - 1]]
+    assert len(starts) == (5 if cooling else n)
+    assert live[starts].sum() < size * len(starts) // 2
+    want = substream(5, 0)
+    for k in live[starts].tolist():
+        (want.random if mixer.kind == "finite" else want.standard_normal)(k)
+    # both streams stand at the same position
+    assert env_rng.random(8).tolist() == want.random(8).tolist()
