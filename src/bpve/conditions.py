@@ -444,8 +444,9 @@ def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
     generations at a time, with values identical to quenching each alone.
     """
     l_grid = sorted(int(l) for l in l_grid)
-    if not l_grid or l_grid[0] < 1:
-        raise ValueError("l_grid must contain positive truncation lengths")
+    if not l_grid or l_grid[0] < 1 or len(set(l_grid)) < len(l_grid):
+        raise ValueError("l_grid must hold distinct positive truncation "
+                         "lengths")
     if env_replicas < 1:
         raise ValueError("need at least one environment replica")
     if env_replicas > MAX_REPLICAS:

@@ -57,10 +57,11 @@ _NB_LAM_MAX = float(np.iinfo(np.int64).max) - math.sqrt(np.iinfo(np.int64).max) 
 _TOTALS_HEAD = 64
 _TAIL_CHUNK = 1 << 16
 
-# Power-tail moments: terms up to _MOMENT_HEAD are summed exactly, the rest
-# is an integral with a certified remainder; the head grows fourfold, up to
-# _MOMENT_HEAD_MAX, only if that remainder bound misses the tolerance.
-_MOMENT_HEAD = 1 << 16
+# Moments of an infinite-support law: terms up to _MOMENT_HEAD are summed
+# exactly, the rest is estimated with a certified error bound (an integral for
+# a power tail, a ratio test for a light one); the head grows fourfold, up to
+# _MOMENT_HEAD_MAX, only while that bound misses the tolerance.
+_MOMENT_HEAD = 1 << 12
 _MOMENT_HEAD_MAX = 1 << 22
 
 # Unsigned Stirling numbers of the first kind c(n, r), n <= 4.
@@ -612,8 +613,9 @@ class OffspringDistribution:
         This is ``E[U * phi(U*scale)]`` for the power-log catalog with
         ``phi(x) = x^(upow-1) * log(1+x)^logpow``; with ``scale=1, logpow=0``
         it reduces to the plain fractional deviation moment ``E U^upow``.
-        A power tail's divergent moment is +inf; any other moment that is
-        not a finite float raises :class:`UnsupportedDistributionError`.
+        Summed exactly on a finite pmf, by :meth:`_series_moment` otherwise.
+        A power tail's divergent moment is +inf; any other moment that is not
+        a finite float raises :class:`UnsupportedDistributionError`.
         """
         sfac = scale ** (upow - 1.0)
 
@@ -621,27 +623,24 @@ class OffspringDistribution:
             u = self._deviation(ks)
             val = np.power(u, upow) * sfac
             if logpow:
-                with np.errstate(over="ignore"):
-                    lg = np.log1p(u * scale)
+                lg = np.log1p(u * scale)
                 big = np.isinf(lg)  # u * scale overflows: add the logs
                 lg[big] = np.logaddexp(0.0, np.log(u[big]) + math.log(scale))
                 val = val * np.power(lg, logpow)
             return val
 
+        def term_sum(ks: np.ndarray) -> float:
+            # an overflowing integrand is refused below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                return float(np.dot(self.pmf_vector(ks), integrand(ks)))
+
         def compute():
-            if self.kind == "power_law_tail":
+            if self.kind == "power_law_tail" and upow - 1.0 >= self._alpha:
                 # term exponent k^{-(2+alpha)} * k^upow: divergent iff
                 # upow-1 >= alpha (at equality the log factors only worsen it)
-                if upow - 1.0 >= self._alpha:
-                    return math.inf
-                value = self._power_tail_moment(integrand, upow, logpow,
-                                                scale, tol)
-            else:
-                # an overflowing integrand is refused below, not warned about
-                with np.errstate(over="ignore", invalid="ignore"):
-                    value = (float(np.dot(self._pmf, integrand(self._ks)))
-                             if self.kind == "finite_pmf" else
-                             self._light_tail_moment(integrand, tol))
+                return math.inf
+            value = (term_sum(self._ks) if self.kind == "finite_pmf" else
+                     self._series_moment(term_sum, upow, logpow, scale, tol))
             if not math.isfinite(value):
                 raise UnsupportedDistributionError(
                     f"{self!r}: its deviation moment of order {upow:g} is "
@@ -649,70 +648,36 @@ class OffspringDistribution:
             return value
         return self._cached(("u_moment", upow, logpow, scale, tol), compute)
 
-    def _light_tail_moment(self, integrand, tol: float) -> float:
-        """Adaptive series for exponentially light tails (geometric,
-        Poisson, linear-fractional): polynomial-log integrand growth never
-        beats the tail decay."""
-        total, start, block = 0.0, 0, 4096
-        while True:
-            ks = np.arange(start, start + block, dtype=np.int64)
-            p = self.pmf_vector(ks)
-            contrib = float(np.dot(p, integrand(ks)))
-            total += contrib
-            tail_mass = float(p[-256:].sum())
-            # a non-finite block is final: the caller refuses it
-            if not math.isfinite(total) or (contrib < tol * 1e-3
-                                             and tail_mass < 1e-16):
-                return total
-            start += block
-            if start > 10**8:  # unreachable for these families in practice
-                return total
+    def _series_moment(self, term_sum, upow: float, logpow: float,
+                       scale: float, tol: float) -> float:
+        """``sum_k f(k)`` over an infinite support, ``term_sum(ks)`` being
+        ``sum f(ks)``: the exact head ``k <= K`` plus :meth:`_remainder`'s
+        estimate of the rest.
 
-    def _power_tail_moment(self, integrand, upow: float, logpow: float,
-                           scale: float, tol: float) -> float:
-        """Exact sum of the terms ``k <= K``, plus ``int_{K+1/2}^inf f``
-        (:func:`_power_tail_integral`) and the Euler-Maclaurin correction
-        ``f'(K+1/2)/24``, for a convergent moment.
-
-        :func:`_remainder_bound` certifies the error of the last two; with
-        the quadrature's error estimate it must stay within ``tol``
-        (relative once the moment exceeds 1), else the exact head grows
-        fourfold.  At ``K = 2^16`` the certified bound is below 2e-18 times
-        the tail integral for log powers up to 7, so the quadrature's
-        estimate dominates.  A head past ``_MOMENT_HEAD_MAX`` terms, needed
-        first (the bound needs ``K >= 2m``) or to meet ``tol``, raises
-        :class:`NotApplicableError`: no value is returned uncertified.
+        ``K`` starts at ``_MOMENT_HEAD``, times 4 until ``K >= 2m`` (where
+        the remainder bounds hold), and grows fourfold while the certified
+        error misses ``tol`` (relative once the moment exceeds 1).  A head
+        past ``_MOMENT_HEAD_MAX``, needed first or to meet ``tol``, raises
+        :class:`NotApplicableError`: no value is returned uncertified.  A
+        head that is not a finite float is returned for the caller to refuse.
         """
-        sigma = 2.0 + self._alpha
         m = self.mean
-        log_c = math.log(self._c) + (upow - 1.0) * math.log(scale)
 
         def head(lo: int, hi: int) -> float:
-            total = 0.0
-            for start in range(lo, hi, _MOMENT_HEAD):
-                ks = np.arange(start, min(start + _MOMENT_HEAD, hi))
-                total += float(np.dot(self.pmf_vector(ks), integrand(ks)))
-            return total
+            return sum(term_sum(np.arange(start, min(start + _MOMENT_HEAD, hi)))
+                       for start in range(lo, hi, _MOMENT_HEAD))
 
         cut = _MOMENT_HEAD
-        while cut < 2.0 * m:  # the remainder bound needs the cut past 2m
+        while cut < 2.0 * m:
             cut *= 4
         if cut > _MOMENT_HEAD_MAX:
             raise NotApplicableError(
                 f"{self!r} has mean {m:.3g}: its moments need an exact head "
                 f"of more than {_MOMENT_HEAD_MAX} terms")
         total = head(0, cut + 1)
-        while True:
-            a = cut + 0.5
-            tail, q_err, af = _power_tail_integral(a, m, log_c, sigma, upow,
-                                                   logpow, scale)
-            u = a / m - 1.0
-            slope = -sigma / a + upow / (m * u)  # f'(a) / f(a)
-            if logpow:
-                slope += logpow * scale / (m * (1.0 + u * scale)
-                                           * math.log1p(u * scale))
-            value = total + tail + af / a * slope / 24.0
-            err = q_err + _remainder_bound(a, tail, sigma, upow, logpow, m)
+        while math.isfinite(total):
+            rest, err = self._remainder(cut, term_sum, upow, logpow, scale)
+            value = total + rest
             if err <= tol * max(1.0, value):
                 return value
             if cut >= _MOMENT_HEAD_MAX:
@@ -722,6 +687,40 @@ class OffspringDistribution:
                     "terms)")
             total += head(cut + 1, 4 * cut + 1)
             cut *= 4
+        return total
+
+    def _remainder(self, cut: int, term_sum, upow: float, logpow: float,
+                   scale: float):
+        """An estimate of ``sum_{k > cut} f(k)`` and a certified bound on its
+        error, for ``cut >= 2m``.
+
+        Power tail: ``int_{K+1/2}^inf f`` (:func:`_power_tail_integral`)
+        plus the Euler-Maclaurin correction ``f'(K+1/2)/24``, with the
+        quadrature's error estimate plus :func:`_remainder_bound`.
+
+        Light tails: 0, with a ratio-test bound.  From ``k = K`` on each term
+        is at most ``rho`` times the one before, ``rho = r ((K + 1 - m) / (K
+        - m))^(upow + logpow)``, ``r = q`` (geometric, linear-fractional) or
+        ``lam / (K + 1)`` (Poisson), as ``log(1 + x') / log(1 + x) <= x'/x``
+        for ``x' >= x > 0``.  The rest is at most ``f(K) rho / (1 - rho)``.
+        """
+        m = self.mean
+        if self.kind != "power_law_tail":
+            r = self._lam / (cut + 1.0) if self.kind == "poisson" else self._q
+            rho = r * ((cut + 1.0 - m) / (cut - m)) ** (upow + logpow)
+            return 0.0, (term_sum(np.array([cut])) * rho / (1.0 - rho)
+                         if rho < 1.0 else math.inf)
+        sigma, a = 2.0 + self._alpha, cut + 0.5
+        tail, q_err, af = _power_tail_integral(
+            a, m, math.log(self._c) + (upow - 1.0) * math.log(scale), sigma,
+            upow, logpow, scale)
+        u = a / m - 1.0
+        slope = -sigma / a + upow / (m * u)  # f'(a) / f(a)
+        if logpow:
+            slope += logpow * scale / (m * (1.0 + u * scale)
+                                       * math.log1p(u * scale))
+        return (tail + af / a * slope / 24.0,
+                q_err + _remainder_bound(a, tail, sigma, upow, logpow, m))
 
     # -- truncated moment ratio (for the comparison condition) --------------
 

@@ -58,7 +58,6 @@ class McEstimate:
     std_error: float
     replicas: int
     master_seed: int
-    config_digest: str = ""
 
     @classmethod
     def proportion(cls, flags: np.ndarray, seed: int) -> "McEstimate":

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 
 import pytest
@@ -266,6 +267,14 @@ TINY_ALPHA = {"kind": "power_law_tail", "alpha": 1e-9, "p0": 0.2}
      {"series": "fractional_variance", "delta": 0.5, "horizon": 5}, 2,
      "finite_pmf, pmf=[1.0, 1e-300]): its deviation moment of order 1.5 "
      "is inf"),
+    # light laws whose certified head passes 2^22 terms; the uncertified sum
+    # gave 0 for the first and an unchecked number for the second
+    ({"kind": "constant", "dist": {"kind": "poisson", "lam": 1e9}},
+     {"series": "fractional_variance", "delta": 0.5, "horizon": 5}, 4,
+     "poisson, lam=1000000000.0) has mean 1e+09"),
+    ({"kind": "constant", "dist": {"kind": "geometric", "mean": 1e6}},
+     {"series": "fractional_variance", "delta": 0.5, "horizon": 5}, 4,
+     "geometric, mean=1000000.0): a moment's error bound"),
 ])
 def test_extreme_laws_end_in_documented_exit_codes(tmp_path, capsys,
                                                    environment, params, code,
@@ -273,9 +282,11 @@ def test_extreme_laws_end_in_documented_exit_codes(tmp_path, capsys,
     cfg = write_config(tmp_path, {"experiment": "conditions",
                                   "environment": environment,
                                   "params": params})
+    start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == code
+    assert time.perf_counter() - start < 10.0
     assert [str(w.message) for w in caught] == []
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o" / "results.json").exists()
@@ -304,6 +315,25 @@ def test_vanishing_mean_series_are_divergent(tmp_path, params):
     text = (tmp_path / "o" / "results.json").read_text()
     assert "nan" not in text
     assert json.loads(text)["report"]["verdict"] == "divergent"
+
+
+def test_fractional_variance_at_delta_one_is_the_variance_series(tmp_path):
+    # the light-tail moment stopped at its first block, and this law's
+    # fractional_variance was "finite" with a partial sum of 1.3e-41
+    reports = []
+    for params in ({"series": "fractional_variance", "delta": 1},
+                   {"series": "variance"}):
+        out = tmp_path / params["series"]
+        cfg = write_config(tmp_path, {
+            "experiment": "conditions",
+            "environment": {"kind": "constant",
+                            "dist": {"kind": "poisson", "lam": 5000}},
+            "params": {**params, "horizon": 50}})
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        reports.append(json.loads((out / "results.json").read_text())["report"])
+    assert [r["verdict"] for r in reports] == ["finite", "finite"]
+    assert reports[0]["partial_sum"] == pytest.approx(
+        reports[1]["partial_sum"], rel=1e-9)
 
 
 @pytest.mark.parametrize("environment", [
@@ -425,6 +455,11 @@ def test_ill_typed_value_is_schema_error(tmp_path, capsys, top, params, field):
          {"n_list": [8], "replicas": 200}),
         ("halving", "supercritical_mu0.2", "k", {"replicas": 100}),
         ("l2", "supercritical_mu0.2", "k", {"replicas": 100})]
+] + [
+    # equal truncations never grow by blowup_factor, so a repeated entry
+    # turned this blow-up flag off, with exit 0
+    ("tightness", {"preset": "subcritical_mu0.2"},
+     {"l_grid": [1, 50, 50, 100], "env_replicas": 200}),
 ])
 def test_refused_values_are_schema_errors(tmp_path, experiment, environment,
                                           params):

@@ -231,6 +231,14 @@ def test_delta_moment_one_equals_normalized_variance(gw_dist):
     assert gw_dist.delta_moment(1.0) == pytest.approx(0.44, abs=1e-12)
     g = OffspringDistribution.geometric(mean=2.0)
     assert g.delta_moment(1.0) == pytest.approx(g.normalized_variance, rel=1e-8)
+    # the light-tail sum stopped at its first block once lam passed about
+    # 4,000: Poisson(5000) gave 1.3e-41 for a normalized variance of 2e-4
+    for law in [OffspringDistribution.poisson(lam)
+                for lam in (1.7, 5000.0, 1e5)] + [
+            OffspringDistribution.geometric(mean) for mean in (0.5, 1e5)] + [
+            OffspringDistribution.linear_fractional(p0=0.3, q=0.6)]:
+        assert law.delta_moment(1.0) == pytest.approx(
+            law.normalized_variance, rel=1e-9), law
 
 
 def test_delta_moment_zero_brute(gw_dist):
@@ -309,27 +317,46 @@ def test_power_tail_psi_moment_against_brute_oracle(power_tail_oracle, power,
                                                                 rel=1e-12)
 
 
-@pytest.mark.parametrize("upow,logpow,scale",
-                         [(1.25, 0.0, 1.0), (1.0, 1.0, 0.3), (1.0, 3.0, 0.05),
-                          (1.0, 3.0, 1.0)])
-def test_power_tail_remainder_bound_holds_at_short_heads(monkeypatch, upow,
-                                                         logpow, scale):
-    # the certified remainder bound must cover the actual error even at
-    # heads short enough for it to be visible; a tol of 1e-3 is met there,
-    # so the capped head returns a certified value
-    ref = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2) \
+HEAVY_LAW = {"kind": "power_law_tail", "alpha": 0.5, "p0": 0.2}
+
+
+@pytest.mark.parametrize("law,upow,logpow,scale", [
+    *(pytest.param(HEAVY_LAW, *case, id="-".join(map(str, case)))
+      for case in [(1.25, 0.0, 1.0), (1.0, 1.0, 0.3), (1.0, 3.0, 0.05),
+                   (1.0, 3.0, 1.0)]),
+    pytest.param({"kind": "geometric", "mean": 0.5}, 1.25, 0.0, 1.0,
+                 id="geometric"),
+    pytest.param({"kind": "poisson", "lam": 1.7}, 1.0, 3.0, 0.3, id="poisson"),
+])
+def test_power_tail_remainder_bound_holds_at_short_heads(monkeypatch, law,
+                                                         upow, logpow, scale):
+    # the certified remainder bound (Euler-Maclaurin for the power tail, the
+    # ratio test for a light one) must cover the actual error even at heads
+    # short enough for it to be visible; a tol of 1e-3 is met there, so the
+    # capped head returns a certified value
+    ref = OffspringDistribution.from_config(law) \
         ._u_weighted_moment(upow, logpow, scale, 1e-12)
     bounds = []
-    bound = distributions._remainder_bound
-    monkeypatch.setattr(distributions, "_remainder_bound",
-                        lambda *a: bounds.append(bound(*a)) or bounds[-1])
+    if law is HEAVY_LAW:
+        bound = distributions._remainder_bound
+        monkeypatch.setattr(distributions, "_remainder_bound",
+                            lambda *a: bounds.append(bound(*a)) or bounds[-1])
+    else:
+        remainder = OffspringDistribution._remainder
+
+        def record(*args):
+            rest, err = remainder(*args)
+            bounds.append(err)
+            return rest, err
+        monkeypatch.setattr(OffspringDistribution, "_remainder", record)
     for head in (16, 64):
         monkeypatch.setattr(distributions, "_MOMENT_HEAD", head)
         monkeypatch.setattr(distributions, "_MOMENT_HEAD_MAX", head)
-        d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+        d = OffspringDistribution.from_config(law)
         val = d._u_weighted_moment(upow, logpow, scale, 1e-3)
         assert abs(val - ref) <= bounds[-1] + 1e-12 * max(1.0, ref)
-        assert bounds[-1] > 1e-12  # not trivially small at this head
+        if law is HEAVY_LAW or head == 16:  # a light tail is gone by 64
+            assert bounds[-1] > 1e-12  # not trivially small at this head
 
 
 def test_power_tail_moment_head_grows_to_meet_tolerance(monkeypatch):

@@ -89,17 +89,17 @@ DIGESTS = {
     "flt":
         "0655abcce263ab89b34e280a9966ac166d3682811eeff3590ff4224f6cad8b3e",
     "halving":
-        "7b39a997a61593a0ba80b1cd83aea0d4d17c1cf6d411c7e146e61896d819a7c5",
+        "96c3498cf1135a2551f8fad8f66890fe0df28cc9b5f898de0b40aa461874a768",
     "l2":
-        "549c0d7094c1144aa09f0506dc875978ba12ed7f0d82a43cb741199b7ef6ae67",
+        "b66bd39e1ea3d806f98dd4e01e83ef8cb97042d626ae7850499b481e5d3bb786",
     "survival":
-        "6318316cd80d7516521a54eff0f76fae24caaa3eb1f888e7195185005bf9db4f",
+        "395a922fb06d8b614960b8107716de319b2c18db4e4c66aa182fb764a3d4e6aa",
     "tightness":
         "fc56982d2d43e45f6f98b40fe6622c8f7c61fb151147c3d9cd9909b5ad9afbd5",
     "w_positivity":
-        "58e74ea5a3431ac3c7e74b6892e371ebfbc6e9b4f2b233c3199ba275be49a6d1",
+        "474cb65a9b74a0e13441be7311e0228fd2553c76e6e30f37a2ca01c1e3024996",
     "w_positivity_heavy":
-        "a6a5451747b4faf85af8fa72a3c8b662313402b81d70cb87f4d38a066f4f4df7",
+        "9c0e772e46a6d0e06420254b6400aa0516bc7e6b77c57e2118e6c4f1a5ea0bcf",
 }
 
 SERIES_DIGESTS = {
