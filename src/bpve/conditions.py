@@ -124,16 +124,18 @@ def _nondecreasing_tail(terms: np.ndarray) -> bool:
 def damped_series(env: QuenchedEnvironment, start: int, shift: int,
                   count: int, exponent: float, moment, term=None
                   ) -> np.ndarray:
-    """The ``count`` terms of generations ``g = start + shift, ...`` with
-    damping ``w_g = exp(-exponent (S_{g-shift} - S_start))``, 1 for the
-    first: ``term(dist_g, w_g)`` if given, else ``moment(dist_g) * w_g``
-    with one moment per distinct law object, taken in order of first
-    occurrence, and an infinite moment kept ``inf``."""
-    with np.errstate(over="ignore"):  # an infinite damping is a verdict
-        damp = np.exp(-exponent * (env.s[start:start + count] - env.s[start]))
+    """The ``count`` terms of generations ``g = start + shift, ...``, with
+    ``x_g = S_{g-shift} - S_start`` (0 for the first): ``moment(dist_g) *
+    exp(-exponent x_g)`` with one moment per distinct law object, taken in
+    order of first occurrence, and an infinite moment kept ``inf``; or, if
+    given, ``term(dist_g, exp(-x_g))`` on the raw damping."""
+    x = env.s[start:start + count] - env.s[start]
     dists = env.dists[start + shift - 1:start + shift - 1 + count]
-    if term is not None:
-        return np.array([term(d, float(w)) for d, w in zip(dists, damp)])
+    with np.errstate(over="ignore"):  # an infinite damping is a verdict
+        if term is not None:
+            return np.array([term(d, float(w))
+                             for d, w in zip(dists, np.exp(-x))])
+        damp = np.exp(-exponent * x)
     table = {key: moment(d) for key, d in {id(d): d for d in dists}.items()}
     m = np.array([table[id(d)] for d in dists])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -181,8 +183,10 @@ def _series(series: str, delta: float = 1.0,
             phi: PhiFunction = PhiFunction(power=1.0), tol: float = 1e-9):
     """The row ``(shift, exponent, moment, term)`` of :func:`damped_series`
     that a checker and :func:`tightness_diagnostic` both sum; moments to
-    ``tol * 1e-3``.  Refuses ``delta`` outside ``(0, 1]``, a ``phi`` outside
-    the catalog and a bad ``tol``."""
+    ``tol * 1e-3``.  A psi row's moment is ``E[U phi(U)]``, which a pure
+    power ``phi = x^d`` scales by the damping to the ``d``; only a log
+    weight needs its ``term`` at each damping.  Refuses ``delta`` outside
+    ``(0, 1]``, a ``phi`` outside the catalog and a bad ``tol``."""
     if series == "variance":
         row = 0, 1.0, lambda d: d.normalized_variance, None
     elif series == "fractional_variance":
@@ -192,30 +196,38 @@ def _series(series: str, delta: float = 1.0,
     elif series == "psi":
         if not isinstance(phi, PhiFunction):
             raise NotApplicableError("phi must come from the catalog")
-        row = 1, 1.0, None, lambda d, w: d.psi_moment(phi, w, tol=tol * 1e-3)
+        row = (1, phi.power, lambda d: d.psi_moment(phi, 1.0, tol=tol * 1e-3),
+               (lambda d, w: d.psi_moment(phi, w, tol=tol * 1e-3))
+               if phi.log_power else None)
     else:
         raise ValueError(f"unknown series {series!r}")
     check_tol(tol)
     return row
 
 
-def _moment_series(series_id, env, start, horizon, shift, exponent, moment,
-                   detail, divergence_threshold=DIVERGENCE_THRESHOLD,
-                   what="normalized variance") -> ConditionReport:
-    """Terms ``moment(dist_g) * w_g`` for the ``horizon + 1`` generations
-    from ``g = start + shift``, damped by ``S_{g-shift} - S_start``.  The
-    tail bound takes the largest moment of the trailing window; the first
-    omitted term's damping is exact when ``shift = 1`` and one drift step
-    beyond the last included term's when ``shift = 0``."""
-    first, last = start + shift, start + shift + horizon
-    terms = damped_series(env, start, shift, horizon + 1, exponent, moment)
+def _report(series_id, env, start, horizon, count, row, detail,
+            divergence_threshold=DIVERGENCE_THRESHOLD, what="term",
+            split=None) -> ConditionReport:
+    """Sum the ``count`` terms of ``row`` from ``g = start + shift`` and
+    certify the rest.  With ``exponent`` ``d > 0`` every omitted term is at
+    most the largest moment of the trailing window times its damping
+    ``exp(-d x)``; a log factor needs that damping at most 1.  The first
+    omitted damping is exact when ``shift = 1`` and one drift step beyond
+    the last term's when ``shift = 0``.  A ``d = 0`` row has a tail only
+    through ``split(laws, x, mu)``."""
+    shift, exponent, moment, term = row
+    first = start + shift
+    last = first + count - 1
+    terms = damped_series(env, start, shift, count, exponent, moment, term)
 
     def tail(mu):
-        zbar = max(moment(d) for d in
-                   env.dists[last - min(WINDOW, horizon + 1):last])
-        damp = exp_or_inf(-exponent * (env.s[last] - env.s[start]
-                                       + (1 - shift) * mu))
-        return _geometric_tail(zbar, damp, exponent * mu)
+        x = env.s[last] - env.s[start] + (1 - shift) * mu
+        laws = {id(d): d for d in
+                env.dists[last - max(1, min(WINDOW, count)):last]}.values()
+        if exponent > 0 and (term is None or x >= 0):
+            return _geometric_tail(max(map(moment, laws)),
+                                   exp_or_inf(-exponent * x), exponent * mu)
+        return split(laws, x, mu) if split and x > 0 else None
     return _certify(series_id, start, horizon, first, terms,
                     env.xi[start:last], tail, detail, divergence_threshold,
                     what)
@@ -238,8 +250,8 @@ def variance_series(env: QuenchedEnvironment, start: int = 1,
     generation ``g`` times ``exp(-(S_g - S_start))``.
     """
     horizon = _check_range(env, start, horizon)
-    return _moment_series("variance_series", env, start, horizon,
-                          *_series("variance")[:3], {})
+    return _report("variance_series", env, start, horizon, horizon + 1,
+                   _series("variance"), {}, what="normalized variance")
 
 
 def fractional_variance_series(env: QuenchedEnvironment, start: int = 1,
@@ -251,8 +263,8 @@ def fractional_variance_series(env: QuenchedEnvironment, start: int = 1,
     usable when variances are infinite.  Same index convention."""
     row = _series("fractional_variance", delta=delta, tol=tol)
     horizon = _check_range(env, start, horizon)
-    return _moment_series("fractional_variance_series", env, start, horizon,
-                          *row[:3], {"delta": delta}, what="deviation moment")
+    return _report("fractional_variance_series", env, start, horizon,
+                   horizon + 1, row, {"delta": delta}, what="deviation moment")
 
 
 def psi_series(env: QuenchedEnvironment, start: int = 1,
@@ -265,49 +277,35 @@ def psi_series(env: QuenchedEnvironment, start: int = 1,
     (``horizon`` terms); term ``g`` is ``E[U phi(U * damping_g)]`` for
     generation ``g`` with ``damping_g = exp(-(S_{g-1} - S_start))``.
 
-    Certified tails exist only for the catalog weight functions: a pure
-    power (or power-log) rides the geometric damping directly; a pure
-    log-power uses a threshold split against a higher log-moment.
+    Certified tails exist only for the catalog weight functions: a power
+    (or power-log) rides the geometric damping directly; a pure log-power
+    uses a threshold split against a higher log-moment.
     """
-    shift, exponent, _, term = _series("psi", phi=phi, tol=tol)
+    row = _series("psi", phi=phi, tol=tol)
     horizon = _check_range(env, start, horizon)
     if phi.zero:
         return ConditionReport("psi_series", start, 0.0, horizon, 0.0,
                                "finite", {"phi": "zero"})
-    terms = damped_series(env, start, shift, horizon, exponent, None, term)
-    wlen = max(1, min(WINDOW, horizon))
-    trailing = set(env.dists[start + horizon - wlen:start + horizon])
-    return _certify(
-        "psi_series", start, horizon, start + shift, terms,
-        env.xi[start:start + horizon],
-        lambda mu: _psi_tail_bound(
-            phi, trailing, exp_or_inf(env.s[start] - env.s[start + horizon]),
-            mu, tol * 1e-3),
-        {"phi": phi.identifier})
+    split = None if phi.power or not phi.log_power else \
+        lambda laws, x, mu: _log_split_tail(phi.log_power, laws, x, mu,
+                                            tol * 1e-3)
+    return _report("psi_series", env, start, horizon, horizon, row,
+                   {"phi": phi.identifier}, split=split)
 
 
-def _psi_tail_bound(phi: PhiFunction, trailing, next_scale: float,
-                    mu_w: float, tol: float) -> Optional[float]:
-    d, g = phi.power, phi.log_power
-    if d > 0:
-        if next_scale > 1.0:
-            return None
-        # term <= scale^d * E[U^{1+d} log^g(1+U)] once damping <= 1
-        m1 = max(dd.psi_moment(phi, 1.0, tol=tol) for dd in trailing)
-        return _geometric_tail(m1, next_scale**d, d * mu_w)
-    # pure log-power: split at U = damping^{-1/2}; phi = 1 has no damping
-    if next_scale >= 1.0 or g <= 0:
-        return None
-    u_mean = max(dd.delta_moment(0.0, tol=tol) for dd in trailing)
+def _log_split_tail(g: float, laws, x: float, mu: float,
+                    tol: float) -> float:
+    """Tail of ``phi(u) = log^g(1 + u)`` past a first omitted damping
+    ``exp(-x)``, ``x > 0``: split each term at ``U = damping^{-1/2}``."""
+    u_mean = max(d.delta_moment(0.0, tol=tol) for d in laws)
     high = PhiFunction(power=0.0, log_power=1.0 + 2.0 * g)
-    m2 = max(dd.psi_moment(high, 1.0, tol=tol) for dd in trailing)
-    # below threshold: U*phi <= U * log^g(1 + sqrt(scale)) <= U * scale^{g/2}
-    piece1 = _geometric_tail(u_mean, next_scale ** (g / 2.0), g * mu_w / 2.0)
-    # above threshold: Markov against the higher log-moment; log(1/sqrt(s_j))
-    # grows at least linearly with certified slope mu_w / 2
-    c0 = -math.log(next_scale) / 2.0
-    piece2 = m2 * (c0 ** -(1.0 + g) + c0 ** -g / (g * mu_w / 2.0))
-    return piece1 + piece2
+    m2 = max(d.psi_moment(high, 1.0, tol=tol) for d in laws)
+    # below threshold: U*phi <= U * log^g(1 + sqrt(w)) <= U * w^{g/2}
+    piece1 = _geometric_tail(u_mean, math.exp(-g * x / 2.0), g * mu / 2.0)
+    # above threshold: Markov against the higher log-moment; log(1/sqrt(w_j))
+    # grows at least linearly with certified slope mu / 2
+    c0 = x / 2.0
+    return piece1 + m2 * (c0 ** -(1.0 + g) + c0 ** -g / (g * mu / 2.0))
 
 
 def increment_variance_series(env: QuenchedEnvironment, start: int = 0,
@@ -324,9 +322,9 @@ def increment_variance_series(env: QuenchedEnvironment, start: int = 0,
     if start < 0:
         raise ValueError("start must be >= 0")
     horizon = _check_range(env, start + 1, horizon)
-    _, exponent, moment, _ = _series("variance")
-    return _moment_series("increment_variance_series", env, start, horizon,
-                          1, exponent, moment, {}, math.inf)
+    return _report("increment_variance_series", env, start, horizon,
+                   horizon + 1, (1, *_series("variance")[1:]), {}, math.inf,
+                   "normalized variance")
 
 
 def jagers_sum(env: QuenchedEnvironment,

@@ -47,9 +47,6 @@ __all__ = [
 ]
 
 _INT64_SAFE = 2**62
-# numpy's negative_binomial refuses a row whose Poisson stage could pass this
-# rate (its POISSON_LAM_MAX).
-_NB_LAM_MAX = float(np.iinfo(np.int64).max) - math.sqrt(np.iinfo(np.int64).max) * 10
 
 # Power-law totals: offspring counts up to _TOTALS_HEAD come from one
 # multinomial per row, larger ones (a share ~ _TOTALS_HEAD^-(1+alpha) of the
@@ -136,13 +133,16 @@ class PhiFunction:
         raise ValueError(f"cannot parse phi spec {cfg!r}")
 
 
-def _negative_binomial_refuses(parents, p):
-    """Rows on which numpy's ``negative_binomial(parents, p)`` raises:
-    ``p`` outside ``(0, 1]`` or the Poisson rate ``(1-p)/p (n + 10 sqrt n)``
-    above :data:`_NB_LAM_MAX` (numpy's own test)."""
-    n, p = np.asarray(parents, dtype=float), np.asarray(p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return ~(p > 0) | ((1.0 - p) / p * (n + 10.0 * np.sqrt(n)) > _NB_LAM_MAX)
+def _overflow_rows(parents: np.ndarray, mean) -> Optional[np.ndarray]:
+    """The one int64 rule: rows whose total of ``parents`` draws with mean
+    ``mean`` (a float, or an array of one per row) could pass ``2**62``;
+    None when every row is safe.  A float checks the largest count first."""
+    if isinstance(mean, np.ndarray):
+        bad = parents * np.maximum(mean, 1.0) > _INT64_SAFE
+        return bad if bad.any() else None
+    m = max(mean, 1.0)
+    return parents * m > _INT64_SAFE \
+        if len(parents) and parents.max() * m > _INT64_SAFE else None
 
 
 class GeometricRows:
@@ -155,8 +155,7 @@ class GeometricRows:
         self.q = q
 
     def overflow_rows(self, parents: np.ndarray) -> Optional[np.ndarray]:
-        bad = _negative_binomial_refuses(parents, 1.0 - self.q)
-        return bad if bad.any() else None
+        return _overflow_rows(parents, self.q / (1.0 - self.q))
 
     def sample_generation_totals(self, parents: np.ndarray,
                                  rng: np.random.Generator) -> np.ndarray:
@@ -504,12 +503,9 @@ class OffspringDistribution:
 
     def overflow_rows(self, parents: np.ndarray) -> Optional[np.ndarray]:
         """Rows :meth:`sample_generation_totals` refuses because a total
-        could leave int64; None when every row is safe.  (A geometric mean
-        small enough for ``q < 1`` trips this before numpy's
-        negative-binomial range.)"""
-        m = max(self.mean, 1.0)
-        return parents * m > _INT64_SAFE \
-            if len(parents) and parents.max() * m > _INT64_SAFE else None
+        could leave int64; None when every row is safe.  (Any geometric mean
+        with ``q < 1`` trips this before numpy's negative-binomial range.)"""
+        return _overflow_rows(parents, self.mean)
 
     def _power_law_totals(self, n: np.ndarray,
                           rng: np.random.Generator) -> np.ndarray:
@@ -586,13 +582,14 @@ class OffspringDistribution:
     def psi_moment(self, phi: PhiFunction, scale: float, tol: float = 1e-9) -> float:
         """``E[ U * phi(U * scale) ]`` with ``U = |X/m - 1|``; +inf when divergent.
 
-        ``scale`` is the environment-supplied damping factor (a ratio of
-        accumulated generation means).  ``phi`` must come from the
-        :class:`PhiFunction` catalog.  A pure power ``phi(x) = x^d`` factors
-        as ``scale^d E[U^(1+d)]``, so every scale shares one moment.
+        ``scale >= 0`` is the environment-supplied damping factor (a ratio
+        of accumulated generation means, which may underflow to 0).  ``phi``
+        must come from the :class:`PhiFunction` catalog.  A pure power
+        ``phi(x) = x^d`` factors as ``scale^d E[U^(1+d)]``, so every scale
+        shares one moment; a log weight vanishes at ``scale = 0``.
         """
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not scale >= 0:
+            raise ValueError("scale must be nonnegative")
         if not isinstance(phi, PhiFunction):
             raise UnsupportedDistributionError(
                 "only catalog weight functions are supported")
@@ -601,6 +598,8 @@ class OffspringDistribution:
         if not phi.log_power:
             return scale**phi.power * self._u_weighted_moment(
                 1.0 + phi.power, 0.0, 1.0, tol)
+        if scale == 0.0:  # log(1 + U * 0) = 0
+            return 0.0
         if math.isinf(scale):  # log(1 + U * scale) is inf wherever U > 0
             return math.inf if self.variance > 0 else 0.0
         return self._u_weighted_moment(1.0 + phi.power, phi.log_power,

@@ -317,6 +317,38 @@ def test_vanishing_mean_series_are_divergent(tmp_path, params):
     assert json.loads(text)["report"]["verdict"] == "divergent"
 
 
+@pytest.mark.parametrize("experiment,params", [
+    ("conditions", {"series": "psi", "phi": {"log_power": 1}, "horizon": 150}),
+    ("conditions", {"series": "psi", "phi": {"power": 0.5}, "horizon": 150}),
+    ("conditions", {"series": "psi", "phi": {"power": 0.5, "log_power": 1},
+                    "horizon": 150}),
+    ("tightness", {"series": "psi", "phi": {"log_power": 1},
+                   "l_grid": [1, 150], "env_replicas": 2}),
+], ids=["psi_log", "psi_power", "psi_power_log", "tightness_psi_log"])
+def test_psi_with_underflowing_damping_is_finite(tmp_path, experiment,
+                                                 params):
+    # the mean is 1000, so the damping exp(-(S_g - S_1)) underflows to 0 at
+    # generation 110: psi exited 2 with "scale must be positive", and the
+    # pure log-power tail, split at log(1/damping) = inf, certified 0.0
+    cfg = write_config(tmp_path, {
+        "experiment": experiment,
+        "environment": {"kind": "constant",
+                        "dist": {"kind": "finite_pmf",
+                                 "pmf": [0.5] + [0.0] * 1999 + [0.5]}},
+        "params": params})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert [str(w.message) for w in caught] == []
+    res = json.loads((tmp_path / "o" / "results.json").read_text())
+    if experiment == "tightness":
+        assert all(math.isfinite(q) for row in res["tightness"]["quantiles"]
+                   for q in row)
+    else:
+        assert res["report"]["verdict"] == "finite"
+        assert res["report"]["tail_bound"] > 0
+
+
 def test_fractional_variance_at_delta_one_is_the_variance_series(tmp_path):
     # the light-tail moment stopped at its first block, and this law's
     # fractional_variance was "finite" with a partial sum of 1.3e-41

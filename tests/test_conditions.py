@@ -130,6 +130,46 @@ def test_psi_power_series_agrees_with_fractional_series():
     assert frac.certified_value == pytest.approx(12.543117321774664, abs=1e-9)
 
 
+def test_psi_power_tail_needs_no_damping_below_one():
+    # S_g falls for 90 generations and then climbs, so the first omitted
+    # damping exceeds 1; the pure-power term is exactly w^d E U^(1+d), and
+    # psi certifies its tail as the fractional series does
+    spec = EnvironmentSpec.explicit(
+        [OffspringDistribution.geometric(0.5)] * 90
+        + [OffspringDistribution.geometric(1.2)] * 200)
+    env = quench(spec, 0, 290)
+    frac = fractional_variance_series(env, start=2, delta=0.5, horizon=199)
+    psi = psi_series(env, start=1, phi=PhiFunction(power=0.5), horizon=200)
+    assert frac.verdict == psi.verdict == "finite"
+    assert psi.certified_value >= psi.partial_sum > 0
+
+
+def test_psi_power_rows_take_one_moment_per_law(monkeypatch):
+    # tightness asks a pure-power phi for E U^(1+d) once per distinct law of
+    # each environment, at damping 1, where it asked at every generation
+    phi = PhiFunction(power=0.5)
+    spec = PRESETS["supercritical_mu0.2"]()
+    calls = []
+    psi_moment = OffspringDistribution.psi_moment
+
+    def counted(dist, phi, scale, tol=1e-9):
+        calls.append(scale)
+        return psi_moment(dist, phi, scale, tol)
+    monkeypatch.setattr(OffspringDistribution, "psi_moment", counted)
+    tightness_diagnostic(spec, [1, 50, 100], 20, seed=88, series="psi",
+                         phi=phi)
+    assert calls == [1.0] * 2 * 20
+    monkeypatch.undo()
+    # and the terms are the per-generation moments within 4 ulp
+    shift, exponent, moment, term = conditions._series("psi", phi=phi)
+    env = quench(spec, 88, 101)
+    damp = np.exp(-(env.s[1:101] - env.s[1]))
+    want = [d.psi_moment(phi, float(w)) for d, w in zip(env.dists[1:], damp)]
+    np.testing.assert_array_max_ulp(
+        conditions.damped_series(env, 1, shift, 100, exponent, moment, term),
+        np.array(want), maxulp=4)
+
+
 def test_increment_variance_series_closed_form(gw_env):
     # [DERIVED] sum 0.44 * 0.8^(j-1) = 2.2; this is the halving budget
     rep = increment_variance_series(gw_env, start=0, horizon=300)

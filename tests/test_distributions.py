@@ -227,6 +227,25 @@ def test_power_law_totals_overflow_is_caught(monkeypatch):
 
 # ------------------------------------------------------------ deviation moments
 
+def test_geometric_laws_share_one_int64_rule():
+    # a geometric law and the per-row geometric laws of a Gaussian
+    # environment flag the same parent counts, and numpy's negative binomial
+    # samples every row that passes
+    means = [0.5, 1.0, 2.0, 1e3, 1e6, 4.6e6, 1e9, 1e12, 9e15]
+    parents = [1, 2, 10, 500, 512, 513, 1000, 10**6, 4 * 10**6, 10**9,
+               10**12]
+    laws = [OffspringDistribution.geometric(m) for m in means]
+    pairs = [(law, n) for law in laws for n in parents]
+    q = np.array([law._q for law, _ in pairs])
+    n = np.array([n for _, n in pairs], dtype=np.int64)
+    got = distributions.GeometricRows(q).overflow_rows(n)
+    want = [law.overflow_rows(np.array([k], dtype=np.int64)) is not None
+            for law, k in pairs]
+    assert got.tolist() == want
+    assert 0 < got.sum() < len(pairs)
+    np.random.default_rng(0).negative_binomial(n[~got], 1.0 - q[~got])
+
+
 def test_delta_moment_one_equals_normalized_variance(gw_dist):
     assert gw_dist.delta_moment(1.0) == pytest.approx(0.44, abs=1e-12)
     g = OffspringDistribution.geometric(mean=2.0)

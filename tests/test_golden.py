@@ -95,7 +95,7 @@ DIGESTS = {
     "survival":
         "395a922fb06d8b614960b8107716de319b2c18db4e4c66aa182fb764a3d4e6aa",
     "tightness":
-        "fc56982d2d43e45f6f98b40fe6622c8f7c61fb151147c3d9cd9909b5ad9afbd5",
+        "50095ce777a98938e9c1e2abb6073befa99813dd4c38a5bff5c6255151ab1e5c",
     "w_positivity":
         "474cb65a9b74a0e13441be7311e0228fd2553c76e6e30f37a2ca01c1e3024996",
     "w_positivity_heavy":

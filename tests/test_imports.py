@@ -1,8 +1,9 @@
 """Checks that run in a fresh interpreter: that runs never load scipy, and
 that the benchmark's per-layer hooks still find every call boundary.  Also
 static checks of the source: no module imports scipy, only ``cli`` defines
-the output format, one call site runs the population loop, and one mixer
-rule turns random-environment draws into laws."""
+the output format, one call site runs the population loop, one mixer rule
+turns random-environment draws into laws, and one report function certifies
+every damped condition series."""
 
 import ast
 import json
@@ -142,6 +143,23 @@ def test_one_mixer_rule_draws_every_environment():
                 f"{path.name}:{node.lineno} reads a mixer's .{attr}"
     assert sorted(calls) == [("searchsorted", "environment.py", "Mixer"),
                              ("standard_normal", "environment.py", "Mixer")]
+
+
+def test_one_report_path_for_every_damped_series():
+    # the variance, fractional, psi and increment-variance checkers share one
+    # report function: it sums a row through damped_series and certifies it
+    tree = ast.parse((ROOT / "src" / "bpve" / "conditions.py").read_text())
+    callers = {}
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Name):
+                    callers.setdefault(node.func.id, []).append(func.name)
+    assert callers["_certify"] == ["_report"]
+    assert sorted(callers["damped_series"]) == ["_report",
+                                                "tightness_diagnostic"]
+    assert "psi_series" not in callers["_certify"] + callers["damped_series"]
 
 
 def test_bench_tracer_finds_every_hook():
