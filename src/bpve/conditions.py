@@ -126,20 +126,19 @@ def damped_series(env: QuenchedEnvironment, start: int, shift: int,
                   ) -> np.ndarray:
     """The ``count`` terms of generations ``g = start + shift, ...``, with
     ``x_g = S_{g-shift} - S_start`` (0 for the first): ``moment(dist_g) *
-    exp(-exponent x_g)`` with one moment per distinct law object, taken in
-    order of first occurrence, and an infinite moment kept ``inf``; or, if
-    given, ``term(dist_g, exp(-x_g))`` on the raw damping."""
+    exp(-exponent x_g)``, or, if given, ``term(dist_g, exp(-x_g))`` on the
+    raw damping.  The moment is taken once per distinct law object, in
+    order of first occurrence, and a term whose law has an infinite moment
+    is ``inf`` on both paths, even where its damping underflows to 0."""
     x = env.s[start:start + count] - env.s[start]
     dists = env.dists[start + shift - 1:start + shift - 1 + count]
-    with np.errstate(over="ignore"):  # an infinite damping is a verdict
-        if term is not None:
-            return np.array([term(d, float(w))
-                             for d, w in zip(dists, np.exp(-x))])
-        damp = np.exp(-exponent * x)
     table = {key: moment(d) for key, d in {id(d): d for d in dists}.items()}
     m = np.array([table[id(d)] for d in dists])
+    # an infinite damping is a verdict; inf * 0 is replaced below
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(np.isinf(m), m, m * damp)
+        terms = m * np.exp(-exponent * x) if term is None else np.array(
+            [term(d, float(w)) for d, w in zip(dists, np.exp(-x))])
+        return np.where(np.isinf(m), m, terms)
 
 
 def _geometric_tail(bound: float, next_damping: float, rate: float) -> float:

@@ -586,20 +586,19 @@ class OffspringDistribution:
         of accumulated generation means, which may underflow to 0).  ``phi``
         must come from the :class:`PhiFunction` catalog.  A pure power
         ``phi(x) = x^d`` factors as ``scale^d E[U^(1+d)]``, so every scale
-        shares one moment; a log weight vanishes at ``scale = 0``.
+        shares one moment; a weight with ``phi(0) = 0`` gives 0 at
+        ``scale = 0``, whatever the law.
         """
         if not scale >= 0:
             raise ValueError("scale must be nonnegative")
         if not isinstance(phi, PhiFunction):
             raise UnsupportedDistributionError(
                 "only catalog weight functions are supported")
-        if phi.zero:
+        if phi.zero or scale == 0.0 and (phi.power or phi.log_power):
             return 0.0
         if not phi.log_power:
             return scale**phi.power * self._u_weighted_moment(
                 1.0 + phi.power, 0.0, 1.0, tol)
-        if scale == 0.0:  # log(1 + U * 0) = 0
-            return 0.0
         if math.isinf(scale):  # log(1 + U * scale) is inf wherever U > 0
             return math.inf if self.variance > 0 else 0.0
         return self._u_weighted_moment(1.0 + phi.power, phi.log_power,

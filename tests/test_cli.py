@@ -349,6 +349,25 @@ def test_psi_with_underflowing_damping_is_finite(tmp_path, experiment,
         assert res["report"]["tail_bound"] > 0
 
 
+@pytest.mark.parametrize("phi", [{"power": 0.5},
+                                 {"power": 0.5, "log_power": 1}],
+                         ids=["power", "power_log"])
+def test_psi_infinite_moment_under_underflowed_damping_is_divergent(
+        tmp_path, phi):
+    # generation 121 has E U^1.5 = inf, but its damping has underflowed to
+    # 0: the power-log term read 0 there and the verdict was "finite"
+    light = {"kind": "finite_pmf", "pmf": [0.5] + [0.0] * 1999 + [0.5]}
+    heavy = {"kind": "power_law_tail", "alpha": 0.5, "p0": 0.2}
+    cfg = write_config(tmp_path, {
+        "experiment": "conditions",
+        "environment": {"kind": "explicit_sequence",
+                        "dists": [light] * 120 + [heavy] + [light] * 101},
+        "params": {"series": "psi", "phi": phi, "horizon": 220}})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    res = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert res["report"]["verdict"] == "divergent"
+
+
 def test_fractional_variance_at_delta_one_is_the_variance_series(tmp_path):
     # the light-tail moment stopped at its first block, and this law's
     # fractional_variance was "finite" with a partial sum of 1.3e-41

@@ -410,6 +410,17 @@ def test_psi_moment_zero_phi(gw_dist):
     assert gw_dist.psi_moment(PhiFunction(zero=True), 1.0) == 0.0
 
 
+def test_psi_moment_at_zero_scale_is_phi_of_zero():
+    # phi(U * 0) = phi(0) for every U: 0 when phi(0) = 0, even for a law
+    # whose E U^(1+d) is infinite (0.0 * inf was NaN), and E U when phi = 1
+    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    for phi in (PhiFunction(power=0.5), PhiFunction(log_power=1.0),
+                PhiFunction(power=0.5, log_power=1.0)):
+        assert d.psi_moment(phi, 0.0) == 0.0
+    assert math.isinf(d.psi_moment(PhiFunction(power=0.5), 1e-300))
+    assert d.psi_moment(PhiFunction(), 0.0) == d.delta_moment(0.0)
+
+
 def test_psi_moment_geometric_log_converges():
     d = OffspringDistribution.geometric(mean=2.0)
     phi = PhiFunction(power=0.0, log_power=1.0)
