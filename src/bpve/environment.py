@@ -190,6 +190,21 @@ class EnvironmentSpec:
         one draw for a whole block."""
         return self._cooling_block_index(i) if self.kind == "cooling" else i
 
+    def stream_indices(self, horizon: int) -> np.ndarray:
+        """``[self.stream_index(i) for i in range(1, horizon + 1)]`` as one
+        array, computed without a Python call per generation."""
+        gens = np.arange(1, horizon + 1)
+        if self.kind != "cooling":
+            return gens
+        if self.block_lengths is None:  # i.bit_length() - 1
+            return np.frexp(gens.astype(float))[1] - 1
+        ends = np.cumsum(self.block_lengths)
+        keys = ends.searchsorted(gens)
+        beyond = gens > ends[-1]
+        keys[beyond] = len(ends) + ((gens[beyond] - ends[-1] - 1)
+                                    // self.block_lengths[-1])
+        return keys
+
     def dist_at(self, env_seed: int, i: int) -> OffspringDistribution:
         """Offspring law of generation ``i`` (1-based); deterministic in
         ``(spec, env_seed, i)``."""
@@ -310,24 +325,25 @@ def quench_many(spec: EnvironmentSpec, env_seeds: Sequence[int],
         laws = [spec.dist_at(1, i) for i in gens]
         xi = np.array([d.log_mean for d in laws])
         return [QuenchedEnvironment(laws, _kahan_cumsum(xi), xi)] * len(seeds)
-    keys, inverse = np.unique(list(map(spec.stream_index, gens)),
-                              return_inverse=True)
+    # a generation shares its predecessor's key or takes the next one
+    inverse = spec.stream_indices(horizon)
+    keys = np.arange(inverse[0], inverse[-1] + 1)
+    inverse -= inverse[0]
     mixer = spec.mixer
     if mixer.kind == "finite":
         comp = mixer.pick(first_uniforms(
-            np.array(seeds, dtype=object)[:, None], keys))
+            np.array(seeds, dtype=object)[:, None], keys))[:, inverse]
         table = [[mixer.dists[c] for c in row] for row in comp.tolist()]
         xi = mixer.xi[comp]
     else:
-        table = [[mixer.draw(substream(s, k)) for k in keys.tolist()]
+        drawn = [[mixer.draw(substream(s, k)) for k in keys.tolist()]
                  for s in seeds]
-        xi = np.array([[d.log_mean for d in row] for row in table]
-                      ).reshape(len(seeds), len(keys))
-    xi = xi[:, inverse]
-    s = _kahan_cumsum(xi)
-    order = inverse.tolist()
-    return [QuenchedEnvironment([row[j] for j in order], s_row, xi_row)
-            for row, s_row, xi_row in zip(table, s, xi)]
+        xi = np.array([[d.log_mean for d in row] for row in drawn]
+                      ).reshape(len(seeds), len(keys))[:, inverse]
+        order = inverse.tolist()
+        table = [[row[j] for j in order] for row in drawn]
+    return [QuenchedEnvironment(laws, s_row, xi_row)
+            for laws, s_row, xi_row in zip(table, _kahan_cumsum(xi), xi)]
 
 
 class ResourceWarningError(MemoryError):

@@ -3,8 +3,12 @@
 Every estimator runs through one block runner, :func:`_run_blocks`: block
 ``b`` draws from the stream keyed by ``(master_seed, b)``, steps through
 :func:`bpve.simulate.simulate_block` and is reduced at once to the
-per-replica array the estimator needs.  Parts are concatenated in block
-order, so results are bitwise identical for any worker count.  A replica is
+per-replica array the estimator needs.  ``R`` replicas are split into
+``nb = min(R, 2 * ceil(R / (2 * DEFAULT_BLOCK)))`` blocks, block ``b``
+holding ``R*(b+1)//nb - R*b//nb`` of them: an even number of blocks (one
+when ``R`` is 1) whose sizes differ by at most one, so two workers get
+equal shares.  Parts are concatenated in block order, so results depend on
+``(master_seed, replicas)`` and never on the worker count.  A replica is
 alive when ``log W > -inf`` (``Z_n > 0``), decided before any ``exp``: the
 ``W`` of a live replica can underflow to 0.
 
@@ -107,14 +111,18 @@ class ConditionedSummary:
 
 def _map_blocks(replicas: int, block: int, fn, threads: Optional[int]):
     """Apply ``fn(block_index, block_size)`` to every block; merge in index
-    order (results therefore do not depend on the worker count)."""
+    order.  The blocks are an even number (one for a single replica) of at
+    most ``block`` replicas each, with sizes that differ by at most one;
+    the split depends on ``replicas`` alone, so results do not depend on
+    the worker count."""
     if replicas < 1:
         raise ValueError("need at least one replica")
     if replicas > MAX_REPLICAS:
         raise ResourceWarningError(f"{replicas} replicas exceed the "
                                    f"in-memory budget ({MAX_REPLICAS})")
-    sizes = [(b, min(block, replicas - b * block))
-             for b in range((replicas + block - 1) // block)]
+    nb = min(replicas, 2 * -(-replicas // (2 * block)))
+    sizes = [(b, replicas * (b + 1) // nb - replicas * b // nb)
+             for b in range(nb)]
     if threads is None or threads <= 1 or len(sizes) == 1:
         return [fn(b, sz) for b, sz in sizes]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -305,16 +313,21 @@ def mc_flt_discrepancy(env: QuenchedEnvironment, n_list: Sequence[int],
     normalized process makes these summaries shrink as ``n`` grows.
     """
     check_path_grid(n_list, grid_size)
+
+    def path_spread(block):
+        """``sup_t |Y(t) - Y(1)|`` of the block's replicas alive at n."""
+        w = block.log_w
+        alive = w[:, -1] > -np.inf
+        np.exp(w, out=w)
+        w -= w[:, -1:]
+        return np.abs(w, out=w).max(axis=1)[alive]
+
     out = []
     grid = np.linspace(0.0, 1.0, grid_size)
     for li, n in enumerate(sorted(int(x) for x in n_list)):
         idx = np.unique(stretched_indices(n, grid)).tolist()
-        w = _run_blocks(_quenched(env, idx[-1]), 1, idx[-1], idx, replicas,
-                        seed + li, threads, lambda block: block.log_w)
-        w = w[w[:, -1] > -np.inf]  # log W of the replicas alive at n
-        np.exp(w, out=w)
-        w -= w[:, -1:]
-        spread = np.abs(w, out=w).max(axis=1)
+        spread = _run_blocks(_quenched(env, idx[-1]), 1, idx[-1], idx,
+                             replicas, seed + li, threads, path_spread)
         out.append(PathSpreadSummary(n, len(spread),
                                      *_median_and_quantile(spread, 0.9)))
     return out

@@ -239,6 +239,20 @@ def test_cooling_quench_draws_once_per_block(schedule, monkeypatch):
         draws.clear()
 
 
+@pytest.mark.parametrize("kind,schedule", [
+    ("iid_random", None), ("cooling", None), ("cooling", [3, 1, 7, 2]),
+    ("cooling", [1]), ("cooling", [5])])
+def test_stream_indices_match_stream_index(kind, schedule):
+    mixer = PRESETS["critical_two_point"]().mixer
+    spec = (EnvironmentSpec.cooling(mixer, block_lengths=schedule)
+            if kind == "cooling" else EnvironmentSpec.iid_random(mixer))
+    # across the schedule's end (13) and around powers of two
+    for horizon in (1, 2, 3, 4, 5, 12, 13, 14, 15, 16, 17, 1023, 1024,
+                    1025, 2**16 + 1):
+        keys = [spec.stream_index(i) for i in range(1, horizon + 1)]
+        assert spec.stream_indices(horizon).tolist() == keys
+
+
 QUENCH_SPECS = {
     **{name: make() for name, make in PRESETS.items()},
     "gaussian_iid": EnvironmentSpec.iid_random(

@@ -19,16 +19,20 @@ def gw_env200(gw_dist):
 
 
 def test_collect_w_thread_count_invariance(gw_env200):
-    # spans three blocks; merged results must not depend on the worker count
+    # spans four blocks; merged results must not depend on the worker count
     a = collect_w(gw_env200, 1, [10, 50], 70000, 99, threads=1)
     b = collect_w(gw_env200, 1, [10, 50], 70000, 99, threads=5)
     assert np.array_equal(a, b)
 
 
-def test_collect_w_replica_extension_is_prefix(gw_env200):
-    a = collect_w(gw_env200, 1, [20], 32768, 3, threads=2)
-    b = collect_w(gw_env200, 1, [20], 65536, 3, threads=2)
-    assert np.array_equal(a, b[:32768])
+@pytest.mark.parametrize("replicas", [1, 2, 3, 25000, 65537, 100000, 10**6])
+def test_block_partition_is_even_and_balanced(replicas):
+    sizes = estimators._map_blocks(replicas, estimators.DEFAULT_BLOCK,
+                                   lambda b, size: size, threads=1)
+    assert sum(sizes) == replicas
+    assert max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= estimators.DEFAULT_BLOCK
+    assert len(sizes) % 2 == 0 or replicas == 1
 
 
 def test_collect_w_mean_one(gw_env200):

@@ -85,34 +85,34 @@ DIGESTS = {
     "conditions":
         "6c72bbc3b640555619dc1600bd56f98baa16a90edc1534f522cc08f48658035c",
     "critical":
-        "972a56be1ac50dc2e8bab82f99e758def4f64580e618620797cdc78121e4f658",
+        "3caf7ec15e1f77c8895784c60a9e46e0555d9b4ddffabc5704c7b30978704e26",
     "flt":
-        "0655abcce263ab89b34e280a9966ac166d3682811eeff3590ff4224f6cad8b3e",
+        "c00f8b6dfb616af5e34f23cf2664c99dda94662e0943326ea35f68b19e1c6d35",
     "halving":
-        "96c3498cf1135a2551f8fad8f66890fe0df28cc9b5f898de0b40aa461874a768",
+        "e592354ed3bce41a6160abb700625760682b4bd54dcae1887de32a98d32dc8fe",
     "l2":
-        "b66bd39e1ea3d806f98dd4e01e83ef8cb97042d626ae7850499b481e5d3bb786",
+        "b87761136d73c63169864a7d32956a5919875d9978426b392e55c371fecbcca7",
     "survival":
-        "395a922fb06d8b614960b8107716de319b2c18db4e4c66aa182fb764a3d4e6aa",
+        "e0c7fdb0d9a33ca34695909e336444a8bbeaf1dc42085576e4fe886c3fc13c9b",
     "tightness":
         "50095ce777a98938e9c1e2abb6073befa99813dd4c38a5bff5c6255151ab1e5c",
     "w_positivity":
-        "474cb65a9b74a0e13441be7311e0228fd2553c76e6e30f37a2ca01c1e3024996",
+        "f4dad5d1878887818da3a6a23a152085ccae137fbcf7de2bfee43c89d12c4e75",
     "w_positivity_heavy":
-        "9c0e772e46a6d0e06420254b6400aa0516bc7e6b77c57e2118e6c4f1a5ea0bcf",
+        "fdd3fb7c14ccda98a4759f800f541a4360c7dcae277b4abc25e3ce76b8320ec9",
 }
 
 SERIES_DIGESTS = {
     "critical":
-        "d5587ae25d0844a3b34168dd4c5a78f527ef5d947a7504f80b58bc315ba5d362",
+        "4e08db5e56f801505a56bf0da17428e9c06c0009300420c35bcfbab374cff32c",
     "flt":
-        "3253ef73aafab6d8ef8d6320c9723af316fa385d7d999aa39797ebfe583ae7fa",
+        "268f17f27c18f82dda1569d0179b2af66f72e4abe28e32206c44d99e127b11ef",
     "tightness":
         "7e0dabe788972e638bd6025f121e7d9936bb9fb1f804398fcbe61e0cda31108f",
     "w_positivity":
-        "aad39d9134dd55fbb4f1bd87eb66c7b4f5f06555e822f392424bd562af887c07",
+        "d6eb41db29f4bce5ecbbb2dc377b07630c9d0d5c15a955249790927aff0af1d4",
     "w_positivity_heavy":
-        "ea10c1b97685bdee1b9276e103bb69057f49d32c3159399ac756be8009b247e8",
+        "6acbf93db6ded3a183ae8f828d37e5feba644237b802276e2fdb9d6afbe1213b",
 }
 
 
