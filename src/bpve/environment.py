@@ -285,17 +285,18 @@ def _kahan_cumsum(xs: np.ndarray) -> np.ndarray:
     """Compensated running sums along the last axis, after a leading 0.
     The rows of a 2-D ``xs`` are summed side by side, each with the same
     float operations in the same order as on its own."""
-    out = np.zeros(xs.shape[:-1] + (xs.shape[-1] + 1,))
+    rows = xs.ndim == 2 and len(xs) != 1
     # a single row steps faster through Python floats than numpy scalars
-    steps = xs.T if xs.ndim == 2 and len(xs) > 1 else xs.ravel().tolist()
-    total, comp = 0.0, 0.0
-    for i, x in enumerate(steps, 1):
+    total = comp = np.zeros(len(xs)) if rows else 0.0
+    sums = [total]
+    for x in xs.T if rows else xs.ravel().tolist():
         y = x - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        out[..., i] = total
-    return out
+        sums.append(total)
+    return np.ascontiguousarray(np.array(sums).T).reshape(
+        xs.shape[:-1] + (xs.shape[-1] + 1,))
 
 
 def quench(spec: EnvironmentSpec, env_seed: int, horizon: int) -> QuenchedEnvironment:

@@ -319,7 +319,8 @@ def mc_flt_discrepancy(env: QuenchedEnvironment, n_list: Sequence[int],
         w = block.log_w
         alive = w[:, -1] > -np.inf
         np.exp(w, out=w)
-        w -= w[:, -1:]
+        # a copied column: an operand overlapping w makes numpy copy all of w
+        w -= w[:, -1:].copy()
         return np.abs(w, out=w).max(axis=1)[alive]
 
     out = []
