@@ -49,9 +49,17 @@ __all__ = [
 _INT64_SAFE = 2**62
 
 # Power-law totals: offspring counts up to _TOTALS_HEAD come from one
-# multinomial per row, larger ones (a share ~ _TOTALS_HEAD^-(1+alpha) of the
-# offspring) from rejection draws, at most _TAIL_CHUNK at a time.
-_TOTALS_HEAD = 64
+# multinomial per row, larger ones (a share below (_TOTALS_HEAD + 1)^-(1+alpha)
+# of the offspring) from rejection draws, at most _TAIL_CHUNK at a time.  The
+# multinomial costs about one step per category and row, while a tail draw
+# costs more per offspring, so a narrow head wins until tail draws dominate.
+# Measured on 20 calls of 2,000 rows, p0 0.2, parents log-uniform in
+# [1, 4000], 2 vCPU, numpy 2.4 (ms, head 64 -> head 16):
+#   alpha  0.1: 152 -> 92    0.5: 116 -> 64    1.0: 86 -> 49
+#   alpha  1.5:  53 -> 35    2.5:  35 -> 21    5.0: 28 -> 10
+# A head of 16 was within about 10% of the best width at every alpha; on
+# heavy_tail's own rows heads of 8, 12 and 24 were no faster.
+_TOTALS_HEAD = 16
 _TAIL_CHUNK = 1 << 16
 
 # Moments of an infinite-support law: terms up to _MOMENT_HEAD are summed
@@ -299,6 +307,10 @@ class OffspringDistribution:
             if not 0 < alpha < math.inf:
                 raise ValueError("tail exponent alpha must be positive and "
                                  f"finite, got {alpha!r}")
+            if 1.0 + alpha == 1.0:
+                raise ValueError(f"tail exponent alpha {alpha!r} is too small: "
+                                 "1 + alpha rounds to 1, so the mean is "
+                                 "infinite")
             if not (0 <= p0 < 1):
                 raise ValueError("head mass p0 must be in [0,1)")
             self._alpha, self._p0 = alpha, p0
@@ -547,7 +559,11 @@ class OffspringDistribution:
         ``a k^-(1+a)``, so accepting ``k`` with probability
         ``a k^-(1+a) / ((k-1/2)^-a - (k+1/2)^-a)
         = 2 a h (1+h)^a / expm1(2 a atanh h)``, ``h = 1/(2k)``, leaves
-        exactly ``P(k) ~ k^-(2+alpha)``.  The acceptance rate is above 0.999.
+        exactly ``P(k) ~ k^-(2+alpha)``.  The acceptance rate is
+        ``a zeta(1+a, K+1) (K+1/2)^a``: at ``K = 16`` about 0.9996 at
+        ``alpha`` 0.1, 0.9987 at 1.5 and 0.994 at 5, falling to 0.69 at 50;
+        but ``P(X > K) <= (K+1)^-(1+alpha)``, so at large ``alpha`` tail
+        draws are vanishingly rare.
         """
         a = 1.0 + self._alpha
         out = np.empty(size, dtype=np.int64)

@@ -167,6 +167,25 @@ def test_power_law_composition_matches_naive_sums(alpha):
         assert p > 1e-3, (parents, p)
 
 
+@pytest.mark.parametrize("alpha,reps", [(0.5, 10**6), (1.5, 2 * 10**6)])
+def test_power_law_totals_exact_across_head_boundary(alpha, reps):
+    # small totals against the exact convolution of the pmf: bins 0..cap
+    # cover every sum of three head counts, and at alpha 1.5 it takes
+    # 2e6 rows to see a tail that starts one count late
+    d = OffspringDistribution.power_law_tail(alpha=alpha, p0=0.2)
+    cap = 3 * distributions._TOTALS_HEAD
+    pmf = d.pmf_vector(np.arange(cap + 1))
+    law = np.array([1.0])
+    for parents in (1, 2, 3):
+        law = np.convolve(law, pmf)[:cap + 1]
+        totals = d.sample_generation_totals(np.full(reps, parents),
+                                            substream(16, parents))
+        obs = np.bincount(np.minimum(totals, cap + 1), minlength=cap + 2)
+        exp = np.append(law, 1.0 - law.sum()) * reps
+        _, p = stats.chisquare(obs, exp)
+        assert p > 1e-3, (parents, p)
+
+
 def test_power_law_composition_tail_count_binomial(monkeypatch):
     # the number of offspring drawn beyond the multinomial head is
     # Binomial(parents, P(X > head))

@@ -87,7 +87,7 @@ DIGESTS = {
     "critical":
         "3caf7ec15e1f77c8895784c60a9e46e0555d9b4ddffabc5704c7b30978704e26",
     "flt":
-        "c00f8b6dfb616af5e34f23cf2664c99dda94662e0943326ea35f68b19e1c6d35",
+        "761a936aebb8691c86ab4e483bc3cde36c645c18552340d21379940059e2edcd",
     "halving":
         "e592354ed3bce41a6160abb700625760682b4bd54dcae1887de32a98d32dc8fe",
     "l2":
@@ -99,20 +99,20 @@ DIGESTS = {
     "w_positivity":
         "f4dad5d1878887818da3a6a23a152085ccae137fbcf7de2bfee43c89d12c4e75",
     "w_positivity_heavy":
-        "fdd3fb7c14ccda98a4759f800f541a4360c7dcae277b4abc25e3ce76b8320ec9",
+        "6c7bba45afa6a13556d7328b7d914d0f7dbcdabcf8f0a5fbd6eb138d69ebf6cb",
 }
 
 SERIES_DIGESTS = {
     "critical":
         "4e08db5e56f801505a56bf0da17428e9c06c0009300420c35bcfbab374cff32c",
     "flt":
-        "268f17f27c18f82dda1569d0179b2af66f72e4abe28e32206c44d99e127b11ef",
+        "47df4c8f1c12432b22a0337a2edb62c23eb92a7de7c60b2a5e4ccab05ff7a808",
     "tightness":
         "7e0dabe788972e638bd6025f121e7d9936bb9fb1f804398fcbe61e0cda31108f",
     "w_positivity":
         "d6eb41db29f4bce5ecbbb2dc377b07630c9d0d5c15a955249790927aff0af1d4",
     "w_positivity_heavy":
-        "6acbf93db6ded3a183ae8f828d37e5feba644237b802276e2fdb9d6afbe1213b",
+        "81f42de82a58e1171483f9f88bf6e600985dd280dc8bc9187a7dc15bfa340de1",
 }
 
 
