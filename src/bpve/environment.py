@@ -295,8 +295,9 @@ def _kahan_cumsum(xs: np.ndarray) -> np.ndarray:
         comp = (t - total) - y
         total = t
         sums.append(total)
-    return np.ascontiguousarray(np.array(sums).T).reshape(
-        xs.shape[:-1] + (xs.shape[-1] + 1,))
+    if rows:
+        return np.stack(sums, axis=-1)
+    return np.array(sums).reshape(xs.shape[:-1] + (xs.shape[-1] + 1,))
 
 
 def quench(spec: EnvironmentSpec, env_seed: int, horizon: int) -> QuenchedEnvironment:
