@@ -51,14 +51,14 @@ _INT64_SAFE = 2**62
 # Power-law totals: offspring counts up to _TOTALS_HEAD come from one
 # multinomial per row, larger ones (a share below (_TOTALS_HEAD + 1)^-(1+alpha)
 # of the offspring) from rejection draws, at most _TAIL_CHUNK at a time.  The
-# multinomial costs about one step per category and row, while a tail draw
-# costs more per offspring, so a narrow head wins until tail draws dominate.
-# Measured on 20 calls of 2,000 rows, p0 0.2, parents log-uniform in
-# [1, 4000], 2 vCPU, numpy 2.4 (ms, head 64 -> head 16):
-#   alpha  0.1: 152 -> 92    0.5: 116 -> 64    1.0: 86 -> 49
-#   alpha  1.5:  53 -> 35    2.5:  35 -> 21    5.0: 28 -> 10
-# A head of 16 was within about 10% of the best width at every alpha; on
-# heavy_tail's own rows heads of 8, 12 and 24 were no faster.
+# multinomial pays about one binomial per category and row, a tail draw more
+# per offspring, so a narrow head wins until tail draws dominate.  Best of 5
+# passes of 20 calls of 2,000 rows, p0 0.2, parents log-uniform in [1, 4000],
+# 2 vCPU, numpy 2.4, in ms for heads 64 / 32 / 24 / 16 / 12 / 8:
+#   alpha 0.1: 123 / 82 / 79 / 70 / 77 / 98    1.5: 72 / 44 / 42 / 40 / 40 / 38
+#   alpha 0.5: 117 / 72 / 59 / 61 / 57 / 60    2.5: 56 / 28 / 28 / 27 / 26 / 26
+#   alpha 1.0:  78 / 49 / 47 / 44 / 42 / 40    5.0: 46 / 18 / 16 / 15 / 15 / 16
+# A head of 16 is within about 10% of the best width at every alpha.
 _TOTALS_HEAD = 16
 _TAIL_CHUNK = 1 << 16
 
