@@ -251,11 +251,6 @@ TINY_ALPHA = {"kind": "power_law_tail", "alpha": 1e-9, "p0": 0.2}
      {"series": "fractional_variance", "delta": 0.25, "horizon": 20,
       "tol": 1e-300}, 4, "power_law_tail, alpha=0.5, p0=0.2): a moment's "
      "error bound"),
-    # 1 + alpha rounds to 1: refused as zeta(1.0, 1.0), naming no field
-    ({"kind": "constant",
-      "dist": {"kind": "power_law_tail", "alpha": 1e-300, "p0": 0.2}},
-     {"series": "variance", "horizon": 5}, 2,
-     "tail exponent alpha 1e-300 is too small"),
     # overflowing deviations gave a "nan" partial sum, a run past 20 s, and
     # an "infinite deviation moment" for a law that variance refuses
     ({"kind": "constant", "dist": {"kind": "geometric", "mean": 1e-300}},
@@ -280,6 +275,11 @@ TINY_ALPHA = {"kind": "power_law_tail", "alpha": 1e-9, "p0": 0.2}
     ({"kind": "constant", "dist": {"kind": "geometric", "mean": 1e6}},
      {"series": "fractional_variance", "delta": 0.5, "horizon": 5}, 4,
      "geometric, mean=1000000.0): a moment's error bound"),
+    # 1 + alpha rounds to 1: refused as zeta(1.0, 1.0), naming no field
+    ({"kind": "constant",
+      "dist": {"kind": "power_law_tail", "alpha": 1e-300, "p0": 0.2}},
+     {"series": "variance", "horizon": 5}, 2,
+     "tail exponent alpha 1e-300 is too small"),
 ])
 def test_extreme_laws_end_in_documented_exit_codes(tmp_path, capsys,
                                                    environment, params, code,
