@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import graded_quad, zeta
+from .numerics import graded_quad, poisson_pmf, zeta
 
 __all__ = [
     "OffspringDistribution",
@@ -153,6 +153,18 @@ def _overflow_rows(parents: np.ndarray, mean) -> Optional[np.ndarray]:
         if len(parents) and parents.max() * m > _INT64_SAFE else None
 
 
+def _positive_rows(parents: np.ndarray, draw) -> np.ndarray:
+    """Totals of ``parents``: ``draw(rows)`` on the rows with a positive
+    count, 0 on the others.  Without a zero, ``rows`` is every row."""
+    if len(parents) and parents.min() > 0:
+        return draw(slice(None))
+    totals = np.zeros(parents.shape, dtype=np.int64)
+    pos = parents > 0
+    if pos.any():
+        totals[pos] = draw(pos)
+    return totals
+
+
 class GeometricRows:
     """Geometric laws ``P(X=k) = (1-q) q^k``, one ``q`` per parent row (the
     per-replica laws of a Gaussian log-mean environment), with the
@@ -167,7 +179,8 @@ class GeometricRows:
 
     def sample_generation_totals(self, parents: np.ndarray,
                                  rng: np.random.Generator) -> np.ndarray:
-        return rng.negative_binomial(parents, 1.0 - self.q)
+        return _positive_rows(parents, lambda rows: rng.negative_binomial(
+            parents[rows], 1.0 - self.q[rows]))
 
 
 def _remainder_bound(a: float, integral: float, sigma: float, upow: float,
@@ -466,8 +479,7 @@ class OffspringDistribution:
         if self.kind == "geometric":
             return (1.0 - self._q) * self._q ** ks.astype(float)
         if self.kind == "poisson":
-            log_factorial = np.array([math.lgamma(k + 1.0) for k in ks.tolist()])
-            return np.exp(ks * math.log(self._lam) - self._lam - log_factorial)
+            return poisson_pmf(ks, self._lam)
         if self.kind == "linear_fractional":
             out = np.where(ks == 0, self._p0,
                            (1.0 - self._p0) * (1.0 - self._q)
@@ -490,28 +502,23 @@ class OffspringDistribution:
         if self.overflow_rows(parents) is not None:
             worst = int(parents.max())
             raise PopulationOverflowError(math.log(worst) + max(self.log_mean, 0.0))
-        totals = np.zeros(parents.shape, dtype=np.int64)
-        pos = parents > 0
-        if not pos.any():
-            return totals
-        n = parents[pos]
+        return _positive_rows(parents, lambda rows: self._positive_totals(
+            parents[rows], rng))
+
+    def _positive_totals(self, n: np.ndarray,
+                         rng: np.random.Generator) -> np.ndarray:
+        """Totals of ``n[i] > 0`` offspring counts."""
         if self.kind == "finite_pmf":
-            counts = rng.multinomial(n, self._pmf)
-            totals[pos] = counts @ self._ks
-        elif self.kind == "geometric":
-            totals[pos] = rng.negative_binomial(n, 1.0 - self._q)
-        elif self.kind == "poisson":
-            totals[pos] = rng.poisson(self._lam * n)
-        elif self.kind == "linear_fractional":
+            return rng.multinomial(n, self._pmf) @ self._ks
+        if self.kind == "geometric":
+            return rng.negative_binomial(n, 1.0 - self._q)
+        if self.kind == "poisson":
+            return rng.poisson(self._lam * n)
+        if self.kind == "linear_fractional":
             b = rng.binomial(n, 1.0 - self._p0)
-            nb = np.zeros_like(b)
-            bp = b > 0
-            if bp.any():
-                nb[bp] = rng.negative_binomial(b[bp], 1.0 - self._q)
-            totals[pos] = b + nb
-        else:
-            totals[pos] = self._power_law_totals(n, rng)
-        return totals
+            return b + _positive_rows(b, lambda rows: rng.negative_binomial(
+                b[rows], 1.0 - self._q))
+        return self._power_law_totals(n, rng)
 
     def overflow_rows(self, parents: np.ndarray) -> Optional[np.ndarray]:
         """Rows :meth:`sample_generation_totals` refuses because a total

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-__all__ = ["zeta", "clopper_pearson_upper", "graded_quad", "exp_or_inf"]
+__all__ = ["zeta", "clopper_pearson_upper", "poisson_pmf", "graded_quad",
+           "exp_or_inf"]
 
 _EPS = 2.0**-53
 # Bernoulli numbers B_2, B_4, ..., B_30.
@@ -27,6 +28,11 @@ _EM = tuple(b / math.factorial(2 * j + 2) for j, b in enumerate(_BERNOULLI))
 # their weights.
 _ORDERS = (16, 32)
 _WEIGHT_ERR = 2.0**-46
+# zeta sums its terms directly where Euler-Maclaurin would take more than
+# this many.
+_DIRECT_TERMS = 64
+# exp(-x) is 0 in double precision from this x on.
+_EXP_ZERO = 746.0
 
 
 def exp_or_inf(x: float) -> float:
@@ -46,10 +52,23 @@ def zeta(s: float, a: float = 1.0) -> float:
     x^(1-s-2j)``.  Every derivative of ``x^-s`` keeps one sign, so the
     remainder is below the first omitted term, which is below ``2^-55`` of
     the sum.
+
+    Where that takes more than ``_DIRECT_TERMS`` terms, ``s > a + 54`` and
+    the terms fall at least geometrically, so the series is summed
+    directly.  The terms decrease, so the rest after ``x = a + N`` is below
+    ``x^-s + x^(1-s)/(s-1)``, the next term plus the integral beyond it;
+    summing stops once that bound is below ``2^-55`` of the first term.
     """
     if not (s > 1.0 and a > 0.0):
         raise ValueError(f"zeta({s!r}, {a!r}) is outside the implemented domain")
     n = max(0, math.ceil(10.0 + s - a))
+    if n > _DIRECT_TERMS:
+        terms = [a**-s]
+        while True:
+            x = a + len(terms)
+            if x**-s + x**(1.0 - s) / (s - 1.0) <= 0.25 * _EPS * terms[0]:
+                return math.fsum(terms)
+            terms.append(x**-s)
     x = a + n
     terms = [(a + k) ** -s for k in range(n)]
     terms += [x ** (1.0 - s) / (s - 1.0), 0.5 * x**-s]
@@ -63,31 +82,79 @@ def zeta(s: float, a: float = 1.0) -> float:
     raise ArithmeticError(f"zeta({s!r}, {a!r}) did not converge")
 
 
-def _stirling_error(z: float) -> float:
-    """``log Gamma(z) - (z - 1/2) log z + z - log(2 pi)/2`` for ``z >= 1``:
-    Stirling's series from ``z = 10`` on, shifted down by ``delta(z) =
-    delta(z+1) + (z + 1/2) log1p(1/z) - 1``."""
+def _stirling_error(z):
+    """``log Gamma(z) - (z - 1/2) log z + z - log(2 pi)/2`` for ``z >= 1``,
+    a float or each entry of an array: Stirling's series from ``z = 10`` on,
+    shifted down by ``delta(z) = delta(z+1) + (z + 1/2) log1p(1/z) - 1``.
+    An entry below 10 goes through the float path, so its bits do not
+    depend on numpy."""
+    if isinstance(z, np.ndarray):
+        out = np.empty(z.shape)
+        low = z < 10.0
+        out[low] = [_stirling_error(v) for v in z[low].tolist()]
+        out[~low] = _stirling_series(z[~low])
+        return out
     shift = 0.0
     while z < 10.0:
         shift += (z + 0.5) * math.log1p(1.0 / z) - 1.0
         z += 1.0
+    return shift + _stirling_series(z)
+
+
+def _stirling_series(z):
     w = 1.0 / (z * z)
-    return shift + sum(b / ((2 * j + 2) * (2 * j + 1)) * w**j
-                       for j, b in enumerate(_BERNOULLI[:9])) / z
+    return sum(b / ((2 * j + 2) * (2 * j + 1)) * w**j
+               for j, b in enumerate(_BERNOULLI[:9])) / z
 
 
-def _bd0(k: float, mean: float) -> float:
-    """``k log(k/mean) + mean - k`` without cancellation (Loader)."""
+def _bd0(k, mean):
+    """``k log(k/mean) + mean - k`` without cancellation (Loader), for
+    floats or arrays; ``k >= 1``.  An array takes ``numpy.log`` where a float
+    takes ``math.log``, and the same series elsewhere."""
+    if isinstance(k, np.ndarray):
+        k, mean = np.broadcast_arrays(k, mean)
+        with np.errstate(over="ignore", divide="ignore"):
+            out = k * np.log(k / mean) + mean - k
+        near = np.abs(k - mean) < 0.1 * (k + mean)
+        if near.any():
+            out[near] = _bd0_series(k[near], mean[near])
+        return out
     if abs(k - mean) >= 0.1 * (k + mean):
         return k * math.log(k / mean) + mean - k
+    return _bd0_series(k, mean)
+
+
+def _bd0_series(k, mean):
+    """Loader's series of ``bd0`` for ``|k - mean| < 0.1 (k + mean)``.  An
+    array goes on until its last entry has converged; each term then is
+    smaller than one that no longer moved its entry, so the entries keep
+    the bits of their float path."""
     v = (k - mean) / (k + mean)
     s, ej = (k - mean) * v, 2.0 * k * v
     for j in range(3, 2001, 2):
-        ej *= v * v
-        if s + ej / j == s:
+        ej = ej * (v * v)
+        if np.all(s + ej / j == s):
             break
-        s += ej / j
+        s = s + ej / j
     return s
+
+
+def poisson_pmf(ks: np.ndarray, lam: float) -> np.ndarray:
+    """``P(Poisson(lam) = k)`` for each integer ``k >= 0`` of ``ks``, in
+    Loader's saddle-point form ``exp(-delta(k) - bd0(k, lam)) /
+    sqrt(2 pi k)``.  No term grows with ``k`` or ``lam``: the relative
+    error is a few ulp in the bulk and grows like ``bd0`` ulp in the tails,
+    where ``k log(k/lam) + lam - k`` cancels.  Where ``bd0`` alone
+    underflows the ``exp``, the pmf is 0 without the rest of the work."""
+    k = np.asarray(ks, dtype=float)
+    out = np.zeros(k.shape)
+    out[k == 0] = math.exp(-lam)
+    pos = np.flatnonzero(k > 0)
+    d = _bd0(k[pos], lam)
+    keep = d < _EXP_ZERO
+    pos, d, kp = pos[keep], d[keep], k[pos[keep]]
+    out[pos] = np.exp(-_stirling_error(kp) - d) / np.sqrt(2.0 * math.pi * kp)
+    return out
 
 
 def _log_binom_pmf(k: int, n: int, x: float) -> float:

@@ -8,7 +8,8 @@ extinction), which is the quantity all estimators consume.
 :func:`simulate_block` is the one population recursion; the estimators run
 it on blocks of replicas.  The laws come from :class:`QuenchedLaws` (one
 fixed environment) or :class:`AnnealedLaws` (a fresh random environment per
-replica).
+replica).  A provider's per-replica state stays aligned with the live
+replicas through ``advance``, ``groups`` and ``keep``.
 
 Counts are exact integers until they cross a per-family switch point; from
 there a replica continues deterministically in log scale (the normalized
@@ -56,11 +57,13 @@ def log_switch_threshold(dist: OffspringDistribution) -> int:
 
 
 # -- law providers ----------------------------------------------------------
-# ``advance(i, rows)`` enters generation ``i`` with the live replicas
-# ``rows`` (only these draw environment randomness); then ``s`` and ``xi``
-# hold ``S_i`` and the log-mean, as scalars or per-replica arrays read on
-# live rows, and ``groups(rows)`` splits ``rows`` into ``(law, switch,
-# selector)`` triples.
+# Each provider keeps its per-replica state aligned with the live replicas,
+# in index order.  ``advance(i)`` enters generation ``i`` (only the live
+# replicas draw environment randomness); then ``s`` and ``xi`` hold ``S_i``
+# and the log-mean, as scalars or per-live-replica arrays, and ``groups()``
+# splits the live replicas into ``(law, switch, selector)`` triples, a
+# selector being ``slice(None)`` or the positions of the group's replicas.
+# ``keep(live)`` keeps the replicas at the positions ``live``.
 
 class QuenchedLaws:
     """Every replica follows the same fixed environment."""
@@ -68,11 +71,14 @@ class QuenchedLaws:
     def __init__(self, env: QuenchedEnvironment):
         self.env = env
 
-    def advance(self, i: int, rows: np.ndarray):
+    def advance(self, i: int):
         self.dist = self.env.dists[i - 1]
         self.s, self.xi = self.env.s[i], self.env.xi[i - 1]
 
-    def groups(self, rows: np.ndarray):
+    def keep(self, live: np.ndarray):
+        pass
+
+    def groups(self):
         return [(self.dist, log_switch_threshold(self.dist), slice(None))]
 
 
@@ -89,32 +95,35 @@ class AnnealedLaws:
         if not spec.is_random:
             raise ValueError("annealed simulation needs a random environment spec")
         self.spec, self.mixer, self.env_rng = spec, spec.mixer, env_rng
-        # per replica, from its latest draw: log-mean, S_i, and the law's
-        # mixer component (finite) or geometric q (Gaussian)
+        # per live replica, from its latest draw: log-mean, S_i, and the
+        # law's mixer component (finite) or geometric q (Gaussian)
         self.xi, self.s, self.law = (np.zeros(size) for _ in range(3))
         self.draw_key = None
 
-    def advance(self, i: int, rows: np.ndarray):
+    def advance(self, i: int):
         key = self.spec.stream_index(i)
         if key != self.draw_key:
             self.draw_key = key
-            xi, law = self.mixer.sample(self.env_rng, len(rows))
+            self.xi, law = self.mixer.sample(self.env_rng, len(self.s))
             if law is None:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    m = np.exp(xi)
+                    m = np.exp(self.xi)
                     law = m / (1.0 + m)
                 bad = ~((law > 0.0) & (law < 1.0))
                 if bad.any():
                     OffspringDistribution.geometric(float(m[bad.argmax()]))
-            self.xi[rows], self.law[rows] = xi, law
-        self.s[rows] += self.xi[rows]
+            self.law = law
+        self.s += self.xi
 
-    def groups(self, rows: np.ndarray):
-        law = self.law[rows]
+    def keep(self, live: np.ndarray):
+        self.xi, self.s, self.law = self.xi[live], self.s[live], self.law[live]
+
+    def groups(self):
         if self.mixer.kind == "finite":
-            return [(d, log_switch_threshold(d), law == c)
+            return [(d, log_switch_threshold(d),
+                     np.flatnonzero(self.law == c))
                     for c, d in enumerate(self.mixer.dists)]
-        return [(GeometricRows(law), FINITE_VAR_LOG_SWITCH, slice(None))]
+        return [(GeometricRows(self.law), FINITE_VAR_LOG_SWITCH, slice(None))]
 
 
 # -- the kernel -------------------------------------------------------------
@@ -157,50 +166,53 @@ def simulate_block(laws, z0: int, n: int, size: int,
     rows = np.arange(size)
     z = np.full(size, z0, dtype=np.int64)
 
-    def retire(gone, val, first_col):
-        """Replicas ``gone`` keep ``log W = val`` from ``first_col`` on."""
+    def retire(gone, first_col, switched, shift=0.0):
+        """Replicas ``gone`` keep ``log W = log Z + shift - S`` from
+        ``first_col`` on; those not extinct switched at ``switched``."""
         nonlocal rows, z
-        out = rows[gone]
+        at = np.flatnonzero(gone)
+        out, left = rows[at], z[at]
+        val = np.log(left) + _take(shift, at) - _take(laws.s, at)
+        frozen_at[out[left > 0]] = switched
         log_w[out, first_col:] = val[:, None]
         if low:
             low_w[out] = np.minimum(low_w[out], val)
-        rows, z = rows[~gone], z[~gone]
+        live = np.flatnonzero(~gone)
+        rows, z = rows[live], z[live]
+        laws.keep(live)
 
     with np.errstate(divide="ignore"):
         for i in range(1, n + 1):
             if not len(rows):
                 break
-            laws.advance(i, rows)
+            laws.advance(i)
+            groups = laws.groups()
             # a total the law cannot sample exactly: switch one generation
             # early and carry on with this generation's log-mean
-            unsafe = np.zeros(len(z), dtype=bool)
-            for law, _, sel in laws.groups(rows):
-                bad = law.overflow_rows(z[sel])
+            unsafe = None
+            for law, _, sel in groups:
+                bad = law.overflow_rows(z)
                 if bad is not None:
-                    unsafe[sel] = bad
-            if unsafe.any():
-                out = rows[unsafe]
-                frozen_at[out] = i - 1
-                retire(unsafe, np.log(z[unsafe]) + _take(laws.xi, out)
-                       - _take(laws.s, out), bisect.bisect_left(record, i))
+                    if unsafe is None:
+                        unsafe = np.zeros(len(z), dtype=bool)
+                    unsafe[sel] |= bad[sel]
+            if unsafe is not None and unsafe.any():
+                retire(unsafe, bisect.bisect_left(record, i), i - 1, laws.xi)
+                groups = laws.groups()
             gone = np.zeros(len(z), dtype=bool)
-            for law, switch, sel in laws.groups(rows):
+            for law, switch, sel in groups:
                 part = z[sel]
                 if len(part):
                     z[sel] = part = law.sample_generation_totals(part, rng)
                     gone[sel] = (part == 0) | (part > switch)
-            s = _take(laws.s, rows)
             if i in cols or low:
-                cur = np.log(z) - s
+                cur = np.log(z) - laws.s
                 if i in cols:
                     log_w[rows, cols[i]] = cur[:, None]
                 if low:
                     low_w[rows] = np.minimum(low_w[rows], cur)
             if gone.any():
-                frozen_at[rows[gone & (z > 0)]] = i
-                if i < n:  # the last generation is fully written already
-                    retire(gone, np.log(z[gone]) - _take(s, gone),
-                           bisect.bisect_right(record, i))
+                retire(gone, bisect.bisect_right(record, i), i)
     return Block(log_w, low_w, frozen_at)
 
 

@@ -280,6 +280,11 @@ TINY_ALPHA = {"kind": "power_law_tail", "alpha": 1e-9, "p0": 0.2}
       "dist": {"kind": "power_law_tail", "alpha": 1e-300, "p0": 0.2}},
      {"series": "variance", "horizon": 5}, 2,
      "tail exponent alpha 1e-300 is too small"),
+    # zeta(2 + alpha) summed ceil(11 + alpha) terms and never returned; the
+    # law is P(X=1) = 0.8, P(X=0) = 0.2, and its series runs to a verdict
+    ({"kind": "constant",
+      "dist": {"kind": "power_law_tail", "alpha": 1e300, "p0": 0.2}},
+     {"series": "variance", "horizon": 5}, 0, ""),
 ])
 def test_extreme_laws_end_in_documented_exit_codes(tmp_path, capsys,
                                                    environment, params, code,
@@ -294,7 +299,7 @@ def test_extreme_laws_end_in_documented_exit_codes(tmp_path, capsys,
     assert time.perf_counter() - start < 10.0
     assert [str(w.message) for w in caught] == []
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "o" / "results.json").exists()
+    assert (tmp_path / "o" / "results.json").exists() == (code == 0)
 
 
 @pytest.mark.parametrize("params", [

@@ -132,6 +132,38 @@ def test_totals_vectorized_consistency(gw_dist):
     assert totals[3] <= 2 * 1000
 
 
+TOTALS_LAWS = {
+    "finite_pmf": OffspringDistribution.finite_pmf([0.25, 0.25, 0.5]),
+    "geometric": OffspringDistribution.geometric(1.5),
+    "poisson": OffspringDistribution.poisson(2.0),
+    "linear_fractional": OffspringDistribution.linear_fractional(0.3, 0.6),
+    "power_law_tail": OffspringDistribution.power_law_tail(0.5, 0.2),
+}
+
+
+@pytest.mark.parametrize("kind", [*TOTALS_LAWS, "geometric_rows"])
+def test_zero_parent_rows_match_positive_rows_alone(kind):
+    # parent counts without a zero are drawn unmasked; with zeros mixed in,
+    # those rows total 0, and the others get the totals, and leave the
+    # stream where, drawing them alone would
+    parents = np.array([0, 3, 0, 17, 1, 0, 250, 4000, 2, 0], dtype=np.int64)
+    pos = parents > 0
+    q = np.linspace(0.2, 0.7, len(parents))
+
+    def law(rows):
+        if kind == "geometric_rows":
+            return distributions.GeometricRows(q[rows])
+        return TOTALS_LAWS[kind]
+
+    mixed_rng, alone_rng = substream(31, 0), substream(31, 0)
+    mixed = law(slice(None)).sample_generation_totals(parents, mixed_rng)
+    alone = law(pos).sample_generation_totals(parents[pos], alone_rng)
+    assert mixed.dtype == alone.dtype == np.int64
+    assert (mixed[~pos] == 0).all() and (alone > 0).any()
+    assert mixed[pos].tolist() == alone.tolist()
+    assert mixed_rng.random(4).tolist() == alone_rng.random(4).tolist()
+
+
 def test_overflow_guard():
     d = OffspringDistribution.geometric(mean=4.0)
     rng = substream(9, 0)

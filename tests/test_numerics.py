@@ -2,6 +2,7 @@
 mpmath, on grids that cover the arguments bpve passes them."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ from scipy import special, stats
 from bpve import distributions
 from bpve.distributions import OffspringDistribution
 from bpve import numerics
-from bpve.numerics import clopper_pearson_upper, zeta
+from bpve.numerics import clopper_pearson_upper, poisson_pmf, zeta
 
 
 def ulps(value: float, ref) -> float:
@@ -28,6 +29,18 @@ def test_zeta_against_mpmath(a):
         # Riemann zeta, so it works with that many more than 30
         with mpmath.workdps(30 + int(s * math.log10(a))):
             assert ulps(zeta(s, a), mpmath.zeta(s, a)) <= 2.0, s
+
+
+@pytest.mark.parametrize("a", [1.0, 17.0])
+@pytest.mark.parametrize("s", [50.0, 1e3, 1e6, 1e300])
+def test_zeta_at_large_s_against_mpmath(s, a):
+    # past s = a + 54 the terms are summed directly: Euler-Maclaurin took
+    # ceil(10 + s - a) of them, 0.17 s at s = 1e6, and never ended at 1e300
+    start = time.perf_counter()
+    got = zeta(s, a)
+    assert time.perf_counter() - start < 0.01
+    with mpmath.workdps(30):
+        assert ulps(got, mpmath.zeta(s, a)) <= 2.0
 
 
 @pytest.mark.parametrize("s,a", [(1.0, 1.0), (0.5, 1.0), (-3.0, 1.0),
@@ -112,3 +125,38 @@ def test_poisson_pmf_against_scipy():
         size = ks * abs(math.log(lam)) + lam + special.gammaln(ks + 1.0)
         assert np.all(np.abs(got - ref) <= 8 * 2.0**-53 * (size + 1.0) * ref
                       + 1e-300)
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0, 17.0, 300.0, 1e4, 1e6])
+def test_poisson_pmf_against_mpmath(lam):
+    # Loader's form stays within 1e-13 across 8 standard deviations; the
+    # lgamma form, exp(k log(lam) - lam - log k!), was off by up to 3.6e-9
+    # at lam 1e6.  Further out, bd0 = k log(k/lam) + lam - k cancels, and
+    # the error grows to about 1e-16 (bd0 + |k - lam|)
+    sd = math.sqrt(lam)
+    ks = np.unique(np.linspace(max(lam - 8 * sd, 0), lam + 8 * sd + 8,
+                               400).astype(np.int64))
+    got = poisson_pmf(ks, lam)
+    with mpmath.workdps(40):
+        big = mpmath.mpf(lam)
+        ref = [float(mpmath.exp(k * mpmath.log(big) - big
+                                - mpmath.loggamma(k + 1))) for k in ks.tolist()]
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.array(ref))
+
+
+def test_loader_kernels_keep_their_float_bits_on_arrays():
+    # the Poisson pmf runs them on arrays; clopper_pearson_upper on floats,
+    # whose bits must not move: an array entry below 10, or in bd0's
+    # series, takes the float's operations
+    z = np.arange(1.0, 40.0)
+    assert numerics._stirling_error(z).tolist() == [
+        numerics._stirling_error(v) for v in z.tolist()]
+    k = np.arange(1.0, 3000.0)
+    mean = 1000.0 + 0.25 * np.arange(len(k))
+    got = numerics._bd0(k, mean)
+    near = np.abs(k - mean) < 0.1 * (k + mean)
+    assert near.sum() > 100
+    assert got[near].tolist() == [numerics._bd0(a, b) for a, b in
+                                  zip(k[near].tolist(), mean[near].tolist())]
+    assert np.allclose(got, [numerics._bd0(a, b) for a, b in
+                             zip(k.tolist(), mean.tolist())], rtol=1e-13)

@@ -1,6 +1,8 @@
 """The block kernel against a reference: the masked full-width recursion it
 replaced, kept here as an oracle.  Both consume the random streams the same
-way, so extinction masks must agree exactly and ``log W`` to rounding."""
+way, so extinction masks must agree exactly and ``log W`` to rounding; the
+annealed reference also takes the kernel's float operations, so there the
+two agree bitwise."""
 
 import math
 
@@ -47,11 +49,19 @@ def reference_quenched(env, z0, n, rng, size, record):
 
 
 def reference_annealed(spec, z0, n, env_rng, rep_rng, size, record):
+    """log W at ``record``, the generation each replica switched to log
+    scale (else -1) and whether it switched early, from a full-width
+    recursion with the kernel's float operations, so the two agree
+    bitwise.  Before a generation's draws, a replica whose total could pass
+    ``2**62`` switches one generation early and keeps that generation's
+    log-mean."""
     mixer = spec.mixer
     pos = {idx: j for j, idx in enumerate(record)}
     z = np.full(size, z0, dtype=np.int64)
-    logz = np.full(size, math.log(z0))
     frozen = np.zeros(size, dtype=bool)
+    frozen_w = np.zeros(size)  # log W of a switched replica
+    frozen_at = np.full(size, -1)
+    switched_early = np.zeros(size, dtype=bool)
     svec = np.zeros(size)
     out = np.empty((size, len(record)))
     if 0 in pos:
@@ -72,29 +82,40 @@ def reference_annealed(spec, z0, n, env_rng, rep_rng, size, record):
                                             p=mixer.weights)
                 xi[live] = np.array([d.log_mean
                                      for d in mixer.dists])[comp[live]]
+                mean = np.array([d.mean for d in mixer.dists])[comp]
             else:
                 xi[live] = mixer.mu + mixer.sigma * env_rng.standard_normal(
                     int(live.sum()))
                 q = np.exp(xi) / (1.0 + np.exp(xi))
+                mean = q / (1.0 - q)
         svec += xi
-        logz[frozen] += xi[frozen]
         act = (~frozen) & (z > 0)
+        early = act & (z * np.maximum(mean, 1.0) > 2**62)
+        frozen_w[early] = np.log(z[early]) + xi[early] - svec[early]
+        frozen[early], frozen_at[early] = True, i - 1
+        switched_early |= early
+        act &= ~early
         if mixer.kind == "finite":
-            for c, dist in enumerate(mixer.dists):
-                sel = act & (comp == c)
-                if sel.any():
-                    z[sel] = dist.sample_generation_totals(z[sel], rep_rng)
-                newly = sel & (z > log_switch_threshold(dist))
-                frozen[newly] = True
-                logz[newly] = np.log(z[newly].astype(float))
-        elif act.any():
-            z[act] = rep_rng.negative_binomial(z[act], 1.0 - q[act])
-            newly = act & (z > 10**12)
-            frozen[newly] = True
-            logz[newly] = np.log(z[newly].astype(float))
+            laws = [(comp == c, dist, log_switch_threshold(dist))
+                    for c, dist in enumerate(mixer.dists)]
+        else:
+            laws = [(True, None, 10**12)]
+        for in_law, dist, switch in laws:
+            sel = act & in_law
+            if not sel.any():
+                continue
+            if dist is None:
+                z[sel] = rep_rng.negative_binomial(z[sel], 1.0 - q[sel])
+            else:
+                z[sel] = dist.sample_generation_totals(z[sel], rep_rng)
+            newly = sel & (z > switch)
+            frozen[newly], frozen_at[newly] = True, i
+            frozen_w[newly] = np.log(z[newly]) - svec[newly]
         if i in pos:
-            out[:, pos[i]] = _log_or_frozen(frozen, logz, z) - svec
-    return out
+            with np.errstate(divide="ignore"):
+                out[:, pos[i]] = np.where(frozen, frozen_w,
+                                          np.log(z) - svec)
+    return out, frozen_at, switched_early
 
 
 def assert_same(ref, got):
@@ -126,18 +147,32 @@ def test_quenched_kernel_matches_reference(case):
 @pytest.mark.parametrize("mixer", [
     PRESETS["critical_two_point"]().mixer,
     Mixer("gaussian_logmean_geometric", mu=0.3, sigma=0.8),
+    # groups that switch at different sizes, 4000 and 1e12, so replicas
+    # leave the working arrays from one group while the other stays
+    Mixer("finite", dists=[OffspringDistribution.power_law_tail(0.5, 0.2),
+                           OffspringDistribution.geometric(0.8)],
+          weights=[0.5, 0.5]),
+    # after one Poisson(3e9) generation, the next could pass 2**62: those
+    # replicas switch one generation early
+    Mixer("finite", dists=[OffspringDistribution.poisson(3e9),
+                           OffspringDistribution.finite_pmf([0.25, 0.25,
+                                                             0.5])],
+          weights=[0.3, 0.7]),
 ])
 @pytest.mark.parametrize("cooling", [False, True])
 def test_annealed_kernel_matches_reference(mixer, cooling):
     spec = (EnvironmentSpec.cooling(mixer) if cooling
             else EnvironmentSpec.iid_random(mixer))
     n, record = 80, [0, 8, 40, 80]
-    ref = reference_annealed(spec, 1, n, substream(5, 0), substream(6, 0),
-                             3000, record)
+    ref, ref_frozen_at, early = reference_annealed(
+        spec, 1, n, substream(5, 0), substream(6, 0), 3000, record)
     laws = AnnealedLaws(spec, substream(5, 0), 3000)
-    got = simulate_block(laws, 1, n, 3000, substream(6, 0), record).log_w
-    assert_same(ref, got)
+    block = simulate_block(laws, 1, n, 3000, substream(6, 0), record)
+    assert np.array_equal(ref, block.log_w)
+    assert np.array_equal(ref_frozen_at, block.frozen_at)
     assert np.isneginf(ref[:, -1]).any() and np.isfinite(ref[:, -1]).any()
+    poisson = mixer.kind == "finite" and mixer.dists[0].kind == "poisson"
+    assert early.sum() > 100 if poisson else not early.any()
 
 
 @pytest.mark.parametrize("mixer", [
