@@ -55,9 +55,9 @@ JAGERS_EPS = 1e-6
 JAGERS_DENSITY = 0.2
 # quantiles tightness_diagnostic reports
 QUANTILE_LEVELS = (0.1, 0.5, 0.9)
-# generations tightness_diagnostic quenches at once, so its memory stays
-# bounded whatever ``env_replicas * max(l_grid)`` is
-TIGHTNESS_CHUNK = 2**16
+# generation cells (about 24 bytes each) tightness_diagnostic quenches at
+# once, so its memory stays bounded whatever ``env_replicas * max(l_grid)`` is
+TIGHTNESS_CHUNK = 2**20
 
 
 @dataclass
@@ -127,17 +127,17 @@ def damped_series(env: QuenchedEnvironment, start: int, shift: int,
     """The ``count`` terms of generations ``g = start + shift, ...``, with
     ``x_g = S_{g-shift} - S_start`` (0 for the first): ``moment(dist_g) *
     exp(-exponent x_g)``, or, if given, ``term(dist_g, exp(-x_g))`` on the
-    raw damping.  The moment is taken once per distinct law object, in
-    order of first occurrence, and a term whose law has an infinite moment
-    is ``inf`` on both paths, even where its damping underflows to 0."""
+    raw damping.  The moment is taken once per law (``env.map_laws``), and
+    a term whose law has an infinite moment is ``inf`` on both paths, even
+    where its damping underflows to 0."""
     x = env.s[start:start + count] - env.s[start]
-    dists = env.dists[start + shift - 1:start + shift - 1 + count]
-    table = {key: moment(d) for key, d in {id(d): d for d in dists}.items()}
-    m = np.array([table[id(d)] for d in dists])
+    lo = start + shift - 1
+    m = env.map_laws(moment, lo, lo + count)
     # an infinite damping is a verdict; inf * 0 is replaced below
     with np.errstate(over="ignore", invalid="ignore"):
         terms = m * np.exp(-exponent * x) if term is None else np.array(
-            [term(d, float(w)) for d, w in zip(dists, np.exp(-x))])
+            [term(env.laws[k], float(w)) for k, w in
+             zip(env.index[lo:lo + count].tolist(), np.exp(-x))])
         return np.where(np.isinf(m), m, terms)
 
 
@@ -213,20 +213,22 @@ def _report(series_id, env, start, horizon, count, row, detail,
     ``exp(-d x)``; a log factor needs that damping at most 1.  The first
     omitted damping is exact when ``shift = 1`` and one drift step beyond
     the last term's when ``shift = 0``.  A ``d = 0`` row has a tail only
-    through ``split(laws, x, mu)``."""
+    through ``split(peak, x, mu)``, ``peak(f)`` the window's largest ``f``."""
     shift, exponent, moment, term = row
     first = start + shift
     last = first + count - 1
     terms = damped_series(env, start, shift, count, exponent, moment, term)
 
+    def peak(f):
+        return max(env.map_laws(
+            f, last - max(1, min(WINDOW, count)), last).tolist())
+
     def tail(mu):
         x = env.s[last] - env.s[start] + (1 - shift) * mu
-        laws = {id(d): d for d in
-                env.dists[last - max(1, min(WINDOW, count)):last]}.values()
         if exponent > 0 and (term is None or x >= 0):
-            return _geometric_tail(max(map(moment, laws)),
-                                   exp_or_inf(-exponent * x), exponent * mu)
-        return split(laws, x, mu) if split and x > 0 else None
+            return _geometric_tail(peak(moment), exp_or_inf(-exponent * x),
+                                   exponent * mu)
+        return split(peak, x, mu) if split and x > 0 else None
     return _certify(series_id, start, horizon, first, terms,
                     env.xi[start:last], tail, detail, divergence_threshold,
                     what)
@@ -286,19 +288,19 @@ def psi_series(env: QuenchedEnvironment, start: int = 1,
         return ConditionReport("psi_series", start, 0.0, horizon, 0.0,
                                "finite", {"phi": "zero"})
     split = None if phi.power or not phi.log_power else \
-        lambda laws, x, mu: _log_split_tail(phi.log_power, laws, x, mu,
+        lambda peak, x, mu: _log_split_tail(phi.log_power, peak, x, mu,
                                             tol * 1e-3)
     return _report("psi_series", env, start, horizon, horizon, row,
                    {"phi": phi.identifier}, split=split)
 
 
-def _log_split_tail(g: float, laws, x: float, mu: float,
+def _log_split_tail(g: float, peak, x: float, mu: float,
                     tol: float) -> float:
     """Tail of ``phi(u) = log^g(1 + u)`` past a first omitted damping
     ``exp(-x)``, ``x > 0``: split each term at ``U = damping^{-1/2}``."""
-    u_mean = max(d.delta_moment(0.0, tol=tol) for d in laws)
+    u_mean = peak(lambda d: d.delta_moment(0.0, tol=tol))
     high = PhiFunction(power=0.0, log_power=1.0 + 2.0 * g)
-    m2 = max(d.psi_moment(high, 1.0, tol=tol) for d in laws)
+    m2 = peak(lambda d: d.psi_moment(high, 1.0, tol=tol))
     # below threshold: U*phi <= U * log^g(1 + sqrt(w)) <= U * w^{g/2}
     piece1 = _geometric_tail(u_mean, math.exp(-g * x / 2.0), g * mu / 2.0)
     # above threshold: Markov against the higher log-moment; log(1/sqrt(w_j))
@@ -336,14 +338,13 @@ def jagers_sum(env: QuenchedEnvironment,
     range; ``finite`` needs a certified geometrically decaying tail.
     """
     horizon = _whole_range(env, horizon)
-    p0s = np.array([env.dists[i].pmf(0) for i in range(horizon)])
-    if np.any(p0s >= 1.0):
-        idx = int(np.argmax(p0s >= 1.0)) + 1
+    dead = np.flatnonzero(env.map_laws(lambda d: d.pmf(0), 0, horizon) >= 1)
+    if len(dead):
         return ConditionReport(
             "jagers_sum", 1, math.nan, horizon, None, "inconclusive",
             {"not_applicable": True,
-             "reason": f"generation {idx} dies out with certainty"})
-    terms = np.array([1.0 - env.dists[i].pmf(1) for i in range(horizon)])
+             "reason": f"generation {dead[0] + 1} dies out with certainty"})
+    terms = 1.0 - env.map_laws(lambda d: d.pmf(1), 0, horizon)
     partial = float(terms.sum())
     half = horizon // 2
     dens1 = float(np.mean(terms[:half] >= JAGERS_EPS)) if half else 0.0
@@ -376,26 +377,24 @@ def moment_ratio_sup(env: QuenchedEnvironment,
     comparison against the series checkers.
     """
     horizon = _whole_range(env, horizon)
-    best = -math.inf
-    defined = 0
-    for i in range(horizon):
+
+    def ratio(dist):
         try:
-            term = env.dists[i].truncated_moment_ratio()
+            return dist.truncated_moment_ratio()
         except NotApplicableError:
-            continue
-        defined += 1
-        best = max(best, term)
-        if math.isinf(term):
-            return ConditionReport(
-                "moment_ratio_sup", 1, math.inf, horizon, None, "divergent",
-                {"reason": f"infinite moment ratio at generation {i + 1}",
-                 "defined_terms": defined})
-    if defined == 0:
+            return math.nan
+    terms = env.map_laws(ratio, 0, horizon, stop=math.isinf)
+    detail = {"defined_terms": int(np.count_nonzero(~np.isnan(terms)))}
+    if math.isinf(terms[-1]):
+        detail["reason"] = f"infinite moment ratio at generation {len(terms)}"
+        return ConditionReport("moment_ratio_sup", 1, math.inf, horizon, None,
+                               "divergent", detail)
+    if not detail["defined_terms"]:
         return ConditionReport(
             "moment_ratio_sup", 1, math.nan, horizon, None, "inconclusive",
             {"not_applicable": True, "reason": "no generation has a defined ratio"})
-    return ConditionReport("moment_ratio_sup", 1, best, horizon, None,
-                           "inconclusive", {"defined_terms": defined})
+    return ConditionReport("moment_ratio_sup", 1, float(np.nanmax(terms)),
+                           horizon, None, "inconclusive", detail)
 
 
 # -- distributional diagnostic over sampled environments --------------------
@@ -438,7 +437,7 @@ def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
     Environment ``r`` has the seed ``substream(seed, r).integers(0, 2**63 -
     1)``.  The environments are quenched in bulk through
     :func:`~bpve.environment.quench_many`, at most ``TIGHTNESS_CHUNK``
-    generations at a time, with values identical to quenching each alone.
+    generation cells at a time, with values identical to quenching each alone.
     """
     l_grid = sorted(int(l) for l in l_grid)
     if not l_grid or l_grid[0] < 1 or len(set(l_grid)) < len(l_grid):

@@ -12,15 +12,13 @@ generation ``i`` can be produced without materializing generations
 log-means and components, for a quenched draw (:meth:`Mixer.draw`) and for
 the annealed per-replica draws (:class:`bpve.simulate.AnnealedLaws`) alike.
 
-``quench`` freezes a spec into a :class:`QuenchedEnvironment`: a concrete
-sequence of laws together with the running sums of their log-means,
-accumulated with compensated summation (the condition series are
-exponentially sensitive to drift in those sums).  ``quench_many`` freezes
-many environments of one spec at once.  It resolves a non-random spec once,
-and a random spec once per distinct stream key: a cooling spec's stream is
-keyed by the block index, so it draws once per block.  Every finite-mixer
-draw comes from one vectorized pass over the streams' first uniforms, with
-the values stream-by-stream draws would give.
+``quench`` freezes a spec into a :class:`QuenchedEnvironment`: a table of
+its distinct laws, the law index of each generation, and the running sums
+of the log-means, accumulated with compensated summation (the condition
+series are exponentially sensitive to drift in those sums).  A function of
+the law, such as a moment, is evaluated once per table entry
+(:meth:`QuenchedEnvironment.map_laws`).  ``quench_many`` freezes many
+environments of one spec at once.
 
 Each named preset is one config in :data:`PRESET_CONFIGS`, the dict
 ``bpve list-presets`` prints; ``{"preset": name}`` and the inline config
@@ -30,6 +28,7 @@ give the same spec.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -168,55 +167,35 @@ class EnvironmentSpec:
 
     # -- resolution ---------------------------------------------------------
 
-    def _cooling_block_index(self, i: int) -> int:
-        """Block containing generation ``i`` (1-based)."""
-        if self.block_lengths is not None:
-            pos, b = 0, 0
-            for b, ln in enumerate(self.block_lengths):
-                pos += ln
-                if i <= pos:
-                    return b
-            # beyond the configured schedule, repeat the last block length
-            last = self.block_lengths[-1]
-            return len(self.block_lengths) + (i - pos - 1) // last
-        # doubling schedule: block j has length 2^j, so it covers
-        # generations [2^j, 2^{j+1} - 1]
-        return i.bit_length() - 1
-
-    def stream_index(self, i: int) -> int:
+    def stream_index(self, i):
         """Index of the stream (keyed ``(env_seed, index)``) that the law of
-        generation ``i`` is drawn from, for a random spec: ``i`` itself
-        when i.i.d., the block index when cooling, so a cooling spec holds
-        one draw for a whole block."""
-        return self._cooling_block_index(i) if self.kind == "cooling" else i
-
-    def stream_indices(self, horizon: int) -> np.ndarray:
-        """``[self.stream_index(i) for i in range(1, horizon + 1)]`` as one
-        array, computed without a Python call per generation."""
-        gens = np.arange(1, horizon + 1)
+        generation ``i`` (an int, 1-based, or an int64 array of them) is
+        drawn from, for a random spec: ``i`` itself when i.i.d., the block
+        index when cooling, found in exact integers (a float rounds
+        ``2**54 - 1`` up to ``2**54``)."""
         if self.kind != "cooling":
-            return gens
-        if self.block_lengths is None:  # i.bit_length() - 1
-            return np.frexp(gens.astype(float))[1] - 1
-        ends = np.cumsum(self.block_lengths)
-        keys = ends.searchsorted(gens)
-        beyond = gens > ends[-1]
-        keys[beyond] = len(ends) + ((gens[beyond] - ends[-1] - 1)
-                                    // self.block_lengths[-1])
-        return keys
+            return i
+        gens = i if isinstance(i, np.ndarray) else np.array([i], dtype=object)
+        # doubling: block j has length 2^j, covering [2^j, 2^{j+1} - 1]
+        lengths = self.block_lengths or [
+            1 << j for j in range(int(gens.max()).bit_length())]
+        top = np.iinfo(np.int64).max if gens.dtype != object else math.inf
+        ends = np.array([min(end, top) for end in itertools.accumulate(
+            lengths)], dtype=gens.dtype)
+        keys = np.searchsorted(ends, gens).astype(gens.dtype)
+        past = gens > ends[-1]  # the last listed block length repeats
+        if past.any():
+            keys[past] = len(ends) + (gens[past] - ends[-1] - 1) // lengths[-1]
+        return keys if gens is i else int(keys[0])
 
     def dist_at(self, env_seed: int, i: int) -> OffspringDistribution:
         """Offspring law of generation ``i`` (1-based); deterministic in
         ``(spec, env_seed, i)``."""
         if i < 1:
             raise ValueError("generation index is 1-based")
-        if self.kind == "constant":
-            return self.dists[0]
-        if self.kind == "explicit_sequence":
-            if i > len(self.dists):
-                raise ValueError(f"explicit sequence has length {len(self.dists)}")
-            return self.dists[i - 1]
-        if self.kind == "periodic":
+        if self.kind == "explicit_sequence" and i > len(self.dists):
+            raise ValueError(f"explicit sequence has length {len(self.dists)}")
+        if not self.is_random:  # constant, explicit and periodic alike
             return self.dists[(i - 1) % len(self.dists)]
         return self.mixer.draw(substream(env_seed, self.stream_index(i)))
 
@@ -254,14 +233,14 @@ class EnvironmentSpec:
 
 @dataclass
 class QuenchedEnvironment:
-    """A materialized environment prefix.
-
-    ``dists[i-1]`` is the law of generation ``i``; ``s[n]`` is the sum of
-    the first ``n`` log-means (``s[0] = 0``), Kahan-accumulated.
-    Immutable by convention; safe to share across workers.
+    """A materialized environment prefix: generation ``i`` has the law
+    ``laws[index[i-1]]``, ``laws`` being a table of the environment's laws;
+    ``s[n]`` is the sum of the first ``n`` log-means ``xi`` (``s[0] = 0``),
+    Kahan-accumulated.  Immutable by convention; safe to share across workers.
     """
 
-    dists: List[OffspringDistribution]
+    laws: tuple
+    index: np.ndarray
     s: np.ndarray
     xi: np.ndarray = field(repr=False, default=None)
 
@@ -271,14 +250,34 @@ class QuenchedEnvironment:
 
     @property
     def horizon(self) -> int:
-        return len(self.dists)
+        return len(self.index)
+
+    @property
+    def dists(self) -> List[OffspringDistribution]:
+        """The law of each generation, in order."""
+        return [self.laws[k] for k in self.index.tolist()]
+
+    def map_laws(self, f, lo=0, hi=None, stop=None) -> np.ndarray:
+        """``f(law)`` of generations ``lo + 1 .. hi`` as floats, from one call
+        of ``f`` per law in order of first generation.  The first value with
+        ``stop(value)`` ends the walk: no law first seen later is evaluated,
+        and the result ends at that law's first generation."""
+        index = self.index[lo:hi]
+        first = np.full(len(self.laws), len(index))
+        np.minimum.at(first, index, np.arange(len(index)))
+        values = np.empty(len(self.laws))
+        for k in index[np.sort(first[first < len(index)])]:
+            values[k] = value = f(self.laws[k])
+            if stop is not None and stop(value):
+                return values[index[:first[k] + 1]]
+        return values[index]
 
     def shifted(self, drop: int) -> "QuenchedEnvironment":
         """Drop the first ``drop`` generations and re-zero the log-mean sums."""
         if not (0 <= drop < self.horizon):
             raise ValueError("shift out of range")
         s = _kahan_cumsum(self.xi[drop:])
-        return QuenchedEnvironment(self.dists[drop:], s)
+        return QuenchedEnvironment(self.laws, self.index[drop:], s)
 
 
 def _kahan_cumsum(xs: np.ndarray) -> np.ndarray:
@@ -310,42 +309,43 @@ def quench(spec: EnvironmentSpec, env_seed: int, horizon: int) -> QuenchedEnviro
 def quench_many(spec: EnvironmentSpec, env_seeds: Sequence[int],
                 horizon: int) -> List[QuenchedEnvironment]:
     """``[quench(spec, s, horizon) for s in env_seeds]``, bitwise, computed
-    together.  A non-random spec is resolved once and every seed shares the
-    result.  A random spec is resolved once per distinct stream key of
-    generations ``1..horizon``: a finite mixer's draw is the first uniform
-    of stream ``(s, key)`` against the weights' cdf, so every draw comes
-    from one :func:`first_uniforms` pass; a Gaussian mixer makes one
-    :meth:`Mixer.draw` per key."""
+    together.  A non-random spec's law table is its own laws, shared by
+    every seed.  A random spec is resolved once per distinct stream key of
+    generations ``1..horizon``: a finite mixer's table is its components,
+    each draw the first uniform of stream ``(s, key)`` against the weights'
+    cdf, all from one :func:`first_uniforms` pass; a Gaussian mixer's table
+    holds one :meth:`Mixer.draw` per key."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if horizon > MAX_QUENCH_HORIZON:
         raise ResourceWarningError(f"horizon {horizon} exceeds the in-memory "
                                    f"quench budget ({MAX_QUENCH_HORIZON})")
     seeds = [int(s) for s in env_seeds]
-    gens = range(1, horizon + 1)
     if not spec.is_random:
-        laws = [spec.dist_at(1, i) for i in gens]
-        xi = np.array([d.log_mean for d in laws])
-        return [QuenchedEnvironment(laws, _kahan_cumsum(xi), xi)] * len(seeds)
+        spec.dist_at(1, horizon)  # refuses a horizon past an explicit sequence
+        laws = spec.dists[:horizon]
+        index = np.arange(horizon) % len(laws)
+        xi = np.array([d.log_mean for d in laws])[index]
+        env = QuenchedEnvironment(laws, index, _kahan_cumsum(xi), xi)
+        return [env] * len(seeds)
     # a generation shares its predecessor's key or takes the next one
-    inverse = spec.stream_indices(horizon)
+    inverse = spec.stream_index(np.arange(1, horizon + 1))
     keys = np.arange(inverse[0], inverse[-1] + 1)
     inverse -= inverse[0]
     mixer = spec.mixer
     if mixer.kind == "finite":
-        comp = mixer.pick(first_uniforms(
+        index = mixer.pick(first_uniforms(
             np.array(seeds, dtype=object)[:, None], keys))[:, inverse]
-        table = [[mixer.dists[c] for c in row] for row in comp.tolist()]
-        xi = mixer.xi[comp]
+        table = [tuple(mixer.dists)] * len(seeds)
+        xi = mixer.xi[index]
     else:
-        drawn = [[mixer.draw(substream(s, k)) for k in keys.tolist()]
+        table = [tuple(mixer.draw(substream(s, k)) for k in keys.tolist())
                  for s in seeds]
-        xi = np.array([[d.log_mean for d in row] for row in drawn]
+        xi = np.array([[d.log_mean for d in laws] for laws in table]
                       ).reshape(len(seeds), len(keys))[:, inverse]
-        order = inverse.tolist()
-        table = [[row[j] for j in order] for row in drawn]
-    return [QuenchedEnvironment(laws, s_row, xi_row)
-            for laws, s_row, xi_row in zip(table, _kahan_cumsum(xi), xi)]
+        index = [inverse] * len(seeds)
+    return [QuenchedEnvironment(*row)
+            for row in zip(table, index, _kahan_cumsum(xi), xi)]
 
 
 class ResourceWarningError(MemoryError):

@@ -220,11 +220,11 @@ def _check_span(env: QuenchedEnvironment, n: int, m: int, replicas: int):
     if replicas < 2:
         raise ValueError("replicas must be >= 2 for a sample-mean standard "
                          f"error, got {replicas}")
-    for i in range(n + m):
-        if math.isinf(env.dists[i].normalized_variance):
-            raise NotApplicableError(
-                f"generation {i + 1} has infinite variance; second-moment "
-                "estimators do not apply")
+    v = env.map_laws(lambda d: d.normalized_variance, 0, n + m, stop=math.isinf)
+    if math.isinf(v[-1]):
+        raise NotApplicableError(
+            f"generation {len(v)} has infinite variance; second-moment "
+            "estimators do not apply")
 
 
 def mc_l2_increment(env: QuenchedEnvironment, k: int, m: int, replicas: int,

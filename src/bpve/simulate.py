@@ -72,7 +72,7 @@ class QuenchedLaws:
         self.env = env
 
     def advance(self, i: int):
-        self.dist = self.env.dists[i - 1]
+        self.dist = self.env.laws[self.env.index[i - 1]]
         self.s, self.xi = self.env.s[i], self.env.xi[i - 1]
 
     def keep(self, live: np.ndarray):

@@ -59,3 +59,20 @@ def sample_generation_total(dist, parents: int,
         raise ValueError("parent count must be nonnegative")
     return int(dist.sample_generation_totals(
         np.array([parents], dtype=np.int64), rng)[0])
+
+
+def cooling_block_index(spec, i: int) -> int:
+    """Block of a cooling spec containing generation ``i`` (1-based), by a
+    walk over its schedule in exact Python integers."""
+    if spec.block_lengths is not None:
+        pos, b = 0, 0
+        for b, ln in enumerate(spec.block_lengths):
+            pos += ln
+            if i <= pos:
+                return b
+        # beyond the configured schedule, repeat the last block length
+        last = spec.block_lengths[-1]
+        return len(spec.block_lengths) + (i - pos - 1) // last
+    # doubling schedule: block j has length 2^j, so it covers
+    # generations [2^j, 2^{j+1} - 1]
+    return i.bit_length() - 1

@@ -667,3 +667,36 @@ def test_moment_ratio_with_vanishing_denominator_is_not_applicable(tmp_path):
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
     results = json.loads((tmp_path / "o" / "results.json").read_text())
     assert results["report"]["detail"]["not_applicable"]
+
+
+HEAVY_LAW = {"kind": "power_law_tail", "alpha": 0.5, "p0": 0.2}
+
+
+@pytest.mark.parametrize("experiment,environment,params,code,message", [
+    # generation 1's infinite variance is found first; the law of
+    # generation 2 is never evaluated, so its refusal does not decide
+    ("l2", {"kind": "explicit_sequence",
+            "dists": [HEAVY_LAW, {"kind": "geometric", "mean": 1e-200}]},
+     {"m": 2, "replicas": 100}, 4, "generation 1 has infinite variance"),
+    # generation 1 has no defined ratio and generation 2 an infinite one;
+    # generation 3 is never counted
+    ("conditions", {"kind": "periodic",
+                    "dists": [{"kind": "finite_pmf", "pmf": [0, 1]},
+                              HEAVY_LAW,
+                              {"kind": "finite_pmf",
+                               "pmf": [0.25, 0.25, 0.5]}]},
+     {"series": "moment_ratio", "horizon": 3}, 0,
+     "infinite moment ratio at generation 2"),
+])
+def test_first_failing_generation_decides(tmp_path, capsys, experiment,
+                                          environment, params, code, message):
+    cfg = write_config(tmp_path, {"experiment": experiment,
+                                  "environment": environment,
+                                  "params": params})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == code
+    if code:
+        assert message in capsys.readouterr().err
+        return
+    detail = json.loads((tmp_path / "o" / "results.json").read_text()
+                        )["report"]["detail"]
+    assert detail == {"defined_terms": 1, "reason": message}

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from bpve import conditions
+from bpve import conditions, estimators
 from bpve.cli import EXPERIMENTS, jsonable
 from bpve.conditions import (fractional_variance_series,
                              increment_variance_series, jagers_sum,
                              moment_ratio_sup, psi_series,
                              tightness_diagnostic, variance_series)
-from bpve.distributions import OffspringDistribution, PhiFunction
+from bpve.distributions import (NotApplicableError, OffspringDistribution,
+                                PhiFunction)
 from bpve.environment import (EnvironmentSpec, PRESETS, QuenchedEnvironment,
                               quench)
 from bpve.streams import substream
@@ -207,7 +208,7 @@ def test_jagers_not_applicable():
     # assembled by hand rather than through quench
     sure = OffspringDistribution.finite_pmf([0.0, 1.0])
     dead = OffspringDistribution.finite_pmf([1.0])
-    env = QuenchedEnvironment([sure, dead, sure], np.zeros(4))
+    env = QuenchedEnvironment((sure, dead), np.array([0, 1, 0]), np.zeros(4))
     rep = jagers_sum(env)
     assert rep.verdict == "inconclusive"
     assert rep.detail.get("not_applicable")
@@ -362,7 +363,7 @@ def test_tightness_rows_match_per_environment_oracle(
 GEOMETRIC = OffspringDistribution.geometric
 
 
-@pytest.mark.parametrize("env", [
+PER_LAW_ENVS = pytest.mark.parametrize("env", [
     quench(PRESETS["supercritical_mu0.2"](), 3, 200),
     quench(PRESETS["cooling_doubling_blocks"](), 3, 200),
     # the power tail's variance and its moment of order 1.5 are infinite,
@@ -374,6 +375,9 @@ GEOMETRIC = OffspringDistribution.geometric
     quench(EnvironmentSpec.periodic([GEOMETRIC(1e-10), GEOMETRIC(2.0)]),
            1, 200),
 ], ids=["iid", "cooling", "infinite_moment", "overflowing_damping"])
+
+
+@PER_LAW_ENVS
 @pytest.mark.parametrize("series", ["variance", "fractional_variance"])
 @pytest.mark.parametrize("start,shift", [(1, 0), (3, 1)])
 def test_per_law_moments_match_per_generation_terms(env, series, start,
@@ -401,3 +405,40 @@ def test_per_law_moments_match_per_generation_terms(env, series, start,
     # one call per distinct law object, in order of first occurrence
     assert [id(d) for d in calls] == list(dict.fromkeys(map(id, dists)))
     assert len(calls) == 2
+
+
+@PER_LAW_ENVS
+@pytest.mark.parametrize("check,method", [
+    (jagers_sum, "pmf"),
+    (moment_ratio_sup, "truncated_moment_ratio"),
+    (lambda env: estimators._check_span(env, 0, env.horizon, 2),
+     "normalized_variance"),
+], ids=["jagers", "moment_ratio", "check_span"])
+def test_per_law_checks_match_per_generation_loops(monkeypatch, env, check,
+                                                   method):
+    # the same environment with a law slot per generation: map_laws then
+    # calls once per generation, in order
+    per_generation = QuenchedEnvironment(tuple(env.dists),
+                                         np.arange(env.horizon), env.s, env.xi)
+    calls = []
+    real = getattr(OffspringDistribution, method)
+    if isinstance(real, property):
+        monkeypatch.setattr(OffspringDistribution, method, property(
+            lambda d: calls.append((id(d),)) or real.fget(d)))
+    else:
+        monkeypatch.setattr(OffspringDistribution, method, lambda d, *args: (
+            calls.append((id(d), *args)) or real(d, *args)))
+
+    def outcome(e):
+        calls.clear()
+        try:
+            result = repr(check(e))
+        except NotApplicableError as err:
+            result = str(err)
+        return result, list(calls)
+    got, got_calls = outcome(env)
+    want, want_calls = outcome(per_generation)
+    assert got == want
+    # one call per distinct law, in order of first occurrence, and none for
+    # a law first seen after the generation a check stopped at
+    assert got_calls == list(dict.fromkeys(want_calls))

@@ -10,6 +10,7 @@ from bpve.environment import (EnvironmentSpec, Mixer, PRESET_CONFIGS,
                               PRESETS, QuenchedEnvironment,
                               ResourceWarningError, quench, quench_many)
 from bpve.streams import substream
+from oracles import cooling_block_index
 
 
 def test_constant_env(gw_dist):
@@ -241,16 +242,29 @@ def test_cooling_quench_draws_once_per_block(schedule, monkeypatch):
 
 @pytest.mark.parametrize("kind,schedule", [
     ("iid_random", None), ("cooling", None), ("cooling", [3, 1, 7, 2]),
-    ("cooling", [1]), ("cooling", [5])])
+    ("cooling", [1]), ("cooling", [5]),
+    # block ends past int64: the cumulative sum wrapped or overflowed
+    ("cooling", [2**62, 2**62, 3])])
 def test_stream_indices_match_stream_index(kind, schedule):
     mixer = PRESETS["critical_two_point"]().mixer
     spec = (EnvironmentSpec.cooling(mixer, block_lengths=schedule)
             if kind == "cooling" else EnvironmentSpec.iid_random(mixer))
+
+    def walk(i):
+        return cooling_block_index(spec, i) if kind == "cooling" else i
     # across the schedule's end (13) and around powers of two
     for horizon in (1, 2, 3, 4, 5, 12, 13, 14, 15, 16, 17, 1023, 1024,
                     1025, 2**16 + 1):
-        keys = [spec.stream_index(i) for i in range(1, horizon + 1)]
-        assert spec.stream_indices(horizon).tolist() == keys
+        keys = [walk(i) for i in range(1, horizon + 1)]
+        assert spec.stream_index(np.arange(1, horizon + 1)).tolist() == keys
+    assert [spec.stream_index(i) for i in range(1, 1026)] == keys[:1025]
+    # a float holds no integer past 2^53 exactly: 2^54 - 1 rounds up to 2^54
+    big = [2**53 + 1, 2**54 - 1, 2**60 - 1]
+    assert spec.stream_index(np.array(big)).tolist() == list(map(walk, big))
+    for i in big:
+        assert spec.stream_index(i) == walk(i)
+        assert spec.dist_at(3, i) is mixer.dists[
+            mixer.pick(substream(3, walk(i)).random())]
 
 
 QUENCH_SPECS = {

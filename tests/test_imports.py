@@ -2,8 +2,9 @@
 that the benchmark's per-layer hooks still find every call boundary.  Also
 static checks of the source: no module imports scipy, only ``cli`` defines
 the output format, one call site runs the population loop, one mixer rule
-turns random-environment draws into laws, and one report function certifies
-every damped condition series."""
+turns random-environment draws into laws, one report function certifies
+every damped condition series, and one environment method evaluates a
+function once per law."""
 
 import ast
 import json
@@ -160,6 +161,37 @@ def test_one_report_path_for_every_damped_series():
     assert sorted(callers["damped_series"]) == ["_report",
                                                 "tightness_diagnostic"]
     assert "psi_series" not in callers["_certify"] + callers["damped_series"]
+
+
+def test_one_law_table_for_every_per_law_evaluation():
+    # an environment holds a table of laws and a law index per generation;
+    # QuenchedEnvironment.map_laws is the one place that finds a range's
+    # distinct laws, so nothing keys laws by id() and nothing but
+    # environment.py reads an environment's per-generation .dists
+    dedupes, callers = [], set()
+    for path in sorted((ROOT / "src" / "bpve").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(n): f.name for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) \
+                    or getattr(node.func, "attr", None)
+                assert name != "id", f"{path.name}:{node.lineno} calls id()"
+                if name in ("fromkeys", "at"):
+                    dedupes.append((path.name, owner.get(id(node))))
+                if name == "map_laws":
+                    callers.add((path.name, owner.get(id(node))))
+            if isinstance(node, ast.Attribute) and node.attr == "dists" \
+                    and path.name != "environment.py":
+                assert ast.unparse(node.value).endswith("mixer"), \
+                    f"{path.name}:{node.lineno} reads an environment's .dists"
+    assert dedupes == [("environment.py", "map_laws")]
+    assert callers == {("conditions.py", "damped_series"),
+                       ("conditions.py", "peak"),
+                       ("conditions.py", "jagers_sum"),
+                       ("conditions.py", "moment_ratio_sup"),
+                       ("estimators.py", "_check_span")}
 
 
 def test_bench_tracer_finds_every_hook():

@@ -14,6 +14,7 @@ from bpve.environment import EnvironmentSpec, Mixer, PRESETS, quench
 from bpve.simulate import (AnnealedLaws, QuenchedLaws, log_switch_threshold,
                            simulate_block)
 from bpve.streams import substream
+from oracles import cooling_block_index
 
 
 def _log_or_frozen(frozen, logz, z):
@@ -68,7 +69,7 @@ def reference_annealed(spec, z0, n, env_rng, rep_rng, size, record):
         out[:, pos[0]] = math.log(z0)
     prev_block = None
     for i in range(1, n + 1):
-        block = spec._cooling_block_index(i) if spec.kind == "cooling" else i
+        block = cooling_block_index(spec, i) if spec.kind == "cooling" else i
         if block != prev_block:
             prev_block = block
             # only the replicas alive here draw, in index order; the others
