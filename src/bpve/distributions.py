@@ -72,6 +72,14 @@ _MOMENT_HEAD_MAX = 1 << 22
 # Unsigned Stirling numbers of the first kind c(n, r), n <= 4.
 _STIRLING1 = ((1,), (0, 1), (0, 1, 1), (0, 2, 3, 1), (0, 6, 11, 6, 1))
 
+_FAMILY_KEYS = {
+    "finite_pmf": {"pmf"},
+    "geometric": {"mean"},
+    "poisson": {"lam"},
+    "linear_fractional": {"p0", "q"},
+    "power_law_tail": {"alpha", "p0"},
+}
+
 
 class UnsupportedDistributionError(ValueError):
     """The requested functional is undefined for this law (e.g. mean zero)."""
@@ -166,13 +174,19 @@ def _positive_rows(parents: np.ndarray, draw) -> np.ndarray:
 
 
 class GeometricRows:
-    """Geometric laws ``P(X=k) = (1-q) q^k``, one ``q`` per parent row (the
-    per-replica laws of a Gaussian log-mean environment), with the
+    """Geometric laws ``P(X=k) = (1-q) q^k``, one ``mean`` per parent row
+    (the per-replica laws of a Gaussian log-mean environment), with the
     :meth:`OffspringDistribution.overflow_rows` and
-    :meth:`OffspringDistribution.sample_generation_totals` interface."""
+    :meth:`OffspringDistribution.sample_generation_totals` interface; a
+    mean whose ``q = mean / (1 + mean)`` is not in ``(0, 1)`` is refused by
+    :meth:`OffspringDistribution.geometric`."""
 
-    def __init__(self, q: np.ndarray):
-        self.q = q
+    def __init__(self, mean: np.ndarray):
+        with np.errstate(invalid="ignore"):  # an infinite mean gives NaN
+            self.q = mean / (1.0 + mean)
+        bad = ~((self.q > 0.0) & (self.q < 1.0))
+        if bad.any():
+            OffspringDistribution.geometric(float(mean[bad.argmax()]))
 
     def overflow_rows(self, parents: np.ndarray) -> Optional[np.ndarray]:
         return _overflow_rows(parents, self.q / (1.0 - self.q))
@@ -284,6 +298,9 @@ class OffspringDistribution:
         self._cache: dict = {}
         # reentrant: computing one cached moment may consult another
         self._lock = threading.RLock()
+        if kind not in _FAMILY_KEYS:
+            raise ValueError(f"unknown offspring family {kind!r}")
+        check_keys(params, _FAMILY_KEYS[kind], kind)
 
         # each range check is written so that NaN fails it
         if kind == "finite_pmf":
@@ -331,8 +348,6 @@ class OffspringDistribution:
             # within 2 ulp by Euler-Maclaurin summation.
             self._zeta_norm = zeta(2.0 + alpha)
             self._c = (1.0 - p0) / self._zeta_norm
-        else:
-            raise ValueError(f"unknown offspring family {kind!r}")
 
     # -- identity / serialization ------------------------------------------
 
@@ -360,16 +375,6 @@ class OffspringDistribution:
         kind = cfg.pop("kind", None)
         if kind is None:
             raise ValueError("distribution config needs a 'kind' field")
-        known = {
-            "finite_pmf": {"pmf"},
-            "geometric": {"mean"},
-            "poisson": {"lam"},
-            "linear_fractional": {"p0", "q"},
-            "power_law_tail": {"alpha", "p0"},
-        }
-        if kind not in known:
-            raise ValueError(f"unknown offspring family {kind!r}")
-        check_keys(cfg, known[kind], kind)
         return cls(kind, **cfg)
 
     # -- convenience constructors ------------------------------------------

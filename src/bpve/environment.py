@@ -84,15 +84,17 @@ class Mixer:
             raise ValueError(f"unknown mixer kind {kind!r}")
 
     def sample(self, rng: np.random.Generator, size=None):
-        """``(xi, component)`` of ``size`` draws (one when ``None``): a
-        finite mixer draws one uniform per draw against the weights' cdf,
-        the components ``rng.choice(len(dists), size, p=weights)`` returns,
-        and their log-means; a Gaussian one draws one normal per draw, the
-        log-mean ``mu + sigma * z``, and component ``None``."""
+        """``(xi, law)`` of ``size`` draws (one when ``None``): a finite
+        mixer draws one uniform per draw against the weights' cdf, giving
+        the components ``rng.choice(len(dists), size, p=weights)`` returns
+        and their log-means; a Gaussian one draws one normal per draw,
+        giving the log-mean ``mu + sigma * z`` and the mean ``exp(xi)``."""
         if self.kind == "finite":
             comp = self.pick(rng.random(size))
             return self.xi[comp], comp
-        return self.mu + self.sigma * rng.standard_normal(size), None
+        xi = self.mu + self.sigma * rng.standard_normal(size)
+        with np.errstate(over="ignore"):
+            return xi, np.exp(xi)
 
     def pick(self, uniforms):
         """Component index of each uniform in ``[0, 1)``."""
@@ -100,10 +102,11 @@ class Mixer:
 
     def draw(self, rng: np.random.Generator) -> OffspringDistribution:
         """The law of one draw."""
-        xi, comp = self.sample(rng)
-        if comp is not None:
-            return self.dists[comp]
-        # an infinite mean is refused by the law
+        xi, law = self.sample(rng)
+        if self.kind == "finite":
+            return self.dists[law]
+        # math.exp, not the sampled mean: numpy's exp differs in the last
+        # bit for some draws; an infinite mean is refused by the law
         return OffspringDistribution.geometric(mean=exp_or_inf(xi))
 
     @classmethod
@@ -169,24 +172,23 @@ class EnvironmentSpec:
 
     def stream_index(self, i):
         """Index of the stream (keyed ``(env_seed, index)``) that the law of
-        generation ``i`` (an int, 1-based, or an int64 array of them) is
-        drawn from, for a random spec: ``i`` itself when i.i.d., the block
-        index when cooling, found in exact integers (a float rounds
-        ``2**54 - 1`` up to ``2**54``)."""
+        generation ``i`` (an int, 1-based, or an int64 array of them; below
+        ``2**63``) is drawn from, for a random spec: ``i`` itself when
+        i.i.d., the block index when cooling, found in int64 arithmetic (a
+        float rounds ``2**54 - 1`` up to ``2**54``)."""
         if self.kind != "cooling":
             return i
-        gens = i if isinstance(i, np.ndarray) else np.array([i], dtype=object)
+        gens = np.array(i, dtype=np.int64, ndmin=1)
         # doubling: block j has length 2^j, covering [2^j, 2^{j+1} - 1]
         lengths = self.block_lengths or [
             1 << j for j in range(int(gens.max()).bit_length())]
-        top = np.iinfo(np.int64).max if gens.dtype != object else math.inf
-        ends = np.array([min(end, top) for end in itertools.accumulate(
-            lengths)], dtype=gens.dtype)
-        keys = np.searchsorted(ends, gens).astype(gens.dtype)
+        ends = np.array([min(end, 2**63 - 1) for end in itertools.accumulate(
+            lengths)], dtype=np.int64)
+        keys = np.searchsorted(ends, gens)
         past = gens > ends[-1]  # the last listed block length repeats
         if past.any():
             keys[past] = len(ends) + (gens[past] - ends[-1] - 1) // lengths[-1]
-        return keys if gens is i else int(keys[0])
+        return keys if isinstance(i, np.ndarray) else int(keys[0])
 
     def dist_at(self, env_seed: int, i: int) -> OffspringDistribution:
         """Offspring law of generation ``i`` (1-based); deterministic in
@@ -242,11 +244,7 @@ class QuenchedEnvironment:
     laws: tuple
     index: np.ndarray
     s: np.ndarray
-    xi: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.xi is None:
-            self.xi = np.diff(self.s)
+    xi: np.ndarray = field(repr=False)
 
     @property
     def horizon(self) -> int:
@@ -262,12 +260,14 @@ class QuenchedEnvironment:
         of ``f`` per law in order of first generation.  The first value with
         ``stop(value)`` ends the walk: no law first seen later is evaluated,
         and the result ends at that law's first generation."""
-        index = self.index[lo:hi]
-        first = np.full(len(self.laws), len(index))
+        # laws numbered from the window's smallest index: O(window) work
+        base = self.index[lo:hi].min(initial=len(self.laws))
+        index = self.index[lo:hi] - base
+        first = np.full(index.max(initial=-1) + 1, len(index))
         np.minimum.at(first, index, np.arange(len(index)))
-        values = np.empty(len(self.laws))
+        values = np.empty(len(first))
         for k in index[np.sort(first[first < len(index)])]:
-            values[k] = value = f(self.laws[k])
+            values[k] = value = f(self.laws[base + k])
             if stop is not None and stop(value):
                 return values[index[:first[k] + 1]]
         return values[index]
@@ -276,8 +276,9 @@ class QuenchedEnvironment:
         """Drop the first ``drop`` generations and re-zero the log-mean sums."""
         if not (0 <= drop < self.horizon):
             raise ValueError("shift out of range")
-        s = _kahan_cumsum(self.xi[drop:])
-        return QuenchedEnvironment(self.laws, self.index[drop:], s)
+        xi = self.xi[drop:]
+        return QuenchedEnvironment(self.laws, self.index[drop:],
+                                   _kahan_cumsum(xi), xi)
 
 
 def _kahan_cumsum(xs: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .conditions import increment_variance_series
 from .distributions import NotApplicableError
-from .environment import (MAX_REPLICAS, EnvironmentSpec,
+from .environment import (MAX_QUENCH_HORIZON, MAX_REPLICAS, EnvironmentSpec,
                           QuenchedEnvironment, ResourceWarningError)
 from .numerics import clopper_pearson_upper
 from .simulate import (AnnealedLaws, QuenchedLaws, simulate_block,
@@ -268,8 +268,7 @@ def mc_halving_bound(env: QuenchedEnvironment, k: int, start: int,
     ``start`` cannot be certified finite."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    budget = increment_variance_series(
-        env, start, horizon=min(horizon, env.horizon - start - 1))
+    budget = increment_variance_series(env, start, horizon=horizon)
     if budget.verdict != "finite":
         raise NotApplicableError(
             "variance budget after start is not certified finite "
@@ -278,13 +277,12 @@ def mc_halving_bound(env: QuenchedEnvironment, k: int, start: int,
     # Restarting from k individuals at `start` has the conditional law of
     # the original process given Z_start = k, on the shifted environment.
     env_sim = env if start == 0 else env.shifted(start)
-    steps = min(horizon, env_sim.horizon)
     # S_0 = 0, so the renormalized population halves when log W < log(k/2)
     ref = math.log(k / 2.0)
 
-    halved = _run_blocks(_quenched(env_sim, steps), k, steps, (), replicas,
-                         seed, threads, lambda block: block.low < ref,
-                         low=True)
+    halved = _run_blocks(_quenched(env_sim, horizon), k, horizon, (),
+                         replicas, seed, threads,
+                         lambda block: block.low < ref, low=True)
     # one-sided 99% exact (Clopper-Pearson) upper confidence limit
     ucl = clopper_pearson_upper(int(np.count_nonzero(halved)), replicas, 0.99)
     return HalvingResult(McEstimate.proportion(halved, seed), bound, ucl)
@@ -307,7 +305,7 @@ def mc_flt_discrepancy(env: QuenchedEnvironment, n_list: Sequence[int],
     """Spread of the normalized path over stretched time, conditioned on
     being alive at the endpoint.
 
-    For each ``n``, evaluates the normalized value on a grid of 33 stretched
+    For each ``n``, evaluates the normalized value at ``grid_size`` stretched
     time points starting at generation ``floor(sqrt(n))`` and summarizes
     ``sup_t |Y(t) - Y(1)|`` over surviving replicas.  Convergence of the
     normalized process makes these summaries shrink as ``n`` grows.
@@ -324,8 +322,9 @@ def mc_flt_discrepancy(env: QuenchedEnvironment, n_list: Sequence[int],
         return np.abs(w, out=w).max(axis=1)[alive]
 
     out = []
-    grid = np.linspace(0.0, 1.0, grid_size)
     for li, n in enumerate(sorted(int(x) for x in n_list)):
+        # from n - r + 2 points on, the grid reads every generation r..n
+        grid = np.linspace(0.0, 1.0, min(grid_size, n - math.isqrt(n) + 2))
         idx = np.unique(stretched_indices(n, grid)).tolist()
         spread = _run_blocks(_quenched(env, idx[-1]), 1, idx[-1], idx,
                              replicas, seed + li, threads, path_spread)
@@ -362,6 +361,9 @@ def mc_conditioned_critical(spec: EnvironmentSpec, n_list: Sequence[int],
     if not n_list:
         raise ValueError("n_list must name at least one checkpoint")
     n = n_list[-1]
+    if n > MAX_QUENCH_HORIZON:
+        raise ResourceWarningError(f"n_list reaches {n}, beyond the "
+                                   f"generation budget ({MAX_QUENCH_HORIZON})")
     log_w = _run_blocks(
         lambda b, sz: AnnealedLaws(spec, substream(env_seed, b), sz), z0, n,
         n_list, replicas, seed, threads, lambda block: block.log_w)

@@ -87,8 +87,8 @@ class AnnealedLaws:
     new stream key of the spec, so every generation (i.i.d.) or block of
     generations (cooling), the mixer is sampled
     (:meth:`~bpve.environment.Mixer.sample`) for the live replicas alone,
-    in index order.  A Gaussian draw whose geometric law has no ``q`` in
-    ``(0, 1)`` is refused by that law's own checks."""
+    in index order.  A Gaussian draw's laws are the
+    :class:`~bpve.distributions.GeometricRows` of its sampled means."""
 
     def __init__(self, spec: EnvironmentSpec, env_rng: np.random.Generator,
                  size: int):
@@ -96,7 +96,7 @@ class AnnealedLaws:
             raise ValueError("annealed simulation needs a random environment spec")
         self.spec, self.mixer, self.env_rng = spec, spec.mixer, env_rng
         # per live replica, from its latest draw: log-mean, S_i, and the
-        # law's mixer component (finite) or geometric q (Gaussian)
+        # law's mixer component (finite) or geometric mean (Gaussian)
         self.xi, self.s, self.law = (np.zeros(size) for _ in range(3))
         self.draw_key = None
 
@@ -104,15 +104,7 @@ class AnnealedLaws:
         key = self.spec.stream_index(i)
         if key != self.draw_key:
             self.draw_key = key
-            self.xi, law = self.mixer.sample(self.env_rng, len(self.s))
-            if law is None:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    m = np.exp(self.xi)
-                    law = m / (1.0 + m)
-                bad = ~((law > 0.0) & (law < 1.0))
-                if bad.any():
-                    OffspringDistribution.geometric(float(m[bad.argmax()]))
-            self.law = law
+            self.xi, self.law = self.mixer.sample(self.env_rng, len(self.s))
         self.s += self.xi
 
     def keep(self, live: np.ndarray):

@@ -1,7 +1,12 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +205,11 @@ def test_critical_requires_random_environment(tmp_path):
     # refused before the environment seeds are listed, which did not end
     ("tightness", {"preset": "critical_two_point"},
      {"l_grid": [1, 5], "env_replicas": 10**30}, 3),
+    # an immortal line: a run past the quench budget did not end
+    ("critical", {"kind": "iid_random", "mixer": {
+        "kind": "finite", "dists": [{"kind": "finite_pmf", "pmf": [0, 1]}],
+        "weights": [1.0]}},
+     {"n_list": [10**12], "replicas": 100}, 3),
 ])
 def test_huge_populations_end_in_documented_exit_codes(tmp_path, experiment,
                                                        environment, params,
@@ -700,3 +710,25 @@ def test_first_failing_generation_decides(tmp_path, capsys, experiment,
     detail = json.loads((tmp_path / "o" / "results.json").read_text()
                         )["report"]["detail"]
     assert detail == {"defined_terms": 1, "reason": message}
+
+
+def test_flt_grid_memory_does_not_grow_with_grid_size(tmp_path):
+    # a grid of 10^9 points over 3 generations used to allocate 7.45 GiB;
+    # the run is a subprocess under a 1 GiB address-space limit, so a
+    # regression fails this test alone
+    cfg = write_config(tmp_path, {
+        "experiment": "flt", "environment": {"preset": "supercritical_mu0.2"},
+        "params": {"n_list": [4], "replicas": 200, "grid_size": 10**9}})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bpve.cli", "run", cfg, "--threads", "1",
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (2**30, 2**30)))
+    assert proc.returncode == 0, proc.stderr
+    spread = json.loads((tmp_path / "o" / "results.json").read_text()
+                        )["path_spread"]
+    assert [row["n"] for row in spread] == [4]

@@ -12,8 +12,8 @@ from bpve.conditions import (fractional_variance_series,
                              tightness_diagnostic, variance_series)
 from bpve.distributions import (NotApplicableError, OffspringDistribution,
                                 PhiFunction)
-from bpve.environment import (EnvironmentSpec, PRESETS, QuenchedEnvironment,
-                              quench)
+from bpve.environment import (EnvironmentSpec, Mixer, PRESETS,
+                              QuenchedEnvironment, quench)
 from bpve.streams import substream
 
 
@@ -208,7 +208,8 @@ def test_jagers_not_applicable():
     # assembled by hand rather than through quench
     sure = OffspringDistribution.finite_pmf([0.0, 1.0])
     dead = OffspringDistribution.finite_pmf([1.0])
-    env = QuenchedEnvironment((sure, dead), np.array([0, 1, 0]), np.zeros(4))
+    env = QuenchedEnvironment((sure, dead), np.array([0, 1, 0]), np.zeros(4),
+                              np.zeros(3))
     rep = jagers_sum(env)
     assert rep.verdict == "inconclusive"
     assert rep.detail.get("not_applicable")
@@ -442,3 +443,30 @@ def test_per_law_checks_match_per_generation_loops(monkeypatch, env, check,
     # one call per distinct law, in order of first occurrence, and none for
     # a law first seen after the generation a check stopped at
     assert got_calls == list(dict.fromkeys(want_calls))
+
+
+GAUSSIAN_MIXER = Mixer("gaussian_logmean_geometric", mu=0.1, sigma=0.3)
+
+
+@pytest.mark.parametrize("env", [
+    # one law per generation, or per block: a window holds few of the table's
+    quench(EnvironmentSpec.iid_random(GAUSSIAN_MIXER), 5, 400),
+    quench(EnvironmentSpec.cooling(GAUSSIAN_MIXER), 5, 400),
+    quench(PRESETS["supercritical_mu0.2"](), 3, 400),
+], ids=["iid_gaussian", "cooling_gaussian", "iid_finite"])
+@pytest.mark.parametrize("lo,hi", [(0, None), (0, 1), (37, 38), (37, 120),
+                                   (150, None), (399, None), (5, 5)])
+def test_windowed_map_laws_match_per_generation_calls(env, lo, hi):
+    laws = env.dists[lo:hi]
+    want = np.array([d.normalized_variance for d in laws], dtype=float)
+    threshold = float(np.median(want)) if len(want) else 0.0
+    end = next((j + 1 for j, v in enumerate(want) if v > threshold),
+               len(want))
+    for stop, stop_at in ((None, len(want)), (lambda v: v > threshold, end)):
+        calls = []
+        got = env.map_laws(lambda d: calls.append(d) or d.normalized_variance,
+                           lo, hi, stop)
+        assert got.tobytes() == want[:stop_at].tobytes()
+        # one call per law, in order of first generation in the window
+        assert [id(d) for d in calls] == list(
+            dict.fromkeys(map(id, laws[:stop_at])))

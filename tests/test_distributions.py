@@ -148,11 +148,11 @@ def test_zero_parent_rows_match_positive_rows_alone(kind):
     # stream where, drawing them alone would
     parents = np.array([0, 3, 0, 17, 1, 0, 250, 4000, 2, 0], dtype=np.int64)
     pos = parents > 0
-    q = np.linspace(0.2, 0.7, len(parents))
+    mean = np.linspace(0.25, 2.5, len(parents))
 
     def law(rows):
         if kind == "geometric_rows":
-            return distributions.GeometricRows(q[rows])
+            return distributions.GeometricRows(mean[rows])
         return TOTALS_LAWS[kind]
 
     mixed_rng, alone_rng = substream(31, 0), substream(31, 0)
@@ -287,9 +287,12 @@ def test_geometric_laws_share_one_int64_rule():
                10**12]
     laws = [OffspringDistribution.geometric(m) for m in means]
     pairs = [(law, n) for law in laws for n in parents]
+    rows = distributions.GeometricRows(
+        np.array([law.params["mean"] for law, _ in pairs]))
     q = np.array([law._q for law, _ in pairs])
+    assert rows.q.tobytes() == q.tobytes()
     n = np.array([n for _, n in pairs], dtype=np.int64)
-    got = distributions.GeometricRows(q).overflow_rows(n)
+    got = rows.overflow_rows(n)
     want = [law.overflow_rows(np.array([k], dtype=np.int64)) is not None
             for law, k in pairs]
     assert got.tolist() == want
@@ -575,6 +578,21 @@ def test_config_rejects_unknown_keys():
         OffspringDistribution.from_config({"kind": "nope"})
     with pytest.raises(ValueError):
         OffspringDistribution.from_config({"mean": 1.0})
+
+
+@pytest.mark.parametrize("kind,params,key", [
+    ("geometric", {"mean": 2.0, "extra": 1}, "extra"),
+    ("power_law_tail", {"alpha": 0.5, "p0": 0.2, "q": 0.5}, "q"),
+    ("geometric", {}, "mean"),
+    ("linear_fractional", {"p0": 0.2}, "q"),
+    ("finite_pmf", {"weights": [1.0]}, "weights"),
+])
+def test_family_keys_are_checked_by_the_constructor(kind, params, key):
+    # a stray key used to be accepted, and a missing one raised KeyError
+    with pytest.raises(ValueError, match=f"keys: .*'{key}'"):
+        OffspringDistribution(kind, **params)
+    with pytest.raises(ValueError, match=f"keys: .*'{key}'"):
+        OffspringDistribution.from_config({"kind": kind, **params})
 
 
 def test_invalid_parameters_rejected():

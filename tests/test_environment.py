@@ -113,6 +113,16 @@ def test_shifted_environment():
     assert sh.s[5] == pytest.approx(env.s[15] - env.s[10], abs=1e-12)
 
 
+def test_shifted_environment_keeps_the_log_means():
+    # the log-means were re-derived as differences of the re-summed S,
+    # which moved most of them in the last bits
+    env = quench(PRESETS["supercritical_mu0.2"](), 3, 500)
+    for k in (1, 50, 499):
+        sh = env.shifted(k)
+        assert sh.xi.tobytes() == env.xi[k:].tobytes()
+        assert sh.s.tobytes() == environment._kahan_cumsum(env.xi[k:]).tobytes()
+
+
 def test_quench_horizon_guard():
     spec = PRESETS["critical_two_point"]()
     with pytest.raises(ValueError):

@@ -117,6 +117,15 @@ def test_halving_bound_refuses_heavy_tail():
         mc_halving_bound(env, 64, 0, 50, 100, 1)
 
 
+def test_halving_bound_refuses_a_short_environment(gw_dist):
+    # the budget reads generations up to start + horizon + 1; a shorter
+    # environment used to give a silently shorter run
+    env = quench(EnvironmentSpec.constant(gw_dist), 1, 300)
+    with pytest.raises(ValueError, match="exceeds environment horizon"):
+        mc_halving_bound(env, 64, 50, 300, 100, 1)
+    assert mc_halving_bound(env, 64, 50, 249, 100, 1).estimate.replicas == 100
+
+
 def test_flt_spread_shrinks(gw_dist):
     env = quench(EnvironmentSpec.constant(gw_dist), 1, 260)
     out = mc_flt_discrepancy(env, [64, 256], 15000, 14, threads=4)

@@ -2,9 +2,9 @@
 that the benchmark's per-layer hooks still find every call boundary.  Also
 static checks of the source: no module imports scipy, only ``cli`` defines
 the output format, one call site runs the population loop, one mixer rule
-turns random-environment draws into laws, one report function certifies
-every damped condition series, and one environment method evaluates a
-function once per law."""
+turns random-environment draws into laws (the simulation kernel builds
+none), one report function certifies every damped condition series, and
+one environment method evaluates a function once per law."""
 
 import ast
 import json
@@ -144,6 +144,17 @@ def test_one_mixer_rule_draws_every_environment():
                 f"{path.name}:{node.lineno} reads a mixer's .{attr}"
     assert sorted(calls) == [("searchsorted", "environment.py", "Mixer"),
                              ("standard_normal", "environment.py", "Mixer")]
+
+
+def test_geometric_laws_of_gaussian_draws_are_built_outside_the_kernel():
+    # Mixer.sample returns a Gaussian draw's mean and GeometricRows owns
+    # its q and its refusal, so the simulation kernel computes neither
+    tree = ast.parse((ROOT / "src" / "bpve" / "simulate.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            assert name not in ("exp", "geometric"), \
+                f"simulate.py:{node.lineno} calls {ast.unparse(node.func)}"
 
 
 def test_one_report_path_for_every_damped_series():

@@ -90,3 +90,13 @@ def test_path_functional_grid(gw_env_short):
     assert np.array_equal(path, full[:, idx])
     with pytest.raises(ValueError):
         stretched_indices(n, [1.5])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 64, 1000, 4097, 99991])
+def test_stretched_grid_of_n_minus_r_plus_2_points_reads_every_generation(n):
+    # mc_flt_discrepancy caps its grid at n - r + 2 points: from there on a
+    # finer grid reads no further generation
+    r = math.isqrt(n)
+    for size in (n - r + 2, 10 * (n - r)):
+        idx = np.unique(stretched_indices(n, np.linspace(0.0, 1.0, size)))
+        assert idx.tolist() == list(range(r, n + 1)), size
