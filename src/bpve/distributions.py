@@ -288,15 +288,18 @@ def _power_tail_integral(a: float, m: float, log_c: float, sigma: float,
 class OffspringDistribution:
     """One generation's offspring law.  Immutable after construction.
 
-    Cached moment values are built under a once-only lock, so instances are
-    safe to share across concurrent workers.
+    The constructor fixes the closed forms: ``mean``, ``variance`` (``inf``
+    for a power tail with ``alpha <= 1``) and a power tail's totals head.
+    Only certified moments (:meth:`delta_moment`, :meth:`psi_moment`) are
+    cached, under a once-only lock, so instances are safe to share across
+    concurrent workers.
     """
 
     def __init__(self, kind: str, **params):
         self.kind = kind
         self.params = dict(params)
         self._cache: dict = {}
-        # reentrant: computing one cached moment may consult another
+        # reentrant, so computing one cached moment may read another
         self._lock = threading.RLock()
         if kind not in _FAMILY_KEYS:
             raise ValueError(f"unknown offspring family {kind!r}")
@@ -313,6 +316,8 @@ class OffspringDistribution:
                 raise ValueError(f"pmf must sum to 1 within 1e-12, got {pmf.sum()!r}")
             self._pmf = pmf / pmf.sum()
             self._ks = np.arange(len(pmf), dtype=np.int64)
+            self.mean = float(np.dot(self._pmf, self._ks))
+            self.variance = float(np.dot(self._pmf, (self._ks - self.mean) ** 2))
         elif kind == "geometric":
             mean = float(params["mean"])
             if not mean > 0:
@@ -321,17 +326,21 @@ class OffspringDistribution:
             if not self._q < 1.0:
                 raise ValueError(f"geometric mean {mean!r} too large: "
                                  "q = mean/(1+mean) rounds to 1")
+            self.mean = self._q / (1.0 - self._q)
+            self.variance = self._q / (1.0 - self._q) ** 2
         elif kind == "poisson":
             lam = float(params["lam"])
             if not 0 < lam < math.inf:
                 raise ValueError("poisson rate lam must be positive and finite, "
                                  f"got {lam!r}")
-            self._lam = lam
+            self._lam = self.mean = self.variance = lam
         elif kind == "linear_fractional":
             p0, q = float(params["p0"]), float(params["q"])
             if not (0 <= p0 < 1) or not (0 <= q < 1):
                 raise ValueError("linear_fractional needs p0 in [0,1), q in [0,1)")
             self._p0, self._q = p0, q
+            m = self.mean = (1.0 - p0) / (1.0 - q)
+            self.variance = (1.0 - p0) * (1.0 + q) / (1.0 - q) ** 2 - m * m
         elif kind == "power_law_tail":
             alpha, p0 = float(params["alpha"]), float(params["p0"])
             if not 0 < alpha < math.inf:
@@ -344,10 +353,16 @@ class OffspringDistribution:
             if not (0 <= p0 < 1):
                 raise ValueError("head mass p0 must be in [0,1)")
             self._alpha, self._p0 = alpha, p0
-            # Normalization of the k^{-(2+alpha)} tail: zeta(2 + alpha),
-            # within 2 ulp by Euler-Maclaurin summation.
-            self._zeta_norm = zeta(2.0 + alpha)
-            self._c = (1.0 - p0) / self._zeta_norm
+            # c normalizes the k^{-(2+alpha)} tail by zeta(2 + alpha), within
+            # 2 ulp by Euler-Maclaurin summation; E X = c zeta(1 + alpha)
+            self._c = (1.0 - p0) / zeta(2.0 + alpha)
+            m = self.mean = self._c * zeta(1.0 + alpha)
+            self.variance = (math.inf if alpha <= 1.0 else
+                             self._c * zeta(alpha) - m * m)
+            # P(X = k) for k <= _TOTALS_HEAD, then P(X > _TOTALS_HEAD)
+            self._head_pvals = np.append(
+                self.pmf_vector(np.arange(_TOTALS_HEAD + 1)),
+                self._c * zeta(2.0 + alpha, _TOTALS_HEAD + 1.0))
 
     # -- identity / serialization ------------------------------------------
 
@@ -410,40 +425,6 @@ class OffspringDistribution:
             if key not in self._cache:
                 self._cache[key] = compute()
             return self._cache[key]
-
-    @property
-    def mean(self) -> float:
-        def compute():
-            if self.kind == "finite_pmf":
-                return float(np.dot(self._pmf, self._ks))
-            if self.kind == "geometric":
-                return self._q / (1.0 - self._q)
-            if self.kind == "poisson":
-                return self._lam
-            if self.kind == "linear_fractional":
-                return (1.0 - self._p0) / (1.0 - self._q)
-            # power_law_tail: c * sum k^{-(1+alpha)}
-            return self._c * zeta(1.0 + self._alpha)
-        return self._cached("mean", compute)
-
-    @property
-    def variance(self) -> float:
-        def compute():
-            m = self.mean
-            if self.kind == "finite_pmf":
-                return float(np.dot(self._pmf, (self._ks - m) ** 2))
-            if self.kind == "geometric":
-                return self._q / (1.0 - self._q) ** 2
-            if self.kind == "poisson":
-                return self._lam
-            if self.kind == "linear_fractional":
-                ex2 = (1.0 - self._p0) * (1.0 + self._q) / (1.0 - self._q) ** 2
-                return ex2 - m * m
-            if self._alpha <= 1.0:
-                return math.inf
-            ex2 = self._c * zeta(self._alpha)
-            return ex2 - m * m
-        return self._cached("variance", compute)
 
     @property
     def log_mean(self) -> float:
@@ -535,13 +516,11 @@ class OffspringDistribution:
                           rng: np.random.Generator) -> np.ndarray:
         """Composition sampler (L. Devroye, *Non-Uniform Random Variate
         Generation*, 1986): one multinomial per row over the offspring
-        counts ``0.._TOTALS_HEAD`` and the event ``X > _TOTALS_HEAD``, then
-        the counts of that event one by one.  A float shadow of every total
-        catches an int64 sum that would wrap."""
-        pvals = self._cached("totals_head", lambda: np.append(
-            self.pmf_vector(np.arange(_TOTALS_HEAD + 1)),
-            self._c * zeta(2.0 + self._alpha, _TOTALS_HEAD + 1.0)))
-        counts = rng.multinomial(n, pvals)
+        counts ``0.._TOTALS_HEAD`` and the event ``X > _TOTALS_HEAD``, whose
+        probabilities the constructor fixed, then the counts of that event
+        one by one.  A float shadow of every total catches an int64 sum that
+        would wrap."""
+        counts = rng.multinomial(n, self._head_pvals)
         ks = np.arange(_TOTALS_HEAD + 1, dtype=np.int64)
         head = counts[:, :-1]
         totals = head @ ks
@@ -702,7 +681,9 @@ class OffspringDistribution:
                 f"of more than {_MOMENT_HEAD_MAX} terms")
         total = head(0, cut + 1)
         while math.isfinite(total):
-            rest, err = self._remainder(cut, term_sum, upow, logpow, scale)
+            rest, err = self._remainder(
+                cut, term_sum, upow, logpow, scale,
+                min(math.ulp(total) / 2, tol * max(1.0, total)))
             value = total + rest
             if err <= tol * max(1.0, value):
                 return value
@@ -716,11 +697,17 @@ class OffspringDistribution:
         return total
 
     def _remainder(self, cut: int, term_sum, upow: float, logpow: float,
-                   scale: float):
+                   scale: float, negligible: float):
         """An estimate of ``sum_{k > cut} f(k)`` and a certified bound on its
         error, for ``cut >= 2m``.
 
-        Power tail: ``int_{K+1/2}^inf f`` (:func:`_power_tail_integral`)
+        Power tail: 0 when a crude bound on the rest is below ``negligible``
+        (half an ulp of the head sum, so adding the rest could not move it,
+        and within the tolerance).  As ``u <= k/m`` and ``log(1 + x) <= x``,
+        each term is at most ``e^log_c s^logpow m^-(upow + logpow) k^-beta``,
+        ``beta = sigma - upow - logpow``, so for ``beta > 1`` the rest is at
+        most that constant times ``K^(1 - beta) / (beta - 1)``, taken in logs.
+        Otherwise ``int_{K+1/2}^inf f`` (:func:`_power_tail_integral`)
         plus the Euler-Maclaurin correction ``f'(K+1/2)/24``, with the
         quadrature's error estimate plus :func:`_remainder_bound`.
 
@@ -737,9 +724,16 @@ class OffspringDistribution:
             return 0.0, (term_sum(np.array([cut])) * rho / (1.0 - rho)
                          if rho < 1.0 else math.inf)
         sigma, a = 2.0 + self._alpha, cut + 0.5
-        tail, q_err, af = _power_tail_integral(
-            a, m, math.log(self._c) + (upow - 1.0) * math.log(scale), sigma,
-            upow, logpow, scale)
+        log_c = math.log(self._c) + (upow - 1.0) * math.log(scale)
+        beta = sigma - upow - logpow
+        if beta > 1.0 and negligible > 0.0:
+            log_bound = (log_c + logpow * math.log(scale)
+                         - (upow + logpow) * math.log(m)
+                         + (1.0 - beta) * math.log(cut) - math.log(beta - 1.0))
+            if log_bound < math.log(negligible):
+                return 0.0, math.exp(log_bound)
+        tail, q_err, af = _power_tail_integral(a, m, log_c, sigma, upow,
+                                               logpow, scale)
         u = a / m - 1.0
         slope = -sigma / a + upow / (m * u)  # f'(a) / f(a)
         if logpow:

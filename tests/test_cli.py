@@ -295,6 +295,15 @@ TINY_ALPHA = {"kind": "power_law_tail", "alpha": 1e-9, "p0": 0.2}
     ({"kind": "constant",
       "dist": {"kind": "power_law_tail", "alpha": 1e300, "p0": 0.2}},
      {"series": "variance", "horizon": 5}, 0, ""),
+    # the moment remainder's Euler-Maclaurin factor overflowed from alpha
+    # 3e6, and at 1e300 its tail quadrature warned: "resource error", exit 3
+    ({"kind": "constant",
+      "dist": {"kind": "power_law_tail", "alpha": 3e6, "p0": 0.2}},
+     {"series": "fractional_variance", "delta": 0.25, "horizon": 20}, 0, ""),
+    ({"kind": "constant",
+      "dist": {"kind": "power_law_tail", "alpha": 1e300, "p0": 0.2}},
+     {"series": "psi", "phi": {"power": 0.5, "log_power": 1}, "horizon": 20},
+     0, ""),
 ])
 def test_extreme_laws_end_in_documented_exit_codes(tmp_path, capsys,
                                                    environment, params, code,

@@ -48,7 +48,9 @@ def offspring(draw):
         return {"kind": kind, "lam": draw(st.floats(0.0, 4.0))}
     if kind == "linear_fractional":
         return {"kind": kind, "p0": draw(unit), "q": draw(unit)}
-    return {"kind": kind, "alpha": draw(st.floats(0.2, 2.5)),
+    # log-uniform over [1e-15, 1e300]: every power law evaluates its zeta
+    # values and totals head when it is built
+    return {"kind": kind, "alpha": 10.0 ** draw(st.floats(-15.0, 300.0)),
             "p0": draw(unit)}
 
 

@@ -12,6 +12,8 @@ from scipy import integrate, special, stats
 from bpve import distributions
 from bpve.distributions import (NotApplicableError, OffspringDistribution,
                                 PhiFunction, PopulationOverflowError)
+from bpve.numerics import zeta
+from bpve.simulate import log_switch_threshold
 from bpve.streams import substream
 from oracles import sample, sample_generation_total
 
@@ -73,6 +75,108 @@ def test_power_law_finite_variance_branch():
     ks = np.arange(0, 10**6)
     pv = d.pmf_vector(ks)
     assert pv.sum() == pytest.approx(1.0, abs=1e-4)
+
+
+CLOSED_FORM_LAWS = [
+    pytest.param({"kind": "finite_pmf", "pmf": [0.1, 0.2, 0.3, 0.4]},
+                 id="finite_pmf"),
+    pytest.param({"kind": "geometric", "mean": 1.3}, id="geometric"),
+    pytest.param({"kind": "poisson", "lam": 1.7}, id="poisson"),
+    pytest.param({"kind": "linear_fractional", "p0": 0.3, "q": 0.45},
+                 id="linear_fractional"),
+    pytest.param({"kind": "power_law_tail", "alpha": 0.5, "p0": 0.2},
+                 id="power_law_tail_0.5"),
+    pytest.param({"kind": "power_law_tail", "alpha": 1.5, "p0": 0.1},
+                 id="power_law_tail_1.5"),
+]
+
+
+def closed_forms(cfg):
+    """Mean and variance by each family's closed form, in the operations
+    and order the law's moments have always used."""
+    kind = cfg["kind"]
+    if kind == "finite_pmf":
+        pmf = np.asarray(cfg["pmf"], dtype=float)
+        pmf, ks = pmf / pmf.sum(), np.arange(len(pmf), dtype=np.int64)
+        m = float(np.dot(pmf, ks))
+        return m, float(np.dot(pmf, (ks - m) ** 2))
+    if kind == "geometric":
+        q = cfg["mean"] / (1.0 + cfg["mean"])
+        return q / (1.0 - q), q / (1.0 - q) ** 2
+    if kind == "poisson":
+        return cfg["lam"], cfg["lam"]
+    p0 = cfg["p0"]
+    if kind == "linear_fractional":
+        q = cfg["q"]
+        m = (1.0 - p0) / (1.0 - q)
+        return m, (1.0 - p0) * (1.0 + q) / (1.0 - q) ** 2 - m * m
+    alpha = cfg["alpha"]
+    c = (1.0 - p0) / zeta(2.0 + alpha)
+    m = c * zeta(1.0 + alpha)
+    return m, math.inf if alpha <= 1.0 else c * zeta(alpha) - m * m
+
+
+@pytest.mark.parametrize("cfg", CLOSED_FORM_LAWS)
+def test_closed_forms_are_fixed_at_construction(cfg):
+    d = OffspringDistribution.from_config(cfg)
+    assert {"mean", "variance"} <= set(vars(d))
+    assert (d.mean, d.variance) == closed_forms(cfg)  # bitwise
+
+
+@pytest.mark.parametrize("cfg", CLOSED_FORM_LAWS)
+def test_kernel_reads_leave_the_moment_cache_empty(cfg):
+    d = OffspringDistribution.from_config(cfg)
+    parents = np.array([0, 1, 5, 300], dtype=np.int64)
+    assert d.overflow_rows(parents) is None
+    d.sample_generation_totals(parents, np.random.default_rng(3))
+    log_switch_threshold(d)
+    d.log_mean, d.normalized_variance
+    assert d._cache == {}
+
+
+@pytest.mark.parametrize("alpha", [1e6, 3e6, 1e7, 1e300])
+def test_huge_alpha_moments_equal_the_two_point_law(alpha):
+    # P(X >= 2) rounds to 0, so the law is P(X=0) = 0.2, P(X=1) = 0.8; from
+    # alpha 3e6 the remainder's Euler-Maclaurin factor overflowed, and at
+    # 1e300 the tail quadrature warned
+    d = OffspringDistribution.power_law_tail(alpha=alpha, p0=0.2)
+    two_point = OffspringDistribution.finite_pmf([0.2, 0.8])
+    phi = PhiFunction(power=0.5, log_power=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert d.delta_moment(0.25, tol=1e-12) \
+            == two_point.delta_moment(0.25, tol=1e-12)
+        assert d.psi_moment(phi, 0.3, tol=1e-12) \
+            == two_point.psi_moment(phi, 0.3, tol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 5.0, 8.0, 1e3])
+def test_negligible_power_tail_rest_keeps_the_refined_sum(monkeypatch, alpha):
+    # where the crude bound on the rest is below half an ulp of the head,
+    # the rest is 0; the refined estimate gives the same bits (from about
+    # alpha 5 the shortcut serves some of these moments, from 8 all)
+    moments = [lambda d, x=delta: d.delta_moment(x, tol=1e-12)
+               for delta in (0.25, 0.5, 1.0)] + [
+        lambda d, f=phi, x=s: d.psi_moment(f, x, tol=1e-12) for phi, s in [
+            (PhiFunction(power=0.5, log_power=1.0), 1.0),
+            (PhiFunction(log_power=2.0), 0.3),
+            (PhiFunction(power=1.0, log_power=0.5), 7.0)]]
+    laws = [OffspringDistribution.power_law_tail(alpha=alpha, p0=p0)
+            for p0 in (0.0, 0.7)]
+    integrals = []
+    integral = distributions._power_tail_integral
+    monkeypatch.setattr(distributions, "_power_tail_integral",
+                        lambda *a: integrals.append(a) or integral(*a))
+    values = [f(d) for d in laws for f in moments]
+    quick = len(integrals)
+    remainder = OffspringDistribution._remainder
+    monkeypatch.setattr(OffspringDistribution, "_remainder",
+                        lambda *a: remainder(*a[:-1], 0.0))
+    laws = [OffspringDistribution.power_law_tail(alpha=alpha, p0=p0)
+            for p0 in (0.0, 0.7)]
+    assert [f(d) for d in laws for f in moments] == values
+    assert len(integrals) - quick == len(values)
+    assert (quick < len(values)) == (alpha >= 5.0)
 
 
 # ------------------------------------------------------------------- sampling
