@@ -213,7 +213,7 @@ def _remainder_bound(a: float, integral: float, sigma: float, upow: float,
     Leibniz gives ``|f''''| <= b4 f x^-4``.  Across one cell ``f`` changes by
     at most ``lam = (1 + 1/a)^max(sigma, rho (upow + logpow))``, so the cell
     maximum is at most ``lam`` times the cell integral, and the sum is at
-    most ``b4 lam a^-4 I``.
+    most ``b4 lam a^-4 I``; ``inf`` where ``lam a^-4`` overflows a float.
     """
     rho = a / (a - m)
 
@@ -228,8 +228,13 @@ def _remainder_bound(a: float, integral: float, sigma: float, upow: float,
                                    * math.factorial(4 - i - j))
              * r_pow[i] * r_dev[j] * r_log[4 - i - j]
              for i in range(5) for j in range(5 - i))
-    lam = (1.0 + 1.0 / a) ** max(sigma, rho * (upow + logpow))
-    return (1.0 / 576.0 + 1.0 / 1920.0) * b4 * lam * integral / a**4
+    # lam a^-4 in logs: lam alone overflows from sigma ~ 3e6 at a = 4096
+    try:
+        scale = math.exp(max(sigma, rho * (upow + logpow))
+                         * math.log1p(1.0 / a) - 4.0 * math.log(a))
+    except OverflowError:
+        return math.inf  # no float bound here: the caller grows the head
+    return (1.0 / 576.0 + 1.0 / 1920.0) * b4 * scale * integral
 
 
 def _power_tail_integral(a: float, m: float, log_c: float, sigma: float,

@@ -353,7 +353,8 @@ class ResourceWarningError(MemoryError):
     """A size beyond a fixed in-memory budget."""
 
 
-# every per-replica array a run keeps must fit in memory
+# a run's per-replica memory, one result array plus the blocks in flight,
+# must fit in memory: at 8 bytes a value, 0.8 GB per value kept per replica
 MAX_REPLICAS = 10**8
 
 

@@ -7,8 +7,10 @@ per-replica array the estimator needs.  ``R`` replicas are split into
 ``nb = min(R, 2 * ceil(R / (2 * DEFAULT_BLOCK)))`` blocks, block ``b``
 holding ``R*(b+1)//nb - R*b//nb`` of them: an even number of blocks (one
 when ``R`` is 1) whose sizes differ by at most one, so two workers get
-equal shares.  Parts are concatenated in block order, so results depend on
-``(master_seed, replicas)`` and never on the worker count.  A replica is
+equal shares.  Each block writes its part into its own rows of one result
+array, ``replicas*b//nb`` on, so results depend on ``(master_seed,
+replicas)`` and never on the worker count, and a run's per-replica memory
+is that one result array plus the blocks in flight.  A replica is
 alive when ``log W > -inf`` (``Z_n > 0``), decided before any ``exp``: the
 ``W`` of a live replica can underflow to 0.
 
@@ -21,6 +23,7 @@ reproduction randomness.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -70,8 +73,14 @@ class McEstimate:
 
     @classmethod
     def sample_mean(cls, x: np.ndarray, seed: int) -> "McEstimate":
-        return cls(float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x))),
-                   len(x), seed)
+        """Mean of ``x`` and its standard error, bit for bit ``x.mean()``
+        and ``x.std(ddof=1) / sqrt(len(x))``.  Overwrites ``x``: the
+        deviations are squared in place rather than in a copy."""
+        n, m = len(x), x.mean()
+        x -= m
+        x *= x
+        return cls(float(m), math.sqrt(x.sum() / (n - 1)) / math.sqrt(n),
+                   n, seed)
 
 
 @dataclass
@@ -109,6 +118,10 @@ class ConditionedSummary:
 
 # -- block engine -----------------------------------------------------------
 
+def _block_count(replicas: int, block: int) -> int:
+    return min(replicas, 2 * -(-replicas // (2 * block)))
+
+
 def _map_blocks(replicas: int, block: int, fn, threads: Optional[int]):
     """Apply ``fn(block_index, block_size)`` to every block; merge in index
     order.  The blocks are an even number (one for a single replica) of at
@@ -120,7 +133,7 @@ def _map_blocks(replicas: int, block: int, fn, threads: Optional[int]):
     if replicas > MAX_REPLICAS:
         raise ResourceWarningError(f"{replicas} replicas exceed the "
                                    f"in-memory budget ({MAX_REPLICAS})")
-    nb = min(replicas, 2 * -(-replicas // (2 * block)))
+    nb = _block_count(replicas, block)
     sizes = [(b, replicas * (b + 1) // nb - replicas * b // nb)
              for b in range(nb)]
     if threads is None or threads <= 1 or len(sizes) == 1:
@@ -133,13 +146,27 @@ def _run_blocks(make_laws, z0: int, n: int, record: Sequence[int],
                 replicas: int, seed: int, threads: Optional[int], reduce,
                 low: bool = False) -> np.ndarray:
     """``reduce(block)`` of every block of ``replicas`` replicas run for
-    ``n`` generations, concatenated in block order; block ``b`` takes its
-    laws from ``make_laws(b, size)``."""
-    def run(b, sz):
-        return reduce(simulate_block(make_laws(b, sz), z0, n, sz,
-                                     substream(seed, b), record, low))
+    ``n`` generations, in one array of shape ``(replicas,) + per-replica
+    shape``; block ``b`` takes its laws from ``make_laws(b, size)`` and
+    writes its part into rows ``replicas*b//nb`` on.  The array is
+    allocated by the first block reduced, after :func:`_map_blocks` has
+    checked the replica count, so a run holds that one array plus the
+    blocks in flight."""
+    nb, lock = _block_count(replicas, DEFAULT_BLOCK), threading.Lock()
+    out = None
 
-    return np.concatenate(_map_blocks(replicas, DEFAULT_BLOCK, run, threads))
+    def run(b, sz):
+        nonlocal out
+        part = reduce(simulate_block(make_laws(b, sz), z0, n, sz,
+                                     substream(seed, b), record, low))
+        with lock:
+            if out is None:
+                out = np.empty((replicas,) + part.shape[1:], part.dtype)
+        start = replicas * b // nb
+        out[start:start + sz] = part
+
+    _map_blocks(replicas, DEFAULT_BLOCK, run, threads)
+    return out
 
 
 def _quenched(env: QuenchedEnvironment, n: int):
@@ -168,7 +195,7 @@ def mc_survival(env: QuenchedEnvironment, z0: int, n: int, replicas: int,
     """Fraction of replicas still alive at generation ``n``."""
     return McEstimate.proportion(_run_blocks(
         _quenched(env, n), z0, n, [n], replicas, seed, threads,
-        lambda block: block.log_w[:, 0]) > -np.inf, seed)
+        lambda block: block.log_w[:, 0] > -np.inf), seed)
 
 
 def mc_w_positivity(env: QuenchedEnvironment, z0: int, n: int,
@@ -188,7 +215,7 @@ def mc_w_positivity(env: QuenchedEnvironment, z0: int, n: int,
     log_w = _run_blocks(_quenched(env, n), z0, n, [n], replicas, seed,
                         threads, lambda block: block.log_w[:, 0])
     surv = McEstimate.proportion(log_w > -np.inf, seed)
-    w = np.exp(log_w)
+    w = np.exp(log_w, out=log_w)
     above = {eps: McEstimate.proportion(w > eps, seed) for eps in eps_grid}
     window, value = _find_plateau(eps_grid, above)
     gap = None if value is None else surv.value - value
@@ -245,7 +272,10 @@ def mc_increment_covariance(env: QuenchedEnvironment, k: int, n: int, m: int,
     # collect_w merges the two earlier generations when m = 1
     w = collect_w(env, k, [n, n + m - 1, n + m], replicas, seed, threads)
     x, y = w[:, -1] - w[:, -2], w[:, -2] - w[:, 0]
-    return McEstimate.sample_mean((x - x.mean()) * (y - y.mean()), seed)
+    x -= x.mean()
+    y -= y.mean()
+    x *= y
+    return McEstimate.sample_mean(x, seed)
 
 
 def mc_l2_span(env: QuenchedEnvironment, k: int, n: int, m: int,
@@ -313,13 +343,16 @@ def mc_flt_discrepancy(env: QuenchedEnvironment, n_list: Sequence[int],
     check_path_grid(n_list, grid_size)
 
     def path_spread(block):
-        """``sup_t |Y(t) - Y(1)|`` of the block's replicas alive at n."""
+        """``sup_t |Y(t) - Y(1)|`` of each of the block's replicas, and -1,
+        which no spread can be, for those not alive at n."""
         w = block.log_w
         alive = w[:, -1] > -np.inf
         np.exp(w, out=w)
         # a copied column: an operand overlapping w makes numpy copy all of w
         w -= w[:, -1:].copy()
-        return np.abs(w, out=w).max(axis=1)[alive]
+        spread = np.abs(w, out=w).max(axis=1)
+        spread[~alive] = -1.0
+        return spread
 
     out = []
     for li, n in enumerate(sorted(int(x) for x in n_list)):
@@ -328,6 +361,7 @@ def mc_flt_discrepancy(env: QuenchedEnvironment, n_list: Sequence[int],
         idx = np.unique(stretched_indices(n, grid)).tolist()
         spread = _run_blocks(_quenched(env, idx[-1]), 1, idx[-1], idx,
                              replicas, seed + li, threads, path_spread)
+        spread = spread[spread != -1.0]  # a NaN spread is kept
         out.append(PathSpreadSummary(n, len(spread),
                                      *_median_and_quantile(spread, 0.9)))
     return out

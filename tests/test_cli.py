@@ -300,6 +300,12 @@ TINY_ALPHA = {"kind": "power_law_tail", "alpha": 1e-9, "p0": 0.2}
     ({"kind": "constant",
       "dist": {"kind": "power_law_tail", "alpha": 3e6, "p0": 0.2}},
      {"series": "fractional_variance", "delta": 0.25, "horizon": 20}, 0, ""),
+    # with tol * 1e-3 = 0 no rest is negligible, and that factor overflowed
+    # at the first head: "resource error", exit 3
+    ({"kind": "constant",
+      "dist": {"kind": "power_law_tail", "alpha": 3e6, "p0": 0.2}},
+     {"series": "fractional_variance", "delta": 0.25, "horizon": 20,
+      "tol": 5e-324}, 0, ""),
     ({"kind": "constant",
       "dist": {"kind": "power_law_tail", "alpha": 1e300, "p0": 0.2}},
      {"series": "psi", "phi": {"power": 0.5, "log_power": 1}, "horizon": 20},

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,53 @@ def test_block_partition_is_even_and_balanced(replicas):
     assert max(sizes) - min(sizes) <= 1
     assert max(sizes) <= estimators.DEFAULT_BLOCK
     assert len(sizes) % 2 == 0 or replicas == 1
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("replicas", [1, 7, 65537, 100000])
+def test_run_blocks_fills_each_row_once_in_block_order(monkeypatch, replicas,
+                                                       threads):
+    # a stand-in kernel hands each block its laws: rows of block b hold b
+    monkeypatch.setattr(estimators, "simulate_block", lambda laws, *_: laws)
+    got = estimators._run_blocks(lambda b, size: np.full(size, b), 1, 0,
+                                 [0], replicas, 0, threads,
+                                 lambda block: block)
+    sizes = estimators._map_blocks(replicas, estimators.DEFAULT_BLOCK,
+                                   lambda b, size: size, threads=1)
+    assert np.array_equal(got, np.repeat(np.arange(len(sizes)), sizes))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 127, 128, 129, 8191, 8192,
+                               8193, 10**5 + 3])
+def test_sample_mean_is_numpy_mean_and_std_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    # mixed magnitudes, with a third of the entries repeating a few values
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
+    x[rng.integers(0, n, n // 3)] = x[rng.integers(0, 2, n // 3)]
+    want = (float(x.mean()), float(x.std(ddof=1) / math.sqrt(n)))
+    est = estimators.McEstimate.sample_mean(x.copy(), 7)
+    assert [v.hex() for v in (est.value, est.std_error)] == \
+        [v.hex() for v in want]
+    assert (est.replicas, est.master_seed) == (n, 7)
+
+
+@pytest.mark.parametrize("run,result_bytes", [
+    pytest.param(lambda env: mc_l2_span(env, 1, 0, 1, 10**6, 3, threads=1),
+                 8 * 10**6, id="l2_span"),
+    pytest.param(lambda env: collect_w(env, 1, [5, 10], 10**6, 3, threads=1),
+                 16 * 10**6, id="collect_w"),
+])
+def test_estimator_peak_memory_is_one_result_array(gw_env200, run,
+                                                   result_bytes):
+    # blocks write into one preallocated result and the statistics reduce
+    # in place, so the peak is that result plus the blocks in flight
+    tracemalloc.start()
+    try:
+        run(gw_env200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * result_bytes
 
 
 def test_collect_w_mean_one(gw_env200):

@@ -1,10 +1,11 @@
 """Checks that run in a fresh interpreter: that runs never load scipy, and
 that the benchmark's per-layer hooks still find every call boundary.  Also
 static checks of the source: no module imports scipy, only ``cli`` defines
-the output format, one call site runs the population loop, one mixer rule
-turns random-environment draws into laws (the simulation kernel builds
-none), one report function certifies every damped condition series, and
-one environment method evaluates a function once per law."""
+the output format, one call site runs the population loop, estimators
+collect per-replica values in one result array, one mixer rule turns
+random-environment draws into laws (the simulation kernel builds none), one
+report function certifies every damped condition series, and one
+environment method evaluates a function once per law."""
 
 import ast
 import json
@@ -121,6 +122,18 @@ def test_one_population_loop_reads_survival_from_log_w():
                 assert not (isinstance(zero, ast.Constant) and zero.value == 0
                             and holds_exp_w(w, names)), \
                     f"estimators.py:{node.lineno} reads {ast.unparse(w)} > 0"
+
+
+def test_estimators_collect_one_result_array():
+    # _run_blocks writes every block into its rows of one preallocated
+    # array and McEstimate.sample_mean squares deviations in place; joined
+    # parts or numpy's std would each copy a whole per-replica array
+    tree = ast.parse((ROOT / "src" / "bpve" / "estimators.py").read_text())
+    calls = [f"estimators.py:{node.lineno} calls {ast.unparse(node.func)}"
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             in ("concatenate", "std")]
+    assert calls == []
 
 
 def test_one_mixer_rule_draws_every_environment():
