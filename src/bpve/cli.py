@@ -50,8 +50,7 @@ def _check_type(value, default, field: str):
     """``value`` must have the JSON type of ``default``: an integer (not a
     boolean) for an int, an integer or float for a float, and the same
     container for a list or an object.  Elements of a nonempty list default
-    are checked against its first element, and entries of an object
-    against the default's entries of the same name."""
+    are checked against its first element."""
     want = type(default)
     ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
           if want is float else type(value) is want)
@@ -61,9 +60,6 @@ def _check_type(value, default, field: str):
     if want is list and default:
         for i, item in enumerate(value):
             _check_type(item, default[0], f"{field}[{i}]")
-    elif want is dict:
-        for key in value.keys() & default.keys():
-            _check_type(value[key], default[key], f"{field}.{key}")
 
 
 def _require(cfg, allowed: dict, context: str, parsers=None) -> dict:

@@ -25,8 +25,8 @@ import numpy as np
 
 from .distributions import NotApplicableError, PhiFunction
 from .numerics import exp_or_inf
-# ``quench`` is not called here but stays bound, like ``substream``: the
-# benchmark's tracer (bench/spans.py) wraps both names in this module
+# the benchmark's tracer (bench/spans.py) wraps ``quench`` and ``substream``
+# in this module, so ``quench`` stays bound though nothing here calls it
 from .environment import (MAX_REPLICAS, EnvironmentSpec,
                           QuenchedEnvironment, ResourceWarningError, quench,
                           quench_many)
@@ -304,9 +304,11 @@ def _log_split_tail(g: float, peak, x: float, mu: float,
     # below threshold: U*phi <= U * log^g(1 + sqrt(w)) <= U * w^{g/2}
     piece1 = _geometric_tail(u_mean, math.exp(-g * x / 2.0), g * mu / 2.0)
     # above threshold: Markov against the higher log-moment; log(1/sqrt(w_j))
-    # grows at least linearly with certified slope mu / 2
+    # grows at least linearly with certified slope mu / 2; a power past the
+    # float range is inf, with no warning
     c0 = x / 2.0
-    return piece1 + m2 * (c0 ** -(1.0 + g) + c0 ** -g / (g * mu / 2.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return piece1 + m2 * (c0 ** -(1.0 + g) + c0 ** -g / (g * mu / 2.0))
 
 
 def increment_variance_series(env: QuenchedEnvironment, start: int = 0,

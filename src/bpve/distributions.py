@@ -213,7 +213,7 @@ def _remainder_bound(a: float, integral: float, sigma: float, upow: float,
     Leibniz gives ``|f''''| <= b4 f x^-4``.  Across one cell ``f`` changes by
     at most ``lam = (1 + 1/a)^max(sigma, rho (upow + logpow))``, so the cell
     maximum is at most ``lam`` times the cell integral, and the sum is at
-    most ``b4 lam a^-4 I``; ``inf`` where ``lam a^-4`` overflows a float.
+    most ``b4 lam a^-4 I``; ``inf`` where ``b4 lam a^-4`` overflows a float.
     """
     rho = a / (a - m)
 
@@ -234,7 +234,8 @@ def _remainder_bound(a: float, integral: float, sigma: float, upow: float,
                          * math.log1p(1.0 / a) - 4.0 * math.log(a))
     except OverflowError:
         return math.inf  # no float bound here: the caller grows the head
-    return (1.0 / 576.0 + 1.0 / 1920.0) * b4 * scale * integral
+    bound = (1.0 / 576.0 + 1.0 / 1920.0) * b4 * scale
+    return bound * integral if bound < math.inf else math.inf  # 0 * inf is NaN
 
 
 def _power_tail_integral(a: float, m: float, log_c: float, sigma: float,
@@ -286,8 +287,10 @@ def _power_tail_integral(a: float, m: float, log_c: float, sigma: float,
             return math.inf
         return float(xf(v)[0]) * math.exp(spread) / rate
 
-    tail, err = graded_quad(xf, beyond)
-    return tail, err, float(xf(0.0)[0])
+    # an integrand past the float range gives NaN; _series_moment refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail, err = graded_quad(xf, beyond)
+        return tail, err, float(xf(0.0)[0])
 
 
 class OffspringDistribution:
@@ -492,7 +495,8 @@ class OffspringDistribution:
         parents = np.asarray(parents, dtype=np.int64)
         if self.overflow_rows(parents) is not None:
             worst = int(parents.max())
-            raise PopulationOverflowError(math.log(worst) + max(self.log_mean, 0.0))
+            raise PopulationOverflowError(math.log(worst)
+                                          + math.log(max(self.mean, 1.0)))
         return _positive_rows(parents, lambda rows: self._positive_totals(
             parents[rows], rng))
 
@@ -690,6 +694,9 @@ class OffspringDistribution:
                 cut, term_sum, upow, logpow, scale,
                 min(math.ulp(total) / 2, tol * max(1.0, total)))
             value = total + rest
+            if math.isnan(value) or math.isnan(err):
+                raise NotApplicableError(f"{self!r}: a moment's remainder "
+                                         f"{rest:.3g}, error bound {err:.3g}")
             if err <= tol * max(1.0, value):
                 return value
             if cut >= _MOMENT_HEAD_MAX:

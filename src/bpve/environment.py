@@ -51,6 +51,11 @@ __all__ = [
 
 MAX_QUENCH_HORIZON = 10**7
 
+_MIXER_KEYS = {
+    "finite": {"dists", "weights"},
+    "gaussian_logmean_geometric": {"mu", "sigma"},
+}
+
 
 class Mixer:
     """A sampling law over offspring distributions (one random-environment
@@ -60,6 +65,9 @@ class Mixer:
 
     def __init__(self, kind: str, **params):
         self.kind = kind
+        if kind not in _MIXER_KEYS:
+            raise ValueError(f"unknown mixer kind {kind!r}")
+        check_keys(params, _MIXER_KEYS[kind], "mixer")
         if kind == "finite":
             dists = list(params["dists"])
             weights = np.asarray(params["weights"], dtype=float)
@@ -80,8 +88,6 @@ class Mixer:
             if not (math.isfinite(self.mu) and 0.0 <= self.sigma < math.inf):
                 raise ValueError("mixer needs a finite mu and a finite sigma "
                                  f">= 0, got {self.mu!r} and {self.sigma!r}")
-        else:
-            raise ValueError(f"unknown mixer kind {kind!r}")
 
     def sample(self, rng: np.random.Generator, size=None):
         """``(xi, law)`` of ``size`` draws (one when ``None``): a finite
@@ -113,14 +119,10 @@ class Mixer:
     def from_config(cls, cfg: dict) -> "Mixer":
         cfg = dict(cfg)
         kind = cfg.pop("kind", None)
-        if kind == "finite":
-            check_keys(cfg, {"dists", "weights"}, "mixer")
-            dists = [OffspringDistribution.from_config(d) for d in cfg["dists"]]
-            return cls("finite", dists=dists, weights=cfg["weights"])
-        if kind == "gaussian_logmean_geometric":
-            check_keys(cfg, {"mu", "sigma"}, "mixer")
-            return cls(kind, **cfg)
-        raise ValueError(f"unknown mixer kind {kind!r}")
+        if kind == "finite" and "dists" in cfg:
+            cfg["dists"] = [OffspringDistribution.from_config(d)
+                            for d in cfg["dists"]]
+        return cls(kind, **cfg)
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,25 @@ class EnvironmentSpec:
     mixer: Optional[Mixer] = None          # iid_random / cooling
     block_lengths: Optional[tuple] = None  # cooling; None means doubling
 
+    def __post_init__(self):
+        if self.kind in ("constant", "explicit_sequence", "periodic"):
+            if not (isinstance(self.dists, tuple) and self.dists and all(
+                    isinstance(d, OffspringDistribution) for d in self.dists)):
+                raise ValueError(f"{self.kind} environment needs a nonempty "
+                                 "tuple of offspring laws")
+        elif self.kind not in ("iid_random", "cooling"):
+            raise ValueError(f"unknown environment kind {self.kind!r}")
+        elif not isinstance(self.mixer, Mixer):
+            raise ValueError(f"{self.kind} environment needs a mixer")
+        bl = self.block_lengths
+        if bl is not None and self.kind != "cooling":
+            raise ValueError(f"{self.kind} environment has no block lengths")
+        if bl is not None and not (isinstance(bl, tuple) and bl and all(
+                type(b) is int and b >= 1 for b in bl)):
+            raise ValueError('cooling schedule must be "doubling" or a nonempty '
+                             f"list of integers >= 1, got "
+                             f"{list(bl) if isinstance(bl, tuple) else bl!r}")
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -140,14 +161,10 @@ class EnvironmentSpec:
 
     @classmethod
     def explicit(cls, dists: Sequence[OffspringDistribution]) -> "EnvironmentSpec":
-        if not dists:
-            raise ValueError("explicit sequence must be nonempty")
         return cls("explicit_sequence", dists=tuple(dists))
 
     @classmethod
     def periodic(cls, dists: Sequence[OffspringDistribution]) -> "EnvironmentSpec":
-        if not dists:
-            raise ValueError("periodic pattern must be nonempty")
         return cls("periodic", dists=tuple(dists))
 
     @classmethod
@@ -156,11 +173,7 @@ class EnvironmentSpec:
 
     @classmethod
     def cooling(cls, mixer: Mixer, block_lengths=None) -> "EnvironmentSpec":
-        if block_lengths is not None:  # None means doubling blocks
-            if not (isinstance(block_lengths, (list, tuple)) and block_lengths
-                    and all(type(b) is int and b >= 1 for b in block_lengths)):
-                raise ValueError('cooling schedule must be "doubling" or a nonempty '
-                                 f"list of integers >= 1, got {block_lengths!r}")
+        if isinstance(block_lengths, list):  # None means doubling blocks
             block_lengths = tuple(block_lengths)
         return cls("cooling", mixer=mixer, block_lengths=block_lengths)
 
@@ -218,9 +231,8 @@ class EnvironmentSpec:
             return cls.constant(OffspringDistribution.from_config(cfg["dist"]))
         if kind in ("explicit_sequence", "periodic"):
             check_keys(cfg, {"dists"}, "environment")
-            dists = [OffspringDistribution.from_config(d) for d in cfg["dists"]]
-            return (cls.explicit if kind == "explicit_sequence"
-                    else cls.periodic)(dists)
+            return cls(kind, dists=tuple(
+                OffspringDistribution.from_config(d) for d in cfg["dists"]))
         if kind == "iid_random":
             check_keys(cfg, {"mixer"}, "environment")
             return cls.iid_random(Mixer.from_config(cfg["mixer"]))

@@ -310,6 +310,22 @@ TINY_ALPHA = {"kind": "power_law_tail", "alpha": 1e-9, "p0": 0.2}
       "dist": {"kind": "power_law_tail", "alpha": 1e300, "p0": 0.2}},
      {"series": "psi", "phi": {"power": 0.5, "log_power": 1}, "horizon": 20},
      0, ""),
+    # the pure-log psi tail's powers of x / 2 overflowed in numpy: a warning,
+    # and an inconclusive verdict only without -W error
+    ({"kind": "constant", "dist": {"kind": "geometric", "mean": 1.0001}},
+     {"series": "psi", "phi": {"log_power": 100}, "horizon": 8}, 0, ""),
+    ({"kind": "constant", "dist": {"kind": "geometric", "mean": 1.01}},
+     {"series": "psi", "phi": {"log_power": 150}, "horizon": 8}, 0, ""),
+    # the tail quadrature's integrand overflowed: a NaN error bound, which
+    # grew the head to 2^22 terms before the refusal; the first row's terms
+    # fit a float, but its tail's log-moment of power 201 does not
+    ({"preset": "heavy_tail_supercritical"},
+     {"series": "psi", "phi": {"log_power": 100}, "horizon": 8}, 4,
+     "power_law_tail, alpha=0.5, p0=0.2): a moment's remainder inf"),
+    ({"preset": "heavy_tail_supercritical"},
+     {"series": "psi", "phi": {"power": 0.001, "log_power": 200},
+      "horizon": 8}, 4,
+     "power_law_tail, alpha=0.5, p0=0.2): a moment's remainder inf"),
 ])
 def test_extreme_laws_end_in_documented_exit_codes(tmp_path, capsys,
                                                    environment, params, code,
@@ -565,6 +581,33 @@ def test_whole_range_series_refuse_start(tmp_path, capsys, series):
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "params(conditions): start" in capsys.readouterr().err
     assert not (tmp_path / "o" / "results.json").exists()
+
+
+def test_unknown_conditions_series_is_schema_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "experiment": "conditions",
+        "environment": {"preset": "heavy_tail_supercritical"},
+        "params": {"series": "nope", "horizon": 5}})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "params(conditions): series must be one of" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.json").exists()
+
+
+def test_flt_without_survivors_writes_nan_quantiles(tmp_path):
+    # every replica of this subcritical law dies within 16 generations
+    cfg = write_config(tmp_path, {
+        "experiment": "flt",
+        "environment": {"kind": "constant",
+                        "dist": {"kind": "finite_pmf", "pmf": [0.9, 0.1]}},
+        "params": {"n_list": [16, 64], "replicas": 1000}})
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    spread = json.loads((out / "results.json").read_text())["path_spread"]
+    assert spread == [{"n": n, "survivors": 0, "median": "nan", "q90": "nan"}
+                      for n in (16, 64)]
+    rows = (out / "series.csv").read_text().splitlines()[1:]
+    assert rows == ["n,survivors,median,q90", "16,0,nan,nan", "64,0,nan,nan"]
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])

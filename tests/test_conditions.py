@@ -180,6 +180,18 @@ def test_increment_variance_series_closed_form(gw_env):
     assert shifted.certified_value == pytest.approx(2.2, abs=1e-9)
 
 
+def test_growing_terms_past_the_threshold_are_divergent():
+    # mean 1/2: each term doubles the last, with no positive drift to
+    # certify a tail
+    env = quench(EnvironmentSpec.constant(
+        OffspringDistribution.geometric(mean=0.5)), 0, 101)
+    rep = variance_series(env, 1, 100)
+    assert rep.verdict == "divergent" and rep.tail_bound is None
+    assert rep.detail["reason"] == \
+        "partial sums exceed threshold with nondecreasing terms"
+    assert rep.partial_sum == pytest.approx(7.6e30, rel=1e-3)
+
+
 def test_jagers_divergent(gw_env):
     rep = jagers_sum(gw_env)
     assert rep.verdict == "divergent"
@@ -213,6 +225,20 @@ def test_jagers_not_applicable():
     rep = jagers_sum(env)
     assert rep.verdict == "inconclusive"
     assert rep.detail.get("not_applicable")
+
+
+def test_jagers_sparse_second_half_is_inconclusive():
+    # terms of 3/4, but only 10 of the second half's 200: neither the
+    # density rule nor a decaying tail decides
+    geo, sure = (OffspringDistribution.geometric(mean=1.0),
+                 OffspringDistribution.finite_pmf([0.0, 1.0]))
+    env = quench(EnvironmentSpec.explicit([geo] * 200 + [sure] * 190
+                                          + [geo] * 10), 0, 400)
+    rep = jagers_sum(env)
+    assert rep.verdict == "inconclusive" and rep.tail_bound is None
+    assert rep.detail == {"density_first_half": 1.0,
+                          "density_second_half": 0.05}
+    assert rep.partial_sum == pytest.approx(157.5, rel=1e-12)
 
 
 def test_jagers_all_one_child():

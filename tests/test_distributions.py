@@ -276,6 +276,15 @@ def test_overflow_guard():
     assert ei.value.log_estimate > 40.0
 
 
+def test_overflow_guard_on_a_mean_zero_law():
+    # the estimate read log_mean, which refuses a mean of 0, so this raised
+    # UnsupportedDistributionError instead
+    d = OffspringDistribution.finite_pmf([1.0])
+    with pytest.raises(PopulationOverflowError) as ei:
+        d.sample_generation_totals(np.array([2**62 + 2**20]), substream(9, 0))
+    assert ei.value.log_estimate == math.log(2**62 + 2**20)
+
+
 def test_power_law_total_exact_at_large_parent_count():
     # finite variance: the exact total of 2e7 offspring counts sits within
     # 6 standard deviations of its mean, and costs O(head) not O(parents)

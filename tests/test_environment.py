@@ -203,6 +203,48 @@ def test_mixer_validation(gw_dist):
             Mixer("gaussian_logmean_geometric", mu=mu, sigma=sigma)
 
 
+def test_mixer_refuses_unknown_and_missing_keys(gw_dist):
+    with pytest.raises(ValueError, match=r"unknown mixer keys: \['bogus'\]"):
+        Mixer("finite", dists=[gw_dist], weights=[1.0], bogus=1)
+    with pytest.raises(ValueError, match=r"missing mixer keys: \['weights'\]"):
+        Mixer("finite", dists=[gw_dist])
+    with pytest.raises(ValueError, match=r"unknown mixer keys: \['dists'\]"):
+        Mixer.from_config({"kind": "gaussian_logmean_geometric", "mu": 0.0,
+                           "sigma": 1.0, "dists": []})
+    with pytest.raises(ValueError, match=r"missing mixer keys: \['sigma'\]"):
+        Mixer.from_config({"kind": "gaussian_logmean_geometric", "mu": 0.0})
+    with pytest.raises(ValueError, match="unknown mixer kind 'nope'"):
+        Mixer.from_config({"kind": "nope", "mu": 0.0})
+    with pytest.raises(ValueError, match="unknown mixer kind None"):
+        Mixer.from_config({"mu": 0.0, "sigma": 1.0})
+
+
+def test_spec_fields_are_checked_where_built(gw_dist):
+    # the first five built, then quenched to a constant environment (with a
+    # divide-by-zero warning) or raised ZeroDivisionError, TypeError or
+    # AttributeError
+    mixer = Mixer("finite", dists=[gw_dist], weights=[1.0])
+    for kind, fields, message in [
+            ("cooling", {"mixer": mixer, "block_lengths": (0,)},
+             r"cooling schedule .* got \[0\]"),
+            ("periodic", {"dists": ()}, "periodic environment needs a non"),
+            ("constant", {}, "constant environment needs a nonempty"),
+            ("bogus", {}, "unknown environment kind 'bogus'"),
+            ("iid_random", {}, "iid_random environment needs a mixer"),
+            ("explicit_sequence", {"dists": [gw_dist]}, "tuple of offspring"),
+            ("constant", {"dists": (mixer,)}, "tuple of offspring laws"),
+            ("cooling", {"mixer": gw_dist}, "cooling environment needs a mix"),
+            ("iid_random", {"mixer": mixer, "block_lengths": (2,)},
+             "iid_random environment has no block lengths")]:
+        with pytest.raises(ValueError, match=message):
+            EnvironmentSpec(kind, **fields)
+    assert EnvironmentSpec("cooling", mixer=mixer, block_lengths=(2, 3)) \
+        == EnvironmentSpec.cooling(mixer, [2, 3])
+    for make in (EnvironmentSpec.explicit, EnvironmentSpec.periodic):
+        with pytest.raises(ValueError, match="needs a nonempty"):
+            make([])
+
+
 @pytest.mark.parametrize("schedule", [[], [2.5], [math.nan], [0], [3, -1],
                                       [True], "blocks", 4])
 def test_cooling_refuses_bad_schedules(gw_dist, schedule):

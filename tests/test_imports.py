@@ -4,8 +4,9 @@ static checks of the source: no module imports scipy, only ``cli`` defines
 the output format, one call site runs the population loop, estimators
 collect per-replica values in one result array, one mixer rule turns
 random-environment draws into laws (the simulation kernel builds none), one
-report function certifies every damped condition series, and one
-environment method evaluates a function once per law."""
+report function certifies every damped condition series, one environment
+method evaluates a function once per law, the package binds no library name
+a second time, and the mixer's constructor alone checks its keys."""
 
 import ast
 import json
@@ -216,6 +217,29 @@ def test_one_law_table_for_every_per_law_evaluation():
                        ("conditions.py", "jagers_sum"),
                        ("conditions.py", "moment_ratio_sup"),
                        ("estimators.py", "_check_span")}
+
+
+def test_one_binding_per_name_and_one_owner_per_mixer_rule():
+    # the package re-exports nothing, so every name has the one binding the
+    # tracer and monkeypatch reach; Mixer.__init__ owns the mixer key rules
+    package = ast.parse((ROOT / "src" / "bpve" / "__init__.py").read_text())
+    assert not [node.lineno for node in ast.walk(package)
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+    tree = ast.parse((ROOT / "src" / "bpve" / "environment.py").read_text())
+    mixer = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "Mixer")
+    from_config = next(node for node in mixer.body
+                       if getattr(node, "name", None) == "from_config")
+    for node in ast.walk(from_config):
+        assert not isinstance(node, ast.Raise), \
+            f"environment.py:{node.lineno} raises in Mixer.from_config"
+        assert not (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "check_keys"), \
+            f"environment.py:{node.lineno} checks keys in Mixer.from_config"
+    raises = [f"{name}:{node.lineno}" for name, node in source_nodes()
+              if isinstance(node, ast.Raise)
+              and "unknown mixer kind" in ast.unparse(node)]
+    assert len(raises) == 1, raises
 
 
 def test_bench_tracer_finds_every_hook():
