@@ -23,7 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import NotApplicableError, PhiFunction
+from .distributions import (NotApplicableError, PhiFunction,
+                            UnsupportedDistributionError)
 from .numerics import exp_or_inf
 # the benchmark's tracer (bench/spans.py) wraps ``quench`` and ``substream``
 # in this module, so ``quench`` stays bound though nothing here calls it
@@ -295,12 +296,16 @@ def psi_series(env: QuenchedEnvironment, start: int = 1,
 
 
 def _log_split_tail(g: float, peak, x: float, mu: float,
-                    tol: float) -> float:
+                    tol: float) -> Optional[float]:
     """Tail of ``phi(u) = log^g(1 + u)`` past a first omitted damping
-    ``exp(-x)``, ``x > 0``: split each term at ``U = damping^{-1/2}``."""
+    ``exp(-x)``, ``x > 0``: split each term at ``U = damping^{-1/2}``;
+    ``None`` where a law refuses the higher log-moment."""
     u_mean = peak(lambda d: d.delta_moment(0.0, tol=tol))
     high = PhiFunction(power=0.0, log_power=1.0 + 2.0 * g)
-    m2 = peak(lambda d: d.psi_moment(high, 1.0, tol=tol))
+    try:
+        m2 = peak(lambda d: d.psi_moment(high, 1.0, tol=tol))
+    except (NotApplicableError, UnsupportedDistributionError):
+        return None
     # below threshold: U*phi <= U * log^g(1 + sqrt(w)) <= U * w^{g/2}
     piece1 = _geometric_tail(u_mean, math.exp(-g * x / 2.0), g * mu / 2.0)
     # above threshold: Markov against the higher log-moment; log(1/sqrt(w_j))

@@ -8,9 +8,10 @@ keyed by ``(env_seed, index)``, so ``dist_at`` is random-access: the law of
 generation ``i`` can be produced without materializing generations
 ``1..i-1``, and two calls always agree.
 
-:meth:`Mixer.sample` is the one rule that turns stream draws into
-log-means and components, for a quenched draw (:meth:`Mixer.draw`) and for
-the annealed per-replica draws (:class:`bpve.simulate.AnnealedLaws`) alike.
+:meth:`Mixer.sample` is the one rule that turns uniforms (one per finite
+draw, two per Gaussian draw) into log-means and laws: a quenched draw
+(:meth:`Mixer.draw`) takes stream ``(env_seed, index)``'s first uniforms,
+and the annealed draws (:class:`bpve.simulate.AnnealedLaws`) a block's.
 
 ``quench`` freezes a spec into a :class:`QuenchedEnvironment`: a table of
 its distinct laws, the law index of each generation, and the running sums
@@ -36,7 +37,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .distributions import OffspringDistribution, check_keys
-from .numerics import exp_or_inf
+# the benchmark's tracer (bench/spans.py) wraps ``substream`` in this
+# module, so it stays bound though nothing here calls it
 from .streams import first_uniforms, substream
 
 __all__ = [
@@ -55,6 +57,9 @@ _MIXER_KEYS = {
     "finite": {"dists", "weights"},
     "gaussian_logmean_geometric": {"mu", "sigma"},
 }
+_SPEC_KEYS = {"constant": {"dist"}, "explicit_sequence": {"dists"},
+              "periodic": {"dists"}, "iid_random": {"mixer"},
+              "cooling": {"mixer", "schedule"}}
 
 
 class Mixer:
@@ -88,32 +93,35 @@ class Mixer:
             if not (math.isfinite(self.mu) and 0.0 <= self.sigma < math.inf):
                 raise ValueError("mixer needs a finite mu and a finite sigma "
                                  f">= 0, got {self.mu!r} and {self.sigma!r}")
+        self.width = 1 if kind == "finite" else 2  # uniforms per draw
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """``(xi, law)`` of ``size`` draws (one when ``None``): a finite
-        mixer draws one uniform per draw against the weights' cdf, giving
-        the components ``rng.choice(len(dists), size, p=weights)`` returns
-        and their log-means; a Gaussian one draws one normal per draw,
-        giving the log-mean ``mu + sigma * z`` and the mean ``exp(xi)``."""
+    def sample(self, u: np.ndarray):
+        """``(xi, law)`` of the draws whose ``width`` uniforms lie along the
+        last axis of ``u``: a finite draw's log-mean and component (the one
+        ``Generator.choice`` with the weights gives); a Gaussian draw's
+        log-mean ``mu + sigma * z``, ``z`` the Box-Muller normal of its two
+        uniforms (Box & Muller 1958; ``|z| < 8.58``), and mean ``exp(xi)``."""
         if self.kind == "finite":
-            comp = self.pick(rng.random(size))
+            comp = self.cdf.searchsorted(u[..., 0], side="right")
             return self.xi[comp], comp
-        xi = self.mu + self.sigma * rng.standard_normal(size)
-        with np.errstate(over="ignore"):
+        z = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
+        z *= np.cos(2.0 * math.pi * u[..., 1])
+        with np.errstate(over="ignore"):  # an infinite mean the law refuses
+            xi = self.mu + self.sigma * z
             return xi, np.exp(xi)
 
-    def pick(self, uniforms):
-        """Component index of each uniform in ``[0, 1)``."""
-        return self.cdf.searchsorted(uniforms, side="right")
-
-    def draw(self, rng: np.random.Generator) -> OffspringDistribution:
-        """The law of one draw."""
-        xi, law = self.sample(rng)
+    def draw(self, seeds: Sequence[int], keys: Sequence[int]):
+        """The draws of streams ``(seed, key)``, from one
+        :func:`first_uniforms` pass: per seed a law table (the components,
+        or each key's geometric law), and per seed and key the law's index
+        in it and the log-mean."""
+        xi, law = self.sample(first_uniforms(
+            np.array(seeds, dtype=object)[:, None], keys, self.width))
         if self.kind == "finite":
-            return self.dists[law]
-        # math.exp, not the sampled mean: numpy's exp differs in the last
-        # bit for some draws; an infinite mean is refused by the law
-        return OffspringDistribution.geometric(mean=exp_or_inf(xi))
+            return [tuple(self.dists)] * len(seeds), law, xi
+        tables = [tuple(OffspringDistribution.geometric(mean=m)
+                        for m in row) for row in law.tolist()]
+        return tables, np.broadcast_to(np.arange(len(keys)), xi.shape), xi
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Mixer":
@@ -135,13 +143,13 @@ class EnvironmentSpec:
     block_lengths: Optional[tuple] = None  # cooling; None means doubling
 
     def __post_init__(self):
-        if self.kind in ("constant", "explicit_sequence", "periodic"):
+        if self.kind not in _SPEC_KEYS:
+            raise ValueError(f"unknown environment kind {self.kind!r}")
+        if not self.is_random:
             if not (isinstance(self.dists, tuple) and self.dists and all(
                     isinstance(d, OffspringDistribution) for d in self.dists)):
                 raise ValueError(f"{self.kind} environment needs a nonempty "
                                  "tuple of offspring laws")
-        elif self.kind not in ("iid_random", "cooling"):
-            raise ValueError(f"unknown environment kind {self.kind!r}")
         elif not isinstance(self.mixer, Mixer):
             raise ValueError(f"{self.kind} environment needs a mixer")
         bl = self.block_lengths
@@ -212,7 +220,8 @@ class EnvironmentSpec:
             raise ValueError(f"explicit sequence has length {len(self.dists)}")
         if not self.is_random:  # constant, explicit and periodic alike
             return self.dists[(i - 1) % len(self.dists)]
-        return self.mixer.draw(substream(env_seed, self.stream_index(i)))
+        tables, index, _ = self.mixer.draw([env_seed], [self.stream_index(i)])
+        return tables[0][index[0, 0]]
 
     @classmethod
     def from_config(cls, cfg: dict) -> "EnvironmentSpec":
@@ -226,23 +235,18 @@ class EnvironmentSpec:
                                  f"known: {sorted(PRESET_CONFIGS)}")
             return cls.from_config(PRESET_CONFIGS[preset])
         kind = cfg.pop("kind", None)
-        if kind == "constant":
-            check_keys(cfg, {"dist"}, "environment")
-            return cls.constant(OffspringDistribution.from_config(cfg["dist"]))
-        if kind in ("explicit_sequence", "periodic"):
-            check_keys(cfg, {"dists"}, "environment")
-            return cls(kind, dists=tuple(
-                OffspringDistribution.from_config(d) for d in cfg["dists"]))
+        if kind not in _SPEC_KEYS:
+            return cls(kind)  # __post_init__ refuses the kind
+        check_keys(cfg, _SPEC_KEYS[kind], "environment", optional={"schedule"})
         if kind == "iid_random":
-            check_keys(cfg, {"mixer"}, "environment")
             return cls.iid_random(Mixer.from_config(cfg["mixer"]))
         if kind == "cooling":
-            check_keys(cfg, {"mixer", "schedule"}, "environment",
-                       optional={"schedule"})
             sched = cfg.get("schedule", "doubling")
-            bl = None if sched == "doubling" else sched
-            return cls.cooling(Mixer.from_config(cfg["mixer"]), block_lengths=bl)
-        raise ValueError(f"unknown environment kind {kind!r}")
+            return cls.cooling(Mixer.from_config(cfg["mixer"]),
+                               None if sched == "doubling" else sched)
+        dists = [cfg["dist"]] if kind == "constant" else cfg["dists"]
+        return cls(kind, dists=tuple(OffspringDistribution.from_config(d)
+                                     for d in dists))
 
 
 @dataclass
@@ -324,10 +328,8 @@ def quench_many(spec: EnvironmentSpec, env_seeds: Sequence[int],
     """``[quench(spec, s, horizon) for s in env_seeds]``, bitwise, computed
     together.  A non-random spec's law table is its own laws, shared by
     every seed.  A random spec is resolved once per distinct stream key of
-    generations ``1..horizon``: a finite mixer's table is its components,
-    each draw the first uniform of stream ``(s, key)`` against the weights'
-    cdf, all from one :func:`first_uniforms` pass; a Gaussian mixer's table
-    holds one :meth:`Mixer.draw` per key."""
+    generations ``1..horizon``, by one :meth:`Mixer.draw` for every seed
+    and key."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if horizon > MAX_QUENCH_HORIZON:
@@ -345,20 +347,10 @@ def quench_many(spec: EnvironmentSpec, env_seeds: Sequence[int],
     inverse = spec.stream_index(np.arange(1, horizon + 1))
     keys = np.arange(inverse[0], inverse[-1] + 1)
     inverse -= inverse[0]
-    mixer = spec.mixer
-    if mixer.kind == "finite":
-        index = mixer.pick(first_uniforms(
-            np.array(seeds, dtype=object)[:, None], keys))[:, inverse]
-        table = [tuple(mixer.dists)] * len(seeds)
-        xi = mixer.xi[index]
-    else:
-        table = [tuple(mixer.draw(substream(s, k)) for k in keys.tolist())
-                 for s in seeds]
-        xi = np.array([[d.log_mean for d in laws] for laws in table]
-                      ).reshape(len(seeds), len(keys))[:, inverse]
-        index = [inverse] * len(seeds)
-    return [QuenchedEnvironment(*row)
-            for row in zip(table, index, _kahan_cumsum(xi), xi)]
+    tables, index, xi = spec.mixer.draw(seeds, keys)
+    xi = xi[:, inverse]
+    return [QuenchedEnvironment(*row) for row in zip(
+        tables, index[:, inverse], _kahan_cumsum(xi), xi)]
 
 
 class ResourceWarningError(MemoryError):

@@ -85,9 +85,9 @@ class QuenchedLaws:
 class AnnealedLaws:
     """Each replica draws its own environment from a random spec: at each
     new stream key of the spec, so every generation (i.i.d.) or block of
-    generations (cooling), the mixer is sampled
-    (:meth:`~bpve.environment.Mixer.sample`) for the live replicas alone,
-    in index order.  A Gaussian draw's laws are the
+    generations (cooling), the live replicas alone take their uniforms from
+    ``env_rng`` in index order, for :meth:`~bpve.environment.Mixer.sample`
+    to turn into laws.  A Gaussian draw's laws are the
     :class:`~bpve.distributions.GeometricRows` of its sampled means."""
 
     def __init__(self, spec: EnvironmentSpec, env_rng: np.random.Generator,
@@ -104,7 +104,8 @@ class AnnealedLaws:
         key = self.spec.stream_index(i)
         if key != self.draw_key:
             self.draw_key = key
-            self.xi, self.law = self.mixer.sample(self.env_rng, len(self.s))
+            self.xi, self.law = self.mixer.sample(
+                self.env_rng.random((len(self.s), self.mixer.width)))
         self.s += self.xi
 
     def keep(self, live: np.ndarray):

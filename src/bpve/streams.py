@@ -14,11 +14,11 @@ stream draws no OS entropy: ``Philox(key=...)`` would first build a
 
 numpy advances the counter before it computes a block, so a stream's first
 block is Philox4x64-10 of the key at counter ``(1, 0, 0, 0)``, and its first
-``random()`` is that block's first word ``w`` as ``(w >> 11) * 2^-53``.
-Counter-based streams need no state to reach that value (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so
-:func:`first_uniforms` computes it for many keys in one array pass, bitwise
-equal to opening each stream.
+two ``random()`` values are that block's first two words ``w`` as
+``(w >> 11) * 2^-53``.  Counter-based streams need no state to reach those
+values (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC
+2011), so :func:`first_uniforms` computes them for many keys in one array
+pass, bitwise equal to opening each stream.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ def _mulhilo(m: int, x: np.ndarray):
     return hi, np.uint64(m) * x
 
 
-def _first_block_word(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
-    """Word 0 of Philox4x64-10 at counter ``(1, 0, 0, 0)`` under keys
-    ``(k0, k1)``."""
+def _first_block_words(k0: np.ndarray, k1: np.ndarray):
+    """Words 0 and 1 of Philox4x64-10 at counter ``(1, 0, 0, 0)`` under
+    keys ``(k0, k1)``."""
     c0 = np.ones_like(k0)
     c1, c2, c3 = np.zeros_like(k0), np.zeros_like(k0), np.zeros_like(k0)
     with np.errstate(over="ignore"):
@@ -97,20 +97,21 @@ def _first_block_word(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
             hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
             hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
             c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0
+    return c0, c1
 
 
-def first_uniforms(seeds, indices) -> np.ndarray:
-    """``substream(seed, index).random()`` for every key pair, in one
-    vectorized Philox evaluation: ``seeds`` and ``indices`` (integers, or
-    integer arrays) broadcast against each other, and the result has their
-    broadcast shape.  Bitwise equal to opening each stream."""
+def first_uniforms(seeds, indices, width: int) -> np.ndarray:
+    """``substream(seed, index).random(width)``, ``width`` 1 or 2, for every
+    key pair in one vectorized Philox evaluation: ``seeds`` and ``indices``
+    (integers, or integer arrays) broadcast against each other, then a last
+    axis of ``width``.  Bitwise equal to opening each stream."""
     k0, k1 = np.broadcast_arrays(_key_words(seeds),
                                  _key_words(indices, nonnegative=True))
-    out = np.empty(k0.shape)
-    flat = out.reshape(-1)
-    for lo in range(0, flat.size, _PASS_KEYS):
+    out = np.empty(k0.shape + (width,))
+    flat = out.reshape(-1, width)
+    for lo in range(0, len(flat), _PASS_KEYS):
         hi = lo + _PASS_KEYS
-        word = _first_block_word(k0.flat[lo:hi], k1.flat[lo:hi])
-        flat[lo:hi] = (word >> np.uint64(11)) * 2.0**-53
+        words = _first_block_words(k0.flat[lo:hi], k1.flat[lo:hi])
+        for j in range(width):
+            flat[lo:hi, j] = (words[j] >> np.uint64(11)) * 2.0**-53
     return out

@@ -1,5 +1,6 @@
 import json
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from bpve import environment, streams
 from bpve.environment import (EnvironmentSpec, Mixer, PRESET_CONFIGS,
                               PRESETS, QuenchedEnvironment,
                               ResourceWarningError, quench, quench_many)
+from bpve.simulate import AnnealedLaws
 from bpve.streams import substream
 from oracles import cooling_block_index
 
@@ -38,11 +40,14 @@ def test_explicit_and_periodic_indexing(gw_dist):
 
 
 def test_quench_prefix_consistency():
-    spec = PRESETS["critical_two_point"]()
-    short = quench(spec, 42, 50)
-    long = quench(spec, 42, 120)
-    assert short.dists == long.dists[:50]
-    assert np.array_equal(short.s, long.s[:51])
+    gaussian = QUENCH_SPECS["gaussian_iid"].mixer
+    for spec in (PRESETS["critical_two_point"](),
+                 EnvironmentSpec.iid_random(gaussian),
+                 EnvironmentSpec.cooling(gaussian)):
+        short, long = quench(spec, 42, 1000), quench(spec, 42, 3000)
+        assert short.dists == long.dists[:1000]
+        assert np.array_equal(short.xi, long.xi[:1000])
+        assert np.array_equal(short.s, long.s[:1001])
 
 
 def test_dist_at_random_access():
@@ -259,21 +264,22 @@ def test_finite_mixer_draw_matches_choice(weights):
     dists = [OffspringDistribution.geometric(mean=m)
              for m in (0.5, 1.0, 2.0)[:len(weights)]]
     mixer = Mixer("finite", dists=dists, weights=list(weights))
-    for index in range(10_000):
-        ref = substream(17, index).choice(len(dists), p=mixer.weights)
-        assert mixer.draw(substream(17, index)) is dists[ref]
+    ref = [substream(17, index).choice(len(dists), p=mixer.weights)
+           for index in range(10_000)]
+    tables, comp, xi = mixer.draw([17], np.arange(10_000))
+    assert tables == [tuple(dists)] and comp.tolist() == [ref]
+    assert np.array_equal(xi, [[dists[r].log_mean for r in ref]])
     rows = substream(18, 0).choice(len(dists), size=1000, p=mixer.weights)
-    xi, comp = mixer.sample(substream(18, 0), 1000)
+    xi, comp = mixer.sample(substream(18, 0).random((1000, 1)))
     assert np.array_equal(comp, rows)
     assert np.array_equal(xi, [dists[r].log_mean for r in rows])
 
 
 @pytest.mark.parametrize("schedule", [None, [3, 1, 7, 2]])
 def test_cooling_quench_draws_once_per_block(schedule, monkeypatch):
-    # a finite mixer draws every block's first uniform in one pass, a
-    # Gaussian one opens each block's stream
+    # either mixer draws every block's first uniforms in one pass
     draws = []
-    real_first_uniforms, real_draw = environment.first_uniforms, Mixer.draw
+    real_first_uniforms = environment.first_uniforms
     blocks = (11 if schedule is None
               else 4 + math.ceil((2000 - sum(schedule)) / schedule[-1]))
     for mixer in (PRESETS["critical_two_point"]().mixer,
@@ -281,14 +287,13 @@ def test_cooling_quench_draws_once_per_block(schedule, monkeypatch):
         spec = EnvironmentSpec.cooling(mixer, block_lengths=schedule)
         per_generation = [spec.dist_at(9, i) for i in range(1, 2001)]
         with monkeypatch.context() as patch:
-            patch.setattr(environment, "first_uniforms", lambda seeds, keys: (
-                draws.extend(np.broadcast(seeds, keys).size * [1])
-                or real_first_uniforms(seeds, keys)))
-            patch.setattr(Mixer, "draw", lambda self, rng: (
-                draws.append(1) or real_draw(self, rng)))
+            patch.setattr(environment, "first_uniforms",
+                          lambda seeds, keys, width: (
+                              draws.append(np.broadcast(seeds, keys).size)
+                              or real_first_uniforms(seeds, keys, width)))
             env = quench(spec, 9, 2000)
         assert env.dists == per_generation
-        assert len(draws) == blocks
+        assert draws == [blocks]
         draws.clear()
 
 
@@ -316,7 +321,7 @@ def test_stream_indices_match_stream_index(kind, schedule):
     for i in big:
         assert spec.stream_index(i) == walk(i)
         assert spec.dist_at(3, i) is mixer.dists[
-            mixer.pick(substream(3, walk(i)).random())]
+            mixer.sample(substream(3, walk(i)).random(1))[1]]
 
 
 QUENCH_SPECS = {
@@ -365,14 +370,40 @@ def test_quench_many_matches_quench(name, horizon):
 
 @pytest.mark.parametrize("name", ["critical_two_point", "gaussian_iid"])
 def test_quench_matches_per_generation_draws(name):
+    # each generation's log-mean is Mixer.sample of its stream's first
+    # uniforms, a Gaussian one the drawn value, not its law's log-mean
     spec = QUENCH_SPECS[name]
+    mixer = spec.mixer
     for seed in (0, -1, 2**64 - 1):
         env = quench(spec, seed, 1000)
         laws = [spec.dist_at(seed, i) for i in range(1, 1001)]
         assert env.dists == laws
-        xi = np.array([d.log_mean for d in laws])
+        xi = np.array([mixer.sample(substream(seed, i).random(mixer.width))[0]
+                       for i in range(1, 1001)])
         assert np.array_equal(env.xi, xi)
         assert np.array_equal(env.s, kahan_oracle(xi))
+
+
+def ks_statistic(x, law: NormalDist) -> float:
+    """``sqrt(n)`` times the Kolmogorov-Smirnov distance of the sample
+    ``x`` from ``law``."""
+    x = np.sort(x)
+    n = len(x)
+    cdf = np.array([law.cdf(v) for v in x.tolist()])
+    ranks = np.arange(1, n + 1)
+    return math.sqrt(n) * max((ranks / n - cdf).max(),
+                              (cdf - (ranks - 1) / n).max())
+
+
+def test_gaussian_draws_follow_the_normal_law():
+    # 10^5 quenched and 10^5 annealed log-means against N(mu, sigma^2); the
+    # Kolmogorov distribution exceeds 1.95 with probability about 0.001
+    spec = QUENCH_SPECS["gaussian_iid"]
+    law = NormalDist(spec.mixer.mu, spec.mixer.sigma)
+    annealed = AnnealedLaws(spec, substream(2, 0), 10**5)
+    annealed.advance(1)
+    for xi in (quench(spec, 1, 10**5).xi, annealed.xi):
+        assert ks_statistic(xi, law) < 1.95
 
 
 def test_quench_many_across_passes():

@@ -97,7 +97,7 @@ DIGESTS = {
     "tightness":
         "50095ce777a98938e9c1e2abb6073befa99813dd4c38a5bff5c6255151ab1e5c",
     "w_positivity":
-        "f4dad5d1878887818da3a6a23a152085ccae137fbcf7de2bfee43c89d12c4e75",
+        "8ebc92f6559164b3fc0185996a3233a0b2b1c7620e1089c694fd446911317e90",
     "w_positivity_heavy":
         "6c7bba45afa6a13556d7328b7d914d0f7dbcdabcf8f0a5fbd6eb138d69ebf6cb",
 }
@@ -110,7 +110,7 @@ SERIES_DIGESTS = {
     "tightness":
         "7e0dabe788972e638bd6025f121e7d9936bb9fb1f804398fcbe61e0cda31108f",
     "w_positivity":
-        "d6eb41db29f4bce5ecbbb2dc377b07630c9d0d5c15a955249790927aff0af1d4",
+        "814a6dc6bf628643d4f09edfdd47cf8d98c3481fe86329d0ca55c38e80a38a0b",
     "w_positivity_heavy":
         "81f42de82a58e1171483f9f88bf6e600985dd280dc8bc9187a7dc15bfa340de1",
 }

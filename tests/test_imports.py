@@ -2,11 +2,13 @@
 that the benchmark's per-layer hooks still find every call boundary.  Also
 static checks of the source: no module imports scipy, only ``cli`` defines
 the output format, one call site runs the population loop, estimators
-collect per-replica values in one result array, one mixer rule turns
-random-environment draws into laws (the simulation kernel builds none), one
+collect per-replica values in one result array, one mixer rule turns the
+uniforms of random-environment draws into laws (the simulation kernel
+builds none), one
 report function certifies every damped condition series, one environment
 method evaluates a function once per law, the package binds no library name
-a second time, and the mixer's constructor alone checks its keys."""
+a second time, and the mixer's and the spec's constructors alone check
+their keys and kinds."""
 
 import ast
 import json
@@ -138,26 +140,33 @@ def test_estimators_collect_one_result_array():
 
 
 def test_one_mixer_rule_draws_every_environment():
-    # Mixer.sample turns stream draws into log-means and components for the
-    # quenched and the annealed path alike
+    # Mixer.sample alone turns uniforms into log-means and laws, for the
+    # quenched and the annealed path alike; a quenched draw takes its
+    # uniforms from the one first_uniforms pass in Mixer.draw, so the
+    # environment opens no stream per key and no module draws a normal
     calls = []
     for path in sorted((ROOT / "src" / "bpve").glob("*.py")):
         tree = ast.parse(path.read_text())
-        owner = {id(n): cls.name for cls in ast.walk(tree)
-                 if isinstance(cls, ast.ClassDef) for n in ast.walk(cls)}
+        owner = {id(n): f"{cls.name}.{f.name}" for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for f in cls.body
+                 if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
         for node in ast.walk(tree):
             attr = getattr(node, "attr", None)
-            if isinstance(node, ast.Call) and (
-                    getattr(node.func, "attr", None) == "standard_normal"
-                    or getattr(node.func, "attr", None) == "searchsorted"
-                    and getattr(node.func.value, "attr", None) == "cdf"):
-                calls.append((node.func.attr, path.name, owner.get(id(node))))
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr",
+                               getattr(node.func, "id", None))
+                of = getattr(getattr(node.func, "value", None), "attr", None)
+                watched = {"standard_normal", "first_uniforms"} | (
+                    {"substream"} if path.name == "environment.py" else set())
+                if name in watched or name == "searchsorted" and of == "cdf":
+                    calls.append((name, path.name, owner.get(id(node), "")))
             assert not (isinstance(node, ast.Attribute)
                         and attr in ("mu", "sigma", "cdf")
                         and path.name != "environment.py"), \
                 f"{path.name}:{node.lineno} reads a mixer's .{attr}"
-    assert sorted(calls) == [("searchsorted", "environment.py", "Mixer"),
-                             ("standard_normal", "environment.py", "Mixer")]
+    assert sorted(calls) == [
+        ("first_uniforms", "environment.py", "Mixer.draw"),
+        ("searchsorted", "environment.py", "Mixer.sample")]
 
 
 def test_geometric_laws_of_gaussian_draws_are_built_outside_the_kernel():
@@ -236,10 +245,11 @@ def test_one_binding_per_name_and_one_owner_per_mixer_rule():
         assert not (isinstance(node, ast.Call)
                     and getattr(node.func, "id", None) == "check_keys"), \
             f"environment.py:{node.lineno} checks keys in Mixer.from_config"
-    raises = [f"{name}:{node.lineno}" for name, node in source_nodes()
-              if isinstance(node, ast.Raise)
-              and "unknown mixer kind" in ast.unparse(node)]
-    assert len(raises) == 1, raises
+    # and each spec and mixer constructor alone refuses an unknown kind
+    for text in ("unknown mixer kind", "unknown environment kind"):
+        raises = [f"{name}:{node.lineno}" for name, node in source_nodes()
+                  if isinstance(node, ast.Raise) and text in ast.unparse(node)]
+        assert len(raises) == 1, raises
 
 
 def test_bench_tracer_finds_every_hook():

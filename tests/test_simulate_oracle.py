@@ -85,8 +85,11 @@ def reference_annealed(spec, z0, n, env_rng, rep_rng, size, record):
                                      for d in mixer.dists])[comp[live]]
                 mean = np.array([d.mean for d in mixer.dists])[comp]
             else:
-                xi[live] = mixer.mu + mixer.sigma * env_rng.standard_normal(
-                    int(live.sum()))
+                # Box-Muller: the normal of each replica's two uniforms
+                u = env_rng.random((int(live.sum()), 2))
+                normal = np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(
+                    2.0 * math.pi * u[:, 1])
+                xi[live] = mixer.mu + mixer.sigma * normal
                 q = np.exp(xi) / (1.0 + np.exp(xi))
                 mean = q / (1.0 - q)
         svec += xi
@@ -182,9 +185,9 @@ def test_annealed_kernel_matches_reference(mixer, cooling):
 ], ids=["finite", "gaussian"])
 @pytest.mark.parametrize("cooling", [False, True], ids=["iid", "cooling"])
 def test_annealed_block_draws_only_for_live_replicas(mixer, cooling):
-    # at each new stream key the environment stream gives one value per
-    # replica alive then: every generation when i.i.d., at each block start
-    # when cooling
+    # at each new stream key the environment stream gives the mixer's
+    # uniforms (one finite, two Gaussian) per replica alive then: every
+    # generation when i.i.d., at each block start when cooling
     spec = (EnvironmentSpec.cooling(mixer) if cooling
             else EnvironmentSpec.iid_random(mixer))
     n, size = 24, 3000
@@ -200,6 +203,6 @@ def test_annealed_block_draws_only_for_live_replicas(mixer, cooling):
     assert live[starts].sum() < size * len(starts) // 2
     want = substream(5, 0)
     for k in live[starts].tolist():
-        (want.random if mixer.kind == "finite" else want.standard_normal)(k)
+        want.random((k, 1 if mixer.kind == "finite" else 2))
     # both streams stand at the same position
     assert env_rng.random(8).tolist() == want.random(8).tolist()

@@ -59,36 +59,42 @@ INDICES = list(range(1001)) + [2**40, 2**63, 2**64 - 1]
 
 def test_first_uniforms_match_substreams():
     # every seed against every index, mixed seeds in one call
-    want = np.array([[substream(s, i).random() for i in INDICES]
-                     for s in SEEDS])
-    got = first_uniforms(np.array(SEEDS, dtype=object)[:, None],
-                         np.array(INDICES, dtype=object))
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    pairs = [(s, i) for s in SEEDS for i in INDICES]
-    flat = first_uniforms([s for s, _ in pairs], [i for _, i in pairs])
-    assert np.array_equal(flat, want.ravel())
+    for width in (1, 2):
+        want = np.array([[substream(s, i).random(width) for i in INDICES]
+                         for s in SEEDS])
+        got = first_uniforms(np.array(SEEDS, dtype=object)[:, None],
+                             np.array(INDICES, dtype=object), width)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        pairs = [(s, i) for s in SEEDS for i in INDICES]
+        flat = first_uniforms([s for s, _ in pairs], [i for _, i in pairs],
+                              width)
+        assert np.array_equal(flat, want.reshape(-1, width))
 
 
 def test_first_uniforms_integer_arrays_and_scalars():
     seeds = np.array([-1, 0, 7, 2**62], dtype=np.int64)
     indices = np.array([0, 3, 2**40, 9], dtype=np.uint64)
-    want = [substream(int(s), int(i)).random() for s, i in zip(seeds, indices)]
-    assert np.array_equal(first_uniforms(seeds, indices), want)
-    assert first_uniforms(3, 4) == substream(3, 4).random()
-    assert first_uniforms([], []).shape == (0,)
+    for width in (1, 2):
+        want = [substream(int(s), int(i)).random(width)
+                for s, i in zip(seeds, indices)]
+        assert np.array_equal(first_uniforms(seeds, indices, width), want)
+        assert np.array_equal(first_uniforms(3, 4, width),
+                              substream(3, 4).random(width))
+        assert first_uniforms([], [], width).shape == (0, width)
 
 
 def test_first_uniforms_across_passes(monkeypatch):
     monkeypatch.setattr(streams, "_PASS_KEYS", 7)
     seeds = np.arange(5)[:, None] * 1000003
     indices = np.arange(1, 24)
-    want = [[substream(int(s), int(i)).random() for i in indices]
-            for s in seeds[:, 0]]
-    assert np.array_equal(first_uniforms(seeds, indices), want)
+    for width in (1, 2):
+        want = [[substream(int(s), int(i)).random(width) for i in indices]
+                for s in seeds[:, 0]]
+        assert np.array_equal(first_uniforms(seeds, indices, width), want)
 
 
 @pytest.mark.parametrize("indices", [[-1], np.array([2, -1])])
 def test_first_uniforms_reject_negative_index(indices):
     with pytest.raises(ValueError):
-        first_uniforms(0, indices)
+        first_uniforms(0, indices, 1)
