@@ -357,8 +357,11 @@ class ResourceWarningError(MemoryError):
     """A size beyond a fixed in-memory budget."""
 
 
-# a run's per-replica memory, one result array plus the blocks in flight,
-# must fit in memory: at 8 bytes a value, 0.8 GB per value kept per replica
+# the estimators that keep a value per replica (path spread, conditioned
+# critical, collect_w) hold one result array plus the blocks in flight,
+# which must fit in memory: at 8 bytes a value, 0.8 GB per value kept per
+# replica.  The others reduce each block to counts or moments and hold the
+# blocks in flight alone; one limit serves every estimator.
 MAX_REPLICAS = 10**8
 
 

@@ -1,18 +1,25 @@
 """Monte Carlo verification of the convergence conclusions.
 
-Every estimator runs through one block runner, :func:`_run_blocks`: block
-``b`` draws from the stream keyed by ``(master_seed, b)``, steps through
-:func:`bpve.simulate.simulate_block` and is reduced at once to the
-per-replica array the estimator needs.  ``R`` replicas are split into
+Every estimator runs through one block runner, :func:`_reduce_blocks`:
+block ``b`` draws from the stream keyed by ``(master_seed, b)``, steps
+through :func:`bpve.simulate.simulate_block` and is reduced at once to
+what the estimator's statistic needs.  ``R`` replicas are split into
 ``nb = min(R, 2 * ceil(R / (2 * DEFAULT_BLOCK)))`` blocks, block ``b``
 holding ``R*(b+1)//nb - R*b//nb`` of them: an even number of blocks (one
 when ``R`` is 1) whose sizes differ by at most one, so two workers get
-equal shares.  Each block writes its part into its own rows of one result
-array, ``replicas*b//nb`` on, so results depend on ``(master_seed,
-replicas)`` and never on the worker count, and a run's per-replica memory
-is that one result array plus the blocks in flight.  A replica is
-alive when ``log W > -inf`` (``Z_n > 0``), decided before any ``exp``: the
-``W`` of a live replica can underflow to 0.
+equal shares.  The reductions merge in block order, so results depend on
+``(master_seed, replicas)`` and never on the worker count.
+
+Only a statistic that needs every replica's value keeps a per-replica
+array: the quantiles of :func:`mc_flt_discrepancy` and
+:func:`mc_conditioned_critical`, and the matrix :func:`collect_w` returns.
+Each of their blocks writes its part into its own rows of one result array
+(:func:`_run_blocks`), so such a run holds that array plus the blocks in
+flight.  The other estimators hold the blocks in flight alone: survival,
+positivity and halving reduce each block to integer counts, summed, and
+the L2 span to ``(count, mean, M2)``, merged pairwise.  A replica is alive when
+``log W > -inf`` (``Z_n > 0``), decided before any ``exp``: the ``W`` of
+a live replica can underflow to 0.
 
 Quenched estimators take a materialized environment (one fixed sequence of
 laws); annealed estimators take a random-environment spec and draw a fresh
@@ -22,6 +29,7 @@ reproduction randomness.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -67,20 +75,44 @@ class McEstimate:
     master_seed: int
 
     @classmethod
-    def proportion(cls, flags: np.ndarray, seed: int) -> "McEstimate":
-        p, replicas = float(np.mean(flags)), len(flags)
+    def proportion(cls, count: int, replicas: int,
+                   seed: int) -> "McEstimate":
+        """Share of ``replicas`` that ``count`` flags, bit for bit the
+        mean of their flags."""
+        p = int(count) / replicas
         return cls(p, math.sqrt(p * (1.0 - p) / replicas), replicas, seed)
+
+    @classmethod
+    def from_moments(cls, moments: Tuple[int, float, float],
+                     seed: int) -> "McEstimate":
+        """Mean and standard error of a sample of ``(count, mean, M2)``."""
+        n, m, m2 = moments
+        return cls(float(m), math.sqrt(m2 / (n - 1)) / math.sqrt(n), n, seed)
 
     @classmethod
     def sample_mean(cls, x: np.ndarray, seed: int) -> "McEstimate":
         """Mean of ``x`` and its standard error, bit for bit ``x.mean()``
-        and ``x.std(ddof=1) / sqrt(len(x))``.  Overwrites ``x``: the
-        deviations are squared in place rather than in a copy."""
-        n, m = len(x), x.mean()
-        x -= m
-        x *= x
-        return cls(float(m), math.sqrt(x.sum() / (n - 1)) / math.sqrt(n),
-                   n, seed)
+        and ``x.std(ddof=1) / sqrt(len(x))``.  Overwrites ``x``."""
+        return cls.from_moments(_moments(x), seed)
+
+
+def _moments(x: np.ndarray) -> Tuple[int, float, float]:
+    """``(count, mean, M2)`` of ``x``, ``M2`` the sum of squared
+    deviations from the mean.  Overwrites ``x``: the deviations are squared
+    in place rather than in a copy."""
+    m = x.mean()
+    x -= m
+    x *= x
+    return len(x), float(m), float(x.sum())
+
+
+def _merge_moments(a: Tuple[int, float, float],
+                   b: Tuple[int, float, float]) -> Tuple[int, float, float]:
+    """``(count, mean, M2)`` of two samples joined, by the pairwise update
+    of Chan, Golub & LeVeque (1979)."""
+    (na, ma, qa), (nb, mb, qb) = a, b
+    n, d = na + nb, mb - ma
+    return n, ma + d * (nb / n), qa + qb + d * d * (na * nb / n)
 
 
 @dataclass
@@ -142,30 +174,44 @@ def _map_blocks(replicas: int, block: int, fn, threads: Optional[int]):
         return list(pool.map(fn, *zip(*sizes)))
 
 
+def _reduce_blocks(make_laws, z0: int, n: int, record: Sequence[int],
+                   replicas: int, seed: int, threads: Optional[int], reduce,
+                   extremes: Optional[Sequence[int]] = None) -> list:
+    """``reduce(b, block)`` of every block ``b`` of ``replicas`` replicas
+    run for ``n`` generations, in block order; block ``b`` takes its laws
+    from ``make_laws(b, size)`` and its reproduction stream from
+    ``substream(seed, b)``, and tracks the extremes of ``log W`` over the
+    generations ``extremes`` when given."""
+    def run(b, sz):
+        return reduce(b, simulate_block(make_laws(b, sz), z0, n, sz,
+                                        substream(seed, b), record, extremes))
+
+    return _map_blocks(replicas, DEFAULT_BLOCK, run, threads)
+
+
 def _run_blocks(make_laws, z0: int, n: int, record: Sequence[int],
                 replicas: int, seed: int, threads: Optional[int], reduce,
-                low: bool = False) -> np.ndarray:
-    """``reduce(block)`` of every block of ``replicas`` replicas run for
-    ``n`` generations, in one array of shape ``(replicas,) + per-replica
-    shape``; block ``b`` takes its laws from ``make_laws(b, size)`` and
-    writes its part into rows ``replicas*b//nb`` on.  The array is
-    allocated by the first block reduced, after :func:`_map_blocks` has
-    checked the replica count, so a run holds that one array plus the
-    blocks in flight."""
+                extremes: Optional[Sequence[int]] = None) -> np.ndarray:
+    """For the statistics that need every replica's value: ``reduce(block)``
+    of every block, in one array of shape ``(replicas,) + per-replica
+    shape``; block ``b`` writes its part into rows ``replicas*b//nb`` on.
+    The array is allocated by the first block reduced, after
+    :func:`_map_blocks` has checked the replica count, so a run holds that
+    one array plus the blocks in flight."""
     nb, lock = _block_count(replicas, DEFAULT_BLOCK), threading.Lock()
     out = None
 
-    def run(b, sz):
+    def write(b, block):
         nonlocal out
-        part = reduce(simulate_block(make_laws(b, sz), z0, n, sz,
-                                     substream(seed, b), record, low))
+        part = reduce(block)
         with lock:
             if out is None:
                 out = np.empty((replicas,) + part.shape[1:], part.dtype)
         start = replicas * b // nb
-        out[start:start + sz] = part
+        out[start:start + len(part)] = part
 
-    _map_blocks(replicas, DEFAULT_BLOCK, run, threads)
+    _reduce_blocks(make_laws, z0, n, record, replicas, seed, threads, write,
+                   extremes)
     return out
 
 
@@ -193,9 +239,10 @@ def collect_w(env: QuenchedEnvironment, z0: int, indices: Sequence[int],
 def mc_survival(env: QuenchedEnvironment, z0: int, n: int, replicas: int,
                 seed: int, threads: Optional[int] = None) -> McEstimate:
     """Fraction of replicas still alive at generation ``n``."""
-    return McEstimate.proportion(_run_blocks(
+    alive = sum(_reduce_blocks(
         _quenched(env, n), z0, n, [n], replicas, seed, threads,
-        lambda block: block.log_w[:, 0] > -np.inf), seed)
+        lambda b, block: np.count_nonzero(block.log_w[:, 0] > -np.inf)))
+    return McEstimate.proportion(alive, replicas, seed)
 
 
 def mc_w_positivity(env: QuenchedEnvironment, z0: int, n: int,
@@ -212,11 +259,20 @@ def mc_w_positivity(env: QuenchedEnvironment, z0: int, n: int,
     if not eps_grid or not all(0.0 < e < math.inf for e in eps_grid):
         raise ValueError("eps_grid must hold positive finite thresholds, "
                          f"got {eps_grid}")
-    log_w = _run_blocks(_quenched(env, n), z0, n, [n], replicas, seed,
-                        threads, lambda block: block.log_w[:, 0])
-    surv = McEstimate.proportion(log_w > -np.inf, seed)
-    w = np.exp(log_w, out=log_w)
-    above = {eps: McEstimate.proportion(w > eps, seed) for eps in eps_grid}
+
+    def counts(b, block):
+        """Replicas alive, then replicas with ``W`` above each threshold."""
+        log_w = block.log_w[:, 0]
+        alive = np.count_nonzero(log_w > -np.inf)
+        w = np.exp(log_w, out=log_w)
+        return np.array([alive] + [np.count_nonzero(w > eps)
+                                   for eps in eps_grid])
+
+    alive, *over = sum(_reduce_blocks(_quenched(env, n), z0, n, [n],
+                                      replicas, seed, threads, counts))
+    surv = McEstimate.proportion(alive, replicas, seed)
+    above = {eps: McEstimate.proportion(c, replicas, seed)
+             for eps, c in zip(eps_grid, over)}
     window, value = _find_plateau(eps_grid, above)
     gap = None if value is None else surv.value - value
     return EqualityCheck(surv, above, window, value, gap)
@@ -284,9 +340,17 @@ def mc_l2_span(env: QuenchedEnvironment, k: int, n: int, m: int,
     """Mean squared increment of the normalized process between generations
     ``n`` and ``n + m``."""
     _check_span(env, n, m, replicas)
-    return McEstimate.sample_mean(_run_blocks(
-        _quenched(env, n + m), k, n + m, [n, n + m], replicas, seed, threads,
-        lambda block: np.diff(np.exp(block.log_w))[:, 0] ** 2), seed)
+
+    def moments(b, block):
+        w = np.exp(block.log_w, out=block.log_w)
+        d = w[:, 1] - w[:, 0]
+        d *= d
+        return _moments(d)
+
+    parts = _reduce_blocks(_quenched(env, n + m), k, n + m, [n, n + m],
+                           replicas, seed, threads, moments)
+    return McEstimate.from_moments(functools.reduce(_merge_moments, parts),
+                                   seed)
 
 
 def mc_halving_bound(env: QuenchedEnvironment, k: int, start: int,
@@ -310,12 +374,14 @@ def mc_halving_bound(env: QuenchedEnvironment, k: int, start: int,
     # S_0 = 0, so the renormalized population halves when log W < log(k/2)
     ref = math.log(k / 2.0)
 
-    halved = _run_blocks(_quenched(env_sim, horizon), k, horizon, (),
-                         replicas, seed, threads,
-                         lambda block: block.low < ref, low=True)
+    halved = sum(_reduce_blocks(
+        _quenched(env_sim, horizon), k, horizon, (), replicas, seed, threads,
+        lambda b, block: np.count_nonzero(block.lo < ref),
+        extremes=range(1, horizon + 1)))
     # one-sided 99% exact (Clopper-Pearson) upper confidence limit
-    ucl = clopper_pearson_upper(int(np.count_nonzero(halved)), replicas, 0.99)
-    return HalvingResult(McEstimate.proportion(halved, seed), bound, ucl)
+    ucl = clopper_pearson_upper(halved, replicas, 0.99)
+    return HalvingResult(McEstimate.proportion(halved, replicas, seed), bound,
+                         ucl)
 
 
 def check_path_grid(n_list: Sequence[int], grid_size: int) -> None:
@@ -341,30 +407,34 @@ def mc_flt_discrepancy(env: QuenchedEnvironment, n_list: Sequence[int],
     normalized process makes these summaries shrink as ``n`` grows.
     """
     check_path_grid(n_list, grid_size)
-
-    def path_spread(block):
-        """``sup_t |Y(t) - Y(1)|`` of each of the block's replicas, and -1,
-        which no spread can be, for those not alive at n."""
-        w = block.log_w
-        alive = w[:, -1] > -np.inf
-        np.exp(w, out=w)
-        # a copied column: an operand overlapping w makes numpy copy all of w
-        w -= w[:, -1:].copy()
-        spread = np.abs(w, out=w).max(axis=1)
-        spread[~alive] = -1.0
-        return spread
-
     out = []
     for li, n in enumerate(sorted(int(x) for x in n_list)):
         # from n - r + 2 points on, the grid reads every generation r..n
         grid = np.linspace(0.0, 1.0, min(grid_size, n - math.isqrt(n) + 2))
         idx = np.unique(stretched_indices(n, grid)).tolist()
-        spread = _run_blocks(_quenched(env, idx[-1]), 1, idx[-1], idx,
-                             replicas, seed + li, threads, path_spread)
+        spread = _run_blocks(_quenched(env, n), 1, n, [n], replicas,
+                             seed + li, threads, _path_spread, extremes=idx)
         spread = spread[spread != -1.0]  # a NaN spread is kept
         out.append(PathSpreadSummary(n, len(spread),
                                      *_median_and_quantile(spread, 0.9)))
     return out
+
+
+def _path_spread(block) -> np.ndarray:
+    """``sup_t |Y(t) - Y(1)|`` of each of the block's replicas, from the
+    extremes of ``log W`` over the grid and ``W_n``; -1, which no spread
+    can be, for those not alive at ``n``.  ``exp`` is monotone, so the
+    furthest grid point is the path's largest or smallest ``W``."""
+    log_w_n = block.log_w[:, 0]
+    alive = log_w_n > -np.inf
+    w_n = np.exp(log_w_n, out=log_w_n)
+    hi = np.exp(block.hi, out=block.hi)
+    hi -= w_n
+    lo = np.exp(block.lo, out=block.lo)
+    np.subtract(w_n, lo, out=lo)
+    spread = np.maximum(hi, lo, out=hi)
+    spread[~alive] = -1.0
+    return spread
 
 
 def _median_and_quantile(x: np.ndarray, q: float) -> Tuple[float, float]:

@@ -123,7 +123,8 @@ class AnnealedLaws:
 
 class Block(NamedTuple):
     log_w: np.ndarray
-    low: Optional[np.ndarray]
+    lo: Optional[np.ndarray]
+    hi: Optional[np.ndarray]
     frozen_at: np.ndarray
 
 
@@ -133,43 +134,53 @@ def _take(v, rows):
 
 def simulate_block(laws, z0: int, n: int, size: int,
                    rng: np.random.Generator, record: Sequence[int] = (),
-                   low: bool = False) -> Block:
+                   extremes: Optional[Sequence[int]] = None) -> Block:
     """Simulate ``size`` replicas for ``n`` generations from ``z0``
     ancestors each; totals are drawn on the live replicas in index order,
     one call per law group and generation.
 
     Returns ``log_w[r, j]``, the ``log W`` of replica ``r`` at generation
-    ``record[j]`` (sorted, in ``[0, n]``, else ValueError); with ``low``,
-    the minimum of ``log W`` over generations ``1..n``; and ``frozen_at``,
-    the last generation with an exact count of each switched replica, else
-    -1.
+    ``record[j]`` (sorted); ``lo`` and ``hi``, the running minimum and
+    maximum of each replica's ``log W`` over the generations ``extremes``
+    (``+inf`` and ``-inf`` over none), allocated only when ``extremes`` is
+    given; and ``frozen_at``, the last generation with an exact count of
+    each switched replica, else -1.  Generations outside ``[0, n]`` are a
+    ValueError.
     """
     if not 1 <= z0 <= 2**63 - 1:  # the counts are int64
         raise ValueError(f"z0 must lie in [1, 2**63 - 1], got z0 = {z0}")
     record = list(record)
-    if record and not 0 <= min(record) <= max(record) <= n:
-        raise ValueError(f"recorded generations must lie in [0, {n}], got "
-                         f"{min(record)} to {max(record)}")
+    track = set() if extremes is None else set(extremes)
+    for what, gens in (("recorded", record), ("tracked", track)):
+        if gens and not 0 <= min(gens) <= max(gens) <= n:
+            raise ValueError(f"{what} generations must lie in [0, {n}], got "
+                             f"{min(gens)} to {max(gens)}")
     cols = {i: slice(bisect.bisect_left(record, i),
                      bisect.bisect_right(record, i)) for i in record}
     # generation-0 columns keep this; a replica overwrites every later one
     log_w = np.full((size, len(record)), math.log(z0))
-    low_w = np.full(size, np.inf) if low else None
+    lo = hi = None
+    if extremes is not None:
+        lo = np.full(size, math.log(z0) if 0 in track else np.inf)
+        hi = np.full(size, math.log(z0) if 0 in track else -np.inf)
+    last = max(track, default=-1)
     frozen_at = np.full(size, -1, dtype=np.int64)
     rows = np.arange(size)
     z = np.full(size, z0, dtype=np.int64)
 
     def retire(gone, first_col, switched, shift=0.0):
         """Replicas ``gone`` keep ``log W = log Z + shift - S`` from
-        ``first_col`` on; those not extinct switched at ``switched``."""
+        generation ``i`` on, and from record column ``first_col``; those
+        not extinct switched at ``switched``."""
         nonlocal rows, z
         at = np.flatnonzero(gone)
         out, left = rows[at], z[at]
         val = np.log(left) + _take(shift, at) - _take(laws.s, at)
         frozen_at[out[left > 0]] = switched
         log_w[out, first_col:] = val[:, None]
-        if low:
-            low_w[out] = np.minimum(low_w[out], val)
+        if last >= i:
+            lo[out] = np.minimum(lo[out], val)
+            hi[out] = np.maximum(hi[out], val)
         live = np.flatnonzero(~gone)
         rows, z = rows[live], z[live]
         laws.keep(live)
@@ -198,15 +209,20 @@ def simulate_block(laws, z0: int, n: int, size: int,
                 if len(part):
                     z[sel] = part = law.sample_generation_totals(part, rng)
                     gone[sel] = (part == 0) | (part > switch)
-            if i in cols or low:
+            if i in cols or i in track:
                 cur = np.log(z) - laws.s
                 if i in cols:
                     log_w[rows, cols[i]] = cur[:, None]
-                if low:
-                    low_w[rows] = np.minimum(low_w[rows], cur)
+                if i in track and len(rows) == size:
+                    # no replica has left yet: rows is every replica
+                    np.minimum(lo, cur, out=lo)
+                    np.maximum(hi, cur, out=hi)
+                elif i in track:
+                    lo[rows] = np.minimum(lo[rows], cur)
+                    hi[rows] = np.maximum(hi[rows], cur)
             if gone.any():
                 retire(gone, bisect.bisect_right(record, i), i)
-    return Block(log_w, low_w, frozen_at)
+    return Block(log_w, lo, hi, frozen_at)
 
 
 def stretched_indices(n: int, grid: Sequence[float]) -> np.ndarray:

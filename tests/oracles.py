@@ -1,6 +1,7 @@
-"""Reference samplers the tests compare the library's totals against: draws
-of individual offspring counts (an alias table for a finite pmf), and their
-sum per generation.  No run path needs them, so they live with the tests."""
+"""References the tests compare the library against: draws of individual
+offspring counts (an alias table for a finite pmf) and their sum per
+generation, the cooling block walk, and the per-column path spread.  No run
+path needs them, so they live with the tests."""
 
 from typing import Optional
 
@@ -76,3 +77,15 @@ def cooling_block_index(spec, i: int) -> int:
     # doubling schedule: block j has length 2^j, so it covers
     # generations [2^j, 2^{j+1} - 1]
     return i.bit_length() - 1
+
+
+def path_spread(log_w: np.ndarray) -> np.ndarray:
+    """``sup_t |Y(t) - Y(1)|`` of each row of a recorded ``log W`` path
+    whose last column is generation ``n``, column by column; -1 for a
+    replica not alive at ``n``."""
+    w = np.exp(log_w)
+    alive = log_w[:, -1] > -np.inf
+    w -= w[:, -1:].copy()
+    spread = np.abs(w, out=w).max(axis=1)
+    spread[~alive] = -1.0
+    return spread

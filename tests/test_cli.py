@@ -121,6 +121,23 @@ def test_not_applicable_exit_code(tmp_path):
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 4
 
 
+@pytest.mark.parametrize("params", [
+    # an empty span of generations, whose running minimum of log W is +inf
+    {"k": 8, "horizon": 0, "replicas": 100},
+    {"k": 8, "start": 3, "horizon": 0, "replicas": 100},
+])
+def test_halving_over_no_generation_halves_nothing(tmp_path, params):
+    cfg = write_config(tmp_path, {
+        "experiment": "halving",
+        "environment": {"kind": "constant", "dist": {
+            "kind": "finite_pmf", "pmf": [0.25, 0.25, 0.5]}},
+        "params": params})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    estimate = json.loads((tmp_path / "o" / "results.json").read_text()
+                          )["halving"]["estimate"]
+    assert (estimate["value"], estimate["replicas"]) == (0.0, 100)
+
+
 def test_digest_mismatch_refused(tmp_path):
     cfg = write_config(tmp_path, {
         "experiment": "survival",

@@ -64,23 +64,51 @@ def test_sample_mean_is_numpy_mean_and_std_bit_for_bit(n):
     assert (est.replicas, est.master_seed) == (n, 7)
 
 
+def traced_peak(run) -> int:
+    """Peak of the memory tracemalloc sees allocated during ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("run,result_bytes", [
-    pytest.param(lambda env: mc_l2_span(env, 1, 0, 1, 10**6, 3, threads=1),
-                 8 * 10**6, id="l2_span"),
     pytest.param(lambda env: collect_w(env, 1, [5, 10], 10**6, 3, threads=1),
                  16 * 10**6, id="collect_w"),
 ])
 def test_estimator_peak_memory_is_one_result_array(gw_env200, run,
                                                    result_bytes):
-    # blocks write into one preallocated result and the statistics reduce
-    # in place, so the peak is that result plus the blocks in flight
-    tracemalloc.start()
-    try:
-        run(gw_env200)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * result_bytes
+    # blocks write into one preallocated result, so the peak is that result
+    # plus the blocks in flight
+    assert traced_peak(lambda: run(gw_env200)) <= 1.5 * result_bytes
+
+
+def largest_block(replicas: int) -> int:
+    return max(estimators._map_blocks(replicas, estimators.DEFAULT_BLOCK,
+                                      lambda b, size: size, threads=1))
+
+
+def test_l2_span_peak_memory_does_not_grow_with_replicas(gw_env200):
+    # each block reduces to (count, mean, M2), so one thread holds one block
+    # at a time whatever the replica count; the blocks of 10^6 replicas
+    # (31,250) are larger than those of 10^5 (25,000), and so is their peak
+    small, large = (traced_peak(lambda: mc_l2_span(gw_env200, 1, 0, 1, r, 3,
+                                                   threads=1))
+                    for r in (10**5, 10**6))
+    assert large <= 1.2 * small * largest_block(10**6) / largest_block(10**5)
+
+
+def test_flt_peak_memory_does_not_grow_with_grid_size(gw_env200):
+    # a block tracks the extremes of log W over the grid and records only
+    # generation n, so its memory does not depend on the grid's size
+    def run(grid_size):
+        return traced_peak(lambda: mc_flt_discrepancy(
+            gw_env200, [196], 20000, 3, grid_size=grid_size, threads=1))
+
+    run(2)  # the first run allocates once what later runs reuse
+    assert run(33) <= 1.2 * run(2)
 
 
 def test_collect_w_mean_one(gw_env200):

@@ -91,7 +91,7 @@ DIGESTS = {
     "halving":
         "e592354ed3bce41a6160abb700625760682b4bd54dcae1887de32a98d32dc8fe",
     "l2":
-        "b87761136d73c63169864a7d32956a5919875d9978426b392e55c371fecbcca7",
+        "f5678ac2aab33abcd84118e2f32a990c2ed3fc80eb7a6d9d60eb9d3bb4cb090a",
     "survival":
         "e0c7fdb0d9a33ca34695909e336444a8bbeaf1dc42085576e4fe886c3fc13c9b",
     "tightness":

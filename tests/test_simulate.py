@@ -20,10 +20,12 @@ def gw_env_short(gw_dist):
 
 def test_deterministic_given_stream(gw_env_short):
     a, b = (simulate_block(QuenchedLaws(gw_env_short), 5, 40, 64,
-                           substream(3, 0), range(41), low=True)
+                           substream(3, 0), range(41),
+                           extremes=range(1, 41))
             for _ in range(2))
     assert np.array_equal(a.log_w, b.log_w)
-    assert np.array_equal(a.low, b.low)
+    assert np.array_equal(a.lo, b.lo)
+    assert np.array_equal(a.hi, b.hi)
     assert np.array_equal(a.frozen_at, b.frozen_at)
 
 

@@ -2,18 +2,22 @@
 replaced, kept here as an oracle.  Both consume the random streams the same
 way, so extinction masks must agree exactly and ``log W`` to rounding; the
 annealed reference also takes the kernel's float operations, so there the
-two agree bitwise."""
+two agree bitwise.  The running extremes of ``log W`` agree the same way,
+and the path spread taken from them equals, bit for bit, the spread taken
+column by column over a recorded path (``oracles.path_spread``)."""
 
 import math
 
 import numpy as np
 import pytest
 
+from bpve import estimators
 from bpve.distributions import OffspringDistribution
 from bpve.environment import EnvironmentSpec, Mixer, PRESETS, quench
 from bpve.simulate import (AnnealedLaws, QuenchedLaws, log_switch_threshold,
-                           simulate_block)
+                           simulate_block, stretched_indices)
 from bpve.streams import substream
+import oracles
 from oracles import cooling_block_index
 
 
@@ -23,35 +27,45 @@ def _log_or_frozen(frozen, logz, z):
                         np.where(z > 0, np.log(np.maximum(z, 1)), -np.inf))
 
 
-def reference_quenched(env, z0, n, rng, size, record):
-    """log W at ``record`` and halving flags (relative to generation 0)."""
+def reference_quenched(env, z0, n, rng, size, record, span=()):
+    """log W at ``record``, and its minimum and maximum over the
+    generations ``span`` (``+inf`` and ``-inf`` over none).  Before a
+    generation's draws, a replica whose total could pass ``2**62`` switches
+    one generation early and keeps that generation's log-mean."""
     pos = {idx: j for j, idx in enumerate(record)}
+    span = set(span)
     z = np.full(size, z0, dtype=np.int64)
     logz = np.full(size, math.log(z0))
     frozen = np.zeros(size, dtype=bool)
     out = np.empty((size, len(record)))
-    if 0 in pos:
-        out[:, pos[0]] = math.log(z0) - env.s[0]
-    halv = np.zeros(size, dtype=bool)
-    for i in range(1, n + 1):
-        dist = env.dists[i - 1]
-        logz[frozen] += float(env.xi[i - 1])
-        act = (~frozen) & (z > 0)
-        if act.any():
-            z[act] = dist.sample_generation_totals(z[act], rng)
-        newly = act & (z > log_switch_threshold(dist))
-        frozen[newly] = True
-        logz[newly] = np.log(z[newly].astype(float))
-        cur = _log_or_frozen(frozen, logz, z)
+    lo, hi = np.full(size, np.inf), np.full(size, -np.inf)
+    cur = np.full(size, math.log(z0) - env.s[0])
+    for i in range(n + 1):
+        if i > 0:
+            dist, xi = env.dists[i - 1], float(env.xi[i - 1])
+            logz[frozen] += xi
+            act = (~frozen) & (z > 0)
+            early = act & (z * max(dist.mean, 1.0) > 2**62)
+            frozen[early] = True
+            logz[early] = np.log(z[early].astype(float)) + xi
+            act &= ~early
+            if act.any():
+                z[act] = dist.sample_generation_totals(z[act], rng)
+            newly = act & (z > log_switch_threshold(dist))
+            frozen[newly] = True
+            logz[newly] = np.log(z[newly].astype(float))
+            cur = _log_or_frozen(frozen, logz, z) - env.s[i]
         if i in pos:
-            out[:, pos[i]] = cur - env.s[i]
-        halv |= cur - env.s[i] < math.log(z0 / 2.0)
-    return out, halv
+            out[:, pos[i]] = cur
+        if i in span:
+            lo, hi = np.minimum(lo, cur), np.maximum(hi, cur)
+    return out, lo, hi
 
 
-def reference_annealed(spec, z0, n, env_rng, rep_rng, size, record):
+def reference_annealed(spec, z0, n, env_rng, rep_rng, size, record, span=()):
     """log W at ``record``, the generation each replica switched to log
-    scale (else -1) and whether it switched early, from a full-width
+    scale (else -1), whether it switched early, and the minimum and maximum
+    of log W over the generations ``span``, from a full-width
     recursion with the kernel's float operations, so the two agree
     bitwise.  Before a generation's draws, a replica whose total could pass
     ``2**62`` switches one generation early and keeps that generation's
@@ -67,6 +81,9 @@ def reference_annealed(spec, z0, n, env_rng, rep_rng, size, record):
     out = np.empty((size, len(record)))
     if 0 in pos:
         out[:, pos[0]] = math.log(z0)
+    span = set(span)
+    lo = np.full(size, math.log(z0) if 0 in span else np.inf)
+    hi = np.full(size, math.log(z0) if 0 in span else -np.inf)
     prev_block = None
     for i in range(1, n + 1):
         block = cooling_block_index(spec, i) if spec.kind == "cooling" else i
@@ -115,37 +132,91 @@ def reference_annealed(spec, z0, n, env_rng, rep_rng, size, record):
             newly = sel & (z > switch)
             frozen[newly], frozen_at[newly] = True, i
             frozen_w[newly] = np.log(z[newly]) - svec[newly]
+        with np.errstate(divide="ignore"):
+            cur = np.where(frozen, frozen_w, np.log(z) - svec)
         if i in pos:
-            with np.errstate(divide="ignore"):
-                out[:, pos[i]] = np.where(frozen, frozen_w,
-                                          np.log(z) - svec)
-    return out, frozen_at, switched_early
+            out[:, pos[i]] = cur
+        if i in span:
+            lo, hi = np.minimum(lo, cur), np.maximum(hi, cur)
+    return out, frozen_at, switched_early, lo, hi
 
 
 def assert_same(ref, got):
-    dead = np.isneginf(ref)
-    assert np.array_equal(dead, np.isneginf(got))
-    assert np.all(np.isfinite(got[~dead]))
-    assert np.max(np.abs(ref[~dead] - got[~dead]), initial=0.0) <= 1e-12
+    """Equal infinities, finite values equal to rounding."""
+    for sign in (-1, 1):
+        assert np.array_equal(ref == sign * np.inf, got == sign * np.inf)
+    fin = np.isfinite(ref)
+    assert np.all(np.isfinite(got[fin]))
+    assert np.max(np.abs(ref[fin] - got[fin]), initial=0.0) <= 1e-12
 
 
-@pytest.mark.parametrize("case", ["reference_pmf", "heavy_tail"])
+@pytest.mark.parametrize("case", ["reference_pmf", "heavy_tail",
+                                  "early_switch"])
 def test_quenched_kernel_matches_reference(case):
     if case == "reference_pmf":
         spec = EnvironmentSpec.constant(
             OffspringDistribution.finite_pmf([0.25, 0.25, 0.5]))
         z0, n = 2, 150  # crosses the 1e12 switch near generation 122
-    else:
+    elif case == "heavy_tail":
         spec, z0, n = PRESETS["heavy_tail_supercritical"](), 1, 60
+    else:
+        # 3e9 parents of Poisson(3e9) could pass 2**62: every replica
+        # switches before generation 2's draws
+        spec = EnvironmentSpec.constant(OffspringDistribution.poisson(3e9))
+        z0, n = 1, 6
     env = quench(spec, 1, n)
     record = [0, 1, n // 2, n - 1, n]
-    ref, ref_halv = reference_quenched(env, z0, n, substream(21, 0), 3000,
-                                       record)
-    block = simulate_block(QuenchedLaws(env), z0, n, 3000, substream(21, 0),
-                           record, low=True)
-    assert_same(ref, block.log_w)
-    assert np.array_equal(ref_halv, block.low < math.log(z0 / 2.0))
-    assert (block.frozen_at >= 0).any() and np.isneginf(ref[:, -1]).any()
+    for span in (range(n + 1), range(1, n + 1), (), [0, n // 2],
+                 [1, n // 3, n - 1]):
+        ref, lo, hi = reference_quenched(env, z0, n, substream(21, 0), 3000,
+                                         record, span)
+        block = simulate_block(QuenchedLaws(env), z0, n, 3000,
+                               substream(21, 0), record, extremes=span)
+        assert_same(ref, block.log_w)
+        assert_same(lo, block.lo)
+        assert_same(hi, block.hi)
+        if span == range(1, n + 1):
+            # the halving flags read off the minimum
+            assert np.array_equal(lo < math.log(z0 / 2.0),
+                                  block.lo < math.log(z0 / 2.0))
+    if case == "early_switch":
+        assert (block.frozen_at == 1).all()
+    else:
+        assert (block.frozen_at >= 0).any() and np.isneginf(ref[:, -1]).any()
+
+
+def test_extremes_are_allocated_only_on_request(gw_dist):
+    env = quench(EnvironmentSpec.constant(gw_dist), 1, 10)
+    block = simulate_block(QuenchedLaws(env), 1, 10, 50, substream(3, 0),
+                           [10])
+    assert block.lo is None and block.hi is None
+    with pytest.raises(ValueError, match="tracked generations"):
+        simulate_block(QuenchedLaws(env), 1, 10, 50, substream(3, 0), [10],
+                       extremes=[3, 11])
+
+
+@pytest.mark.parametrize("case", ["reference_pmf", "heavy_tail",
+                                  "cooling_gaussian"])
+@pytest.mark.parametrize("grid_size", [9, 33, 10**6])
+def test_path_spread_matches_per_column_reference(case, grid_size):
+    # mc_flt_discrepancy's spread from the tracked extremes of log W equals,
+    # bit for bit, the one taken column by column over the recorded path
+    spec = {"reference_pmf": lambda: EnvironmentSpec.constant(
+                OffspringDistribution.finite_pmf([0.25, 0.25, 0.5])),
+            "heavy_tail": PRESETS["heavy_tail_supercritical"],
+            "cooling_gaussian": lambda: EnvironmentSpec.cooling(
+                Mixer("gaussian_logmean_geometric", mu=0.5, sigma=0.3))}[case]
+    n = 256
+    env = quench(spec(), 4, n)
+    grid = np.linspace(0.0, 1.0, min(grid_size, n - math.isqrt(n) + 2))
+    idx = np.unique(stretched_indices(n, grid)).tolist()
+    path = simulate_block(QuenchedLaws(env), 1, n, 3000, substream(8, 1),
+                          idx).log_w
+    block = simulate_block(QuenchedLaws(env), 1, n, 3000, substream(8, 1),
+                           [n], extremes=idx)
+    want, got = oracles.path_spread(path), estimators._path_spread(block)
+    assert want.tobytes() == got.tobytes()
+    assert (want == -1.0).any() and (want > 0.0).any()
 
 
 @pytest.mark.parametrize("mixer", [
@@ -167,13 +238,15 @@ def test_quenched_kernel_matches_reference(case):
 def test_annealed_kernel_matches_reference(mixer, cooling):
     spec = (EnvironmentSpec.cooling(mixer) if cooling
             else EnvironmentSpec.iid_random(mixer))
-    n, record = 80, [0, 8, 40, 80]
-    ref, ref_frozen_at, early = reference_annealed(
-        spec, 1, n, substream(5, 0), substream(6, 0), 3000, record)
+    n, record, span = 80, [0, 8, 40, 80], [0, *range(5, 30), 60, 79]
+    ref, ref_frozen_at, early, lo, hi = reference_annealed(
+        spec, 1, n, substream(5, 0), substream(6, 0), 3000, record, span)
     laws = AnnealedLaws(spec, substream(5, 0), 3000)
-    block = simulate_block(laws, 1, n, 3000, substream(6, 0), record)
+    block = simulate_block(laws, 1, n, 3000, substream(6, 0), record,
+                           extremes=span)
     assert np.array_equal(ref, block.log_w)
     assert np.array_equal(ref_frozen_at, block.frozen_at)
+    assert np.array_equal(lo, block.lo) and np.array_equal(hi, block.hi)
     assert np.isneginf(ref[:, -1]).any() and np.isfinite(ref[:, -1]).any()
     poisson = mixer.kind == "finite" and mixer.dists[0].kind == "poisson"
     assert early.sum() > 100 if poisson else not early.any()
