@@ -17,6 +17,7 @@ environment).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -30,7 +31,8 @@ import numpy as np
 
 from . import conditions, estimators
 from .distributions import NotApplicableError, PhiFunction, check_keys
-from .environment import EnvironmentSpec, PRESET_CONFIGS, quench
+from .environment import (EnvironmentSpec, PRESET_CONFIGS,
+                          ResourceWarningError, quench)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -261,15 +263,32 @@ def config_digest(resolved: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+@contextlib.contextmanager
+def _naming_memory(step: str):
+    """Name ``step`` in a MemoryError that names no budget: one raised
+    while allocating has no text, or only the size it asked for."""
+    try:
+        yield
+    except ResourceWarningError:
+        raise
+    except MemoryError as exc:
+        raise MemoryError(f"out of memory {step}"
+                          + (f": {exc}" if str(exc) else "")) from exc
+
+
 def run_experiment(resolved: dict, threads=None):
     """Execute one resolved config; returns (results, csv_text_or_None),
     where results holds the result object under the experiment's key."""
     exp = EXPERIMENTS[resolved["experiment"]]
     p = resolved["params"]
     spec = EnvironmentSpec.from_config(resolved["environment"])
-    target = spec if exp.horizon is None else \
-        quench(spec, resolved["env_seed"], exp.horizon(p))
-    result = exp.run(target, p, resolved, threads)
+    target = spec
+    if exp.horizon is not None:
+        horizon = exp.horizon(p)
+        with _naming_memory(f"quenching {horizon} generations"):
+            target = quench(spec, resolved["env_seed"], horizon)
+    with _naming_memory(f"running {resolved['experiment']}"):
+        result = exp.run(target, p, resolved, threads)
     return ({"experiment": resolved["experiment"], exp.key: result},
             exp.csv(result) if exp.csv else None)
 

@@ -297,23 +297,31 @@ class QuenchedEnvironment:
                                    _kahan_cumsum(xi), xi)
 
 
+_CUMSUM_CHUNK = 2**16
+
+
 def _kahan_cumsum(xs: np.ndarray) -> np.ndarray:
     """Compensated running sums along the last axis, after a leading 0.
     The rows of a 2-D ``xs`` are summed side by side, each with the same
-    float operations in the same order as on its own."""
+    float operations in the same order as on its own.  The sums go into
+    the result ``_CUMSUM_CHUNK`` generations at a time, so no more than a
+    chunk of them is held as Python objects."""
     rows = xs.ndim == 2 and len(xs) != 1
+    out = np.zeros(xs.shape[:-1] + (xs.shape[-1] + 1,))
+    flat = out.reshape(-1, out.shape[-1])
     # a single row steps faster through Python floats than numpy scalars
     total = comp = np.zeros(len(xs)) if rows else 0.0
-    sums = [total]
-    for x in xs.T if rows else xs.ravel().tolist():
-        y = x - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        sums.append(total)
-    if rows:
-        return np.stack(sums, axis=-1)
-    return np.array(sums).reshape(xs.shape[:-1] + (xs.shape[-1] + 1,))
+    cols = xs.T if rows else xs.ravel()
+    for lo in range(0, len(cols), _CUMSUM_CHUNK):
+        chunk, sums = cols[lo:lo + _CUMSUM_CHUNK], []
+        for x in chunk if rows else chunk.tolist():
+            y = x - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            sums.append(total)
+        flat[:, lo + 1:lo + 1 + len(sums)] = np.array(sums).T
+    return out
 
 
 def quench(spec: EnvironmentSpec, env_seed: int, horizon: int) -> QuenchedEnvironment:
@@ -357,11 +365,11 @@ class ResourceWarningError(MemoryError):
     """A size beyond a fixed in-memory budget."""
 
 
-# the estimators that keep a value per replica (path spread, conditioned
-# critical, collect_w) hold one result array plus the blocks in flight,
-# which must fit in memory: at 8 bytes a value, 0.8 GB per value kept per
-# replica.  The others reduce each block to counts or moments and hold the
-# blocks in flight alone; one limit serves every estimator.
+# only the quantile estimators (path spread, conditioned critical) keep a
+# value per replica: one result array plus the blocks in flight, which must
+# fit in memory, at 8 bytes a value 0.8 GB per value kept per replica.  The
+# others reduce each block to counts or moments and hold the blocks in
+# flight alone; one limit serves every estimator.
 MAX_REPLICAS = 10**8
 
 

@@ -12,12 +12,13 @@ equal shares.  The reductions merge in block order, so results depend on
 
 Only a statistic that needs every replica's value keeps a per-replica
 array: the quantiles of :func:`mc_flt_discrepancy` and
-:func:`mc_conditioned_critical`, and the matrix :func:`collect_w` returns.
-Each of their blocks writes its part into its own rows of one result array
-(:func:`_run_blocks`), so such a run holds that array plus the blocks in
-flight.  The other estimators hold the blocks in flight alone: survival,
-positivity and halving reduce each block to integer counts, summed, and
-the L2 span to ``(count, mean, M2)``, merged pairwise.  A replica is alive when
+:func:`mc_conditioned_critical`.  Each of their blocks writes its part into
+its own rows of one result array (:func:`_run_blocks`), so such a run holds
+that array plus the blocks in flight.  The other estimators hold the
+blocks in flight alone: survival, positivity and halving reduce each block
+to integer counts, summed, and every mean estimate (the L2 span and the
+increment covariance) reduces each block to ``(count, mean, M2)``, merged
+pairwise (:func:`_w_moments`).  A replica is alive when
 ``log W > -inf`` (``Z_n > 0``), decided before any ``exp``: the ``W`` of
 a live replica can underflow to 0.
 
@@ -53,7 +54,6 @@ __all__ = [
     "HalvingResult",
     "PathSpreadSummary",
     "ConditionedSummary",
-    "collect_w",
     "mc_survival",
     "mc_w_positivity",
     "mc_l2_increment",
@@ -88,12 +88,6 @@ class McEstimate:
         """Mean and standard error of a sample of ``(count, mean, M2)``."""
         n, m, m2 = moments
         return cls(float(m), math.sqrt(m2 / (n - 1)) / math.sqrt(n), n, seed)
-
-    @classmethod
-    def sample_mean(cls, x: np.ndarray, seed: int) -> "McEstimate":
-        """Mean of ``x`` and its standard error, bit for bit ``x.mean()``
-        and ``x.std(ddof=1) / sqrt(len(x))``.  Overwrites ``x``."""
-        return cls.from_moments(_moments(x), seed)
 
 
 def _moments(x: np.ndarray) -> Tuple[int, float, float]:
@@ -222,18 +216,6 @@ def _quenched(env: QuenchedEnvironment, n: int):
     return lambda b, sz: QuenchedLaws(env)
 
 
-def collect_w(env: QuenchedEnvironment, z0: int, indices: Sequence[int],
-              replicas: int, seed: int,
-              threads: Optional[int] = None) -> np.ndarray:
-    """Normalized population values at ``indices`` for every replica, shape
-    ``(replicas, len(indices))``; 0 after extinction and where W underflows."""
-    indices = sorted(set(int(i) for i in indices))
-    n = max(indices)
-    w = _run_blocks(_quenched(env, n), z0, n, indices, replicas, seed,
-                    threads, lambda block: block.log_w)
-    return np.exp(w, out=w)
-
-
 # -- quenched estimators ----------------------------------------------------
 
 def mc_survival(env: QuenchedEnvironment, z0: int, n: int, replicas: int,
@@ -319,19 +301,34 @@ def mc_l2_increment(env: QuenchedEnvironment, k: int, m: int, replicas: int,
     return mc_l2_span(env, k, m - 1, 1, replicas, seed, threads)
 
 
+def _w_moments(env: QuenchedEnvironment, k: int, record: Sequence[int],
+               replicas: int, seed: int, threads: Optional[int], f) -> list:
+    """``(count, mean, M2)`` of each column ``f(W)`` returns, ``W`` the
+    normalized population from ``k`` ancestors at the sorted generations
+    ``record``; each block reduces its part, merged in block order."""
+    parts = _reduce_blocks(
+        _quenched(env, record[-1]), k, record[-1], record, replicas, seed,
+        threads, lambda b, block: [_moments(x) for x in f(
+            np.exp(block.log_w, out=block.log_w))])
+    return [functools.reduce(_merge_moments, x) for x in zip(*parts)]
+
+
 def mc_increment_covariance(env: QuenchedEnvironment, k: int, n: int, m: int,
                             replicas: int, seed: int,
                             threads: Optional[int] = None) -> McEstimate:
     """Covariance of a later one-step increment with the earlier span
-    increment; zero in expectation by the martingale property."""
+    increment; zero in expectation by the martingale property.  A first
+    pass gives the increments' means, a second over the same blocks the
+    mean of the product of their deviations."""
     _check_span(env, n, m, replicas)
-    # collect_w merges the two earlier generations when m = 1
-    w = collect_w(env, k, [n, n + m - 1, n + m], replicas, seed, threads)
-    x, y = w[:, -1] - w[:, -2], w[:, -2] - w[:, 0]
-    x -= x.mean()
-    y -= y.mean()
-    x *= y
-    return McEstimate.sample_mean(x, seed)
+    span = [n, n + m - 1, n + m]
+    (_, x_bar, _), (_, y_bar, _) = _w_moments(
+        env, k, span, replicas, seed, threads,
+        lambda w: (w[:, 2] - w[:, 1], w[:, 1] - w[:, 0]))
+    (moments,) = _w_moments(
+        env, k, span, replicas, seed, threads,
+        lambda w: [(w[:, 2] - w[:, 1] - x_bar) * (w[:, 1] - w[:, 0] - y_bar)])
+    return McEstimate.from_moments(moments, seed)
 
 
 def mc_l2_span(env: QuenchedEnvironment, k: int, n: int, m: int,
@@ -340,17 +337,9 @@ def mc_l2_span(env: QuenchedEnvironment, k: int, n: int, m: int,
     """Mean squared increment of the normalized process between generations
     ``n`` and ``n + m``."""
     _check_span(env, n, m, replicas)
-
-    def moments(b, block):
-        w = np.exp(block.log_w, out=block.log_w)
-        d = w[:, 1] - w[:, 0]
-        d *= d
-        return _moments(d)
-
-    parts = _reduce_blocks(_quenched(env, n + m), k, n + m, [n, n + m],
-                           replicas, seed, threads, moments)
-    return McEstimate.from_moments(functools.reduce(_merge_moments, parts),
-                                   seed)
+    (moments,) = _w_moments(env, k, [n, n + m], replicas, seed, threads,
+                            lambda w: [np.square(w[:, 1] - w[:, 0])])
+    return McEstimate.from_moments(moments, seed)
 
 
 def mc_halving_bound(env: QuenchedEnvironment, k: int, start: int,

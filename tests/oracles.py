@@ -1,11 +1,15 @@
 """References the tests compare the library against: draws of individual
 offspring counts (an alias table for a finite pmf) and their sum per
-generation, the cooling block walk, and the per-column path spread.  No run
-path needs them, so they live with the tests."""
+generation, the cooling block walk, one generation's law drawn from its own
+stream, and the per-column path spread.  No run path needs them, so they
+live with the tests."""
 
 from typing import Optional
 
 import numpy as np
+
+from bpve.distributions import OffspringDistribution
+from bpve.streams import substream
 
 
 def build_alias_table(probs: np.ndarray):
@@ -77,6 +81,19 @@ def cooling_block_index(spec, i: int) -> int:
     # doubling schedule: block j has length 2^j, so it covers
     # generations [2^j, 2^{j+1} - 1]
     return i.bit_length() - 1
+
+
+def law_at(spec, seed: int, i: int):
+    """Offspring law of generation ``i`` (1-based) of a random spec, from the
+    first uniforms of the generation's own stream, keyed by its cooling
+    block or by ``i``: the mixer's component, or the geometric law of the
+    drawn mean."""
+    key = cooling_block_index(spec, i) if spec.kind == "cooling" else i
+    mixer = spec.mixer
+    _, law = mixer.sample(substream(seed, key).random(mixer.width))
+    if mixer.kind == "finite":
+        return mixer.dists[law]
+    return OffspringDistribution.geometric(mean=float(law))
 
 
 def path_spread(log_w: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from bpve import cli, estimators
 from bpve.cli import main
 from bpve.environment import PRESET_CONFIGS
 
@@ -493,6 +494,27 @@ def test_population_overflow_exit_code(tmp_path, monkeypatch):
         "params": {"n": 10, "replicas": 100},
     })
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("module,name,exc,message", [
+    (cli, "quench", MemoryError(), "quenching 10 generations"),
+    (estimators, "mc_survival", MemoryError(), "running survival"),
+    (estimators, "mc_survival", MemoryError("Unable to allocate 8.00 GiB"),
+     "running survival: Unable to allocate 8.00 GiB")])
+def test_out_of_memory_names_the_step(tmp_path, capsys, monkeypatch, module,
+                                      name, exc, message):
+    # a MemoryError raised while allocating has no text, or only a size
+    def exhausted(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(module, name, exhausted)
+    cfg = write_config(tmp_path, {
+        "experiment": "survival",
+        "environment": {"preset": "critical_two_point"},
+        "params": {"n": 10, "replicas": 100},
+    })
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == \
+        f"resource error: out of memory {message}\n"
 
 
 @pytest.mark.parametrize("top,params,field", [

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -12,7 +13,7 @@ from bpve.environment import (EnvironmentSpec, Mixer, PRESET_CONFIGS,
                               ResourceWarningError, quench, quench_many)
 from bpve.simulate import AnnealedLaws
 from bpve.streams import substream
-from oracles import cooling_block_index
+from oracles import cooling_block_index, law_at
 
 
 def test_constant_env(gw_dist):
@@ -285,7 +286,7 @@ def test_cooling_quench_draws_once_per_block(schedule, monkeypatch):
     for mixer in (PRESETS["critical_two_point"]().mixer,
                   Mixer("gaussian_logmean_geometric", mu=0.1, sigma=0.5)):
         spec = EnvironmentSpec.cooling(mixer, block_lengths=schedule)
-        per_generation = [spec.dist_at(9, i) for i in range(1, 2001)]
+        per_generation = [law_at(spec, 9, i) for i in range(1, 2001)]
         with monkeypatch.context() as patch:
             patch.setattr(environment, "first_uniforms",
                           lambda seeds, keys, width: (
@@ -376,12 +377,41 @@ def test_quench_matches_per_generation_draws(name):
     mixer = spec.mixer
     for seed in (0, -1, 2**64 - 1):
         env = quench(spec, seed, 1000)
-        laws = [spec.dist_at(seed, i) for i in range(1, 1001)]
+        laws = [law_at(spec, seed, i) for i in range(1, 1001)]
         assert env.dists == laws
         xi = np.array([mixer.sample(substream(seed, i).random(mixer.width))[0]
                        for i in range(1, 1001)])
         assert np.array_equal(env.xi, xi)
         assert np.array_equal(env.s, kahan_oracle(xi))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 2**16 - 1, 2**16, 2**16 + 1,
+                               2**17 + 3])
+def test_kahan_cumsum_matches_the_oracle_across_chunks(n):
+    # the sums go into the result one chunk of 2^16 at a time; a chunk
+    # boundary changes no bit, for a 1-D input, a single row and two rows
+    rng = np.random.default_rng(n)
+    xs = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    want = kahan_oracle(xs.tolist())
+    assert environment._kahan_cumsum(xs).tobytes() == want.tobytes()
+    assert environment._kahan_cumsum(xs[None]).tobytes() == \
+        want[None].tobytes()
+    pair = environment._kahan_cumsum(np.stack([xs, xs[::-1]]))
+    assert pair.tobytes() == np.stack(
+        [want, kahan_oracle(xs[::-1].tolist())]).tobytes()
+
+
+def test_kahan_cumsum_peak_memory_is_the_result_and_one_chunk():
+    # the single-row path holds one chunk of Python floats at a time; a
+    # list of the whole horizon would take 17 MB at 2^18 values
+    xs = np.random.default_rng(0).standard_normal(2**18)
+    tracemalloc.start()
+    try:
+        environment._kahan_cumsum(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(xs) + 6 * 10**6
 
 
 def ks_statistic(x, law: NormalDist) -> float:

@@ -8,8 +8,7 @@ from bpve import estimators
 from bpve.cli import jsonable
 from bpve.distributions import NotApplicableError, OffspringDistribution
 from bpve.environment import EnvironmentSpec, Mixer, PRESETS, quench
-from bpve.estimators import (collect_w, mc_conditioned_critical,
-                             mc_flt_discrepancy, mc_halving_bound,
+from bpve.estimators import (mc_conditioned_critical, mc_flt_discrepancy, mc_halving_bound,
                              mc_increment_covariance, mc_l2_increment,
                              mc_l2_span, mc_survival, mc_w_positivity)
 
@@ -19,10 +18,19 @@ def gw_env200(gw_dist):
     return quench(EnvironmentSpec.constant(gw_dist), 1, 200)
 
 
-def test_collect_w_thread_count_invariance(gw_env200):
+def run_w(env, z0, record, replicas, seed, threads):
+    """``W`` at the generations ``record`` of every replica, one row each,
+    written by the block runner on the real kernel."""
+    w = estimators._run_blocks(estimators._quenched(env, record[-1]), z0,
+                               record[-1], record, replicas, seed, threads,
+                               lambda block: block.log_w)
+    return np.exp(w, out=w)
+
+
+def test_run_blocks_thread_count_invariance(gw_env200):
     # spans four blocks; merged results must not depend on the worker count
-    a = collect_w(gw_env200, 1, [10, 50], 70000, 99, threads=1)
-    b = collect_w(gw_env200, 1, [10, 50], 70000, 99, threads=5)
+    a = run_w(gw_env200, 1, [10, 50], 70000, 99, threads=1)
+    b = run_w(gw_env200, 1, [10, 50], 70000, 99, threads=5)
     assert np.array_equal(a, b)
 
 
@@ -58,7 +66,8 @@ def test_sample_mean_is_numpy_mean_and_std_bit_for_bit(n):
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
     x[rng.integers(0, n, n // 3)] = x[rng.integers(0, 2, n // 3)]
     want = (float(x.mean()), float(x.std(ddof=1) / math.sqrt(n)))
-    est = estimators.McEstimate.sample_mean(x.copy(), 7)
+    est = estimators.McEstimate.from_moments(estimators._moments(x.copy()),
+                                             7)
     assert [v.hex() for v in (est.value, est.std_error)] == \
         [v.hex() for v in want]
     assert (est.replicas, est.master_seed) == (n, 7)
@@ -75,8 +84,8 @@ def traced_peak(run) -> int:
 
 
 @pytest.mark.parametrize("run,result_bytes", [
-    pytest.param(lambda env: collect_w(env, 1, [5, 10], 10**6, 3, threads=1),
-                 16 * 10**6, id="collect_w"),
+    pytest.param(lambda env: run_w(env, 1, [5, 10], 10**6, 3, threads=1),
+                 16 * 10**6, id="run_blocks"),
 ])
 def test_estimator_peak_memory_is_one_result_array(gw_env200, run,
                                                    result_bytes):
@@ -91,13 +100,16 @@ def largest_block(replicas: int) -> int:
 
 
 def test_l2_span_peak_memory_does_not_grow_with_replicas(gw_env200):
-    # each block reduces to (count, mean, M2), so one thread holds one block
-    # at a time whatever the replica count; the blocks of 10^6 replicas
-    # (31,250) are larger than those of 10^5 (25,000), and so is their peak
-    small, large = (traced_peak(lambda: mc_l2_span(gw_env200, 1, 0, 1, r, 3,
-                                                   threads=1))
-                    for r in (10**5, 10**6))
-    assert large <= 1.2 * small * largest_block(10**6) / largest_block(10**5)
+    # each block of the L2 span and of the increment covariance reduces to
+    # (count, mean, M2), so one thread holds one block at a time whatever
+    # the replica count; the blocks of 10^6 replicas (31,250) are larger
+    # than those of 10^5 (25,000), and so is their peak
+    for estimate, m in ((mc_l2_span, 1), (mc_increment_covariance, 2)):
+        small, large = (traced_peak(lambda: estimate(gw_env200, 1, 0, m, r, 3,
+                                                     threads=1))
+                        for r in (10**5, 10**6))
+        assert large <= 1.2 * small * (largest_block(10**6)
+                                       / largest_block(10**5)), estimate
 
 
 def test_flt_peak_memory_does_not_grow_with_grid_size(gw_env200):
@@ -111,8 +123,8 @@ def test_flt_peak_memory_does_not_grow_with_grid_size(gw_env200):
     assert run(33) <= 1.2 * run(2)
 
 
-def test_collect_w_mean_one(gw_env200):
-    w = collect_w(gw_env200, 1, [30], 50000, 12, threads=4)[:, 0]
+def test_run_blocks_w_mean_one(gw_env200):
+    w = run_w(gw_env200, 1, [30], 50000, 12, threads=4)[:, 0]
     se = w.std(ddof=1) / math.sqrt(len(w))
     assert abs(w.mean() - 1.0) < 4 * se
 
@@ -124,9 +136,11 @@ def test_mc_survival_small(gw_env200):
 
 
 def test_mc_survival_monotone_in_n(gw_env200):
-    # survival can only decrease with the horizon on the same replicas
-    w = collect_w(gw_env200, 1, [20, 100], 30000, 8, threads=4)
-    assert np.mean(w[:, 1] > 0) <= np.mean(w[:, 0] > 0)
+    # survival can only decrease with the horizon on the same replicas: one
+    # seed gives both runs the same draws up to generation 20
+    early = mc_survival(gw_env200, 1, 20, 30000, 8, threads=4)
+    late = mc_survival(gw_env200, 1, 100, 30000, 8, threads=4)
+    assert late.value <= early.value
 
 
 def test_w_positivity_plateau(gw_env200):
@@ -278,7 +292,7 @@ def test_replica_validation(gw_env200):
     with pytest.raises(ValueError):
         mc_survival(gw_env200, 1, 10, 0, 1)
     with pytest.raises(ValueError):
-        collect_w(gw_env200, 1, [500], 10, 1)
+        mc_survival(gw_env200, 1, 500, 10, 1)
     with pytest.raises(ValueError):
         mc_w_positivity(gw_env200, 1, 10, [-0.1, 0.5], 10, 1)
     for n, m in ((-1, 2), (3, 0)):

@@ -2,7 +2,8 @@
 that the benchmark's per-layer hooks still find every call boundary.  Also
 static checks of the source: no module imports scipy, only ``cli`` defines
 the output format, one call site runs the population loop, estimators
-collect per-replica values in one result array, one mixer rule turns the
+collect per-replica values in one result array and take every mean
+estimate from one block-moment path, one mixer rule turns the
 uniforms of random-environment draws into laws (the simulation kernel
 builds none), one
 report function certifies every damped condition series, one environment
@@ -84,12 +85,24 @@ def test_output_format_lives_in_cli():
             f"{name}:{node.lineno} defines {node.name}"
 
 
+def module_callers(module: str) -> dict:
+    """For each plain name a module's top-level functions call, the names
+    of those functions, once per call."""
+    callers = {}
+    for func in ast.parse((ROOT / "src" / "bpve" / module).read_text()).body:
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Name):
+                    callers.setdefault(node.func.id, []).append(func.name)
+    return callers
+
+
 def holds_exp_w(expr, names) -> bool:
-    """Whether ``expr`` holds an exp'd ``W``: a call of ``exp`` or
-    ``collect_w``, or one of ``names``."""
+    """Whether ``expr`` holds an exp'd ``W``: a call of ``exp``, or one of
+    ``names``."""
     return any(isinstance(n, ast.Call) and getattr(
-                   n.func, "attr", getattr(n.func, "id", None))
-               in ("exp", "collect_w")
+                   n.func, "attr", getattr(n.func, "id", None)) == "exp"
                or isinstance(n, ast.Name) and n.id in names
                for n in ast.walk(expr))
 
@@ -129,14 +142,30 @@ def test_one_population_loop_reads_survival_from_log_w():
 
 def test_estimators_collect_one_result_array():
     # _run_blocks writes every block into its rows of one preallocated
-    # array and McEstimate.sample_mean squares deviations in place; joined
-    # parts or numpy's std would each copy a whole per-replica array
+    # array and _moments squares deviations in place; joined parts or
+    # numpy's std would each copy a whole per-replica array
     tree = ast.parse((ROOT / "src" / "bpve" / "estimators.py").read_text())
     calls = [f"estimators.py:{node.lineno} calls {ast.unparse(node.func)}"
              for node in ast.walk(tree) if isinstance(node, ast.Call)
              and getattr(node.func, "attr", getattr(node.func, "id", None))
              in ("concatenate", "std")]
     assert calls == []
+
+
+def test_one_block_moment_path_for_every_mean_estimate():
+    # every mean estimate merges per-block (count, mean, M2) through
+    # _w_moments; only the quantile estimators keep per-replica arrays
+    callers = module_callers("estimators.py")
+    assert sorted(callers["_run_blocks"]) == ["mc_conditioned_critical",
+                                              "mc_flt_discrepancy"]
+    assert sorted(callers["_w_moments"]) == ["mc_increment_covariance",
+                                             "mc_increment_covariance",
+                                             "mc_l2_span"]
+    defined = [f"{name}:{node.lineno} defines {node.name}"
+               for name, node in source_nodes()
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("collect_w", "sample_mean")]
+    assert defined == []
 
 
 def test_one_mixer_rule_draws_every_environment():
@@ -183,14 +212,7 @@ def test_geometric_laws_of_gaussian_draws_are_built_outside_the_kernel():
 def test_one_report_path_for_every_damped_series():
     # the variance, fractional, psi and increment-variance checkers share one
     # report function: it sums a row through damped_series and certifies it
-    tree = ast.parse((ROOT / "src" / "bpve" / "conditions.py").read_text())
-    callers = {}
-    for func in tree.body:
-        if isinstance(func, ast.FunctionDef):
-            for node in ast.walk(func):
-                if isinstance(node, ast.Call) \
-                        and isinstance(node.func, ast.Name):
-                    callers.setdefault(node.func.id, []).append(func.name)
+    callers = module_callers("conditions.py")
     assert callers["_certify"] == ["_report"]
     assert sorted(callers["damped_series"]) == ["_report",
                                                 "tightness_diagnostic"]

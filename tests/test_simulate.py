@@ -6,7 +6,7 @@ import pytest
 from bpve import simulate
 from bpve.distributions import OffspringDistribution
 from bpve.environment import EnvironmentSpec, quench
-from bpve.estimators import collect_w
+from bpve.estimators import mc_survival
 from bpve.simulate import (FINITE_VAR_LOG_SWITCH, QuenchedLaws,
                            log_switch_threshold, simulate_block,
                            stretched_indices)
@@ -72,7 +72,7 @@ def test_log_scale_continuation(monkeypatch):
 
 def test_horizon_validation(gw_env_short):
     with pytest.raises(ValueError):
-        collect_w(gw_env_short, 1, [100], 10, 0)
+        mc_survival(gw_env_short, 1, 100, 10, 0)
     for z0, record in ((0, [10]), (1, [11]), (1, [-3, 8])):
         with pytest.raises(ValueError):
             simulate_block(QuenchedLaws(gw_env_short), z0, 10, 4,
