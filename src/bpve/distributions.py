@@ -62,9 +62,10 @@ _INT64_SAFE = 2**62
 _TOTALS_HEAD = 16
 _TAIL_CHUNK = 1 << 16
 
-# Moments of an infinite-support law: terms up to _MOMENT_HEAD are summed
-# exactly, the rest is estimated with a certified error bound (an integral for
-# a power tail, a ratio test for a light one); the head grows fourfold, up to
+# Moments of an infinite-support law: terms up to a head are summed exactly
+# (a power tail's starts at _MOMENT_HEAD terms, a light tail's at 16), the
+# rest is estimated with a certified error bound (an integral for a power
+# tail, a ratio test for a light one); the head grows fourfold, up to
 # _MOMENT_HEAD_MAX, only while that bound misses the tolerance.
 _MOMENT_HEAD = 1 << 12
 _MOMENT_HEAD_MAX = 1 << 22
@@ -176,19 +177,27 @@ def _positive_rows(parents: np.ndarray, draw) -> np.ndarray:
 
 
 class GeometricRows:
-    """Geometric laws ``P(X=k) = (1-q) q^k``, one ``mean`` per parent row
-    (the per-replica laws of a Gaussian log-mean environment), with the
+    """Geometric laws ``P(X=k) = (1-q) q^k``, one ``mean`` per row (a
+    Gaussian draw's laws, per parent row or per stream key), with the
     :meth:`OffspringDistribution.overflow_rows` and
-    :meth:`OffspringDistribution.sample_generation_totals` interface; a
-    mean whose ``q = mean / (1 + mean)`` is not in ``(0, 1)`` is refused by
+    :meth:`OffspringDistribution.sample_generation_totals` interface;
+    ``rows[k]`` is row ``k``'s law, built when read.  A mean whose ``q =
+    mean / (1 + mean)`` is not in ``(0, 1)`` is refused by
     :meth:`OffspringDistribution.geometric`."""
 
     def __init__(self, mean: np.ndarray):
+        self.mean = mean
         with np.errstate(invalid="ignore"):  # an infinite mean gives NaN
             self.q = mean / (1.0 + mean)
         bad = ~((self.q > 0.0) & (self.q < 1.0))
         if bad.any():
             OffspringDistribution.geometric(float(mean[bad.argmax()]))
+
+    def __len__(self):
+        return len(self.mean)
+
+    def __getitem__(self, k) -> "OffspringDistribution":
+        return OffspringDistribution.geometric(float(self.mean[k]))
 
     def overflow_rows(self, parents: np.ndarray) -> Optional[np.ndarray]:
         return _overflow_rows(parents, self.q / (1.0 - self.q))
@@ -670,10 +679,11 @@ class OffspringDistribution:
         ``sum f(ks)``: the exact head ``k <= K`` plus :meth:`_remainder`'s
         estimate of the rest.
 
-        ``K`` starts at ``_MOMENT_HEAD``, times 4 until ``K >= 2m`` (where
-        the remainder bounds hold), and grows fourfold while the certified
-        error misses ``tol`` (relative once the moment exceeds 1).  A head
-        past ``_MOMENT_HEAD_MAX``, needed first or to meet ``tol``, raises
+        ``K`` starts at ``_MOMENT_HEAD`` for a power tail and at 16 for a
+        light one, times 4 until ``K >= 2m`` (where the remainder bounds
+        hold), and grows fourfold while the certified error misses ``tol``
+        (relative once the moment exceeds 1).  A head past
+        ``_MOMENT_HEAD_MAX``, needed first or to meet ``tol``, raises
         :class:`NotApplicableError`: no value is returned uncertified.  A
         head that is not a finite float is returned for the caller to refuse.
         """
@@ -683,7 +693,7 @@ class OffspringDistribution:
             return sum(term_sum(np.arange(start, min(start + _MOMENT_HEAD, hi)))
                        for start in range(lo, hi, _MOMENT_HEAD))
 
-        cut = _MOMENT_HEAD
+        cut = _MOMENT_HEAD if self.kind == "power_law_tail" else 16
         while cut < 2.0 * m:
             cut *= 4
         if cut > _MOMENT_HEAD_MAX:

@@ -14,10 +14,11 @@ draw, two per Gaussian draw) into log-means and laws: a quenched draw
 and the annealed draws (:class:`bpve.simulate.AnnealedLaws`) a block's.
 
 ``quench`` freezes a spec into a :class:`QuenchedEnvironment`: a table of
-its distinct laws, the law index of each generation, and the running sums
-of the log-means, accumulated with compensated summation (the condition
-series are exponentially sensitive to drift in those sums).  A function of
-the law, such as a moment, is evaluated once per table entry
+its distinct laws (a Gaussian draw's: the ``GeometricRows`` of its means),
+the law index of each generation, and the running sums of the log-means,
+accumulated with compensated summation (the condition series are
+exponentially sensitive to drift in those sums).  A function of the law,
+such as a moment, is evaluated once per table entry
 (:meth:`QuenchedEnvironment.map_laws`).  ``quench_many`` freezes many
 environments of one spec at once.
 
@@ -36,7 +37,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .distributions import OffspringDistribution, check_keys
+from .distributions import GeometricRows, OffspringDistribution, check_keys
 # the benchmark's tracer (bench/spans.py) wraps ``substream`` in this
 # module, so it stays bound though nothing here calls it
 from .streams import first_uniforms, substream
@@ -113,14 +114,13 @@ class Mixer:
     def draw(self, seeds: Sequence[int], keys: Sequence[int]):
         """The draws of streams ``(seed, key)``, from one
         :func:`first_uniforms` pass: per seed a law table (the components,
-        or each key's geometric law), and per seed and key the law's index
-        in it and the log-mean."""
+        or the :class:`GeometricRows` of the keys' means), and per seed and
+        key the law's index in it and the log-mean."""
         xi, law = self.sample(first_uniforms(
             np.array(seeds, dtype=object)[:, None], keys, self.width))
         if self.kind == "finite":
             return [tuple(self.dists)] * len(seeds), law, xi
-        tables = [tuple(OffspringDistribution.geometric(mean=m)
-                        for m in row) for row in law.tolist()]
+        tables = [GeometricRows(row) for row in law]
         return tables, np.broadcast_to(np.arange(len(keys)), xi.shape), xi
 
     @classmethod
@@ -252,12 +252,13 @@ class EnvironmentSpec:
 @dataclass
 class QuenchedEnvironment:
     """A materialized environment prefix: generation ``i`` has the law
-    ``laws[index[i-1]]``, ``laws`` being a table of the environment's laws;
-    ``s[n]`` is the sum of the first ``n`` log-means ``xi`` (``s[0] = 0``),
-    Kahan-accumulated.  Immutable by convention; safe to share across workers.
+    ``laws[index[i-1]]``, ``laws`` being a table of the environment's laws
+    (a tuple, or a Gaussian draw's ``GeometricRows``); ``s[n]`` is the sum
+    of the first ``n`` log-means ``xi`` (``s[0] = 0``), Kahan-accumulated.
+    Immutable by convention; safe to share across workers.
     """
 
-    laws: tuple
+    laws: Sequence
     index: np.ndarray
     s: np.ndarray
     xi: np.ndarray = field(repr=False)

@@ -494,5 +494,4 @@ def test_windowed_map_laws_match_per_generation_calls(env, lo, hi):
                            lo, hi, stop)
         assert got.tobytes() == want[:stop_at].tobytes()
         # one call per law, in order of first generation in the window
-        assert [id(d) for d in calls] == list(
-            dict.fromkeys(map(id, laws[:stop_at])))
+        assert calls == list(dict.fromkeys(laws[:stop_at]))

@@ -413,6 +413,24 @@ def test_geometric_laws_share_one_int64_rule():
     np.random.default_rng(0).negative_binomial(n[~got], 1.0 - q[~got])
 
 
+def test_geometric_rows_read_as_the_laws_of_their_means():
+    # rows[k] is OffspringDistribution.geometric(mean[k]): equal params, so
+    # equal repr and hash, the same q bits, and the same kernel draws
+    mean = np.exp(np.random.default_rng(1).normal(0.1, 0.3, 64))
+    rows = distributions.GeometricRows(mean)
+    assert len(rows) == len(mean)
+    parents = np.arange(1, 65, dtype=np.int64) ** 2
+    got = rows.sample_generation_totals(parents, np.random.default_rng(2))
+    rng = np.random.default_rng(2)
+    for k, m in enumerate(mean.tolist()):
+        law = OffspringDistribution.geometric(m)
+        assert rows[k] == law and repr(rows[k]) == repr(law)
+        assert hash(rows[k]) == hash(law)
+        assert np.float64(rows[k]._q).tobytes() == rows.q[k].tobytes() \
+            == np.float64(law._q).tobytes()
+        assert law.sample_generation_totals(parents[k:k + 1], rng) == got[k]
+
+
 def test_delta_moment_one_equals_normalized_variance(gw_dist):
     assert gw_dist.delta_moment(1.0) == pytest.approx(0.44, abs=1e-12)
     g = OffspringDistribution.geometric(mean=2.0)
@@ -557,6 +575,94 @@ def test_power_tail_moment_head_grows_to_meet_tolerance(monkeypatch):
     d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
     assert d.psi_moment(phi, 0.3, tol=1e-12) == pytest.approx(ref, rel=1e-12)
     assert len(cuts) > 1 and cuts[0] == 64.5
+
+
+LIGHT_LAWS = [{"kind": "geometric", "mean": m} for m in (0.5, 1.1, 3.0, 10.0)] \
+    + [{"kind": "poisson", "lam": lam} for lam in (0.5, 1.7, 12.0)] \
+    + [{"kind": "linear_fractional", "p0": p0, "q": q}
+       for p0, q in ((0.3, 0.6), (0.1, 0.9))]
+# delta_moment(delta) and psi_moment(phi, scale), as (power, log_power, scale)
+# of E[U^(1+power) scale^power log(1 + U scale)^log_power]
+LIGHT_MOMENTS = [(0.0, 0.0, 1.0), (0.25, 0.0, 1.0), (1.0, 0.0, 1.0),
+                 (0.5, 0.0, 0.3), (0.0, 1.0, 0.3), (0.25, 2.0, 2.0)]
+
+
+def _light_pmf_mp(d, k: int):
+    """The law's pmf at ``k`` in mpmath, from its float parameters."""
+    import mpmath
+    if d.kind == "geometric":
+        q = mpmath.mpf(d._q)
+        return (1 - q) * q**k
+    if d.kind == "poisson":
+        lam = mpmath.mpf(d._lam)
+        return mpmath.exp(-lam) * lam**k / mpmath.factorial(k)
+    p0, q = mpmath.mpf(d._p0), mpmath.mpf(d._q)
+    return p0 if k == 0 else (1 - p0) * (1 - q) * q**(k - 1)
+
+
+def _light_moment_mp(d, power: float, logpow: float, scale: float) -> float:
+    """The moment summed in 30 digits until a term past ``2m`` is below
+    1e-35 of the sum; the terms then fall geometrically, so the rest is
+    far below a float's resolution."""
+    import mpmath
+    with mpmath.workdps(30):
+        m, s, total, k = mpmath.mpf(d.mean), mpmath.mpf(scale), 0, 0
+        while True:
+            u = abs(k / m - 1)
+            term = _light_pmf_mp(d, k) * u ** (1 + power) * s**power \
+                * mpmath.log1p(u * s) ** logpow
+            total += term
+            if k > 2 * d.mean and term < mpmath.mpf(10) ** -35 * total:
+                return float(total)
+            k += 1
+
+
+@pytest.mark.parametrize("law", LIGHT_LAWS,
+                         ids=lambda c: "-".join(map(str, c.values())))
+@pytest.mark.parametrize("power,logpow,scale", LIGHT_MOMENTS)
+def test_light_tail_moments_within_their_certified_error(monkeypatch, law,
+                                                         power, logpow,
+                                                         scale):
+    # a light tail's head starts at 16 terms and stops growing once the
+    # ratio test certifies the rest: the value is within that certificate
+    # of a 2^12-term direct head and of a 30-digit sum
+    bounds = []
+    remainder = OffspringDistribution._remainder
+
+    def record(*args):
+        rest, err = remainder(*args)
+        bounds.append(err)
+        return rest, err
+    monkeypatch.setattr(OffspringDistribution, "_remainder", record)
+    d = OffspringDistribution.from_config(law)
+    phi = PhiFunction(power=power, log_power=logpow)
+    got = (d.delta_moment(power) if scale == 1.0 and not logpow
+           else d.psi_moment(phi, scale))
+    # a pure power's moment is scale^power times the unscaled one
+    bound = bounds[-1] * (scale**power if not logpow else 1.0)
+    assert bound <= 1e-9 * max(1.0, got)
+    ks = np.arange((1 << 12) + 1)
+    u = np.abs(ks / d.mean - 1.0)
+    head = float(d.pmf_vector(ks) @ (u ** (1.0 + power) * scale**power
+                                     * np.log1p(u * scale) ** logpow))
+    for ref in (head, _light_moment_mp(d, power, logpow, scale)):
+        assert abs(got - ref) <= bound + 1e-14 * max(1.0, ref)
+
+
+@pytest.mark.parametrize("law,cuts", [
+    ({"kind": "poisson", "lam": 0.5}, [16]),
+    ({"kind": "geometric", "mean": 1.1}, [16, 64]),
+    # 2m = 20 > 16: the head starts at 64, then grows fourfold
+    ({"kind": "geometric", "mean": 10.0}, [64, 256, 1024]),
+], ids=["poisson-0.5", "geometric-1.1", "geometric-10"])
+def test_light_tail_heads_start_at_16_terms(monkeypatch, law, cuts):
+    seen = []
+    remainder = OffspringDistribution._remainder
+    monkeypatch.setattr(OffspringDistribution, "_remainder",
+                        lambda self, cut, *a: seen.append(cut)
+                        or remainder(self, cut, *a))
+    OffspringDistribution.from_config(law).delta_moment(0.25)
+    assert seen == cuts
 
 
 def test_psi_moment_power_one_is_scaled_variance(gw_dist):

@@ -6,7 +6,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from bpve.distributions import OffspringDistribution
+from bpve.distributions import GeometricRows, OffspringDistribution
 from bpve import environment, streams
 from bpve.environment import (EnvironmentSpec, Mixer, PRESET_CONFIGS,
                               PRESETS, QuenchedEnvironment,
@@ -412,6 +412,44 @@ def test_kahan_cumsum_peak_memory_is_the_result_and_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * len(xs) + 6 * 10**6
+
+
+GAUSSIAN_SPECS = {
+    "iid": QUENCH_SPECS["gaussian_iid"],
+    "cooling": EnvironmentSpec.cooling(QUENCH_SPECS["gaussian_iid"].mixer),
+}
+
+
+def test_gaussian_quench_holds_its_arrays_alone():
+    # per generation a law index, a log-mean and a running sum, and per draw
+    # the GeometricRows' mean and q: 40 B in all (one law object per draw
+    # held 608 B)
+    spec = GAUSSIAN_SPECS["iid"]
+    quench(spec, 1, 10)
+    tracemalloc.start()
+    try:
+        env = quench(spec, 7, 10**5)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(env.laws, GeometricRows)
+    assert held <= 48 * 10**5
+
+
+@pytest.mark.parametrize("name", sorted(GAUSSIAN_SPECS))
+def test_gaussian_quench_builds_no_law_object(monkeypatch, name):
+    # the law table keeps the drawn means; a law is built when it is read
+    spec, built = GAUSSIAN_SPECS[name], []
+    init = OffspringDistribution.__init__
+    monkeypatch.setattr(OffspringDistribution, "__init__", lambda self, *a,
+                        **kw: built.append(kw) or init(self, *a, **kw))
+    env = quench(spec, 5, 1000)
+    envs = quench_many(spec, QUENCH_SEEDS, 1000)
+    assert built == []
+    assert env.dists == envs[QUENCH_SEEDS.index(5)].dists
+    assert env.dists[999] == OffspringDistribution.geometric(
+        float(env.laws.mean[env.index[999]]))
+    assert len(built) > 0
 
 
 def ks_statistic(x, law: NormalDist) -> float:

@@ -5,11 +5,11 @@ the output format, one call site runs the population loop, estimators
 collect per-replica values in one result array and take every mean
 estimate from one block-moment path, one mixer rule turns the
 uniforms of random-environment draws into laws (the simulation kernel
-builds none), one
-report function certifies every damped condition series, one environment
-method evaluates a function once per law, the package binds no library name
-a second time, and the mixer's and the spec's constructors alone check
-their keys and kinds."""
+builds none, and no module but ``distributions`` builds a geometric
+law), one report function certifies every damped condition series, one
+environment method evaluates a function once per law, the package binds
+no library name a second time, and the mixer's and the spec's
+constructors alone check their keys and kinds."""
 
 import ast
 import json
@@ -200,13 +200,18 @@ def test_one_mixer_rule_draws_every_environment():
 
 def test_geometric_laws_of_gaussian_draws_are_built_outside_the_kernel():
     # Mixer.sample returns a Gaussian draw's mean and GeometricRows owns
-    # its q and its refusal, so the simulation kernel computes neither
-    tree = ast.parse((ROOT / "src" / "bpve" / "simulate.py").read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            assert name not in ("exp", "geometric"), \
-                f"simulate.py:{node.lineno} calls {ast.unparse(node.func)}"
+    # its q and its refusal, so the simulation kernel computes neither; a
+    # quenched law table is a GeometricRows too, so no module but
+    # distributions.py builds OffspringDistribution.geometric
+    for path in sorted((ROOT / "src" / "bpve").glob("*.py")):
+        banned = {"simulate.py": ("exp", "geometric"),
+                  "distributions.py": ()}.get(path.name, ("geometric",))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr",
+                               getattr(node.func, "id", None))
+                assert name not in banned, f"{path.name}:{node.lineno} " \
+                    f"calls {ast.unparse(node.func)}"
 
 
 def test_one_report_path_for_every_damped_series():
