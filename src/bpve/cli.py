@@ -283,6 +283,8 @@ def run_experiment(resolved: dict, threads=None):
     p = resolved["params"]
     spec = EnvironmentSpec.from_config(resolved["environment"])
     target = spec
+    if "replicas" in p:  # refused before a quench it would waste
+        estimators.check_replicas(p["replicas"])
     if exp.horizon is not None:
         horizon = exp.horizon(p)
         with _naming_memory(f"quenching {horizon} generations"):

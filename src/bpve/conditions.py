@@ -29,7 +29,7 @@ from .numerics import exp_or_inf
 # the benchmark's tracer (bench/spans.py) wraps ``quench`` and ``substream``
 # in this module, so ``quench`` stays bound though nothing here calls it
 from .environment import (MAX_REPLICAS, EnvironmentSpec,
-                          QuenchedEnvironment, ResourceWarningError, quench,
+                          QuenchedEnvironment, check_budget, quench,
                           quench_many)
 from .streams import substream
 
@@ -452,10 +452,7 @@ def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
                          "lengths")
     if env_replicas < 1:
         raise ValueError("need at least one environment replica")
-    if env_replicas > MAX_REPLICAS:
-        raise ResourceWarningError(f"{env_replicas} environment replicas "
-                                   "exceed the in-memory budget "
-                                   f"({MAX_REPLICAS})")
+    check_budget(env_replicas, MAX_REPLICAS, "environment replicas")
     if not 0.0 < blowup_factor < math.inf:
         raise ValueError("blowup_factor must be a positive finite number, "
                          f"got {blowup_factor!r}")

@@ -182,8 +182,8 @@ class GeometricRows:
     :meth:`OffspringDistribution.overflow_rows` and
     :meth:`OffspringDistribution.sample_generation_totals` interface;
     ``rows[k]`` is row ``k``'s law, built when read.  A mean whose ``q =
-    mean / (1 + mean)`` is not in ``(0, 1)`` is refused by
-    :meth:`OffspringDistribution.geometric`."""
+    mean / (1 + mean)`` is not in ``(0, 1)`` is refused as the geometric
+    :class:`OffspringDistribution` refuses it."""
 
     def __init__(self, mean: np.ndarray):
         self.mean = mean
@@ -191,13 +191,13 @@ class GeometricRows:
             self.q = mean / (1.0 + mean)
         bad = ~((self.q > 0.0) & (self.q < 1.0))
         if bad.any():
-            OffspringDistribution.geometric(float(mean[bad.argmax()]))
+            OffspringDistribution("geometric", mean=float(mean[bad.argmax()]))
 
     def __len__(self):
         return len(self.mean)
 
     def __getitem__(self, k) -> "OffspringDistribution":
-        return OffspringDistribution.geometric(float(self.mean[k]))
+        return OffspringDistribution("geometric", mean=float(self.mean[k]))
 
     def overflow_rows(self, parents: np.ndarray) -> Optional[np.ndarray]:
         return _overflow_rows(parents, self.q / (1.0 - self.q))
@@ -410,28 +410,6 @@ class OffspringDistribution:
         if kind is None:
             raise ValueError("distribution config needs a 'kind' field")
         return cls(kind, **cfg)
-
-    # -- convenience constructors ------------------------------------------
-
-    @classmethod
-    def finite_pmf(cls, pmf) -> "OffspringDistribution":
-        return cls("finite_pmf", pmf=list(pmf))
-
-    @classmethod
-    def geometric(cls, mean: float) -> "OffspringDistribution":
-        return cls("geometric", mean=mean)
-
-    @classmethod
-    def poisson(cls, lam: float) -> "OffspringDistribution":
-        return cls("poisson", lam=lam)
-
-    @classmethod
-    def linear_fractional(cls, p0: float, q: float) -> "OffspringDistribution":
-        return cls("linear_fractional", p0=p0, q=q)
-
-    @classmethod
-    def power_law_tail(cls, alpha: float, p0: float) -> "OffspringDistribution":
-        return cls("power_law_tail", alpha=alpha, p0=p0)
 
     # -- basic moments ------------------------------------------------------
 

@@ -3,15 +3,15 @@
 An :class:`EnvironmentSpec` describes the sequence of per-generation
 offspring laws -- constant, explicit, periodic, i.i.d. random, or random
 with a cooling schedule (each environment draw held for a whole block of
-generations).  Random kinds are resolved through counter-based streams
-keyed by ``(env_seed, index)``, so ``dist_at`` is random-access: the law of
-generation ``i`` can be produced without materializing generations
-``1..i-1``, and two calls always agree.
+generations).  A random kind's draw ``index`` (the generation, or its
+cooling block) comes from the counter-based stream ``(env_seed, index)``,
+so the same seed always gives the same laws.
 
 :meth:`Mixer.sample` is the one rule that turns uniforms (one per finite
 draw, two per Gaussian draw) into log-means and laws: a quenched draw
-(:meth:`Mixer.draw`) takes stream ``(env_seed, index)``'s first uniforms,
-and the annealed draws (:class:`bpve.simulate.AnnealedLaws`) a block's.
+(:meth:`Mixer.draw`, called by ``quench_many`` alone) takes each stream's
+first uniforms, and the annealed draws
+(:class:`bpve.simulate.AnnealedLaws`) a block's.
 
 ``quench`` freezes a spec into a :class:`QuenchedEnvironment`: a table of
 its distinct laws (a Gaussian draw's: the ``GeometricRows`` of its means),
@@ -29,7 +29,6 @@ give the same spec.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -49,7 +48,6 @@ __all__ = [
     "quench",
     "quench_many",
     "PRESET_CONFIGS",
-    "PRESETS",
 ]
 
 MAX_QUENCH_HORIZON = 10**7
@@ -161,30 +159,6 @@ class EnvironmentSpec:
                              f"list of integers >= 1, got "
                              f"{list(bl) if isinstance(bl, tuple) else bl!r}")
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def constant(cls, dist: OffspringDistribution) -> "EnvironmentSpec":
-        return cls("constant", dists=(dist,))
-
-    @classmethod
-    def explicit(cls, dists: Sequence[OffspringDistribution]) -> "EnvironmentSpec":
-        return cls("explicit_sequence", dists=tuple(dists))
-
-    @classmethod
-    def periodic(cls, dists: Sequence[OffspringDistribution]) -> "EnvironmentSpec":
-        return cls("periodic", dists=tuple(dists))
-
-    @classmethod
-    def iid_random(cls, mixer: Mixer) -> "EnvironmentSpec":
-        return cls("iid_random", mixer=mixer)
-
-    @classmethod
-    def cooling(cls, mixer: Mixer, block_lengths=None) -> "EnvironmentSpec":
-        if isinstance(block_lengths, list):  # None means doubling blocks
-            block_lengths = tuple(block_lengths)
-        return cls("cooling", mixer=mixer, block_lengths=block_lengths)
-
     @property
     def is_random(self) -> bool:
         return self.kind in ("iid_random", "cooling")
@@ -212,16 +186,16 @@ class EnvironmentSpec:
         return keys if isinstance(i, np.ndarray) else int(keys[0])
 
     def dist_at(self, env_seed: int, i: int) -> OffspringDistribution:
-        """Offspring law of generation ``i`` (1-based); deterministic in
-        ``(spec, env_seed, i)``."""
+        """Offspring law of generation ``i`` (1-based) of a constant,
+        explicit or periodic spec, whatever ``env_seed``."""
+        if self.is_random:
+            raise ValueError(f"a {self.kind} environment's laws come from "
+                             "quench, not dist_at")
         if i < 1:
             raise ValueError("generation index is 1-based")
         if self.kind == "explicit_sequence" and i > len(self.dists):
             raise ValueError(f"explicit sequence has length {len(self.dists)}")
-        if not self.is_random:  # constant, explicit and periodic alike
-            return self.dists[(i - 1) % len(self.dists)]
-        tables, index, _ = self.mixer.draw([env_seed], [self.stream_index(i)])
-        return tables[0][index[0, 0]]
+        return self.dists[(i - 1) % len(self.dists)]
 
     @classmethod
     def from_config(cls, cfg: dict) -> "EnvironmentSpec":
@@ -238,12 +212,12 @@ class EnvironmentSpec:
         if kind not in _SPEC_KEYS:
             return cls(kind)  # __post_init__ refuses the kind
         check_keys(cfg, _SPEC_KEYS[kind], "environment", optional={"schedule"})
-        if kind == "iid_random":
-            return cls.iid_random(Mixer.from_config(cfg["mixer"]))
-        if kind == "cooling":
+        if kind in ("iid_random", "cooling"):
             sched = cfg.get("schedule", "doubling")
-            return cls.cooling(Mixer.from_config(cfg["mixer"]),
-                               None if sched == "doubling" else sched)
+            if isinstance(sched, list):
+                sched = tuple(sched)
+            return cls(kind, mixer=Mixer.from_config(cfg["mixer"]),
+                       block_lengths=None if sched == "doubling" else sched)
         dists = [cfg["dist"]] if kind == "constant" else cfg["dists"]
         return cls(kind, dists=tuple(OffspringDistribution.from_config(d)
                                      for d in dists))
@@ -327,8 +301,9 @@ def _kahan_cumsum(xs: np.ndarray) -> np.ndarray:
 
 def quench(spec: EnvironmentSpec, env_seed: int, horizon: int) -> QuenchedEnvironment:
     """Materialize ``horizon`` generations of ``spec``; idempotent for fixed
-    inputs.  Generation ``i`` gets ``spec.dist_at(env_seed, i)``; a cooling
-    spec draws once per block and holds that law for the whole block."""
+    inputs.  A random spec's generation ``i`` gets the law its stream
+    ``(env_seed, spec.stream_index(i))`` draws; a cooling spec draws once
+    per block and holds that law for the whole block."""
     return quench_many(spec, [env_seed], horizon)[0]
 
 
@@ -341,9 +316,7 @@ def quench_many(spec: EnvironmentSpec, env_seeds: Sequence[int],
     and key."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if horizon > MAX_QUENCH_HORIZON:
-        raise ResourceWarningError(f"horizon {horizon} exceeds the in-memory "
-                                   f"quench budget ({MAX_QUENCH_HORIZON})")
+    check_budget(horizon, MAX_QUENCH_HORIZON, "quenched generations")
     seeds = [int(s) for s in env_seeds]
     if not spec.is_random:
         spec.dist_at(1, horizon)  # refuses a horizon past an explicit sequence
@@ -364,6 +337,13 @@ def quench_many(spec: EnvironmentSpec, env_seeds: Sequence[int],
 
 class ResourceWarningError(MemoryError):
     """A size beyond a fixed in-memory budget."""
+
+
+def check_budget(count: int, budget: int, what: str):
+    """Refuse ``count`` ``what`` beyond the in-memory ``budget``."""
+    if count > budget:
+        raise ResourceWarningError(f"{count} {what} exceed the in-memory "
+                                   f"budget ({budget})")
 
 
 # only the quantile estimators (path spread, conditioned critical) keep a
@@ -397,6 +377,3 @@ PRESET_CONFIGS = {
     "heavy_tail_supercritical": {"kind": "constant", "dist": {
         "kind": "power_law_tail", "alpha": 0.5, "p0": 0.2}},
 }
-
-PRESETS = {name: functools.partial(EnvironmentSpec.from_config, cfg)
-           for name, cfg in PRESET_CONFIGS.items()}

@@ -42,7 +42,7 @@ import numpy as np
 from .conditions import increment_variance_series
 from .distributions import NotApplicableError
 from .environment import (MAX_QUENCH_HORIZON, MAX_REPLICAS, EnvironmentSpec,
-                          QuenchedEnvironment, ResourceWarningError)
+                          QuenchedEnvironment, check_budget)
 from .numerics import clopper_pearson_upper
 from .simulate import (AnnealedLaws, QuenchedLaws, simulate_block,
                        stretched_indices)
@@ -148,17 +148,20 @@ def _block_count(replicas: int, block: int) -> int:
     return min(replicas, 2 * -(-replicas // (2 * block)))
 
 
+def check_replicas(replicas: int):
+    """Refuse a replica count below one or beyond :data:`MAX_REPLICAS`."""
+    if replicas < 1:
+        raise ValueError("need at least one replica")
+    check_budget(replicas, MAX_REPLICAS, "replicas")
+
+
 def _map_blocks(replicas: int, block: int, fn, threads: Optional[int]):
     """Apply ``fn(block_index, block_size)`` to every block; merge in index
     order.  The blocks are an even number (one for a single replica) of at
     most ``block`` replicas each, with sizes that differ by at most one;
     the split depends on ``replicas`` alone, so results do not depend on
     the worker count."""
-    if replicas < 1:
-        raise ValueError("need at least one replica")
-    if replicas > MAX_REPLICAS:
-        raise ResourceWarningError(f"{replicas} replicas exceed the "
-                                   f"in-memory budget ({MAX_REPLICAS})")
+    check_replicas(replicas)
     nb = _block_count(replicas, block)
     sizes = [(b, replicas * (b + 1) // nb - replicas * b // nb)
              for b in range(nb)]
@@ -454,9 +457,7 @@ def mc_conditioned_critical(spec: EnvironmentSpec, n_list: Sequence[int],
     if not n_list:
         raise ValueError("n_list must name at least one checkpoint")
     n = n_list[-1]
-    if n > MAX_QUENCH_HORIZON:
-        raise ResourceWarningError(f"n_list reaches {n}, beyond the "
-                                   f"generation budget ({MAX_QUENCH_HORIZON})")
+    check_budget(n, MAX_QUENCH_HORIZON, "generations in n_list")
     log_w = _run_blocks(
         lambda b, sz: AnnealedLaws(spec, substream(env_seed, b), sz), z0, n,
         n_list, replicas, seed, threads, lambda block: block.log_w)

@@ -3,8 +3,8 @@
 All randomness in the package flows through Philox generators keyed by
 ``(seed, stream_index)``.  A stream is fully determined by its key, so any
 consumer can open stream ``i`` without generating streams ``0..i-1`` first.
-This is what makes environment access random-access and Monte Carlo runs
-reproducible under any worker scheduling.
+This is what makes environments and Monte Carlo runs reproducible under
+any worker scheduling.
 
 The Philox key of stream ``(seed, index)`` is exactly the two 64-bit words
 ``(seed mod 2^64, index mod 2^64)`` and its counter starts at 0.  The key

@@ -1,9 +1,11 @@
 """References the tests compare the library against: draws of individual
 offspring counts (an alias table for a finite pmf) and their sum per
 generation, the cooling block walk, one generation's law drawn from its own
-stream, and the per-column path spread.  No run path needs them, so they
-live with the tests."""
+stream, the exact survival probability of a quenched environment, and the
+per-column path spread.  No run path needs them, so they live with the
+tests."""
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -93,7 +95,37 @@ def law_at(spec, seed: int, i: int):
     _, law = mixer.sample(substream(seed, key).random(mixer.width))
     if mixer.kind == "finite":
         return mixer.dists[law]
-    return OffspringDistribution.geometric(mean=float(law))
+    return OffspringDistribution("geometric", mean=float(law))
+
+
+def pgf(dist, s: float) -> float:
+    """``E s^X`` of a law with a closed-form pgf: a finite pmf (Horner's
+    rule), geometric, Poisson or linear-fractional."""
+    if dist.kind == "finite_pmf":
+        value = 0.0
+        for p in dist._pmf[::-1].tolist():
+            value = value * s + p
+        return value
+    if dist.kind == "geometric":
+        return (1.0 - dist._q) / (1.0 - dist._q * s)
+    if dist.kind == "poisson":
+        return math.exp(dist._lam * (s - 1.0))
+    if dist.kind == "linear_fractional":
+        # Kersting & Vatutin 2017, Discrete Time Branching Processes in
+        # Random Environment
+        p0, q = dist._p0, dist._q
+        return p0 + (1.0 - p0) * (1.0 - q) * s / (1.0 - q * s)
+    raise ValueError(f"no closed-form pgf for {dist.kind}")
+
+
+def survival_exact(env, n: int, z0: int = 1) -> float:
+    """``P(Z_n > 0)`` from ``z0`` ancestors in the quenched environment
+    ``env``: ``1 - (f_1 o ... o f_n)(0)^z0``, ``f_i`` generation ``i``'s
+    pgf."""
+    s = 0.0
+    for dist in reversed(env.dists[:n]):
+        s = pgf(dist, s)
+    return 1.0 - s**z0
 
 
 def path_spread(log_w: np.ndarray) -> np.ndarray:

@@ -15,20 +15,21 @@ import pytest
 
 from bpve import cli, conditions, estimators
 from bpve.distributions import OffspringDistribution, PhiFunction
-from bpve.environment import EnvironmentSpec, PRESETS, quench
+from bpve.environment import EnvironmentSpec, quench
 
 THREADS = os.cpu_count() or 2
 
 
 @pytest.fixture(scope="module")
 def gw():
-    d = OffspringDistribution.finite_pmf([0.25, 0.25, 0.5])
-    return quench(EnvironmentSpec.constant(d), 1, 1100)
+    d = OffspringDistribution("finite_pmf", pmf=[0.25, 0.25, 0.5])
+    return quench(EnvironmentSpec("constant", dists=(d,)), 1, 1100)
 
 
 @pytest.fixture(scope="module")
 def heavy():
-    return quench(PRESETS["heavy_tail_supercritical"](), 1, 210)
+    return quench(EnvironmentSpec.from_config(
+        {"preset": "heavy_tail_supercritical"}), 1, 210)
 
 
 def report(capsys, num, ok, msg):
@@ -142,9 +143,11 @@ def test_criterion_07_heavy_tail_regime(heavy, capsys):
 
 def test_criterion_08_tightness_dichotomy(capsys):
     stable = conditions.tightness_diagnostic(
-        PRESETS["supercritical_mu0.2"](), [1, 50, 100], 200, seed=88)
+        EnvironmentSpec.from_config({"preset": "supercritical_mu0.2"}),
+        [1, 50, 100], 200, seed=88)
     blowup = conditions.tightness_diagnostic(
-        PRESETS["subcritical_mu0.2"](), [1, 50, 100], 200, seed=88)
+        EnvironmentSpec.from_config({"preset": "subcritical_mu0.2"}),
+        [1, 50, 100], 200, seed=88)
     ok = (not stable.blowup_flag) and blowup.blowup_flag
     report(capsys, 8, ok,
            f"supercritical flag {stable.blowup_flag} (quantiles "
@@ -154,8 +157,8 @@ def test_criterion_08_tightness_dichotomy(capsys):
 
 def test_criterion_09_critical_stabilization(capsys):
     out = estimators.mc_conditioned_critical(
-        PRESETS["critical_two_point"](), [64, 128], 60000, 90,
-        threads=THREADS)
+        EnvironmentSpec.from_config({"preset": "critical_two_point"}),
+        [64, 128], 60000, 90, threads=THREADS)
     m64, m128 = out[0].median_w, out[1].median_w
     factor = max(m64, m128) / min(m64, m128)
     ok = (factor < 2.0 and out[1].survivors >= 500

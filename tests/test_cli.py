@@ -517,6 +517,24 @@ def test_out_of_memory_names_the_step(tmp_path, capsys, monkeypatch, module,
         f"resource error: out of memory {message}\n"
 
 
+@pytest.mark.parametrize("replicas,code,message", [
+    (0, 2, "error: need at least one replica\n"),
+    (10**9, 3, "resource error: 1000000000 replicas exceed the in-memory "
+               "budget (100000000)\n")], ids=["none", "past_budget"])
+def test_replica_count_is_refused_before_the_quench(
+        tmp_path, capsys, monkeypatch, replicas, code, message):
+    # the refusal came after quenching 5x10^6 generations (2.5 s, 278 MB)
+    def quench(*args, **kwargs):
+        raise AssertionError("quenched before the replica count was checked")
+    monkeypatch.setattr(cli, "quench", quench)
+    cfg = write_config(tmp_path, {
+        "experiment": "survival",
+        "environment": {"preset": "supercritical_mu0.2"},
+        "params": {"n": 5 * 10**6, "replicas": replicas}})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize("top,params,field", [
     ({}, {"n": "abc"}, "params(survival): n: expected integer"),
     ({"master_seed": "x"}, {"n": 10, "replicas": 100},

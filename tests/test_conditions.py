@@ -12,8 +12,8 @@ from bpve.conditions import (fractional_variance_series,
                              tightness_diagnostic, variance_series)
 from bpve.distributions import (NotApplicableError, OffspringDistribution,
                                 PhiFunction)
-from bpve.environment import (EnvironmentSpec, Mixer, PRESETS,
-                              QuenchedEnvironment, quench)
+from bpve.environment import (EnvironmentSpec, Mixer, QuenchedEnvironment,
+                              quench)
 from bpve.streams import substream
 
 
@@ -37,10 +37,10 @@ def test_variance_series_shift_consistency(gw_env):
 def test_variance_series_recursion_index():
     # one-step peel: the series at start l equals the undamped term at l
     # plus the series at l+1 damped by the growth of generation l+1
-    laws = [OffspringDistribution.finite_pmf([0.25, 0.25, 0.5]),
-            OffspringDistribution.geometric(mean=1.6),
-            OffspringDistribution.poisson(lam=1.4)]
-    env = quench(EnvironmentSpec.periodic(laws), 0, 700)
+    laws = [OffspringDistribution("finite_pmf", pmf=[0.25, 0.25, 0.5]),
+            OffspringDistribution("geometric", mean=1.6),
+            OffspringDistribution("poisson", lam=1.4)]
+    env = quench(EnvironmentSpec("periodic", dists=tuple(laws)), 0, 700)
     for l in (1, 2, 3):
         a_l = variance_series(env, start=l, horizon=600).certified_value
         a_next = variance_series(env, start=l + 1, horizon=598).certified_value
@@ -51,14 +51,16 @@ def test_variance_series_recursion_index():
 
 
 def test_variance_series_divergent_subcritical():
-    env = quench(PRESETS["subcritical_mu0.2"](), 6, 400)
+    env = quench(EnvironmentSpec.from_config(
+        {"preset": "subcritical_mu0.2"}), 6, 400)
     rep = variance_series(env, start=1)
     assert rep.verdict in ("divergent", "inconclusive")
     assert rep.partial_sum > 1e9 or rep.verdict == "inconclusive"
 
 
 def test_variance_series_heavy_tail_divergent():
-    env = quench(PRESETS["heavy_tail_supercritical"](), 0, 50)
+    env = quench(EnvironmentSpec.from_config(
+        {"preset": "heavy_tail_supercritical"}), 0, 50)
     rep = variance_series(env, start=1)
     assert rep.verdict == "divergent"
     assert math.isinf(rep.partial_sum)
@@ -72,7 +74,8 @@ def test_fractional_matches_variance_at_delta_one(gw_env):
 
 
 def test_fractional_heavy_tail_finite():
-    env = quench(PRESETS["heavy_tail_supercritical"](), 0, 300)
+    env = quench(EnvironmentSpec.from_config(
+        {"preset": "heavy_tail_supercritical"}), 0, 300)
     rep = fractional_variance_series(env, start=1, delta=0.25)
     assert rep.verdict == "finite"
     assert rep.certified_value > 0
@@ -110,7 +113,8 @@ def test_psi_series_zero_phi(gw_env):
 
 
 def test_psi_series_heavy_tail_log():
-    env = quench(PRESETS["heavy_tail_supercritical"](), 0, 300)
+    env = quench(EnvironmentSpec.from_config(
+        {"preset": "heavy_tail_supercritical"}), 0, 300)
     rep = psi_series(env, start=1, phi=PhiFunction(power=0.0, log_power=1.0),
                      horizon=120)
     assert rep.verdict == "finite"
@@ -122,7 +126,8 @@ def test_psi_series_heavy_tail_log():
 def test_psi_power_series_agrees_with_fractional_series():
     # phi(x) = x^delta turns psi_series into fractional_variance_series (one
     # index apart), so both must certify the same value
-    env = quench(PRESETS["heavy_tail_supercritical"](), 1, 210)
+    env = quench(EnvironmentSpec.from_config(
+        {"preset": "heavy_tail_supercritical"}), 1, 210)
     frac = fractional_variance_series(env, start=1, delta=0.25, horizon=200)
     psi = psi_series(env, start=1, phi=PhiFunction(power=0.25), horizon=8)
     assert frac.verdict == psi.verdict == "finite"
@@ -135,9 +140,9 @@ def test_psi_power_tail_needs_no_damping_below_one():
     # S_g falls for 90 generations and then climbs, so the first omitted
     # damping exceeds 1; the pure-power term is exactly w^d E U^(1+d), and
     # psi certifies its tail as the fractional series does
-    spec = EnvironmentSpec.explicit(
-        [OffspringDistribution.geometric(0.5)] * 90
-        + [OffspringDistribution.geometric(1.2)] * 200)
+    spec = EnvironmentSpec("explicit_sequence", dists=(
+        (OffspringDistribution("geometric", mean=0.5),) * 90
+        + (OffspringDistribution("geometric", mean=1.2),) * 200))
     env = quench(spec, 0, 290)
     frac = fractional_variance_series(env, start=2, delta=0.5, horizon=199)
     psi = psi_series(env, start=1, phi=PhiFunction(power=0.5), horizon=200)
@@ -149,7 +154,7 @@ def test_psi_power_rows_take_one_moment_per_law(monkeypatch):
     # tightness asks a pure-power phi for E U^(1+d) once per distinct law of
     # each environment, at damping 1, where it asked at every generation
     phi = PhiFunction(power=0.5)
-    spec = PRESETS["supercritical_mu0.2"]()
+    spec = EnvironmentSpec.from_config({"preset": "supercritical_mu0.2"})
     calls = []
     psi_moment = OffspringDistribution.psi_moment
 
@@ -183,8 +188,8 @@ def test_increment_variance_series_closed_form(gw_env):
 def test_growing_terms_past_the_threshold_are_divergent():
     # mean 1/2: each term doubles the last, with no positive drift to
     # certify a tail
-    env = quench(EnvironmentSpec.constant(
-        OffspringDistribution.geometric(mean=0.5)), 0, 101)
+    env = quench(EnvironmentSpec("constant", dists=(
+        OffspringDistribution("geometric", mean=0.5),)), 0, 101)
     rep = variance_series(env, 1, 100)
     assert rep.verdict == "divergent" and rep.tail_bound is None
     assert rep.detail["reason"] == \
@@ -205,9 +210,10 @@ def test_jagers_finite_geometric_decay():
     laws = []
     for i in range(1, 90):
         eps = 2.0 ** -i
-        laws.append(OffspringDistribution.finite_pmf(
-            [eps / 2, 1.0 - eps, eps / 2]))
-    env = quench(EnvironmentSpec.explicit(laws), 0, len(laws))
+        laws.append(OffspringDistribution("finite_pmf",
+                                          pmf=[eps / 2, 1.0 - eps, eps / 2]))
+    env = quench(EnvironmentSpec("explicit_sequence", dists=tuple(laws)),
+                 0, len(laws))
     rep = jagers_sum(env)
     assert rep.verdict == "finite"
     # [DERIVED] sum of 2^-i for i >= 1 is 1
@@ -218,8 +224,8 @@ def test_jagers_finite_geometric_decay():
 def test_jagers_not_applicable():
     # a certain-death generation has no log-mean, so the environment is
     # assembled by hand rather than through quench
-    sure = OffspringDistribution.finite_pmf([0.0, 1.0])
-    dead = OffspringDistribution.finite_pmf([1.0])
+    sure = OffspringDistribution("finite_pmf", pmf=[0.0, 1.0])
+    dead = OffspringDistribution("finite_pmf", pmf=[1.0])
     env = QuenchedEnvironment((sure, dead), np.array([0, 1, 0]), np.zeros(4),
                               np.zeros(3))
     rep = jagers_sum(env)
@@ -230,10 +236,10 @@ def test_jagers_not_applicable():
 def test_jagers_sparse_second_half_is_inconclusive():
     # terms of 3/4, but only 10 of the second half's 200: neither the
     # density rule nor a decaying tail decides
-    geo, sure = (OffspringDistribution.geometric(mean=1.0),
-                 OffspringDistribution.finite_pmf([0.0, 1.0]))
-    env = quench(EnvironmentSpec.explicit([geo] * 200 + [sure] * 190
-                                          + [geo] * 10), 0, 400)
+    geo, sure = (OffspringDistribution("geometric", mean=1.0),
+                 OffspringDistribution("finite_pmf", pmf=[0.0, 1.0]))
+    env = quench(EnvironmentSpec("explicit_sequence", dists=(
+        (geo,) * 200 + (sure,) * 190 + (geo,) * 10)), 0, 400)
     rep = jagers_sum(env)
     assert rep.verdict == "inconclusive" and rep.tail_bound is None
     assert rep.detail == {"density_first_half": 1.0,
@@ -242,8 +248,8 @@ def test_jagers_sparse_second_half_is_inconclusive():
 
 
 def test_jagers_all_one_child():
-    sure = OffspringDistribution.finite_pmf([0.0, 1.0])
-    env = quench(EnvironmentSpec.constant(sure), 0, 80)
+    sure = OffspringDistribution("finite_pmf", pmf=[0.0, 1.0])
+    env = quench(EnvironmentSpec("constant", dists=(sure,)), 0, 80)
     rep = jagers_sum(env)
     assert rep.verdict == "finite"
     assert rep.partial_sum == 0.0
@@ -256,7 +262,8 @@ def test_moment_ratio_sup(gw_env):
 
 
 def test_moment_ratio_sup_heavy():
-    env = quench(PRESETS["heavy_tail_supercritical"](), 0, 10)
+    env = quench(EnvironmentSpec.from_config(
+        {"preset": "heavy_tail_supercritical"}), 0, 10)
     rep = moment_ratio_sup(env)
     assert rep.verdict == "divergent"
 
@@ -266,7 +273,8 @@ def test_report_json_round_trip(gw_env):
     payload = json.loads(json.dumps(jsonable(rep)))
     assert payload["verdict"] == "finite"
     assert payload["series_id"] == "variance_series"
-    heavy = quench(PRESETS["heavy_tail_supercritical"](), 0, 10)
+    heavy = quench(EnvironmentSpec.from_config(
+        {"preset": "heavy_tail_supercritical"}), 0, 10)
     payload2 = json.loads(json.dumps(jsonable(variance_series(heavy))))
     assert payload2["partial_sum"] == "inf"
 
@@ -285,8 +293,9 @@ def test_monotone_truncation(gw_env):
 
 
 def test_tightness_flag_off_supercritical():
-    table = tightness_diagnostic(PRESETS["supercritical_mu0.2"](),
-                                 [1, 50, 100], 60, seed=5)
+    table = tightness_diagnostic(
+        EnvironmentSpec.from_config({"preset": "supercritical_mu0.2"}),
+        [1, 50, 100], 60, seed=5)
     assert not table.blowup_flag
     assert table.rows.shape == (3, 3)
     # quantiles stabilize between the two largest truncations
@@ -294,29 +303,32 @@ def test_tightness_flag_off_supercritical():
 
 
 def test_tightness_flag_on_subcritical():
-    table = tightness_diagnostic(PRESETS["subcritical_mu0.2"](),
-                                 [1, 50, 100], 60, seed=5)
+    table = tightness_diagnostic(
+        EnvironmentSpec.from_config({"preset": "subcritical_mu0.2"}),
+        [1, 50, 100], 60, seed=5)
     assert table.blowup_flag
     assert np.all(np.diff(table.rows, axis=0) > 0)
 
 
 def test_tightness_fractional_series():
-    table = tightness_diagnostic(PRESETS["supercritical_mu0.2"](),
-                                 [1, 30, 60], 30, seed=2,
+    table = tightness_diagnostic(
+        EnvironmentSpec.from_config({"preset": "supercritical_mu0.2"}),
+        [1, 30, 60], 30, seed=2,
                                  series="fractional_variance", delta=0.5)
     assert not table.blowup_flag
 
 
 def test_tightness_to_csv():
-    table = tightness_diagnostic(PRESETS["supercritical_mu0.2"](),
-                                 [1, 20], 10, seed=1)
+    table = tightness_diagnostic(
+        EnvironmentSpec.from_config({"preset": "supercritical_mu0.2"}),
+        [1, 20], 10, seed=1)
     lines = EXPERIMENTS["tightness"].csv(table).splitlines()
     assert lines[0] == "l,q10,q50,q90,flag"
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "20"]
 
 
 def test_tightness_validation():
-    spec = PRESETS["supercritical_mu0.2"]()
+    spec = EnvironmentSpec.from_config({"preset": "supercritical_mu0.2"})
     with pytest.raises(ValueError):
         tightness_diagnostic(spec, [], 10, seed=0)
     with pytest.raises(ValueError):
@@ -340,7 +352,7 @@ def test_tightness_validation():
 def test_tightness_partial_sums_are_checker_partial_sums(series, kwargs,
                                                          checker):
     # one environment replica: every quantile is that environment's value
-    spec = PRESETS["supercritical_mu0.2"]()
+    spec = EnvironmentSpec.from_config({"preset": "supercritical_mu0.2"})
     l_grid = [1, 10, 50]
     table = tightness_diagnostic(spec, l_grid, 1, seed=5, series=series,
                                  **kwargs)
@@ -375,7 +387,7 @@ def tightness_oracle(spec, l_grid, env_replicas, seed, shift, exponent,
 ], ids=["variance", "fractional", "psi"])
 def test_tightness_rows_match_per_environment_oracle(
         monkeypatch, preset, series, kwargs):
-    spec = PRESETS[preset]()
+    spec = EnvironmentSpec.from_config({"preset": preset})
     l_grid = [1, 50, 100]
     want = tightness_oracle(spec, l_grid, 30, 88,
                             *conditions._series(series, **kwargs))
@@ -387,20 +399,20 @@ def test_tightness_rows_match_per_environment_oracle(
         assert np.array_equal(table.rows, want), chunk
 
 
-GEOMETRIC = OffspringDistribution.geometric
-
-
 PER_LAW_ENVS = pytest.mark.parametrize("env", [
-    quench(PRESETS["supercritical_mu0.2"](), 3, 200),
-    quench(PRESETS["cooling_doubling_blocks"](), 3, 200),
+    quench(EnvironmentSpec.from_config(
+        {"preset": "supercritical_mu0.2"}), 3, 200),
+    quench(EnvironmentSpec.from_config(
+        {"preset": "cooling_doubling_blocks"}), 3, 200),
     # the power tail's variance and its moment of order 1.5 are infinite,
     # and they stay so where the damping underflows to 0
-    quench(EnvironmentSpec.periodic(
-        [OffspringDistribution.finite_pmf([0.5] + [0.0] * 1999 + [0.5]),
-         OffspringDistribution.power_law_tail(0.5, 0.2)]), 1, 400),
+    quench(EnvironmentSpec("periodic", dists=(
+        OffspringDistribution("finite_pmf", pmf=[0.5] + [0.0] * 1999 + [0.5]),
+        OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2))), 1, 400),
     # S_g falls by about 11 per generation: the damping overflows to inf
-    quench(EnvironmentSpec.periodic([GEOMETRIC(1e-10), GEOMETRIC(2.0)]),
-           1, 200),
+    quench(EnvironmentSpec("periodic", dists=(
+        OffspringDistribution("geometric", mean=1e-10),
+        OffspringDistribution("geometric", mean=2.0))), 1, 200),
 ], ids=["iid", "cooling", "infinite_moment", "overflowing_damping"])
 
 
@@ -476,9 +488,10 @@ GAUSSIAN_MIXER = Mixer("gaussian_logmean_geometric", mu=0.1, sigma=0.3)
 
 @pytest.mark.parametrize("env", [
     # one law per generation, or per block: a window holds few of the table's
-    quench(EnvironmentSpec.iid_random(GAUSSIAN_MIXER), 5, 400),
-    quench(EnvironmentSpec.cooling(GAUSSIAN_MIXER), 5, 400),
-    quench(PRESETS["supercritical_mu0.2"](), 3, 400),
+    quench(EnvironmentSpec("iid_random", mixer=GAUSSIAN_MIXER), 5, 400),
+    quench(EnvironmentSpec("cooling", mixer=GAUSSIAN_MIXER), 5, 400),
+    quench(EnvironmentSpec.from_config(
+        {"preset": "supercritical_mu0.2"}), 3, 400),
 ], ids=["iid_gaussian", "cooling_gaussian", "iid_finite"])
 @pytest.mark.parametrize("lo,hi", [(0, None), (0, 1), (37, 38), (37, 120),
                                    (150, None), (399, None), (5, 5)])

@@ -156,15 +156,19 @@ def ill_typed(default):
     return st.sampled_from([1, [], None, {"power": "x"}, {"power": [1]}])
 
 
-def run(cfg) -> int:
-    """Exit code of ``bpve run`` on ``cfg`` (an object, or raw JSON text)."""
+def run(cfg, threads=1):
+    """Exit code of ``bpve run`` on ``cfg`` (an object, or raw JSON text)
+    with ``threads`` workers, and the bytes of the results.json it wrote
+    (None if it wrote none)."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cfg.json"
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
         path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            return main(["run", str(path), "--threads", "1",
-                         "--out", str(Path(tmp) / "out")])
+            code = main(["run", str(path), "--threads", str(threads),
+                         "--out", str(out)])
+        results = out / "results.json"
+        return code, results.read_bytes() if results.exists() else None
 
 
 def examples(n):
@@ -175,7 +179,11 @@ def examples(n):
 @examples(300)
 @given(config())
 def test_valid_config_ends_in_documented_exit_code(cfg):
-    assert run(cfg) in EXIT_CODES
+    code, results = run(cfg)
+    assert code in EXIT_CODES
+    # two replicas or more split into two blocks, so two workers share them
+    if code == 0:
+        assert run(cfg, threads=2) == (0, results)
 
 
 @examples(150)
@@ -191,11 +199,11 @@ def test_ill_typed_value_is_schema_error(cfg, data):
         cfg["params"][field[len("params."):]] = bad
     else:
         cfg[field] = bad
-    assert run(cfg) == 2
+    assert run(cfg)[0] == 2
 
 
 @examples(100)
 @given(config(), st.data())
 def test_truncated_json_is_schema_error(cfg, data):
     text = json.dumps(cfg)
-    assert run(text[:data.draw(st.integers(0, len(text) - 1))]) == 2
+    assert run(text[:data.draw(st.integers(0, len(text) - 1))])[0] == 2

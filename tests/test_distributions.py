@@ -28,7 +28,7 @@ def test_finite_pmf_moments(gw_dist):
 
 
 def test_geometric_moments():
-    d = OffspringDistribution.geometric(mean=2.0)
+    d = OffspringDistribution("geometric", mean=2.0)
     assert d.mean == pytest.approx(2.0, abs=1e-14)
     # Var = q/(1-q)^2 = m(1+m)
     assert d.variance == pytest.approx(6.0, abs=1e-12)
@@ -39,10 +39,10 @@ def test_geometric_moments():
 
 
 def test_poisson_and_linear_fractional_moments():
-    p = OffspringDistribution.poisson(lam=1.7)
+    p = OffspringDistribution("poisson", lam=1.7)
     assert p.mean == pytest.approx(1.7)
     assert p.variance == pytest.approx(1.7)
-    lf = OffspringDistribution.linear_fractional(p0=0.3, q=0.4)
+    lf = OffspringDistribution("linear_fractional", p0=0.3, q=0.4)
     assert lf.mean == pytest.approx(0.7 / 0.6, abs=1e-14)
     ks = np.arange(300)
     pv = lf.pmf_vector(ks)
@@ -54,7 +54,7 @@ def test_poisson_and_linear_fractional_moments():
 def test_power_law_pmf_against_brute_sum():
     # [DERIVED] oracle: normalization and mean by direct 1e7-term summation
     alpha, p0 = 0.5, 0.2
-    d = OffspringDistribution.power_law_tail(alpha=alpha, p0=p0)
+    d = OffspringDistribution("power_law_tail", alpha=alpha, p0=p0)
     ks = np.arange(1, 10**7, dtype=float)
     c = (1 - p0) / ks.__pow__(-(2 + alpha)).sum() if False else None
     w = ks ** -(2 + alpha)
@@ -70,7 +70,7 @@ def test_power_law_pmf_against_brute_sum():
 
 
 def test_power_law_finite_variance_branch():
-    d = OffspringDistribution.power_law_tail(alpha=1.5, p0=0.1)
+    d = OffspringDistribution("power_law_tail", alpha=1.5, p0=0.1)
     assert math.isfinite(d.variance)
     ks = np.arange(0, 10**6)
     pv = d.pmf_vector(ks)
@@ -139,8 +139,8 @@ def test_huge_alpha_moments_equal_the_two_point_law(alpha):
     # P(X >= 2) rounds to 0, so the law is P(X=0) = 0.2, P(X=1) = 0.8; from
     # alpha 3e6 the remainder's Euler-Maclaurin factor overflowed, and at
     # 1e300 the tail quadrature warned
-    d = OffspringDistribution.power_law_tail(alpha=alpha, p0=0.2)
-    two_point = OffspringDistribution.finite_pmf([0.2, 0.8])
+    d = OffspringDistribution("power_law_tail", alpha=alpha, p0=0.2)
+    two_point = OffspringDistribution("finite_pmf", pmf=[0.2, 0.8])
     phi = PhiFunction(power=0.5, log_power=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -161,7 +161,7 @@ def test_negligible_power_tail_rest_keeps_the_refined_sum(monkeypatch, alpha):
             (PhiFunction(power=0.5, log_power=1.0), 1.0),
             (PhiFunction(log_power=2.0), 0.3),
             (PhiFunction(power=1.0, log_power=0.5), 7.0)]]
-    laws = [OffspringDistribution.power_law_tail(alpha=alpha, p0=p0)
+    laws = [OffspringDistribution("power_law_tail", alpha=alpha, p0=p0)
             for p0 in (0.0, 0.7)]
     integrals = []
     integral = distributions._power_tail_integral
@@ -172,7 +172,7 @@ def test_negligible_power_tail_rest_keeps_the_refined_sum(monkeypatch, alpha):
     remainder = OffspringDistribution._remainder
     monkeypatch.setattr(OffspringDistribution, "_remainder",
                         lambda *a: remainder(*a[:-1], 0.0))
-    laws = [OffspringDistribution.power_law_tail(alpha=alpha, p0=p0)
+    laws = [OffspringDistribution("power_law_tail", alpha=alpha, p0=p0)
             for p0 in (0.0, 0.7)]
     assert [f(d) for d in laws for f in moments] == values
     assert len(integrals) - quick == len(values)
@@ -193,7 +193,7 @@ def test_sample_chi_square_gof(gw_dist):
 
 
 def test_geometric_total_closure_matches_naive():
-    d = OffspringDistribution.geometric(mean=1.3)
+    d = OffspringDistribution("geometric", mean=1.3)
     rng = substream(5, 1)
     parents = 40
     reps = 20000
@@ -217,7 +217,7 @@ def test_finite_pmf_total_closure_matches_naive(gw_dist):
 
 
 def test_power_law_total_closure_matches_naive():
-    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    d = OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2)
     rng = substream(7, 3)
     reps = 5000
     closed = np.array([sample_generation_total(d, 10, rng)
@@ -237,11 +237,13 @@ def test_totals_vectorized_consistency(gw_dist):
 
 
 TOTALS_LAWS = {
-    "finite_pmf": OffspringDistribution.finite_pmf([0.25, 0.25, 0.5]),
-    "geometric": OffspringDistribution.geometric(1.5),
-    "poisson": OffspringDistribution.poisson(2.0),
-    "linear_fractional": OffspringDistribution.linear_fractional(0.3, 0.6),
-    "power_law_tail": OffspringDistribution.power_law_tail(0.5, 0.2),
+    "finite_pmf": OffspringDistribution("finite_pmf", pmf=[0.25, 0.25, 0.5]),
+    "geometric": OffspringDistribution("geometric", mean=1.5),
+    "poisson": OffspringDistribution("poisson", lam=2.0),
+    "linear_fractional": OffspringDistribution("linear_fractional",
+                                               p0=0.3, q=0.6),
+    "power_law_tail": OffspringDistribution("power_law_tail",
+                                            alpha=0.5, p0=0.2),
 }
 
 
@@ -269,7 +271,7 @@ def test_zero_parent_rows_match_positive_rows_alone(kind):
 
 
 def test_overflow_guard():
-    d = OffspringDistribution.geometric(mean=4.0)
+    d = OffspringDistribution("geometric", mean=4.0)
     rng = substream(9, 0)
     with pytest.raises(PopulationOverflowError) as ei:
         d.sample_generation_totals(np.array([2**61], dtype=np.int64), rng)
@@ -279,7 +281,7 @@ def test_overflow_guard():
 def test_overflow_guard_on_a_mean_zero_law():
     # the estimate read log_mean, which refuses a mean of 0, so this raised
     # UnsupportedDistributionError instead
-    d = OffspringDistribution.finite_pmf([1.0])
+    d = OffspringDistribution("finite_pmf", pmf=[1.0])
     with pytest.raises(PopulationOverflowError) as ei:
         d.sample_generation_totals(np.array([2**62 + 2**20]), substream(9, 0))
     assert ei.value.log_estimate == math.log(2**62 + 2**20)
@@ -288,7 +290,7 @@ def test_overflow_guard_on_a_mean_zero_law():
 def test_power_law_total_exact_at_large_parent_count():
     # finite variance: the exact total of 2e7 offspring counts sits within
     # 6 standard deviations of its mean, and costs O(head) not O(parents)
-    d = OffspringDistribution.power_law_tail(alpha=1.5, p0=0.1)
+    d = OffspringDistribution("power_law_tail", alpha=1.5, p0=0.1)
     rng = substream(10, 0)
     n = 2 * 10**7
     start = time.perf_counter()
@@ -301,7 +303,7 @@ def test_power_law_total_exact_at_large_parent_count():
 @pytest.mark.parametrize("alpha", [0.5, 1.5])
 def test_power_law_composition_matches_naive_sums(alpha):
     # oracle: per-offspring zipf draws through sample()
-    d = OffspringDistribution.power_law_tail(alpha=alpha, p0=0.2)
+    d = OffspringDistribution("power_law_tail", alpha=alpha, p0=0.2)
     rng = substream(11, int(alpha * 10))
     reps = 4000
     for parents in (1, 10, 64, 300):
@@ -317,7 +319,7 @@ def test_power_law_totals_exact_across_head_boundary(alpha, reps):
     # small totals against the exact convolution of the pmf: bins 0..cap
     # cover every sum of three head counts, and at alpha 1.5 it takes
     # 2e6 rows to see a tail that starts one count late
-    d = OffspringDistribution.power_law_tail(alpha=alpha, p0=0.2)
+    d = OffspringDistribution("power_law_tail", alpha=alpha, p0=0.2)
     cap = 3 * distributions._TOTALS_HEAD
     pmf = d.pmf_vector(np.arange(cap + 1))
     law = np.array([1.0])
@@ -334,7 +336,7 @@ def test_power_law_totals_exact_across_head_boundary(alpha, reps):
 def test_power_law_composition_tail_count_binomial(monkeypatch):
     # the number of offspring drawn beyond the multinomial head is
     # Binomial(parents, P(X > head))
-    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    d = OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2)
     head = distributions._TOTALS_HEAD
     sizes = []
     draw = d._tail_draws
@@ -350,7 +352,7 @@ def test_power_law_composition_tail_count_binomial(monkeypatch):
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.5])
 def test_power_law_tail_draws_chi_square(alpha):
     # rejection draws beyond the head against P(k | X > head) ~ k^-(2+alpha)
-    d = OffspringDistribution.power_law_tail(alpha=alpha, p0=0.2)
+    d = OffspringDistribution("power_law_tail", alpha=alpha, p0=0.2)
     head = distributions._TOTALS_HEAD
     size = 400000
     draws = d._tail_draws(size, substream(13, int(alpha * 10)))
@@ -368,7 +370,7 @@ def test_power_law_tail_draws_chi_square(alpha):
 def test_power_law_tail_chunks_add_up(monkeypatch):
     # fixed tail values make the totals a deterministic function of the
     # multinomial, which must not depend on how tail draws are batched
-    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    d = OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2)
     monkeypatch.setattr(d, "_tail_draws",
                         lambda size, rng: np.full(size, 1000, dtype=np.int64))
     parents = np.array([0, 5, 0, 3000, 1, 0, 20000, 200], dtype=np.int64)
@@ -382,7 +384,7 @@ def test_power_law_tail_chunks_add_up(monkeypatch):
 
 def test_power_law_totals_overflow_is_caught(monkeypatch):
     # an int64 sum that would wrap raises instead
-    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    d = OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2)
     monkeypatch.setattr(d, "_tail_draws",
                         lambda size, rng: np.full(size, 2**61, dtype=np.int64))
     with pytest.raises(PopulationOverflowError):
@@ -398,7 +400,7 @@ def test_geometric_laws_share_one_int64_rule():
     means = [0.5, 1.0, 2.0, 1e3, 1e6, 4.6e6, 1e9, 1e12, 9e15]
     parents = [1, 2, 10, 500, 512, 513, 1000, 10**6, 4 * 10**6, 10**9,
                10**12]
-    laws = [OffspringDistribution.geometric(m) for m in means]
+    laws = [OffspringDistribution("geometric", mean=m) for m in means]
     pairs = [(law, n) for law in laws for n in parents]
     rows = distributions.GeometricRows(
         np.array([law.params["mean"] for law, _ in pairs]))
@@ -414,8 +416,9 @@ def test_geometric_laws_share_one_int64_rule():
 
 
 def test_geometric_rows_read_as_the_laws_of_their_means():
-    # rows[k] is OffspringDistribution.geometric(mean[k]): equal params, so
-    # equal repr and hash, the same q bits, and the same kernel draws
+    # rows[k] is OffspringDistribution("geometric", mean=mean[k]): equal
+    # params, so equal repr and hash, the same q bits, and the same kernel
+    # draws
     mean = np.exp(np.random.default_rng(1).normal(0.1, 0.3, 64))
     rows = distributions.GeometricRows(mean)
     assert len(rows) == len(mean)
@@ -423,7 +426,7 @@ def test_geometric_rows_read_as_the_laws_of_their_means():
     got = rows.sample_generation_totals(parents, np.random.default_rng(2))
     rng = np.random.default_rng(2)
     for k, m in enumerate(mean.tolist()):
-        law = OffspringDistribution.geometric(m)
+        law = OffspringDistribution("geometric", mean=m)
         assert rows[k] == law and repr(rows[k]) == repr(law)
         assert hash(rows[k]) == hash(law)
         assert np.float64(rows[k]._q).tobytes() == rows.q[k].tobytes() \
@@ -433,14 +436,15 @@ def test_geometric_rows_read_as_the_laws_of_their_means():
 
 def test_delta_moment_one_equals_normalized_variance(gw_dist):
     assert gw_dist.delta_moment(1.0) == pytest.approx(0.44, abs=1e-12)
-    g = OffspringDistribution.geometric(mean=2.0)
+    g = OffspringDistribution("geometric", mean=2.0)
     assert g.delta_moment(1.0) == pytest.approx(g.normalized_variance, rel=1e-8)
     # the light-tail sum stopped at its first block once lam passed about
     # 4,000: Poisson(5000) gave 1.3e-41 for a normalized variance of 2e-4
-    for law in [OffspringDistribution.poisson(lam)
+    for law in [OffspringDistribution("poisson", lam=lam)
                 for lam in (1.7, 5000.0, 1e5)] + [
-            OffspringDistribution.geometric(mean) for mean in (0.5, 1e5)] + [
-            OffspringDistribution.linear_fractional(p0=0.3, q=0.6)]:
+            OffspringDistribution("geometric", mean=mean)
+            for mean in (0.5, 1e5)] + [
+            OffspringDistribution("linear_fractional", p0=0.3, q=0.6)]:
         assert law.delta_moment(1.0) == pytest.approx(
             law.normalized_variance, rel=1e-9), law
 
@@ -451,14 +455,14 @@ def test_delta_moment_zero_brute(gw_dist):
 
 
 def test_delta_moment_power_law_divergence_boundary():
-    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    d = OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2)
     assert math.isinf(d.delta_moment(0.5))   # 1+delta-1 == alpha: divergent
     assert math.isinf(d.delta_moment(0.75))
     assert math.isfinite(d.delta_moment(0.25))
 
 
 def test_delta_moment_power_law_against_brute():
-    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    d = OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2)
     m = d.mean
     ks = np.arange(1, 10**7, dtype=float)
     p = d.pmf_vector(np.arange(1, 10**7))
@@ -503,7 +507,7 @@ def _brute_power_tail_moments(d, cases, cut=1 << 23, block=1 << 20):
 
 @pytest.fixture(scope="module")
 def power_tail_oracle():
-    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    d = OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2)
     cases = [(1.0 + power, logpow, scale)
              for power, logpow in ((0.25, 0.0), (0.0, 1.0), (0.0, 3.0))
              for scale in (1.0, 0.3, 0.05)]
@@ -514,7 +518,7 @@ def power_tail_oracle():
 @pytest.mark.parametrize("scale", [1.0, 0.3, 0.05])
 def test_power_tail_psi_moment_against_brute_oracle(power_tail_oracle, power,
                                                     logpow, scale):
-    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    d = OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2)
     phi = PhiFunction(power=power, log_power=logpow)
     oracle = power_tail_oracle[1.0 + power, logpow, scale]
     assert d.psi_moment(phi, scale, tol=1e-12) == pytest.approx(oracle,
@@ -565,14 +569,14 @@ def test_power_tail_remainder_bound_holds_at_short_heads(monkeypatch, law,
 
 def test_power_tail_moment_head_grows_to_meet_tolerance(monkeypatch):
     phi = PhiFunction(log_power=3.0)
-    ref = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2) \
+    ref = OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2) \
         .psi_moment(phi, 0.3, tol=1e-12)
     cuts = []
     bound = distributions._remainder_bound
     monkeypatch.setattr(distributions, "_remainder_bound",
                         lambda a, *rest: cuts.append(a) or bound(a, *rest))
     monkeypatch.setattr(distributions, "_MOMENT_HEAD", 64)
-    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    d = OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2)
     assert d.psi_moment(phi, 0.3, tol=1e-12) == pytest.approx(ref, rel=1e-12)
     assert len(cuts) > 1 and cuts[0] == 64.5
 
@@ -686,7 +690,7 @@ def test_psi_moment_zero_phi(gw_dist):
 def test_psi_moment_at_zero_scale_is_phi_of_zero():
     # phi(U * 0) = phi(0) for every U: 0 when phi(0) = 0, even for a law
     # whose E U^(1+d) is infinite (0.0 * inf was NaN), and E U when phi = 1
-    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    d = OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2)
     for phi in (PhiFunction(power=0.5), PhiFunction(log_power=1.0),
                 PhiFunction(power=0.5, log_power=1.0)):
         assert d.psi_moment(phi, 0.0) == 0.0
@@ -695,7 +699,7 @@ def test_psi_moment_at_zero_scale_is_phi_of_zero():
 
 
 def test_psi_moment_geometric_log_converges():
-    d = OffspringDistribution.geometric(mean=2.0)
+    d = OffspringDistribution("geometric", mean=2.0)
     phi = PhiFunction(power=0.0, log_power=1.0)
     v = d.psi_moment(phi, 0.1)
     ks = np.arange(0, 4000)
@@ -707,7 +711,7 @@ def test_psi_moment_geometric_log_converges():
 
 def test_log_psi_moment_where_u_times_scale_overflows():
     # u * scale passes 1.8e308 for every k >= 1, where the pmf is positive
-    d = OffspringDistribution.geometric(mean=1e-10)
+    d = OffspringDistribution("geometric", mean=1e-10)
     phi = PhiFunction(power=0.0, log_power=1.0)
     brute = 0.0
     for k in range(40):
@@ -719,12 +723,12 @@ def test_log_psi_moment_where_u_times_scale_overflows():
         assert d.psi_moment(phi, 1e300) == pytest.approx(brute, rel=1e-12)
         # an infinite damping: log(1 + u * scale) is inf wherever u > 0
         assert d.psi_moment(phi, math.inf) == math.inf
-        assert OffspringDistribution.finite_pmf([0.0, 1.0]).psi_moment(
+        assert OffspringDistribution("finite_pmf", pmf=[0.0, 1.0]).psi_moment(
             phi, math.inf) == 0.0
 
 
 def test_psi_moment_power_law_log_envelope():
-    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    d = OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2)
     phi = PhiFunction(power=0.0, log_power=1.0)
     v = d.psi_moment(phi, 0.01)
     assert math.isfinite(v) and v > 0
@@ -748,12 +752,12 @@ def test_truncated_moment_ratio_exact_rational(gw_dist):
 
 
 def test_truncated_moment_ratio_heavy_tail_infinite():
-    d = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    d = OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2)
     assert math.isinf(d.truncated_moment_ratio())
 
 
 def test_truncated_moment_ratio_not_applicable():
-    d = OffspringDistribution.finite_pmf([0.5, 0.5])
+    d = OffspringDistribution("finite_pmf", pmf=[0.5, 0.5])
     with pytest.raises(NotApplicableError):
         d.truncated_moment_ratio()
 
@@ -764,13 +768,13 @@ def test_config_round_trip(gw_dist):
     for cfg, d in (
             ({"kind": "finite_pmf", "pmf": [0.25, 0.25, 0.5]}, gw_dist),
             ({"kind": "geometric", "mean": 1.5},
-             OffspringDistribution.geometric(mean=1.5)),
+             OffspringDistribution("geometric", mean=1.5)),
             ({"kind": "poisson", "lam": 2.0},
-             OffspringDistribution.poisson(lam=2.0)),
+             OffspringDistribution("poisson", lam=2.0)),
             ({"kind": "linear_fractional", "p0": 0.2, "q": 0.5},
-             OffspringDistribution.linear_fractional(p0=0.2, q=0.5)),
+             OffspringDistribution("linear_fractional", p0=0.2, q=0.5)),
             ({"kind": "power_law_tail", "alpha": 0.5, "p0": 0.2},
-             OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2))):
+             OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2))):
         assert OffspringDistribution.from_config(cfg) == d
 
 
@@ -816,11 +820,11 @@ def test_family_keys_are_checked_by_the_constructor(kind, params, key):
 
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
-        OffspringDistribution.finite_pmf([0.5, 0.6])
+        OffspringDistribution("finite_pmf", pmf=[0.5, 0.6])
     with pytest.raises(ValueError):
-        OffspringDistribution.geometric(mean=0.0)
+        OffspringDistribution("geometric", mean=0.0)
     with pytest.raises(ValueError):
-        OffspringDistribution.power_law_tail(alpha=-1.0, p0=0.2)
+        OffspringDistribution("power_law_tail", alpha=-1.0, p0=0.2)
     for power, log_power in [(-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
                              (0.0, math.nan), (0.0, math.inf)]:
         with pytest.raises(ValueError, match="phi"):
@@ -834,7 +838,7 @@ def test_invalid_parameters_rejected():
 @settings(max_examples=50, deadline=None)
 def test_finite_pmf_properties(weights):
     pmf = np.array(weights) / np.sum(weights)
-    d = OffspringDistribution.finite_pmf(list(pmf))
+    d = OffspringDistribution("finite_pmf", pmf=list(pmf))
     ks = np.arange(len(pmf))
     assert d.mean == pytest.approx(float(pmf @ ks), abs=1e-10)
     assert d.variance >= 0
@@ -846,7 +850,7 @@ def test_finite_pmf_properties(weights):
 @given(st.floats(min_value=0.05, max_value=20.0))
 @settings(max_examples=30, deadline=None)
 def test_geometric_closure_mean(mean):
-    d = OffspringDistribution.geometric(mean=mean)
+    d = OffspringDistribution("geometric", mean=mean)
     rng = substream(123, 7)
     total = sample_generation_total(d, 50000, rng)
     se = math.sqrt(50000 * d.variance)
@@ -856,6 +860,6 @@ def test_geometric_closure_mean(mean):
 @given(st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=30, deadline=None)
 def test_delta_moment_finite_for_light_tails(delta):
-    d = OffspringDistribution.poisson(lam=1.3)
+    d = OffspringDistribution("poisson", lam=1.3)
     v = d.delta_moment(delta)
     assert math.isfinite(v) and v >= 0

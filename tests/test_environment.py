@@ -9,15 +9,18 @@ import pytest
 from bpve.distributions import GeometricRows, OffspringDistribution
 from bpve import environment, streams
 from bpve.environment import (EnvironmentSpec, Mixer, PRESET_CONFIGS,
-                              PRESETS, QuenchedEnvironment,
-                              ResourceWarningError, quench, quench_many)
+                              QuenchedEnvironment, ResourceWarningError,
+                              quench, quench_many)
 from bpve.simulate import AnnealedLaws
 from bpve.streams import substream
 from oracles import cooling_block_index, law_at
 
+TWO_POINT_MIXER = EnvironmentSpec.from_config(
+    {"preset": "critical_two_point"}).mixer
+
 
 def test_constant_env(gw_dist):
-    spec = EnvironmentSpec.constant(gw_dist)
+    spec = EnvironmentSpec("constant", dists=(gw_dist,))
     env = quench(spec, 0, 10)
     assert env.horizon == 10
     assert all(d == gw_dist for d in env.dists)
@@ -27,14 +30,14 @@ def test_constant_env(gw_dist):
 
 
 def test_explicit_and_periodic_indexing(gw_dist):
-    g = OffspringDistribution.geometric(mean=2.0)
-    spec = EnvironmentSpec.explicit([gw_dist, g, gw_dist])
+    g = OffspringDistribution("geometric", mean=2.0)
+    spec = EnvironmentSpec("explicit_sequence", dists=(gw_dist, g, gw_dist))
     assert spec.dist_at(0, 2) == g
     with pytest.raises(ValueError):
         spec.dist_at(0, 4)
     with pytest.raises(ValueError):
         spec.dist_at(0, 0)
-    per = EnvironmentSpec.periodic([gw_dist, g])
+    per = EnvironmentSpec("periodic", dists=(gw_dist, g))
     assert per.dist_at(0, 1) == gw_dist
     assert per.dist_at(0, 2) == g
     assert per.dist_at(0, 7) == gw_dist
@@ -42,9 +45,9 @@ def test_explicit_and_periodic_indexing(gw_dist):
 
 def test_quench_prefix_consistency():
     gaussian = QUENCH_SPECS["gaussian_iid"].mixer
-    for spec in (PRESETS["critical_two_point"](),
-                 EnvironmentSpec.iid_random(gaussian),
-                 EnvironmentSpec.cooling(gaussian)):
+    for spec in (EnvironmentSpec("iid_random", mixer=TWO_POINT_MIXER),
+                 EnvironmentSpec("iid_random", mixer=gaussian),
+                 EnvironmentSpec("cooling", mixer=gaussian)):
         short, long = quench(spec, 42, 1000), quench(spec, 42, 3000)
         assert short.dists == long.dists[:1000]
         assert np.array_equal(short.xi, long.xi[:1000])
@@ -52,17 +55,18 @@ def test_quench_prefix_consistency():
 
 
 def test_dist_at_random_access():
-    spec = PRESETS["critical_two_point"]()
-    a = spec.dist_at(9, 37)
-    b = spec.dist_at(9, 37)
-    assert a == b
+    # a random spec's laws come from quench alone
+    spec = EnvironmentSpec.from_config({"preset": "critical_two_point"})
+    with pytest.raises(ValueError, match="come from quench"):
+        spec.dist_at(9, 37)
+    laws = quench(spec, 9, 39).dists
+    assert laws[36] == quench(spec, 9, 37).dists[36]
     # different index can differ, and usually does over a range
-    laws = {spec.dist_at(9, i).mean for i in range(1, 40)}
-    assert len(laws) == 2
+    assert {d.mean for d in laws} == {d.mean for d in spec.mixer.dists}
 
 
 def test_two_point_frequency():
-    spec = PRESETS["critical_two_point"]()
+    spec = EnvironmentSpec.from_config({"preset": "critical_two_point"})
     env = quench(spec, 7, 2000)
     up = sum(1 for d in env.dists if d.mean > 1.0)
     # binomial(2000, 1/2): 6 sigma is ~134
@@ -70,7 +74,7 @@ def test_two_point_frequency():
 
 
 def test_critical_preset_log_means():
-    spec = PRESETS["critical_two_point"]()
+    spec = EnvironmentSpec.from_config({"preset": "critical_two_point"})
     mixer = spec.mixer
     drift = np.dot(mixer.weights, [d.log_mean for d in mixer.dists])
     assert drift == pytest.approx(0.0, abs=1e-12)
@@ -80,8 +84,8 @@ def test_critical_preset_log_means():
 
 
 def test_supercritical_subcritical_drift():
-    up = PRESETS["supercritical_mu0.2"]()
-    dn = PRESETS["subcritical_mu0.2"]()
+    up = EnvironmentSpec.from_config({"preset": "supercritical_mu0.2"})
+    dn = EnvironmentSpec.from_config({"preset": "subcritical_mu0.2"})
     for spec, mu in ((up, 0.2), (dn, -0.2)):
         mixer = spec.mixer
         drift = np.dot(mixer.weights, [d.log_mean for d in mixer.dists])
@@ -89,28 +93,26 @@ def test_supercritical_subcritical_drift():
 
 
 def test_cooling_doubling_blocks():
-    spec = PRESETS["cooling_doubling_blocks"]()
+    spec = EnvironmentSpec.from_config({"preset": "cooling_doubling_blocks"})
     env_seed = 11
+    laws = quench(spec, env_seed, 31).dists
     # block j covers generations [2^j, 2^{j+1} - 1]
-    for j in range(1, 5):
+    for j in range(5):
         lo, hi = 2**j, 2**(j + 1) - 1
-        laws = {spec.dist_at(env_seed, i) for i in range(lo, hi + 1)}
-        assert len(laws) == 1
-    assert spec.dist_at(env_seed, 1) is not None
+        assert set(laws[lo - 1:hi]) == {law_at(spec, env_seed, lo)}
 
 
 def test_cooling_explicit_schedule():
-    mixer = PRESETS["critical_two_point"]().mixer
-    spec = EnvironmentSpec.cooling(mixer, block_lengths=[3, 2])
-    s = 5
-    assert spec.dist_at(s, 1) == spec.dist_at(s, 3)
-    assert spec.dist_at(s, 4) == spec.dist_at(s, 5)
+    spec = EnvironmentSpec("cooling", mixer=TWO_POINT_MIXER,
+                           block_lengths=(3, 2))
+    laws = quench(spec, 5, 7).dists
     # beyond the schedule the last block length repeats
-    assert spec.dist_at(s, 6) == spec.dist_at(s, 7)
+    for lo, hi in ((1, 3), (4, 5), (6, 7)):
+        assert set(laws[lo - 1:hi]) == {law_at(spec, 5, lo)}
 
 
 def test_shifted_environment():
-    spec = PRESETS["supercritical_mu0.2"]()
+    spec = EnvironmentSpec.from_config({"preset": "supercritical_mu0.2"})
     env = quench(spec, 2, 60)
     sh = env.shifted(10)
     assert sh.horizon == 50
@@ -122,7 +124,8 @@ def test_shifted_environment():
 def test_shifted_environment_keeps_the_log_means():
     # the log-means were re-derived as differences of the re-summed S,
     # which moved most of them in the last bits
-    env = quench(PRESETS["supercritical_mu0.2"](), 3, 500)
+    env = quench(EnvironmentSpec.from_config(
+        {"preset": "supercritical_mu0.2"}), 3, 500)
     for k in (1, 50, 499):
         sh = env.shifted(k)
         assert sh.xi.tobytes() == env.xi[k:].tobytes()
@@ -130,7 +133,7 @@ def test_shifted_environment_keeps_the_log_means():
 
 
 def test_quench_horizon_guard():
-    spec = PRESETS["critical_two_point"]()
+    spec = EnvironmentSpec.from_config({"preset": "critical_two_point"})
     with pytest.raises(ValueError):
         quench(spec, 0, 0)
     with pytest.raises(ResourceWarningError):
@@ -139,7 +142,7 @@ def test_quench_horizon_guard():
 
 def test_mixer_gaussian_logmean():
     mx = Mixer("gaussian_logmean_geometric", mu=0.1, sigma=0.2)
-    spec = EnvironmentSpec.iid_random(mx)
+    spec = EnvironmentSpec("iid_random", mixer=mx)
     env = quench(spec, 4, 500)
     assert abs(env.xi.mean() - 0.1) < 6 * 0.2 / math.sqrt(500)
     assert all(d.kind == "geometric" for d in env.dists)
@@ -153,17 +156,17 @@ def test_spec_config_round_trip(gw_dist):
     pairs += [
         ({"kind": "constant",
           "dist": {"kind": "finite_pmf", "pmf": [0.25, 0.25, 0.5]}},
-         EnvironmentSpec.constant(gw_dist)),
+         EnvironmentSpec("constant", dists=(gw_dist,))),
         ({"kind": "periodic",
           "dists": [{"kind": "finite_pmf", "pmf": [0.25, 0.25, 0.5]},
                     {"kind": "geometric", "mean": 2.0}]},
-         EnvironmentSpec.periodic([gw_dist,
-                                   OffspringDistribution.geometric(mean=2.0)])),
+         EnvironmentSpec("periodic", dists=(
+             gw_dist, OffspringDistribution("geometric", mean=2.0)))),
         ({"kind": "iid_random",
           "mixer": {"kind": "gaussian_logmean_geometric",
                     "mu": 0.0, "sigma": 0.3}},
-         EnvironmentSpec.iid_random(
-             Mixer("gaussian_logmean_geometric", mu=0.0, sigma=0.3))),
+         EnvironmentSpec("iid_random", mixer=Mixer(
+             "gaussian_logmean_geometric", mu=0.0, sigma=0.3))),
     ]
     for cfg, other in pairs:
         spec = EnvironmentSpec.from_config(json.loads(json.dumps(cfg)))
@@ -225,6 +228,10 @@ def test_mixer_refuses_unknown_and_missing_keys(gw_dist):
         Mixer.from_config({"mu": 0.0, "sigma": 1.0})
 
 
+ONE_LAW_MIXER = {"kind": "finite", "weights": [1.0],
+                 "dists": [{"kind": "finite_pmf", "pmf": [0.25, 0.25, 0.5]}]}
+
+
 def test_spec_fields_are_checked_where_built(gw_dist):
     # the first five built, then quenched to a constant environment (with a
     # divide-by-zero warning) or raised ZeroDivisionError, TypeError or
@@ -241,28 +248,29 @@ def test_spec_fields_are_checked_where_built(gw_dist):
             ("constant", {"dists": (mixer,)}, "tuple of offspring laws"),
             ("cooling", {"mixer": gw_dist}, "cooling environment needs a mix"),
             ("iid_random", {"mixer": mixer, "block_lengths": (2,)},
-             "iid_random environment has no block lengths")]:
+             "iid_random environment has no block lengths"),
+            ("explicit_sequence", {"dists": ()},
+             "explicit_sequence environment needs a non")]:
         with pytest.raises(ValueError, match=message):
             EnvironmentSpec(kind, **fields)
-    assert EnvironmentSpec("cooling", mixer=mixer, block_lengths=(2, 3)) \
-        == EnvironmentSpec.cooling(mixer, [2, 3])
-    for make in (EnvironmentSpec.explicit, EnvironmentSpec.periodic):
-        with pytest.raises(ValueError, match="needs a nonempty"):
-            make([])
+    # a config's schedule list becomes the block-length tuple
+    assert EnvironmentSpec.from_config(
+        {"kind": "cooling", "mixer": ONE_LAW_MIXER, "schedule": [2, 3]}
+    ).block_lengths == (2, 3)
 
 
 @pytest.mark.parametrize("schedule", [[], [2.5], [math.nan], [0], [3, -1],
                                       [True], "blocks", 4])
-def test_cooling_refuses_bad_schedules(gw_dist, schedule):
-    mixer = Mixer("finite", dists=[gw_dist], weights=[1.0])
+def test_cooling_refuses_bad_schedules(schedule):
     with pytest.raises(ValueError, match="cooling schedule"):
-        EnvironmentSpec.cooling(mixer, block_lengths=schedule)
+        EnvironmentSpec.from_config(
+            {"kind": "cooling", "mixer": ONE_LAW_MIXER, "schedule": schedule})
 
 
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.2, 0.3, 0.5),
                                      (0.1, 0.7, 0.2)])
 def test_finite_mixer_draw_matches_choice(weights):
-    dists = [OffspringDistribution.geometric(mean=m)
+    dists = [OffspringDistribution("geometric", mean=m)
              for m in (0.5, 1.0, 2.0)[:len(weights)]]
     mixer = Mixer("finite", dists=dists, weights=list(weights))
     ref = [substream(17, index).choice(len(dists), p=mixer.weights)
@@ -276,16 +284,16 @@ def test_finite_mixer_draw_matches_choice(weights):
     assert np.array_equal(xi, [dists[r].log_mean for r in rows])
 
 
-@pytest.mark.parametrize("schedule", [None, [3, 1, 7, 2]])
+@pytest.mark.parametrize("schedule", [None, (3, 1, 7, 2)])
 def test_cooling_quench_draws_once_per_block(schedule, monkeypatch):
     # either mixer draws every block's first uniforms in one pass
     draws = []
     real_first_uniforms = environment.first_uniforms
     blocks = (11 if schedule is None
               else 4 + math.ceil((2000 - sum(schedule)) / schedule[-1]))
-    for mixer in (PRESETS["critical_two_point"]().mixer,
+    for mixer in (TWO_POINT_MIXER,
                   Mixer("gaussian_logmean_geometric", mu=0.1, sigma=0.5)):
-        spec = EnvironmentSpec.cooling(mixer, block_lengths=schedule)
+        spec = EnvironmentSpec("cooling", mixer=mixer, block_lengths=schedule)
         per_generation = [law_at(spec, 9, i) for i in range(1, 2001)]
         with monkeypatch.context() as patch:
             patch.setattr(environment, "first_uniforms",
@@ -299,14 +307,13 @@ def test_cooling_quench_draws_once_per_block(schedule, monkeypatch):
 
 
 @pytest.mark.parametrize("kind,schedule", [
-    ("iid_random", None), ("cooling", None), ("cooling", [3, 1, 7, 2]),
-    ("cooling", [1]), ("cooling", [5]),
+    ("iid_random", None), ("cooling", None), ("cooling", (3, 1, 7, 2)),
+    ("cooling", (1,)), ("cooling", (5,)),
     # block ends past int64: the cumulative sum wrapped or overflowed
-    ("cooling", [2**62, 2**62, 3])])
+    ("cooling", (2**62, 2**62, 3))])
 def test_stream_indices_match_stream_index(kind, schedule):
-    mixer = PRESETS["critical_two_point"]().mixer
-    spec = (EnvironmentSpec.cooling(mixer, block_lengths=schedule)
-            if kind == "cooling" else EnvironmentSpec.iid_random(mixer))
+    spec = EnvironmentSpec(kind, mixer=TWO_POINT_MIXER,
+                           block_lengths=schedule)
 
     def walk(i):
         return cooling_block_index(spec, i) if kind == "cooling" else i
@@ -321,16 +328,15 @@ def test_stream_indices_match_stream_index(kind, schedule):
     assert spec.stream_index(np.array(big)).tolist() == list(map(walk, big))
     for i in big:
         assert spec.stream_index(i) == walk(i)
-        assert spec.dist_at(3, i) is mixer.dists[
-            mixer.sample(substream(3, walk(i)).random(1))[1]]
 
 
 QUENCH_SPECS = {
-    **{name: make() for name, make in PRESETS.items()},
-    "gaussian_iid": EnvironmentSpec.iid_random(
-        Mixer("gaussian_logmean_geometric", mu=0.1, sigma=0.5)),
-    "cooling_schedule": EnvironmentSpec.cooling(
-        PRESETS["critical_two_point"]().mixer, block_lengths=[3, 1, 7, 2]),
+    **{name: EnvironmentSpec.from_config({"preset": name})
+       for name in PRESET_CONFIGS},
+    "gaussian_iid": EnvironmentSpec("iid_random", mixer=Mixer(
+        "gaussian_logmean_geometric", mu=0.1, sigma=0.5)),
+    "cooling_schedule": EnvironmentSpec("cooling", mixer=TWO_POINT_MIXER,
+                                        block_lengths=(3, 1, 7, 2)),
 }
 QUENCH_SEEDS = [0, 5, -1, 2**63 + 5, 2**64 - 1, 123456789]
 
@@ -416,7 +422,8 @@ def test_kahan_cumsum_peak_memory_is_the_result_and_one_chunk():
 
 GAUSSIAN_SPECS = {
     "iid": QUENCH_SPECS["gaussian_iid"],
-    "cooling": EnvironmentSpec.cooling(QUENCH_SPECS["gaussian_iid"].mixer),
+    "cooling": EnvironmentSpec("cooling",
+                               mixer=QUENCH_SPECS["gaussian_iid"].mixer),
 }
 
 
@@ -447,8 +454,8 @@ def test_gaussian_quench_builds_no_law_object(monkeypatch, name):
     envs = quench_many(spec, QUENCH_SEEDS, 1000)
     assert built == []
     assert env.dists == envs[QUENCH_SEEDS.index(5)].dists
-    assert env.dists[999] == OffspringDistribution.geometric(
-        float(env.laws.mean[env.index[999]]))
+    assert env.dists[999] == OffspringDistribution(
+        "geometric", mean=float(env.laws.mean[env.index[999]]))
     assert len(built) > 0
 
 
@@ -477,7 +484,7 @@ def test_gaussian_draws_follow_the_normal_law():
 def test_quench_many_across_passes():
     # 70 environments of 1000 generations are 70,000 keys: the first
     # uniforms take two Philox passes
-    spec = PRESETS["supercritical_mu0.2"]()
+    spec = EnvironmentSpec.from_config({"preset": "supercritical_mu0.2"})
     seeds = list(range(1000, 1070))
     assert len(seeds) * 1000 > streams._PASS_KEYS
     for seed, env in zip(seeds, quench_many(spec, seeds, 1000)):
@@ -485,7 +492,7 @@ def test_quench_many_across_passes():
 
 
 def test_quench_many_edge_cases():
-    spec = PRESETS["critical_two_point"]()
+    spec = EnvironmentSpec.from_config({"preset": "critical_two_point"})
     assert quench_many(spec, [], 10) == []
     with pytest.raises(ValueError):
         quench_many(spec, [1], 0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -7,15 +8,16 @@ import pytest
 from bpve import estimators
 from bpve.cli import jsonable
 from bpve.distributions import NotApplicableError, OffspringDistribution
-from bpve.environment import EnvironmentSpec, Mixer, PRESETS, quench
+from bpve.environment import EnvironmentSpec, Mixer, quench
 from bpve.estimators import (mc_conditioned_critical, mc_flt_discrepancy, mc_halving_bound,
                              mc_increment_covariance, mc_l2_increment,
                              mc_l2_span, mc_survival, mc_w_positivity)
+from oracles import survival_exact
 
 
 @pytest.fixture(scope="module")
 def gw_env200(gw_dist):
-    return quench(EnvironmentSpec.constant(gw_dist), 1, 200)
+    return quench(EnvironmentSpec("constant", dists=(gw_dist,)), 1, 200)
 
 
 def run_w(env, z0, record, replicas, seed, threads):
@@ -143,6 +145,76 @@ def test_mc_survival_monotone_in_n(gw_env200):
     assert late.value <= early.value
 
 
+def brute_extinction(laws, z0: int, kmax: int = 60) -> float:
+    """``P(Z = 0)`` after ``laws``, one per generation, from ``z0``
+    ancestors, by convolving the pmfs up to ``kmax`` individuals: exact but
+    for the mass past ``kmax``, whose descendants all die with probability
+    below ``p0^kmax``."""
+    law_z = np.eye(1, kmax + 1, z0)[0]
+    for law in laws:
+        pmf = law.pmf_vector(np.arange(kmax + 1))
+        fold, new = np.eye(1, kmax + 1)[0], np.zeros(kmax + 1)
+        for parents in law_z.tolist():  # fold: the pmf of that many parents
+            new += parents * fold
+            fold = np.convolve(fold, pmf)[:kmax + 1]
+        law_z = new
+    return float(law_z[0])
+
+
+EXACT_LAWS = [OffspringDistribution("finite_pmf", pmf=[0.2, 0.3, 0.5]),
+              OffspringDistribution("geometric", mean=1.3),
+              OffspringDistribution("poisson", lam=0.9),
+              OffspringDistribution("linear_fractional", p0=0.25, q=0.4)]
+
+
+@pytest.mark.parametrize("z0", [1, 2])
+def test_survival_exact_matches_brute_force_convolution(z0):
+    for laws in itertools.permutations(EXACT_LAWS, 3):
+        env = quench(EnvironmentSpec("explicit_sequence", dists=laws), 0, 3)
+        assert survival_exact(env, 3, z0) == pytest.approx(
+            1.0 - brute_extinction(laws, z0), abs=1e-12)
+
+
+def mixed_sequence(n: int) -> tuple:
+    """``n`` laws that cycle through the Poisson, linear-fractional and
+    finite-pmf families, with parameters that vary along the sequence."""
+    laws = []
+    for i in range(n):
+        t = (7 * i % 11) / 10.0
+        laws.append(
+            OffspringDistribution("poisson", lam=0.8 + 0.6 * t) if i % 3 == 0
+            else OffspringDistribution("linear_fractional", p0=0.2 + 0.2 * t,
+                                       q=0.4) if i % 3 == 1
+            else OffspringDistribution("finite_pmf",
+                                       pmf=[0.3 - 0.2 * t, 0.3, 0.4 + 0.2 * t]))
+    return tuple(laws)
+
+
+SURVIVAL_SPECS = {
+    "supercritical_mu0.2": EnvironmentSpec.from_config(
+        {"preset": "supercritical_mu0.2"}),
+    "cooling_gaussian": EnvironmentSpec("cooling", mixer=Mixer(
+        "gaussian_logmean_geometric", mu=0.1, sigma=0.3),
+        block_lengths=(5, 10, 20)),
+    "iid_gaussian": EnvironmentSpec("iid_random", mixer=Mixer(
+        "gaussian_logmean_geometric", mu=0.05, sigma=0.5)),
+    "explicit_mixed": EnvironmentSpec("explicit_sequence",
+                                      dists=mixed_sequence(200)),
+}
+
+
+@pytest.mark.parametrize("env_seed", [1, 2])
+@pytest.mark.parametrize("name", sorted(SURVIVAL_SPECS))
+def test_mc_survival_matches_exact_survival(name, env_seed):
+    # within the bench's 4.5 standard errors, taken as the exact value's
+    # binomial one: the estimate's own is 0 when no replica survives
+    env = quench(SURVIVAL_SPECS[name], env_seed, 200)
+    exact = survival_exact(env, 200)
+    est = mc_survival(env, 1, 200, 10**5, env_seed, threads=2)
+    se = math.sqrt(exact * (1.0 - exact) / 10**5)
+    assert abs(est.value - exact) <= 4.5 * se, (est.value, exact)
+
+
 def test_w_positivity_plateau(gw_env200):
     eps = list(np.logspace(-4, -2, 9))
     chk = mc_w_positivity(gw_env200, 1, 150, eps, 40000, 13, threads=4)
@@ -187,7 +259,7 @@ def test_l2_span_bounded_by_series(gw_env200):
 
 
 def test_halving_bound_certified(gw_dist):
-    env = quench(EnvironmentSpec.constant(gw_dist), 1, 402)
+    env = quench(EnvironmentSpec("constant", dists=(gw_dist,)), 1, 402)
     res = mc_halving_bound(env, 64, 0, 400, 20000, 11, threads=4)
     assert res.bound == pytest.approx(4 * 2.2 / 64, abs=1e-6)
     assert res.upper_confidence <= res.bound
@@ -195,14 +267,15 @@ def test_halving_bound_certified(gw_dist):
 
 
 def test_halving_bound_start_shift(gw_dist):
-    env = quench(EnvironmentSpec.constant(gw_dist), 1, 300)
+    env = quench(EnvironmentSpec("constant", dists=(gw_dist,)), 1, 300)
     res = mc_halving_bound(env, 64, 50, 200, 5000, 12, threads=2)
     assert res.bound == pytest.approx(4 * 2.2 / 64, abs=1e-4)
     assert res.upper_confidence < 0.5
 
 
 def test_halving_bound_refuses_heavy_tail():
-    env = quench(PRESETS["heavy_tail_supercritical"](), 0, 100)
+    env = quench(EnvironmentSpec.from_config(
+        {"preset": "heavy_tail_supercritical"}), 0, 100)
     with pytest.raises(NotApplicableError):
         mc_halving_bound(env, 64, 0, 50, 100, 1)
 
@@ -210,14 +283,14 @@ def test_halving_bound_refuses_heavy_tail():
 def test_halving_bound_refuses_a_short_environment(gw_dist):
     # the budget reads generations up to start + horizon + 1; a shorter
     # environment used to give a silently shorter run
-    env = quench(EnvironmentSpec.constant(gw_dist), 1, 300)
+    env = quench(EnvironmentSpec("constant", dists=(gw_dist,)), 1, 300)
     with pytest.raises(ValueError, match="exceeds environment horizon"):
         mc_halving_bound(env, 64, 50, 300, 100, 1)
     assert mc_halving_bound(env, 64, 50, 249, 100, 1).estimate.replicas == 100
 
 
 def test_flt_spread_shrinks(gw_dist):
-    env = quench(EnvironmentSpec.constant(gw_dist), 1, 260)
+    env = quench(EnvironmentSpec("constant", dists=(gw_dist,)), 1, 260)
     out = mc_flt_discrepancy(env, [64, 256], 15000, 14, threads=4)
     assert [s.n for s in out] == [64, 256]
     assert all(s.survivors > 5000 for s in out)
@@ -231,22 +304,23 @@ def test_live_replicas_whose_w_underflows_count_as_alive(threads):
     # log W below -745, where exp(log W) underflows to 0
     pmf = [0.0] * 1001
     pmf[1], pmf[1000] = 0.99, 0.01
-    law = OffspringDistribution.finite_pmf(pmf)
-    env = quench(EnvironmentSpec.constant(law), 1, 400)
+    law = OffspringDistribution("finite_pmf", pmf=pmf)
+    env = quench(EnvironmentSpec("constant", dists=(law,)), 1, 400)
     assert mc_survival(env, 1, 400, 2000, 5, threads).value == 1.0
     chk = mc_w_positivity(env, 1, 400, [1e-3, 1e-2], 2000, 5, threads)
     assert chk.p_survive.value == 1.0
     assert mc_flt_discrepancy(env, [400], 2000, 5,
                               threads=threads)[0].survivors == 2000
-    spec = EnvironmentSpec.iid_random(Mixer("finite", dists=[law],
+    spec = EnvironmentSpec("iid_random", mixer=Mixer("finite", dists=[law],
                                             weights=[1.0]))
     out = mc_conditioned_critical(spec, [400], 2000, 5, threads=threads)
     assert out[0].survivors == 2000
 
 
 def test_conditioned_critical_runs():
-    out = mc_conditioned_critical(PRESETS["critical_two_point"](), [16, 32],
-                                  20000, 15, threads=4, min_survivors=100)
+    out = mc_conditioned_critical(
+        EnvironmentSpec.from_config({"preset": "critical_two_point"}),
+        [16, 32], 20000, 15, threads=4, min_survivors=100)
     assert [s.n for s in out] == [16, 32]
     assert out[0].survivors > out[1].survivors > 0
     assert out[0].median_w > 0
@@ -254,7 +328,7 @@ def test_conditioned_critical_runs():
 
 
 def test_conditioned_critical_determinism():
-    spec = PRESETS["critical_two_point"]()
+    spec = EnvironmentSpec.from_config({"preset": "critical_two_point"})
     a = mc_conditioned_critical(spec, [16], 40000, 7, threads=1)
     b = mc_conditioned_critical(spec, [16], 40000, 7, threads=6)
     assert a[0].survivors == b[0].survivors
@@ -262,20 +336,22 @@ def test_conditioned_critical_determinism():
 
 
 def test_conditioned_critical_inconclusive_flag():
-    out = mc_conditioned_critical(PRESETS["critical_two_point"](), [64],
-                                  2000, 16, min_survivors=10**6)
+    out = mc_conditioned_critical(
+        EnvironmentSpec.from_config({"preset": "critical_two_point"}), [64],
+        2000, 16, min_survivors=10**6)
     assert out[0].inconclusive
 
 
 def test_conditioned_cooling_spec_supported():
-    out = mc_conditioned_critical(PRESETS["cooling_doubling_blocks"](), [16],
-                                  5000, 18, threads=2, min_survivors=10)
+    out = mc_conditioned_critical(
+        EnvironmentSpec.from_config({"preset": "cooling_doubling_blocks"}),
+        [16], 5000, 18, threads=2, min_survivors=10)
     assert out[0].survivors > 0
 
 
 def test_conditioned_gaussian_mixer_supported():
-    spec = EnvironmentSpec.iid_random(
-        Mixer("gaussian_logmean_geometric", mu=0.0, sigma=0.5))
+    spec = EnvironmentSpec("iid_random", mixer=Mixer(
+        "gaussian_logmean_geometric", mu=0.0, sigma=0.5))
     out = mc_conditioned_critical(spec, [16], 5000, 19, threads=2,
                                   min_survivors=10)
     assert out[0].survivors > 0

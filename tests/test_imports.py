@@ -8,8 +8,10 @@ uniforms of random-environment draws into laws (the simulation kernel
 builds none, and no module but ``distributions`` builds a geometric
 law), one report function certifies every damped condition series, one
 environment method evaluates a function once per law, the package binds
-no library name a second time, and the mixer's and the spec's
-constructors alone check their keys and kinds."""
+no library name a second time, the mixer's and the spec's
+constructors alone check their keys and kinds, a law and a spec are each
+built one way, ``quench_many`` alone draws a random environment's laws,
+and ``check_budget`` alone refuses a size past an in-memory budget."""
 
 import ast
 import json
@@ -198,11 +200,19 @@ def test_one_mixer_rule_draws_every_environment():
         ("searchsorted", "environment.py", "Mixer.sample")]
 
 
+def builds_geometric_law(call: ast.Call) -> bool:
+    """Whether ``call`` is ``OffspringDistribution("geometric", ...)``, the
+    kind given first or as ``kind=``."""
+    kinds = call.args[:1] + [k.value for k in call.keywords if k.arg == "kind"]
+    return getattr(call.func, "id", None) == "OffspringDistribution" and any(
+        isinstance(k, ast.Constant) and k.value == "geometric" for k in kinds)
+
+
 def test_geometric_laws_of_gaussian_draws_are_built_outside_the_kernel():
     # Mixer.sample returns a Gaussian draw's mean and GeometricRows owns
     # its q and its refusal, so the simulation kernel computes neither; a
     # quenched law table is a GeometricRows too, so no module but
-    # distributions.py builds OffspringDistribution.geometric
+    # distributions.py builds a geometric law
     for path in sorted((ROOT / "src" / "bpve").glob("*.py")):
         banned = {"simulate.py": ("exp", "geometric"),
                   "distributions.py": ()}.get(path.name, ("geometric",))
@@ -210,8 +220,9 @@ def test_geometric_laws_of_gaussian_draws_are_built_outside_the_kernel():
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "attr",
                                getattr(node.func, "id", None))
-                assert name not in banned, f"{path.name}:{node.lineno} " \
-                    f"calls {ast.unparse(node.func)}"
+                assert name not in banned and not (
+                    banned and builds_geometric_law(node)), \
+                    f"{path.name}:{node.lineno} calls {ast.unparse(node)}"
 
 
 def test_one_report_path_for_every_damped_series():
@@ -277,6 +288,46 @@ def test_one_binding_per_name_and_one_owner_per_mixer_rule():
         raises = [f"{name}:{node.lineno}" for name, node in source_nodes()
                   if isinstance(node, ast.Raise) and text in ast.unparse(node)]
         assert len(raises) == 1, raises
+
+
+def test_laws_and_specs_are_built_one_way():
+    # a law is OffspringDistribution(kind, **params) and a spec
+    # EnvironmentSpec(kind, ...), or either from its config; no family
+    # classmethod and no table of preset factories spells them again
+    for module, cls in (("distributions.py", "OffspringDistribution"),
+                        ("environment.py", "EnvironmentSpec")):
+        tree = ast.parse((ROOT / "src" / "bpve" / module).read_text())
+        body = next(node.body for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == cls)
+        extra = [f"{cls}.{node.name}" for node in body
+                 if isinstance(node, ast.FunctionDef)
+                 and "classmethod" in map(ast.unparse, node.decorator_list)
+                 and node.name != "from_config"]
+        assert extra == []
+    tree = ast.parse((ROOT / "src" / "bpve" / "environment.py").read_text())
+    bound = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "PRESETS"]
+    assert bound == []
+
+
+def test_one_quench_draw_and_one_budget_raiser():
+    # quench_many alone resolves a random environment's laws (dist_at
+    # refuses a random spec), and check_budget alone refuses a size past
+    # an in-memory budget
+    draws, raisers = [], []
+    for path in sorted((ROOT / "src" / "bpve").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(n): f.name for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) \
+                    and getattr(node.func, "attr", None) == "draw":
+                draws.append((path.name, owner.get(id(node))))
+            if isinstance(node, ast.Raise) and node.exc is not None \
+                    and "ResourceWarningError" in ast.unparse(node.exc):
+                raisers.append((path.name, owner.get(id(node))))
+    assert draws == [("environment.py", "quench_many")]
+    assert raisers == [("environment.py", "check_budget")]
 
 
 def test_bench_tracer_finds_every_hook():

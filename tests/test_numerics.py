@@ -75,7 +75,7 @@ def test_gauss_legendre_against_mpmath(order):
 
 
 def _tail_case(alpha, upow, logpow, scale):
-    d = OffspringDistribution.power_law_tail(alpha=alpha, p0=0.2)
+    d = OffspringDistribution("power_law_tail", alpha=alpha, p0=0.2)
     m, sigma = d.mean, 2.0 + alpha
     a = (1 << 16) + 0.5
     log_c = math.log(d._c) + (upow - 1.0) * math.log(scale)
@@ -118,7 +118,7 @@ def test_power_tail_integral_against_mpmath(alpha, edge, logpow, scale):
 def test_poisson_pmf_against_scipy():
     ks = np.arange(0, 8192)
     for lam in (0.3, 1.0, 2.5, 17.0, 300.0):
-        got = OffspringDistribution.poisson(lam).pmf_vector(ks)
+        got = OffspringDistribution("poisson", lam=lam).pmf_vector(ks)
         ref = stats.poisson.pmf(ks, lam)
         # both are exp of k log(lam) - lam - log k!, whose rounding grows
         # with the size of those terms

@@ -15,7 +15,7 @@ from bpve.streams import substream
 
 @pytest.fixture(scope="module")
 def gw_env_short(gw_dist):
-    return quench(EnvironmentSpec.constant(gw_dist), 1, 64)
+    return quench(EnvironmentSpec("constant", dists=(gw_dist,)), 1, 64)
 
 
 def test_deterministic_given_stream(gw_env_short):
@@ -30,7 +30,7 @@ def test_deterministic_given_stream(gw_env_short):
 
 
 def test_absorption_at_zero(gw_dist):
-    env = quench(EnvironmentSpec.constant(gw_dist), 1, 200)
+    env = quench(EnvironmentSpec("constant", dists=(gw_dist,)), 1, 200)
     log_w = simulate_block(QuenchedLaws(env), 1, 200, 200, substream(4, 0),
                            range(201)).log_w
     dead = np.isneginf(log_w)
@@ -43,15 +43,15 @@ def test_absorption_at_zero(gw_dist):
 
 
 def test_switch_threshold(gw_dist):
-    heavy = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
+    heavy = OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2)
     assert log_switch_threshold(gw_dist) == FINITE_VAR_LOG_SWITCH
     assert log_switch_threshold(heavy) == 4000
 
 
 def test_log_scale_continuation(monkeypatch):
     monkeypatch.setattr(simulate, "HEAVY_TAIL_LOG_SWITCH", 200)
-    heavy = OffspringDistribution.power_law_tail(alpha=0.5, p0=0.2)
-    env = quench(EnvironmentSpec.constant(heavy), 1, 120)
+    heavy = OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2)
+    env = quench(EnvironmentSpec("constant", dists=(heavy,)), 1, 120)
     block = None
     for i in range(300):
         cand = simulate_block(QuenchedLaws(env), 50, 120, 1, substream(6, i),

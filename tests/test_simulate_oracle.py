@@ -13,7 +13,7 @@ import pytest
 
 from bpve import estimators
 from bpve.distributions import OffspringDistribution
-from bpve.environment import EnvironmentSpec, Mixer, PRESETS, quench
+from bpve.environment import EnvironmentSpec, Mixer, quench
 from bpve.simulate import (AnnealedLaws, QuenchedLaws, log_switch_threshold,
                            simulate_block, stretched_indices)
 from bpve.streams import substream
@@ -154,15 +154,18 @@ def assert_same(ref, got):
                                   "early_switch"])
 def test_quenched_kernel_matches_reference(case):
     if case == "reference_pmf":
-        spec = EnvironmentSpec.constant(
-            OffspringDistribution.finite_pmf([0.25, 0.25, 0.5]))
+        spec = EnvironmentSpec("constant", dists=(
+            OffspringDistribution("finite_pmf", pmf=[0.25, 0.25, 0.5]),))
         z0, n = 2, 150  # crosses the 1e12 switch near generation 122
     elif case == "heavy_tail":
-        spec, z0, n = PRESETS["heavy_tail_supercritical"](), 1, 60
+        spec = EnvironmentSpec.from_config(
+            {"preset": "heavy_tail_supercritical"})
+        z0, n = 1, 60
     else:
         # 3e9 parents of Poisson(3e9) could pass 2**62: every replica
         # switches before generation 2's draws
-        spec = EnvironmentSpec.constant(OffspringDistribution.poisson(3e9))
+        spec = EnvironmentSpec("constant", dists=(
+            OffspringDistribution("poisson", lam=3e9),))
         z0, n = 1, 6
     env = quench(spec, 1, n)
     record = [0, 1, n // 2, n - 1, n]
@@ -186,7 +189,7 @@ def test_quenched_kernel_matches_reference(case):
 
 
 def test_extremes_are_allocated_only_on_request(gw_dist):
-    env = quench(EnvironmentSpec.constant(gw_dist), 1, 10)
+    env = quench(EnvironmentSpec("constant", dists=(gw_dist,)), 1, 10)
     block = simulate_block(QuenchedLaws(env), 1, 10, 50, substream(3, 0),
                            [10])
     assert block.lo is None and block.hi is None
@@ -201,13 +204,16 @@ def test_extremes_are_allocated_only_on_request(gw_dist):
 def test_path_spread_matches_per_column_reference(case, grid_size):
     # mc_flt_discrepancy's spread from the tracked extremes of log W equals,
     # bit for bit, the one taken column by column over the recorded path
-    spec = {"reference_pmf": lambda: EnvironmentSpec.constant(
-                OffspringDistribution.finite_pmf([0.25, 0.25, 0.5])),
-            "heavy_tail": PRESETS["heavy_tail_supercritical"],
-            "cooling_gaussian": lambda: EnvironmentSpec.cooling(
-                Mixer("gaussian_logmean_geometric", mu=0.5, sigma=0.3))}[case]
+    spec = {
+        "reference_pmf": EnvironmentSpec("constant", dists=(
+            OffspringDistribution("finite_pmf", pmf=[0.25, 0.25, 0.5]),)),
+        "heavy_tail": EnvironmentSpec.from_config(
+            {"preset": "heavy_tail_supercritical"}),
+        "cooling_gaussian": EnvironmentSpec("cooling", mixer=Mixer(
+            "gaussian_logmean_geometric", mu=0.5, sigma=0.3)),
+    }[case]
     n = 256
-    env = quench(spec(), 4, n)
+    env = quench(spec, 4, n)
     grid = np.linspace(0.0, 1.0, min(grid_size, n - math.isqrt(n) + 2))
     idx = np.unique(stretched_indices(n, grid)).tolist()
     path = simulate_block(QuenchedLaws(env), 1, n, 3000, substream(8, 1),
@@ -220,24 +226,25 @@ def test_path_spread_matches_per_column_reference(case, grid_size):
 
 
 @pytest.mark.parametrize("mixer", [
-    PRESETS["critical_two_point"]().mixer,
+    EnvironmentSpec.from_config({"preset": "critical_two_point"}).mixer,
     Mixer("gaussian_logmean_geometric", mu=0.3, sigma=0.8),
     # groups that switch at different sizes, 4000 and 1e12, so replicas
     # leave the working arrays from one group while the other stays
-    Mixer("finite", dists=[OffspringDistribution.power_law_tail(0.5, 0.2),
-                           OffspringDistribution.geometric(0.8)],
+    Mixer("finite", dists=[
+        OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2),
+        OffspringDistribution("geometric", mean=0.8)],
           weights=[0.5, 0.5]),
     # after one Poisson(3e9) generation, the next could pass 2**62: those
     # replicas switch one generation early
-    Mixer("finite", dists=[OffspringDistribution.poisson(3e9),
-                           OffspringDistribution.finite_pmf([0.25, 0.25,
-                                                             0.5])],
+    Mixer("finite", dists=[
+        OffspringDistribution("poisson", lam=3e9),
+        OffspringDistribution("finite_pmf", pmf=[0.25, 0.25, 0.5])],
           weights=[0.3, 0.7]),
 ])
 @pytest.mark.parametrize("cooling", [False, True])
 def test_annealed_kernel_matches_reference(mixer, cooling):
-    spec = (EnvironmentSpec.cooling(mixer) if cooling
-            else EnvironmentSpec.iid_random(mixer))
+    spec = (EnvironmentSpec("cooling", mixer=mixer) if cooling
+            else EnvironmentSpec("iid_random", mixer=mixer))
     n, record, span = 80, [0, 8, 40, 80], [0, *range(5, 30), 60, 79]
     ref, ref_frozen_at, early, lo, hi = reference_annealed(
         spec, 1, n, substream(5, 0), substream(6, 0), 3000, record, span)
@@ -253,7 +260,7 @@ def test_annealed_kernel_matches_reference(mixer, cooling):
 
 
 @pytest.mark.parametrize("mixer", [
-    PRESETS["critical_two_point"]().mixer,
+    EnvironmentSpec.from_config({"preset": "critical_two_point"}).mixer,
     Mixer("gaussian_logmean_geometric", mu=0.0, sigma=0.5),
 ], ids=["finite", "gaussian"])
 @pytest.mark.parametrize("cooling", [False, True], ids=["iid", "cooling"])
@@ -261,8 +268,8 @@ def test_annealed_block_draws_only_for_live_replicas(mixer, cooling):
     # at each new stream key the environment stream gives the mixer's
     # uniforms (one finite, two Gaussian) per replica alive then: every
     # generation when i.i.d., at each block start when cooling
-    spec = (EnvironmentSpec.cooling(mixer) if cooling
-            else EnvironmentSpec.iid_random(mixer))
+    spec = (EnvironmentSpec("cooling", mixer=mixer) if cooling
+            else EnvironmentSpec("iid_random", mixer=mixer))
     n, size = 24, 3000
     env_rng = substream(5, 0)
     block = simulate_block(AnnealedLaws(spec, env_rng, size), 1, n, size,
