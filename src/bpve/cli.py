@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import conditions, estimators
+from . import conditions, estimators, simulate
 from .distributions import NotApplicableError, PhiFunction, check_keys
 from .environment import (EnvironmentSpec, PRESET_CONFIGS,
                           ResourceWarningError, quench)
@@ -191,14 +191,18 @@ EXPERIMENTS = {
         lambda p: p["n"], "equality_check", _estimator("mc_w_positivity"),
         lambda chk: csv_text("eps,p_above,std_error",
                              [(eps, est.value, est.std_error)
-                              for eps, est in sorted(chk.p_w_above.items())])),
+                              for eps, est in sorted(chk.p_w_above.items())]),
+        check=lambda p: estimators.check_eps_grid(p["eps_grid"])),
     "l2": Experiment(
         {"k": 1, "m": 1, "replicas": 1000000}, lambda p: max(p["m"], 1),
-        "l2_increment", _estimator("mc_l2_increment")),
+        "l2_increment", _estimator("mc_l2_increment"),
+        check=lambda p: estimators.check_span(p["k"], p["m"] - 1, 1,
+                                              p["replicas"])),
     "halving": Experiment(
         {"k": 64, "start": 0, "horizon": 400, "replicas": 100000},
         lambda p: p["start"] + p["horizon"] + 2, "halving",
-        _estimator("mc_halving_bound")),
+        _estimator("mc_halving_bound"),
+        check=lambda p: simulate.check_ancestors(p["k"], "k")),
     "flt": Experiment(
         {"n_list": [64, 256, 1024], "replicas": 25000, "grid_size": 33},
         lambda p: max(p["n_list"]), "path_spread",

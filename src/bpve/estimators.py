@@ -10,17 +10,16 @@ when ``R`` is 1) whose sizes differ by at most one, so two workers get
 equal shares.  The reductions merge in block order, so results depend on
 ``(master_seed, replicas)`` and never on the worker count.
 
-Only a statistic that needs every replica's value keeps a per-replica
-array: the quantiles of :func:`mc_flt_discrepancy` and
-:func:`mc_conditioned_critical`.  Each of their blocks writes its part into
-its own rows of one result array (:func:`_run_blocks`), so such a run holds
-that array plus the blocks in flight.  The other estimators hold the
-blocks in flight alone: survival, positivity and halving reduce each block
-to integer counts, summed, and every mean estimate (the L2 span and the
-increment covariance) reduces each block to ``(count, mean, M2)``, merged
-pairwise (:func:`_w_moments`).  A replica is alive when
-``log W > -inf`` (``Z_n > 0``), decided before any ``exp``: the ``W`` of
-a live replica can underflow to 0.
+Survival, positivity and halving reduce each block to integer counts,
+summed, and every mean estimate (the L2 span and the increment
+covariance) reduces each block to ``(count, mean, M2)``, merged pairwise
+(:func:`_w_moments`); those runs hold the blocks in flight alone.  The
+quantile estimators, :func:`mc_flt_discrepancy` and
+:func:`mc_conditioned_critical`, read only the replicas alive at their
+horizon: each block reduces to its survivors' values, joined in block
+order, so such a run holds those plus the blocks in flight.  A replica
+is alive when ``log W > -inf`` (``Z_n > 0``), decided before any
+``exp``: the ``W`` of a live replica can underflow to 0.
 
 Quenched estimators take a materialized environment (one fixed sequence of
 laws); annealed estimators take a random-environment spec and draw a fresh
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,8 +42,8 @@ from .distributions import NotApplicableError
 from .environment import (MAX_QUENCH_HORIZON, MAX_REPLICAS, EnvironmentSpec,
                           QuenchedEnvironment, check_budget)
 from .numerics import clopper_pearson_upper
-from .simulate import (AnnealedLaws, QuenchedLaws, simulate_block,
-                       stretched_indices)
+from .simulate import (AnnealedLaws, QuenchedLaws, check_ancestors,
+                       simulate_block, stretched_indices)
 from .streams import substream
 
 __all__ = [
@@ -178,38 +176,13 @@ def _reduce_blocks(make_laws, z0: int, n: int, record: Sequence[int],
     run for ``n`` generations, in block order; block ``b`` takes its laws
     from ``make_laws(b, size)`` and its reproduction stream from
     ``substream(seed, b)``, and tracks the extremes of ``log W`` over the
-    generations ``extremes`` when given."""
+    generations ``extremes`` when given.  Each block is dropped once
+    reduced, so a run holds the reductions and the blocks in flight."""
     def run(b, sz):
         return reduce(b, simulate_block(make_laws(b, sz), z0, n, sz,
                                         substream(seed, b), record, extremes))
 
     return _map_blocks(replicas, DEFAULT_BLOCK, run, threads)
-
-
-def _run_blocks(make_laws, z0: int, n: int, record: Sequence[int],
-                replicas: int, seed: int, threads: Optional[int], reduce,
-                extremes: Optional[Sequence[int]] = None) -> np.ndarray:
-    """For the statistics that need every replica's value: ``reduce(block)``
-    of every block, in one array of shape ``(replicas,) + per-replica
-    shape``; block ``b`` writes its part into rows ``replicas*b//nb`` on.
-    The array is allocated by the first block reduced, after
-    :func:`_map_blocks` has checked the replica count, so a run holds that
-    one array plus the blocks in flight."""
-    nb, lock = _block_count(replicas, DEFAULT_BLOCK), threading.Lock()
-    out = None
-
-    def write(b, block):
-        nonlocal out
-        part = reduce(block)
-        with lock:
-            if out is None:
-                out = np.empty((replicas,) + part.shape[1:], part.dtype)
-        start = replicas * b // nb
-        out[start:start + len(part)] = part
-
-    _reduce_blocks(make_laws, z0, n, record, replicas, seed, threads, write,
-                   extremes)
-    return out
 
 
 def _quenched(env: QuenchedEnvironment, n: int):
@@ -230,6 +203,16 @@ def mc_survival(env: QuenchedEnvironment, z0: int, n: int, replicas: int,
     return McEstimate.proportion(alive, replicas, seed)
 
 
+def check_eps_grid(eps_grid: Sequence[float]) -> List[float]:
+    """The thresholds of :func:`mc_w_positivity`, sorted; refused unless
+    there is one at least and every one is positive and finite."""
+    eps_grid = sorted(float(e) for e in eps_grid)
+    if not eps_grid or not all(0.0 < e < math.inf for e in eps_grid):
+        raise ValueError("eps_grid must hold positive finite thresholds, "
+                         f"got {eps_grid}")
+    return eps_grid
+
+
 def mc_w_positivity(env: QuenchedEnvironment, z0: int, n: int,
                     eps_grid: Sequence[float], replicas: int, seed: int,
                     threads: Optional[int] = None) -> EqualityCheck:
@@ -240,10 +223,7 @@ def mc_w_positivity(env: QuenchedEnvironment, z0: int, n: int,
     exceedance curve plateaus at the survival level over (at least) one
     decade of thresholds.
     """
-    eps_grid = sorted(float(e) for e in eps_grid)
-    if not eps_grid or not all(0.0 < e < math.inf for e in eps_grid):
-        raise ValueError("eps_grid must hold positive finite thresholds, "
-                         f"got {eps_grid}")
+    eps_grid = check_eps_grid(eps_grid)
 
     def counts(b, block):
         """Replicas alive, then replicas with ``W`` above each threshold."""
@@ -281,13 +261,21 @@ def _find_plateau(eps_grid: List[float], above: Dict[float, McEstimate]):
     return (lo, hi), float(np.mean(vals))
 
 
-def _check_span(env: QuenchedEnvironment, n: int, m: int, replicas: int):
-    """Refuse a span the second-moment estimators cannot use."""
+def check_span(k: int, n: int, m: int, replicas: int) -> None:
+    """Refuse a span from ``k`` ancestors that the second-moment
+    estimators cannot use, whatever the environment."""
+    check_ancestors(k, "k")
     if n < 0 or m < 1:
         raise ValueError("need n >= 0 and m >= 1")
     if replicas < 2:
         raise ValueError("replicas must be >= 2 for a sample-mean standard "
                          f"error, got {replicas}")
+
+
+def _check_span(env: QuenchedEnvironment, k: int, n: int, m: int,
+                replicas: int):
+    """Refuse a span the second-moment estimators cannot use on ``env``."""
+    check_span(k, n, m, replicas)
     v = env.map_laws(lambda d: d.normalized_variance, 0, n + m, stop=math.isinf)
     if math.isinf(v[-1]):
         raise NotApplicableError(
@@ -323,7 +311,7 @@ def mc_increment_covariance(env: QuenchedEnvironment, k: int, n: int, m: int,
     increment; zero in expectation by the martingale property.  A first
     pass gives the increments' means, a second over the same blocks the
     mean of the product of their deviations."""
-    _check_span(env, n, m, replicas)
+    _check_span(env, k, n, m, replicas)
     span = [n, n + m - 1, n + m]
     (_, x_bar, _), (_, y_bar, _) = _w_moments(
         env, k, span, replicas, seed, threads,
@@ -339,7 +327,7 @@ def mc_l2_span(env: QuenchedEnvironment, k: int, n: int, m: int,
                threads: Optional[int] = None) -> McEstimate:
     """Mean squared increment of the normalized process between generations
     ``n`` and ``n + m``."""
-    _check_span(env, n, m, replicas)
+    _check_span(env, k, n, m, replicas)
     (moments,) = _w_moments(env, k, [n, n + m], replicas, seed, threads,
                             lambda w: [np.square(w[:, 1] - w[:, 0])])
     return McEstimate.from_moments(moments, seed)
@@ -352,8 +340,7 @@ def mc_halving_bound(env: QuenchedEnvironment, k: int, start: int,
     its value at ``start``, against the Chebyshev-type analytic bound
     ``4 * (variance budget) / k``; refused when the variance budget after
     ``start`` cannot be certified finite."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_ancestors(k, "k")
     budget = increment_variance_series(env, start, horizon=horizon)
     if budget.verdict != "finite":
         raise NotApplicableError(
@@ -404,29 +391,26 @@ def mc_flt_discrepancy(env: QuenchedEnvironment, n_list: Sequence[int],
         # from n - r + 2 points on, the grid reads every generation r..n
         grid = np.linspace(0.0, 1.0, min(grid_size, n - math.isqrt(n) + 2))
         idx = np.unique(stretched_indices(n, grid)).tolist()
-        spread = _run_blocks(_quenched(env, n), 1, n, [n], replicas,
-                             seed + li, threads, _path_spread, extremes=idx)
-        spread = spread[spread != -1.0]  # a NaN spread is kept
+        spread = np.concatenate(_reduce_blocks(
+            _quenched(env, n), 1, n, [n], replicas, seed + li, threads,
+            lambda b, block: _path_spread(block), extremes=idx))
         out.append(PathSpreadSummary(n, len(spread),
                                      *_median_and_quantile(spread, 0.9)))
     return out
 
 
 def _path_spread(block) -> np.ndarray:
-    """``sup_t |Y(t) - Y(1)|`` of each of the block's replicas, from the
-    extremes of ``log W`` over the grid and ``W_n``; -1, which no spread
-    can be, for those not alive at ``n``.  ``exp`` is monotone, so the
-    furthest grid point is the path's largest or smallest ``W``."""
-    log_w_n = block.log_w[:, 0]
-    alive = log_w_n > -np.inf
-    w_n = np.exp(log_w_n, out=log_w_n)
-    hi = np.exp(block.hi, out=block.hi)
+    """``sup_t |Y(t) - Y(1)|`` of each of the block's replicas alive at
+    ``n``, in row order, from the extremes of ``log W`` over the grid and
+    ``W_n``.  ``exp`` is monotone, so the furthest grid point is the
+    path's largest or smallest ``W``."""
+    alive = block.log_w[:, 0] > -np.inf
+    w_n = np.exp(block.log_w[alive, 0])
+    hi = np.exp(block.hi[alive])
     hi -= w_n
-    lo = np.exp(block.lo, out=block.lo)
+    lo = np.exp(block.lo[alive])
     np.subtract(w_n, lo, out=lo)
-    spread = np.maximum(hi, lo, out=hi)
-    spread[~alive] = -1.0
-    return spread
+    return np.maximum(hi, lo, out=hi)
 
 
 def _median_and_quantile(x: np.ndarray, q: float) -> Tuple[float, float]:
@@ -458,9 +442,12 @@ def mc_conditioned_critical(spec: EnvironmentSpec, n_list: Sequence[int],
         raise ValueError("n_list must name at least one checkpoint")
     n = n_list[-1]
     check_budget(n, MAX_QUENCH_HORIZON, "generations in n_list")
-    log_w = _run_blocks(
+    # extinction is absorbing: the survivors of every checkpoint are among
+    # those of the first
+    log_w = np.concatenate(_reduce_blocks(
         lambda b, sz: AnnealedLaws(spec, substream(env_seed, b), sz), z0, n,
-        n_list, replicas, seed, threads, lambda block: block.log_w)
+        n_list, replicas, seed, threads,
+        lambda b, block: block.log_w[block.log_w[:, 0] > -np.inf]))
     out = []
     for j, nj in enumerate(n_list):
         vals = np.exp(log_w[log_w[:, j] > -np.inf, j])

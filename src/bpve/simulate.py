@@ -132,6 +132,13 @@ def _take(v, rows):
     return v if np.ndim(v) == 0 else v[rows]
 
 
+def check_ancestors(count: int, name: str = "z0") -> None:
+    """Refuse an ancestor count the int64 counts cannot start from."""
+    if not 1 <= count <= 2**63 - 1:
+        raise ValueError(f"{name} must lie in [1, 2**63 - 1], got "
+                         f"{name} = {count}")
+
+
 def simulate_block(laws, z0: int, n: int, size: int,
                    rng: np.random.Generator, record: Sequence[int] = (),
                    extremes: Optional[Sequence[int]] = None) -> Block:
@@ -147,8 +154,7 @@ def simulate_block(laws, z0: int, n: int, size: int,
     each switched replica, else -1.  Generations outside ``[0, n]`` are a
     ValueError.
     """
-    if not 1 <= z0 <= 2**63 - 1:  # the counts are int64
-        raise ValueError(f"z0 must lie in [1, 2**63 - 1], got z0 = {z0}")
+    check_ancestors(z0)
     record = list(record)
     track = set() if extremes is None else set(extremes)
     for what, gens in (("recorded", record), ("tracked", track)):

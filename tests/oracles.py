@@ -129,12 +129,9 @@ def survival_exact(env, n: int, z0: int = 1) -> float:
 
 
 def path_spread(log_w: np.ndarray) -> np.ndarray:
-    """``sup_t |Y(t) - Y(1)|`` of each row of a recorded ``log W`` path
-    whose last column is generation ``n``, column by column; -1 for a
-    replica not alive at ``n``."""
-    w = np.exp(log_w)
-    alive = log_w[:, -1] > -np.inf
+    """``sup_t |Y(t) - Y(1)|`` of each replica alive at generation ``n``,
+    in row order, column by column over a recorded ``log W`` path whose
+    last column is generation ``n``."""
+    w = np.exp(log_w[log_w[:, -1] > -np.inf])
     w -= w[:, -1:].copy()
-    spread = np.abs(w, out=w).max(axis=1)
-    spread[~alive] = -1.0
-    return spread
+    return np.abs(w, out=w).max(axis=1)

@@ -535,6 +535,32 @@ def test_replica_count_is_refused_before_the_quench(
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("experiment,params,message", [
+    ("w_positivity", {"n": 5 * 10**6, "eps_grid": [0.0]},
+     "params(w_positivity): eps_grid must hold positive finite thresholds, "
+     "got [0.0]"),
+    ("halving", {"k": 0, "horizon": 5 * 10**6},
+     "params(halving): k must lie in [1, 2**63 - 1], got k = 0"),
+    ("l2", {"k": 0, "m": 5 * 10**6},
+     "params(l2): k must lie in [1, 2**63 - 1], got k = 0"),
+    ("l2", {"m": 5 * 10**6, "replicas": 1},
+     "params(l2): replicas must be >= 2 for a sample-mean standard error, "
+     "got 1"),
+], ids=["eps_grid", "halving_k", "l2_k", "l2_replicas"])
+def test_parameter_errors_are_refused_before_the_quench(
+        tmp_path, capsys, monkeypatch, experiment, params, message):
+    # a 5x10^6-generation quench takes seconds; none may run before the
+    # parameters are refused
+    def quench(*args, **kwargs):
+        raise AssertionError("quenched before the parameters were checked")
+    monkeypatch.setattr(cli, "quench", quench)
+    cfg = write_config(tmp_path, {
+        "experiment": experiment,
+        "environment": {"preset": "supercritical_mu0.2"}, "params": params})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("top,params,field", [
     ({}, {"n": "abc"}, "params(survival): n: expected integer"),
     ({"master_seed": "x"}, {"n": 10, "replicas": 100},

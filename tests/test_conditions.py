@@ -450,7 +450,7 @@ def test_per_law_moments_match_per_generation_terms(env, series, start,
 @pytest.mark.parametrize("check,method", [
     (jagers_sum, "pmf"),
     (moment_ratio_sup, "truncated_moment_ratio"),
-    (lambda env: estimators._check_span(env, 0, env.horizon, 2),
+    (lambda env: estimators._check_span(env, 1, 0, env.horizon, 2),
      "normalized_variance"),
 ], ids=["jagers", "moment_ratio", "check_span"])
 def test_per_law_checks_match_per_generation_loops(monkeypatch, env, check,

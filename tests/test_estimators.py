@@ -22,14 +22,14 @@ def gw_env200(gw_dist):
 
 def run_w(env, z0, record, replicas, seed, threads):
     """``W`` at the generations ``record`` of every replica, one row each,
-    written by the block runner on the real kernel."""
-    w = estimators._run_blocks(estimators._quenched(env, record[-1]), z0,
-                               record[-1], record, replicas, seed, threads,
-                               lambda block: block.log_w)
+    joined in block order from the block runner on the real kernel."""
+    w = np.concatenate(estimators._reduce_blocks(
+        estimators._quenched(env, record[-1]), z0, record[-1], record,
+        replicas, seed, threads, lambda b, block: block.log_w))
     return np.exp(w, out=w)
 
 
-def test_run_blocks_thread_count_invariance(gw_env200):
+def test_reduce_blocks_thread_count_invariance(gw_env200):
     # spans four blocks; merged results must not depend on the worker count
     a = run_w(gw_env200, 1, [10, 50], 70000, 99, threads=1)
     b = run_w(gw_env200, 1, [10, 50], 70000, 99, threads=5)
@@ -48,16 +48,18 @@ def test_block_partition_is_even_and_balanced(replicas):
 
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("replicas", [1, 7, 65537, 100000])
-def test_run_blocks_fills_each_row_once_in_block_order(monkeypatch, replicas,
-                                                       threads):
+def test_reduce_blocks_returns_each_block_once_in_block_order(
+        monkeypatch, replicas, threads):
     # a stand-in kernel hands each block its laws: rows of block b hold b
     monkeypatch.setattr(estimators, "simulate_block", lambda laws, *_: laws)
-    got = estimators._run_blocks(lambda b, size: np.full(size, b), 1, 0,
-                                 [0], replicas, 0, threads,
-                                 lambda block: block)
+    got = estimators._reduce_blocks(lambda b, size: np.full(size, b), 1, 0,
+                                    [0], replicas, 0, threads,
+                                    lambda b, block: (b, block))
     sizes = estimators._map_blocks(replicas, estimators.DEFAULT_BLOCK,
                                    lambda b, size: size, threads=1)
-    assert np.array_equal(got, np.repeat(np.arange(len(sizes)), sizes))
+    assert [b for b, _ in got] == list(range(len(sizes)))
+    assert np.array_equal(np.concatenate([block for _, block in got]),
+                          np.repeat(np.arange(len(sizes)), sizes))
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 127, 128, 129, 8191, 8192,
@@ -85,15 +87,15 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("run,result_bytes", [
-    pytest.param(lambda env: run_w(env, 1, [5, 10], 10**6, 3, threads=1),
-                 16 * 10**6, id="run_blocks"),
-])
-def test_estimator_peak_memory_is_one_result_array(gw_env200, run,
-                                                   result_bytes):
-    # blocks write into one preallocated result, so the peak is that result
-    # plus the blocks in flight
-    assert traced_peak(lambda: run(gw_env200)) <= 1.5 * result_bytes
+def test_conditioned_critical_peak_memory_grows_with_survivors_only():
+    # each block keeps only the log W rows alive at the first checkpoint,
+    # about 5% of them at n 32, so five times the replicas adds little to
+    # the blocks in flight
+    spec = EnvironmentSpec.from_config({"preset": "critical_two_point"})
+    small, large = (traced_peak(lambda: mc_conditioned_critical(
+        spec, [32, 64, 128], r, 3, threads=1))
+        for r in (6 * 10**4, 3 * 10**5))
+    assert large <= 1.2 * small
 
 
 def largest_block(replicas: int) -> int:
@@ -125,7 +127,7 @@ def test_flt_peak_memory_does_not_grow_with_grid_size(gw_env200):
     assert run(33) <= 1.2 * run(2)
 
 
-def test_run_blocks_w_mean_one(gw_env200):
+def test_reduce_blocks_w_mean_one(gw_env200):
     w = run_w(gw_env200, 1, [30], 50000, 12, threads=4)[:, 0]
     se = w.std(ddof=1) / math.sqrt(len(w))
     assert abs(w.mean() - 1.0) < 4 * se
@@ -315,6 +317,22 @@ def test_live_replicas_whose_w_underflows_count_as_alive(threads):
                                             weights=[1.0]))
     out = mc_conditioned_critical(spec, [400], 2000, 5, threads=threads)
     assert out[0].survivors == 2000
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_quantile_estimators_without_survivors_join_empty_blocks(threads):
+    # every block of these laws dies out, so each joins empty parts
+    law = OffspringDistribution("finite_pmf", pmf=[0.9, 0.1])
+    env = quench(EnvironmentSpec("constant", dists=(law,)), 1, 64)
+    (flt,) = mc_flt_discrepancy(env, [64], 70000, 5, threads=threads)
+    assert flt.survivors == 0
+    assert math.isnan(flt.median) and math.isnan(flt.q90)
+    spec = EnvironmentSpec("iid_random", mixer=Mixer("finite", dists=[
+        OffspringDistribution("geometric", mean=0.1),
+        OffspringDistribution("geometric", mean=0.2)], weights=[0.5, 0.5]))
+    out = mc_conditioned_critical(spec, [16, 32], 70000, 5, threads=threads)
+    assert [(s.survivors, s.inconclusive) for s in out] == [(0, True)] * 2
+    assert all(math.isnan(s.median_w) and math.isnan(s.q10_w) for s in out)
 
 
 def test_conditioned_critical_runs():

@@ -129,9 +129,10 @@ def output_sha256(tmp_path, name: str, threads: int = 2) -> dict:
 
 @pytest.mark.parametrize("name,threads", [
     *(pytest.param(name, 2, id=name) for name in sorted(CONFIGS)),
-    # the runs that draw random environments, at one thread as well
+    # the runs that draw random environments, and the path spread, at one
+    # thread as well
     *(pytest.param(name, 1, id=f"{name}-threads1")
-      for name in ("critical", "tightness")),
+      for name in ("critical", "flt", "tightness")),
 ])
 def test_results_digest(tmp_path, name, threads):
     digests = output_sha256(tmp_path, name, threads)

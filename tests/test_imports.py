@@ -1,9 +1,9 @@
 """Checks that run in a fresh interpreter: that runs never load scipy, and
 that the benchmark's per-layer hooks still find every call boundary.  Also
 static checks of the source: no module imports scipy, only ``cli`` defines
-the output format, one call site runs the population loop, estimators
-collect per-replica values in one result array and take every mean
-estimate from one block-moment path, one mixer rule turns the
+the output format, one call site runs the population loop, only the
+quantile estimators join per-replica parts (their survivors), every mean
+estimate comes from one block-moment path, one mixer rule turns the
 uniforms of random-environment draws into laws (the simulation kernel
 builds none, and no module but ``distributions`` builds a geometric
 law), one report function certifies every damped condition series, one
@@ -142,31 +142,35 @@ def test_one_population_loop_reads_survival_from_log_w():
                     f"estimators.py:{node.lineno} reads {ast.unparse(w)} > 0"
 
 
-def test_estimators_collect_one_result_array():
-    # _run_blocks writes every block into its rows of one preallocated
-    # array and _moments squares deviations in place; joined parts or
-    # numpy's std would each copy a whole per-replica array
+def test_only_the_quantile_estimators_join_per_replica_parts():
+    # every other estimator reduces its blocks to counts or moments, and
+    # _moments squares deviations in place; a join or numpy's std would
+    # each copy a per-replica array
     tree = ast.parse((ROOT / "src" / "bpve" / "estimators.py").read_text())
-    calls = [f"estimators.py:{node.lineno} calls {ast.unparse(node.func)}"
-             for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and getattr(node.func, "attr", getattr(node.func, "id", None))
-             in ("concatenate", "std")]
-    assert calls == []
+    calls = {}
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr",
+                                   getattr(node.func, "id", None))
+                    calls.setdefault(name, []).append(func.name)
+    assert sorted(calls.get("concatenate", [])) == [
+        "mc_conditioned_critical", "mc_flt_discrepancy"]
+    assert calls.get("std", []) == []
 
 
 def test_one_block_moment_path_for_every_mean_estimate():
     # every mean estimate merges per-block (count, mean, M2) through
-    # _w_moments; only the quantile estimators keep per-replica arrays
+    # _w_moments, and every estimator runs through _reduce_blocks alone
     callers = module_callers("estimators.py")
-    assert sorted(callers["_run_blocks"]) == ["mc_conditioned_critical",
-                                              "mc_flt_discrepancy"]
     assert sorted(callers["_w_moments"]) == ["mc_increment_covariance",
                                              "mc_increment_covariance",
                                              "mc_l2_span"]
     defined = [f"{name}:{node.lineno} defines {node.name}"
                for name, node in source_nodes()
                if isinstance(node, ast.FunctionDef)
-               and node.name in ("collect_w", "sample_mean")]
+               and node.name in ("collect_w", "sample_mean", "_run_blocks")]
     assert defined == []
 
 

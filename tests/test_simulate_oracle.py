@@ -222,7 +222,8 @@ def test_path_spread_matches_per_column_reference(case, grid_size):
                            [n], extremes=idx)
     want, got = oracles.path_spread(path), estimators._path_spread(block)
     assert want.tobytes() == got.tobytes()
-    assert (want == -1.0).any() and (want > 0.0).any()
+    # some replicas died before n, and some spreads are positive
+    assert 0 < len(got) < 3000 and (want > 0.0).any()
 
 
 @pytest.mark.parametrize("mixer", [
