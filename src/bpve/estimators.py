@@ -287,8 +287,6 @@ def mc_l2_increment(env: QuenchedEnvironment, k: int, m: int, replicas: int,
                     seed: int, threads: Optional[int] = None) -> McEstimate:
     """Mean squared one-step increment of the normalized process at step
     ``m`` from ``k`` ancestors; compare with ``k * zeta_m * exp(-S_{m-1})``."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     return mc_l2_span(env, k, m - 1, 1, replicas, seed, threads)
 
 

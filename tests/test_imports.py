@@ -147,16 +147,18 @@ def test_only_the_quantile_estimators_join_per_replica_parts():
     # _moments squares deviations in place; a join or numpy's std would
     # each copy a per-replica array
     tree = ast.parse((ROOT / "src" / "bpve" / "estimators.py").read_text())
+    owner = {id(n): top.name for top in tree.body
+             if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+             for n in ast.walk(top)}
     calls = {}
-    for func in tree.body:
-        if isinstance(func, ast.FunctionDef):
-            for node in ast.walk(func):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "attr",
-                                   getattr(node.func, "id", None))
-                    calls.setdefault(name, []).append(func.name)
-    assert sorted(calls.get("concatenate", [])) == [
-        "mc_conditioned_critical", "mc_flt_discrepancy"]
+    for node in ast.walk(tree):  # module level and class bodies too
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            calls.setdefault(name, []).append(
+                f"{owner.get(id(node), '<module>')}:{node.lineno}")
+    joins = calls.get("concatenate", [])
+    assert sorted(c.partition(":")[0] for c in joins) == [
+        "mc_conditioned_critical", "mc_flt_discrepancy"], joins
     assert calls.get("std", []) == []
 
 
