@@ -160,6 +160,11 @@ def _estimator(name: str, **from_config):
     return run
 
 
+def _check_w_positivity(p):
+    simulate.check_ancestors(p["z0"])
+    estimators.check_eps_grid(p["eps_grid"])
+
+
 class Experiment(NamedTuple):
     """One row of the experiment table.  ``run(target, params, resolved,
     threads)`` gets the environment quenched to ``horizon(params)``
@@ -184,7 +189,8 @@ EXPERIMENTS = {
         check=lambda p: conditions.check_tol(p["tol"])),
     "survival": Experiment(
         {"z0": 1, "n": 200, "replicas": 100000}, lambda p: p["n"],
-        "survival", _estimator("mc_survival")),
+        "survival", _estimator("mc_survival"),
+        check=lambda p: simulate.check_ancestors(p["z0"])),
     "w_positivity": Experiment(
         {"z0": 1, "n": 200, "replicas": 100000,
          "eps_grid": [float(x) for x in np.logspace(-3, -1, 13)]},
@@ -192,7 +198,7 @@ EXPERIMENTS = {
         lambda chk: csv_text("eps,p_above,std_error",
                              [(eps, est.value, est.std_error)
                               for eps, est in sorted(chk.p_w_above.items())]),
-        check=lambda p: estimators.check_eps_grid(p["eps_grid"])),
+        check=_check_w_positivity),
     "l2": Experiment(
         {"k": 1, "m": 1, "replicas": 1000000}, lambda p: max(p["m"], 1),
         "l2_increment", _estimator("mc_l2_increment"),

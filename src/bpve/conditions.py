@@ -25,7 +25,7 @@ import numpy as np
 
 from .distributions import (NotApplicableError, PhiFunction,
                             UnsupportedDistributionError)
-from .numerics import exp_or_inf
+from .numerics import exp_or_inf, median_and_quantiles
 # the benchmark's tracer (bench/spans.py) wraps ``quench`` and ``substream``
 # in this module, so ``quench`` stays bound though nothing here calls it
 from .environment import (MAX_REPLICAS, EnvironmentSpec,
@@ -474,7 +474,7 @@ def tightness_diagnostic(spec: EnvironmentSpec, l_grid: Sequence[int],
                     f"{terms[bad[0]]} at generation {1 + shift + bad[0]}; its "
                     "partial sums have no quantiles")
             values[r] = np.cumsum(terms)[np.array(l_grid) - 1]
-    rows = np.quantile(values, QUANTILE_LEVELS, axis=0).T
+    rows = median_and_quantiles(values, QUANTILE_LEVELS)[1].T
     flag = len(l_grid) >= 2 and all(
         np.all(b > blowup_factor * np.maximum(a, 1e-300))
         for a, b in zip(rows[:-1], rows[1:]))

@@ -62,6 +62,14 @@ _INT64_SAFE = 2**62
 _TOTALS_HEAD = 16
 _TAIL_CHUNK = 1 << 16
 
+# Rows per sampler call (by_row_chunks), for the samplers whose
+# temporaries set a run's peak memory: the finite-pmf and power-law head
+# multinomials (a count per category and row), the geometric totals of a
+# Gaussian draw's laws (float copies of both arguments) and a quenched
+# draw's uniforms.  Their temporaries then scale with a chunk, not with a
+# block of replicas (up to 2^15 rows) or a quench's generations.
+ROW_CHUNK = 1 << 14
+
 # Moments of an infinite-support law: terms up to a head are summed exactly
 # (a power tail's starts at _MOMENT_HEAD terms, a light tail's at 16), the
 # rest is estimated with a certified error bound (an integral for a power
@@ -164,6 +172,29 @@ def _overflow_rows(parents: np.ndarray, mean) -> Optional[np.ndarray]:
         if len(parents) and parents.max() * m > _INT64_SAFE else None
 
 
+def by_row_chunks(sample, n: int):
+    """``sample(rows)`` over rows ``0..n-1``, called on consecutive ranges
+    ``rows`` of at most ``ROW_CHUNK`` rows, in order; ``sample`` returns an
+    array, or a tuple of arrays, with one row per row of ``rows``.  The
+    chunks are written into outputs allocated at the first chunk; a single
+    chunk's arrays are returned as they are.  numpy draws an array
+    argument's rows in order, so a per-row sampler keeps its stream and its
+    values, while its temporaries stay within one chunk."""
+    parts = sample(slice(0, min(n, ROW_CHUNK)))
+    if n <= ROW_CHUNK:
+        return parts
+    one = isinstance(parts, np.ndarray)
+    outs = [np.empty((n,) + p.shape[1:], dtype=p.dtype)
+            for p in ([parts] if one else parts)]
+    for lo in range(0, n, ROW_CHUNK):
+        rows = slice(lo, min(lo + ROW_CHUNK, n))
+        if lo:
+            parts = sample(rows)
+        for out, part in zip(outs, [parts] if one else parts):
+            out[rows] = part
+    return outs[0] if one else tuple(outs)
+
+
 def _positive_rows(parents: np.ndarray, draw) -> np.ndarray:
     """Totals of ``parents``: ``draw(rows)`` on the rows with a positive
     count, 0 on the others.  Without a zero, ``rows`` is every row."""
@@ -204,8 +235,11 @@ class GeometricRows:
 
     def sample_generation_totals(self, parents: np.ndarray,
                                  rng: np.random.Generator) -> np.ndarray:
-        return _positive_rows(parents, lambda rows: rng.negative_binomial(
-            parents[rows], 1.0 - self.q[rows]))
+        def draw(rows):
+            n, q = parents[rows], self.q[rows]
+            return by_row_chunks(lambda c: rng.negative_binomial(
+                n[c], 1.0 - q[c]), len(n))
+        return _positive_rows(parents, draw)
 
 
 def _remainder_bound(a: float, integral: float, sigma: float, upow: float,
@@ -493,7 +527,8 @@ class OffspringDistribution:
                          rng: np.random.Generator) -> np.ndarray:
         """Totals of ``n[i] > 0`` offspring counts."""
         if self.kind == "finite_pmf":
-            return rng.multinomial(n, self._pmf) @ self._ks
+            return by_row_chunks(lambda c: rng.multinomial(
+                n[c], self._pmf) @ self._ks, len(n))
         if self.kind == "geometric":
             return rng.negative_binomial(n, 1.0 - self._q)
         if self.kind == "poisson":
@@ -515,15 +550,18 @@ class OffspringDistribution:
         """Composition sampler (L. Devroye, *Non-Uniform Random Variate
         Generation*, 1986): one multinomial per row over the offspring
         counts ``0.._TOTALS_HEAD`` and the event ``X > _TOTALS_HEAD``, whose
-        probabilities the constructor fixed, then the counts of that event
-        one by one.  A float shadow of every total catches an int64 sum that
+        probabilities the constructor fixed, each row chunk's counts reduced
+        to head totals as they are drawn, then the counts of that event one
+        by one.  A float shadow of every total catches an int64 sum that
         would wrap."""
-        counts = rng.multinomial(n, self._head_pvals)
         ks = np.arange(_TOTALS_HEAD + 1, dtype=np.int64)
-        head = counts[:, :-1]
-        totals = head @ ks
-        shadow = head @ ks.astype(float)
-        tails = counts[:, -1]
+
+        def head(rows):
+            counts = rng.multinomial(n[rows], self._head_pvals)
+            # tail counts of their own: the counts go before the tail draws
+            return (counts[:, :-1] @ ks, counts[:, :-1] @ ks.astype(float),
+                    counts[:, -1].copy())
+        totals, shadow, tails = by_row_chunks(head, len(n))
         ends = np.cumsum(tails)
         starts = ends - tails
         drawn = int(ends[-1])

@@ -36,7 +36,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .distributions import GeometricRows, OffspringDistribution, check_keys
+from .distributions import (GeometricRows, OffspringDistribution, by_row_chunks,
+                            check_keys)
 # the benchmark's tracer (bench/spans.py) wraps ``substream`` in this
 # module, so it stays bound though nothing here calls it
 from .streams import first_uniforms, substream
@@ -110,12 +111,16 @@ class Mixer:
             return xi, np.exp(xi)
 
     def draw(self, seeds: Sequence[int], keys: Sequence[int]):
-        """The draws of streams ``(seed, key)``, from one
-        :func:`first_uniforms` pass: per seed a law table (the components,
-        or the :class:`GeometricRows` of the keys' means), and per seed and
-        key the law's index in it and the log-mean."""
-        xi, law = self.sample(first_uniforms(
-            np.array(seeds, dtype=object)[:, None], keys, self.width))
+        """The draws of streams ``(seed, key)``, from :func:`first_uniforms`
+        in chunks of ``ROW_CHUNK`` keys: per seed a law table (the
+        components, or the :class:`GeometricRows` of the keys' means), and
+        per seed and key the law's index in it and the log-mean."""
+        seeds = np.array(seeds, dtype=object)[:, None]
+
+        def draws(c):  # the draws of keys c, a row per key
+            u = first_uniforms(seeds, keys[c], self.width)
+            return tuple(a.T for a in self.sample(u))
+        xi, law = (a.T for a in by_row_chunks(draws, len(keys)))
         if self.kind == "finite":
             return [tuple(self.dists)] * len(seeds), law, xi
         tables = [GeometricRows(row) for row in law]
@@ -169,21 +174,33 @@ class EnvironmentSpec:
         """Index of the stream (keyed ``(env_seed, index)``) that the law of
         generation ``i`` (an int, 1-based, or an int64 array of them; below
         ``2**63``) is drawn from, for a random spec: ``i`` itself when
-        i.i.d., the block index when cooling, found in int64 arithmetic (a
-        float rounds ``2**54 - 1`` up to ``2**54``)."""
+        i.i.d., the block index when cooling, found in integer arithmetic
+        (a float rounds ``2**54 - 1`` up to ``2**54``): an int by a walk
+        along the blocks, an array by a search of their ends."""
         if self.kind != "cooling":
             return i
-        gens = np.array(i, dtype=np.int64, ndmin=1)
-        # doubling: block j has length 2^j, covering [2^j, 2^{j+1} - 1]
-        lengths = self.block_lengths or [
-            1 << j for j in range(int(gens.max()).bit_length())]
+        # doubling: block j has length 2^j, covering [2^j, 2^{j+1} - 1];
+        # past a listed schedule, its last block length repeats
+        bl = self.block_lengths
+        if not isinstance(i, np.ndarray):
+            i = int(i)
+            if bl is None:
+                return i.bit_length() - 1
+            end = 0
+            for key, length in enumerate(bl):
+                end += length
+                if i <= end:
+                    return key
+            return len(bl) + (i - end - 1) // bl[-1]
+        gens = np.asarray(i, dtype=np.int64)
+        lengths = bl or [1 << j for j in range(int(gens.max()).bit_length())]
         ends = np.array([min(end, 2**63 - 1) for end in itertools.accumulate(
             lengths)], dtype=np.int64)
         keys = np.searchsorted(ends, gens)
-        past = gens > ends[-1]  # the last listed block length repeats
+        past = gens > ends[-1]
         if past.any():
             keys[past] = len(ends) + (gens[past] - ends[-1] - 1) // lengths[-1]
-        return keys if isinstance(i, np.ndarray) else int(keys[0])
+        return keys
 
     def dist_at(self, env_seed: int, i: int) -> OffspringDistribution:
         """Offspring law of generation ``i`` (1-based) of a constant,
@@ -328,11 +345,12 @@ def quench_many(spec: EnvironmentSpec, env_seeds: Sequence[int],
     # a generation shares its predecessor's key or takes the next one
     inverse = spec.stream_index(np.arange(1, horizon + 1))
     keys = np.arange(inverse[0], inverse[-1] + 1)
-    inverse -= inverse[0]
     tables, index, xi = spec.mixer.draw(seeds, keys)
-    xi = xi[:, inverse]
+    if len(keys) < horizon:  # a cooling block's draw serves its generations
+        inverse -= inverse[0]
+        xi, index = xi[:, inverse], index[:, inverse]
     return [QuenchedEnvironment(*row) for row in zip(
-        tables, index[:, inverse], _kahan_cumsum(xi), xi)]
+        tables, index, _kahan_cumsum(xi), xi)]
 
 
 class ResourceWarningError(MemoryError):

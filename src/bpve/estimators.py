@@ -41,7 +41,7 @@ from .conditions import increment_variance_series
 from .distributions import NotApplicableError
 from .environment import (MAX_QUENCH_HORIZON, MAX_REPLICAS, EnvironmentSpec,
                           QuenchedEnvironment, check_budget)
-from .numerics import clopper_pearson_upper
+from .numerics import clopper_pearson_upper, median_and_quantiles
 from .simulate import (AnnealedLaws, QuenchedLaws, check_ancestors,
                        simulate_block, stretched_indices)
 from .streams import substream
@@ -388,7 +388,7 @@ def mc_flt_discrepancy(env: QuenchedEnvironment, n_list: Sequence[int],
     for li, n in enumerate(sorted(int(x) for x in n_list)):
         # from n - r + 2 points on, the grid reads every generation r..n
         grid = np.linspace(0.0, 1.0, min(grid_size, n - math.isqrt(n) + 2))
-        idx = np.unique(stretched_indices(n, grid)).tolist()
+        idx = sorted(set(stretched_indices(n, grid).tolist()))
         spread = np.concatenate(_reduce_blocks(
             _quenched(env, n), 1, n, [n], replicas, seed + li, threads,
             lambda b, block: _path_spread(block), extremes=idx))
@@ -413,9 +413,8 @@ def _path_spread(block) -> np.ndarray:
 
 def _median_and_quantile(x: np.ndarray, q: float) -> Tuple[float, float]:
     """Median and ``q``-quantile of ``x``; both NaN when ``x`` is empty."""
-    if not len(x):
-        return math.nan, math.nan
-    return float(np.median(x)), float(np.quantile(x, q))
+    median, (quantile,) = median_and_quantiles(x, (q,))
+    return float(median), float(quantile)
 
 
 # -- annealed estimators ----------------------------------------------------

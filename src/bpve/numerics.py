@@ -3,8 +3,8 @@ Hurwitz zeta (F. Johansson, "Rigorous high-precision computation of the
 Hurwitz zeta function and its derivatives", Numer. Algorithms 69, 2015), the
 one-sided Clopper-Pearson limit through binomial tails in Loader's
 saddle-point form (C. Loader, "Fast and accurate computation of binomial
-probabilities", 2000), Gauss-Legendre quadrature on graded panels, and an
-``exp`` that overflows to ``inf``."""
+probabilities", 2000), Gauss-Legendre quadrature on graded panels, an
+``exp`` that overflows to ``inf``, and sample medians and quantiles."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 __all__ = ["zeta", "clopper_pearson_upper", "poisson_pmf", "graded_quad",
-           "exp_or_inf"]
+           "exp_or_inf", "median_and_quantiles"]
 
 _EPS = 2.0**-53
 # Bernoulli numbers B_2, B_4, ..., B_30.
@@ -41,6 +41,43 @@ def exp_or_inf(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def median_and_quantiles(x: np.ndarray, levels):
+    """``(np.median(x, axis=0), np.quantile(x, levels, axis=0))``, bit for
+    bit, for a sequence of ``levels`` in [0, 1], from one sort of ``x``
+    along its first axis; NaN where ``x`` is empty or holds a NaN.  numpy's
+    own functions import ``numpy.ma`` (about 1.8 MB) on their first call.
+
+    The quantile is numpy's "linear" rule, type 7 of Hyndman & Fan (1996,
+    *Am. Stat.* 50:361), in numpy's arithmetic: the virtual index ``v = (n
+    - 1) q`` lies between the sorted values ``a`` at ``floor(v)`` and ``b``
+    above it, both the last value (index ``-1``) once ``v >= n - 1``;
+    ``gamma = v - index(a)``, and the value is ``a + (b - a) gamma``, or
+    ``b - (b - a)(1 - gamma)`` where ``gamma >= 0.5``.  The median is the
+    mean of the middle one or two values."""
+    s = np.sort(x, axis=0)
+    n = len(s)
+    levels = np.asarray(levels, dtype=float)
+    if n == 0:
+        return (np.full(s.shape[1:], np.nan),
+                np.full(levels.shape + s.shape[1:], np.nan))
+    v = (n - 1) * levels
+    top = v >= n - 1
+    lo = np.where(top, -1, np.floor(v)).astype(np.intp)
+    hi = np.where(top, -1, lo + 1)
+    gamma = (v - lo).reshape(levels.shape + (1,) * (s.ndim - 1))
+    a, b = s[lo], s[hi]
+    # inf - inf is NaN and a sum of two values may overflow, as in numpy
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = b - a
+        q = a + diff * gamma
+        np.subtract(b, diff * (1 - gamma), out=q, where=gamma >= 0.5)
+        mid = s[(n - 1) // 2:n // 2 + 1]
+        median = mid[0] + mid[1] if len(mid) == 2 else mid[0]
+        median = median / len(mid)
+    nan = np.isnan(s[-1])  # a NaN sorts last
+    return np.where(nan, np.nan, median), np.where(nan, np.nan, q)
 
 
 def zeta(s: float, a: float = 1.0) -> float:

@@ -1,9 +1,9 @@
 """References the tests compare the library against: draws of individual
 offspring counts (an alias table for a finite pmf) and their sum per
 generation, the cooling block walk, one generation's law drawn from its own
-stream, the exact survival probability of a quenched environment, and the
-per-column path spread.  No run path needs them, so they live with the
-tests."""
+stream, the exact survival probability and mean squared increment of the
+normalized process in a quenched environment, and the per-column path
+spread.  No run path needs them, so they live with the tests."""
 
 import math
 from typing import Optional
@@ -126,6 +126,19 @@ def survival_exact(env, n: int, z0: int = 1) -> float:
     for dist in reversed(env.dists[:n]):
         s = pgf(dist, s)
     return 1.0 - s**z0
+
+
+def l2_exact(env, k: int, n: int, m: int) -> float:
+    """``E(W_{n+m} - W_n)^2`` from ``k`` ancestors in the quenched
+    environment ``env``: ``k * sum_{j=n+1..n+m} nu_j exp(-S_{j-1})``,
+    ``nu_j`` generation ``j``'s normalized variance.  The increments
+    ``W_j - W_{j-1}`` are orthogonal, each with conditional variance
+    ``Z_{j-1} nu_j exp(-2 S_{j-1})`` given ``Z_{j-1}``, whose mean is ``k
+    exp(S_{j-1})``."""
+    dists = env.dists
+    return k * math.fsum(dists[j - 1].normalized_variance
+                         * math.exp(-float(env.s[j - 1]))
+                         for j in range(n + 1, n + m + 1))
 
 
 def path_spread(log_w: np.ndarray) -> np.ndarray:

@@ -546,7 +546,19 @@ def test_replica_count_is_refused_before_the_quench(
     ("l2", {"m": 5 * 10**6, "replicas": 1},
      "params(l2): replicas must be >= 2 for a sample-mean standard error, "
      "got 1"),
-], ids=["eps_grid", "halving_k", "l2_k", "l2_replicas"])
+    ("survival", {"z0": 0, "n": 5 * 10**6},
+     "params(survival): z0 must lie in [1, 2**63 - 1], got z0 = 0"),
+    ("survival", {"z0": 2**63, "n": 5 * 10**6},
+     "params(survival): z0 must lie in [1, 2**63 - 1], got "
+     "z0 = 9223372036854775808"),
+    ("w_positivity", {"z0": 0, "n": 5 * 10**6},
+     "params(w_positivity): z0 must lie in [1, 2**63 - 1], got z0 = 0"),
+    ("w_positivity", {"z0": 2**63, "n": 5 * 10**6},
+     "params(w_positivity): z0 must lie in [1, 2**63 - 1], got "
+     "z0 = 9223372036854775808"),
+], ids=["eps_grid", "halving_k", "l2_k", "l2_replicas", "survival_z0",
+        "survival_z0_past_int64", "w_positivity_z0",
+        "w_positivity_z0_past_int64"])
 def test_parameter_errors_are_refused_before_the_quench(
         tmp_path, capsys, monkeypatch, experiment, params, message):
     # a 5x10^6-generation quench takes seconds; none may run before the

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bpve.distributions import GeometricRows, OffspringDistribution
-from bpve import environment, streams
+from bpve import distributions, environment, streams
 from bpve.environment import (EnvironmentSpec, Mixer, PRESET_CONFIGS,
                               QuenchedEnvironment, ResourceWarningError,
                               quench, quench_many)
@@ -323,11 +323,14 @@ def test_stream_indices_match_stream_index(kind, schedule):
         keys = [walk(i) for i in range(1, horizon + 1)]
         assert spec.stream_index(np.arange(1, horizon + 1)).tolist() == keys
     assert [spec.stream_index(i) for i in range(1, 1026)] == keys[:1025]
-    # a float holds no integer past 2^53 exactly: 2^54 - 1 rounds up to 2^54
-    big = [2**53 + 1, 2**54 - 1, 2**60 - 1]
-    assert spec.stream_index(np.array(big)).tolist() == list(map(walk, big))
-    for i in big:
-        assert spec.stream_index(i) == walk(i)
+    # a float holds no integer past 2^53 exactly: 2^54 - 1 rounds up to
+    # 2^54; the scalar path walks the blocks in Python integers, the array
+    # path searches their int64 ends, up to the largest generation
+    big = [2**53 + 1, 2**54 - 1, 2**60 - 1, 2**62 + 1, 2**63 - 1]
+    keys = spec.stream_index(np.array(big)).tolist()
+    assert keys == list(map(walk, big))
+    assert [spec.stream_index(i) for i in big] == keys
+    assert all(type(spec.stream_index(i)) is int for i in big)
 
 
 QUENCH_SPECS = {
@@ -418,6 +421,46 @@ def test_kahan_cumsum_peak_memory_is_the_result_and_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * len(xs) + 6 * 10**6
+
+
+def test_finite_mixer_quench_peaks_within_48_bytes_per_generation(
+        monkeypatch):
+    # the draw takes its uniforms a chunk of keys at a time, and an i.i.d.
+    # spec's draws are its generations' without an indexed copy.  The
+    # running sums' array stands in for _kahan_cumsum, whose chunk of Python
+    # floats (pinned above) is slow to trace; 40 B per generation (48 B when
+    # the draw took every key's uniforms at once and copied its draws
+    # through the key of each generation)
+    monkeypatch.setattr(environment, "_kahan_cumsum", lambda xs: np.zeros(
+        xs.shape[:-1] + (xs.shape[-1] + 1,)))
+    spec = QUENCH_SPECS["supercritical_mu0.2"]
+    quench(spec, 1, 10)
+    tracemalloc.start()
+    try:
+        quench(spec, 7, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 10**6
+
+
+@pytest.mark.parametrize("kind", ["finite", "gaussian"])
+def test_mixer_draw_in_key_chunks_is_one_first_uniforms_pass(monkeypatch,
+                                                             kind):
+    # 7-key chunks: the 40 keys take five full chunks and a part
+    monkeypatch.setattr(distributions, "ROW_CHUNK", 7)
+    mixer = (TWO_POINT_MIXER if kind == "finite"
+             else GAUSSIAN_SPECS["iid"].mixer)
+    seeds, keys = [1, 5, 2**64 - 1], np.arange(3, 43)
+    tables, index, xi = mixer.draw(seeds, keys)
+    want_xi, want_law = mixer.sample(streams.first_uniforms(
+        np.array(seeds, dtype=object)[:, None], keys, mixer.width))
+    assert xi.tobytes() == want_xi.tobytes()
+    if kind == "finite":
+        assert index.tolist() == want_law.tolist()
+    else:
+        assert [t.mean.tobytes() for t in tables] == [
+            row.tobytes() for row in want_law]
 
 
 GAUSSIAN_SPECS = {

@@ -12,7 +12,7 @@ from bpve.environment import EnvironmentSpec, Mixer, quench
 from bpve.estimators import (mc_conditioned_critical, mc_flt_discrepancy, mc_halving_bound,
                              mc_increment_covariance, mc_l2_increment,
                              mc_l2_span, mc_survival, mc_w_positivity)
-from oracles import survival_exact
+from oracles import l2_exact, survival_exact
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +192,7 @@ def mixed_sequence(n: int) -> tuple:
     return tuple(laws)
 
 
-SURVIVAL_SPECS = {
+QUENCHED_SPECS = {
     "supercritical_mu0.2": EnvironmentSpec.from_config(
         {"preset": "supercritical_mu0.2"}),
     "cooling_gaussian": EnvironmentSpec("cooling", mixer=Mixer(
@@ -206,15 +206,32 @@ SURVIVAL_SPECS = {
 
 
 @pytest.mark.parametrize("env_seed", [1, 2])
-@pytest.mark.parametrize("name", sorted(SURVIVAL_SPECS))
+@pytest.mark.parametrize("name", sorted(QUENCHED_SPECS))
 def test_mc_survival_matches_exact_survival(name, env_seed):
     # within the bench's 4.5 standard errors, taken as the exact value's
     # binomial one: the estimate's own is 0 when no replica survives
-    env = quench(SURVIVAL_SPECS[name], env_seed, 200)
+    env = quench(QUENCHED_SPECS[name], env_seed, 200)
     exact = survival_exact(env, 200)
     est = mc_survival(env, 1, 200, 10**5, env_seed, threads=2)
     se = math.sqrt(exact * (1.0 - exact) / 10**5)
     assert abs(est.value - exact) <= 4.5 * se, (est.value, exact)
+
+
+@pytest.mark.parametrize("k,n,m", [(1, 0, 40), (3, 5, 20)])
+@pytest.mark.parametrize("name", sorted(QUENCHED_SPECS))
+def test_mc_l2_span_matches_exact_l2(name, k, n, m):
+    # within the bench's 4.5 standard errors
+    env = quench(QUENCHED_SPECS[name], 3, n + m)
+    exact = l2_exact(env, k, n, m)
+    est = mc_l2_span(env, k, n, m, 10**5, 17, threads=2)
+    assert abs(est.value - exact) <= 4.5 * est.std_error, (est, exact)
+
+
+def test_l2_exact_is_the_one_step_second_moment(gw_env200):
+    # nu = 0.44 on the reference law, with S_0 = 0 and S_1 = log 1.25
+    assert l2_exact(gw_env200, 1, 0, 1) == pytest.approx(0.44, rel=1e-14)
+    assert l2_exact(gw_env200, 2, 1, 1) == pytest.approx(0.88 / 1.25,
+                                                         rel=1e-14)
 
 
 def test_w_positivity_plateau(gw_env200):

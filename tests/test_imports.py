@@ -1,17 +1,17 @@
-"""Checks that run in a fresh interpreter: that runs never load scipy, and
-that the benchmark's per-layer hooks still find every call boundary.  Also
-static checks of the source: no module imports scipy, only ``cli`` defines
-the output format, one call site runs the population loop, only the
-quantile estimators join per-replica parts (their survivors), every mean
-estimate comes from one block-moment path, one mixer rule turns the
-uniforms of random-environment draws into laws (the simulation kernel
-builds none, and no module but ``distributions`` builds a geometric
-law), one report function certifies every damped condition series, one
-environment method evaluates a function once per law, the package binds
-no library name a second time, the mixer's and the spec's
-constructors alone check their keys and kinds, a law and a spec are each
-built one way, ``quench_many`` alone draws a random environment's laws,
-and ``check_budget`` alone refuses a size past an in-memory budget."""
+"""Checks that run in a fresh interpreter: that runs never load scipy or
+``numpy.ma``, and that the benchmark's per-layer hooks still find every call
+boundary.  Also static checks of the source: no module imports scipy, only
+``cli`` defines the output format, one call site runs the population loop,
+only the quantile estimators join per-replica parts (their survivors), every
+mean estimate comes from one block-moment path, one mixer rule turns the
+uniforms of random-environment draws into laws (the simulation kernel builds
+none, and no module but ``distributions`` builds a geometric law), one
+report function certifies every damped condition series, one environment
+method evaluates a function once per law, the package binds no library name
+a second time, the mixer's and the spec's constructors alone check their
+keys and kinds, a law and a spec are each built one way, ``quench_many``
+alone draws a random environment's laws, and ``check_budget`` alone refuses
+a size past an in-memory budget."""
 
 import ast
 import json
@@ -36,7 +36,9 @@ def run_python(code: str) -> str:
 
 def test_runs_never_load_scipy(tmp_path):
     # every golden config, plus a heavy-tail log-power psi series (zeta and
-    # the tail quadrature), run through the CLI in one fresh interpreter
+    # the tail quadrature), run through the CLI in one fresh interpreter;
+    # numpy.ma (which np.median, np.quantile and np.unique import on their
+    # first call) stays unloaded too
     configs = dict(CONFIGS, heavy_psi={
         "experiment": "conditions",
         "environment": {"preset": "heavy_tail_supercritical"},
@@ -50,7 +52,8 @@ def test_runs_never_load_scipy(tmp_path):
         "    assert bpve.cli.main(['run', cfg + '.json', '--threads', '2',\n"
         "                          '--out', cfg + '-out']) == 0, name\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m.partition('.')[0] == 'scipy')))")
+        "                        if m.partition('.')[0] == 'scipy'\n"
+        "                        or (m + '.').startswith('numpy.ma.'))))")
     assert json.loads(out.splitlines()[-1]) == []
 
 

@@ -1,5 +1,6 @@
 """The in-house special functions and tail quadrature against scipy and
-mpmath, on grids that cover the arguments bpve passes them."""
+mpmath, on grids that cover the arguments bpve passes them, and the sample
+median and quantiles against numpy's."""
 
 import math
 import time
@@ -12,7 +13,8 @@ from scipy import special, stats
 from bpve import distributions
 from bpve.distributions import OffspringDistribution
 from bpve import numerics
-from bpve.numerics import clopper_pearson_upper, poisson_pmf, zeta
+from bpve.numerics import (clopper_pearson_upper, median_and_quantiles,
+                           poisson_pmf, zeta)
 
 
 def ulps(value: float, ref) -> float:
@@ -160,3 +162,48 @@ def test_loader_kernels_keep_their_float_bits_on_arrays():
                                   zip(k[near].tolist(), mean[near].tolist())]
     assert np.allclose(got, [numerics._bd0(a, b) for a, b in
                              zip(k.tolist(), mean.tolist())], rtol=1e-13)
+
+
+def quantile_samples():
+    """Samples of every length from 1 to 300: distinct values, ties, values
+    with +-inf among them, and magnitudes from 1e-300 to 1e300."""
+    rng = np.random.default_rng(30)
+    for n in range(1, 301):
+        yield rng.normal(size=n)
+        yield rng.integers(0, 4, size=n).astype(float)
+        yield rng.choice([-np.inf, -1.0, 0.0, 2.5, np.inf], size=n)
+        yield rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, size=n)
+
+
+@pytest.mark.parametrize("levels", [(0.1,), (0.9,), (0.1, 0.5, 0.9),
+                                    (0.0, 0.25, 1 / 3, 0.5, 1.0)])
+def test_median_and_quantiles_match_numpy(levels):
+    # the estimators pass one level, tightness the three QUANTILE_LEVELS
+    for x in quantile_samples():
+        median, quantiles = median_and_quantiles(x, levels)
+        with np.errstate(invalid="ignore"):
+            want = np.median(x), np.quantile(x, levels)
+            one = [np.quantile(x, q) for q in levels]
+        assert np.array_equal(median, want[0], equal_nan=True), x
+        assert np.array_equal(quantiles, want[1], equal_nan=True), x
+        assert np.array_equal(quantiles, one, equal_nan=True), x
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 200, 201])
+def test_median_and_quantiles_match_numpy_along_the_first_axis(rows):
+    # tightness's (environments, truncations) table of partial sums
+    rng = np.random.default_rng(rows)
+    x = rng.lognormal(0.0, 3.0, size=(rows, 4)).cumsum(axis=1)
+    x[:, 0] = np.round(x[:, 0])  # ties in one column
+    levels = (0.1, 0.5, 0.9)
+    median, quantiles = median_and_quantiles(x, levels)
+    assert np.array_equal(median, np.median(x, axis=0))
+    assert np.array_equal(quantiles, np.quantile(x, levels, axis=0))
+
+
+def test_median_and_quantiles_of_no_values_or_a_nan_are_nan():
+    median, quantiles = median_and_quantiles(np.array([]), (0.1, 0.9))
+    assert np.isnan(median) and np.isnan(quantiles).all()
+    x = np.array([[1.0, np.nan], [2.0, 3.0], [np.nan, 4.0]])
+    median, quantiles = median_and_quantiles(x, (0.1,))
+    assert np.isnan(median).all() and np.isnan(quantiles).all()
