@@ -63,11 +63,10 @@ _TOTALS_HEAD = 16
 _TAIL_CHUNK = 1 << 16
 
 # Rows per sampler call (by_row_chunks), for the samplers whose
-# temporaries set a run's peak memory: the finite-pmf and power-law head
-# multinomials (a count per category and row), the geometric totals of a
-# Gaussian draw's laws (float copies of both arguments) and a quenched
-# draw's uniforms.  Their temporaries then scale with a chunk, not with a
-# block of replicas (up to 2^15 rows) or a quench's generations.
+# temporaries set a run's peak memory: the geometric totals of a Gaussian
+# draw's laws (float copies of both arguments) and a quenched draw's
+# uniforms.  Their temporaries then scale with a chunk, not with a block of
+# replicas (up to 2^15 rows) or a quench's generations.
 ROW_CHUNK = 1 << 14
 
 # Moments of an infinite-support law: terms up to a head are summed exactly
@@ -527,8 +526,7 @@ class OffspringDistribution:
                          rng: np.random.Generator) -> np.ndarray:
         """Totals of ``n[i] > 0`` offspring counts."""
         if self.kind == "finite_pmf":
-            return by_row_chunks(lambda c: rng.multinomial(
-                n[c], self._pmf) @ self._ks, len(n))
+            return rng.multinomial(n, self._pmf) @ self._ks
         if self.kind == "geometric":
             return rng.negative_binomial(n, 1.0 - self._q)
         if self.kind == "poisson":
@@ -550,18 +548,15 @@ class OffspringDistribution:
         """Composition sampler (L. Devroye, *Non-Uniform Random Variate
         Generation*, 1986): one multinomial per row over the offspring
         counts ``0.._TOTALS_HEAD`` and the event ``X > _TOTALS_HEAD``, whose
-        probabilities the constructor fixed, each row chunk's counts reduced
-        to head totals as they are drawn, then the counts of that event one
-        by one.  A float shadow of every total catches an int64 sum that
+        probabilities the constructor fixed, then the counts of that event
+        one by one.  A float shadow of every total catches an int64 sum that
         would wrap."""
+        counts = rng.multinomial(n, self._head_pvals)
         ks = np.arange(_TOTALS_HEAD + 1, dtype=np.int64)
-
-        def head(rows):
-            counts = rng.multinomial(n[rows], self._head_pvals)
-            # tail counts of their own: the counts go before the tail draws
-            return (counts[:, :-1] @ ks, counts[:, :-1] @ ks.astype(float),
-                    counts[:, -1].copy())
-        totals, shadow, tails = by_row_chunks(head, len(n))
+        head = counts[:, :-1]
+        totals = head @ ks
+        shadow = head @ ks.astype(float)
+        tails = counts[:, -1]
         ends = np.cumsum(tails)
         starts = ends - tails
         drawn = int(ends[-1])

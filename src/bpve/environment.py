@@ -174,33 +174,21 @@ class EnvironmentSpec:
         """Index of the stream (keyed ``(env_seed, index)``) that the law of
         generation ``i`` (an int, 1-based, or an int64 array of them; below
         ``2**63``) is drawn from, for a random spec: ``i`` itself when
-        i.i.d., the block index when cooling, found in integer arithmetic
-        (a float rounds ``2**54 - 1`` up to ``2**54``): an int by a walk
-        along the blocks, an array by a search of their ends."""
+        i.i.d., the block index when cooling, found in int64 arithmetic (a
+        float rounds ``2**54 - 1`` up to ``2**54``)."""
         if self.kind != "cooling":
             return i
-        # doubling: block j has length 2^j, covering [2^j, 2^{j+1} - 1];
-        # past a listed schedule, its last block length repeats
-        bl = self.block_lengths
-        if not isinstance(i, np.ndarray):
-            i = int(i)
-            if bl is None:
-                return i.bit_length() - 1
-            end = 0
-            for key, length in enumerate(bl):
-                end += length
-                if i <= end:
-                    return key
-            return len(bl) + (i - end - 1) // bl[-1]
-        gens = np.asarray(i, dtype=np.int64)
-        lengths = bl or [1 << j for j in range(int(gens.max()).bit_length())]
+        gens = np.array(i, dtype=np.int64, ndmin=1)
+        # doubling: block j has length 2^j, covering [2^j, 2^{j+1} - 1]
+        lengths = self.block_lengths or [
+            1 << j for j in range(int(gens.max()).bit_length())]
         ends = np.array([min(end, 2**63 - 1) for end in itertools.accumulate(
             lengths)], dtype=np.int64)
         keys = np.searchsorted(ends, gens)
-        past = gens > ends[-1]
+        past = gens > ends[-1]  # the last listed block length repeats
         if past.any():
             keys[past] = len(ends) + (gens[past] - ends[-1] - 1) // lengths[-1]
-        return keys
+        return keys if isinstance(i, np.ndarray) else int(keys[0])
 
     def dist_at(self, env_seed: int, i: int) -> OffspringDistribution:
         """Offspring law of generation ``i`` (1-based) of a constant,

@@ -388,7 +388,7 @@ def mc_flt_discrepancy(env: QuenchedEnvironment, n_list: Sequence[int],
     for li, n in enumerate(sorted(int(x) for x in n_list)):
         # from n - r + 2 points on, the grid reads every generation r..n
         grid = np.linspace(0.0, 1.0, min(grid_size, n - math.isqrt(n) + 2))
-        idx = sorted(set(stretched_indices(n, grid).tolist()))
+        idx = stretched_indices(n, grid).tolist()
         spread = np.concatenate(_reduce_blocks(
             _quenched(env, n), 1, n, [n], replicas, seed + li, threads,
             lambda b, block: _path_spread(block), extremes=idx))

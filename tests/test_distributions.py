@@ -270,52 +270,17 @@ def test_zero_parent_rows_match_positive_rows_alone(kind):
     assert mixed_rng.random(4).tolist() == alone_rng.random(4).tolist()
 
 
-CHUNK_PARENTS = np.arange(1, 41, dtype=np.int64) ** 2
-
-
-@pytest.fixture
-def small_row_chunks(monkeypatch):
-    # 7-row chunks: the 40 rows of CHUNK_PARENTS take five full chunks and
-    # a part
-    monkeypatch.setattr(distributions, "ROW_CHUNK", 7)
-
-
-def test_finite_pmf_totals_in_row_chunks_are_one_multinomial(
-        small_row_chunks):
-    law = TOTALS_LAWS["finite_pmf"]
-    got_rng, want_rng = substream(32, 0), substream(32, 0)
-    got = law.sample_generation_totals(CHUNK_PARENTS, got_rng)
-    want = want_rng.multinomial(CHUNK_PARENTS, law._pmf) @ law._ks
-    assert got.tolist() == want.tolist()
-    assert got_rng.random(4).tolist() == want_rng.random(4).tolist()
-
-
 def test_geometric_rows_totals_in_row_chunks_are_one_negative_binomial(
-        small_row_chunks):
-    rows = distributions.GeometricRows(
-        np.linspace(0.25, 2.5, len(CHUNK_PARENTS)))
+        monkeypatch):
+    # 7-row chunks: 40 rows take five full chunks and a part
+    monkeypatch.setattr(distributions, "ROW_CHUNK", 7)
+    parents = np.arange(1, 41, dtype=np.int64) ** 2
+    rows = distributions.GeometricRows(np.linspace(0.25, 2.5, len(parents)))
     got_rng, want_rng = substream(33, 0), substream(33, 0)
-    got = rows.sample_generation_totals(CHUNK_PARENTS, got_rng)
-    want = want_rng.negative_binomial(CHUNK_PARENTS, 1.0 - rows.q)
+    got = rows.sample_generation_totals(parents, got_rng)
+    want = want_rng.negative_binomial(parents, 1.0 - rows.q)
     assert got.tolist() == want.tolist()
     assert got_rng.random(4).tolist() == want_rng.random(4).tolist()
-
-
-def test_power_law_totals_in_row_chunks_match_one_head_multinomial(
-        monkeypatch):
-    # the head multinomial in 7-row chunks, then in one call; the tail
-    # draws follow it either way
-    law, runs = TOTALS_LAWS["power_law_tail"], []
-    tail_draws = law._tail_draws
-    for chunk in (7, len(CHUNK_PARENTS)):
-        monkeypatch.setattr(distributions, "ROW_CHUNK", chunk)
-        rng, draws = substream(34, 0), []
-        monkeypatch.setattr(law, "_tail_draws", lambda size, rng: (
-            draws.append(size) or tail_draws(size, rng)))
-        totals = law.sample_generation_totals(CHUNK_PARENTS, rng)
-        runs.append((totals.tolist(), draws, rng.random(4).tolist()))
-    assert runs[0] == runs[1]
-    assert runs[0][1] and runs[0][1][0] > 0  # some offspring were in the tail
 
 
 def test_overflow_guard():

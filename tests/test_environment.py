@@ -324,8 +324,8 @@ def test_stream_indices_match_stream_index(kind, schedule):
         assert spec.stream_index(np.arange(1, horizon + 1)).tolist() == keys
     assert [spec.stream_index(i) for i in range(1, 1026)] == keys[:1025]
     # a float holds no integer past 2^53 exactly: 2^54 - 1 rounds up to
-    # 2^54; the scalar path walks the blocks in Python integers, the array
-    # path searches their int64 ends, up to the largest generation
+    # 2^54; an int and an array take the same int64 search of the block
+    # ends, up to the largest generation, and an int gets an int back
     big = [2**53 + 1, 2**54 - 1, 2**60 - 1, 2**62 + 1, 2**63 - 1]
     keys = spec.stream_index(np.array(big)).tolist()
     assert keys == list(map(walk, big))
