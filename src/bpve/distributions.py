@@ -171,27 +171,30 @@ def _overflow_rows(parents: np.ndarray, mean) -> Optional[np.ndarray]:
         if len(parents) and parents.max() * m > _INT64_SAFE else None
 
 
-def by_row_chunks(sample, n: int):
+def by_row_chunks(sample, n: int, out=None, step: Optional[int] = None):
     """``sample(rows)`` over rows ``0..n-1``, called on consecutive ranges
-    ``rows`` of at most ``ROW_CHUNK`` rows, in order; ``sample`` returns an
-    array, or a tuple of arrays, with one row per row of ``rows``.  The
-    chunks are written into outputs allocated at the first chunk; a single
-    chunk's arrays are returned as they are.  numpy draws an array
+    ``rows`` of at most ``step`` rows (``ROW_CHUNK`` by default), in order;
+    ``sample`` returns an array, or a tuple of arrays, with one row per row
+    of ``rows``.  The chunks are written into ``out`` (such an array or
+    tuple) when given, else into outputs allocated at the first chunk, and
+    a single chunk's arrays are returned as they are.  numpy draws an array
     argument's rows in order, so a per-row sampler keeps its stream and its
     values, while its temporaries stay within one chunk."""
-    parts = sample(slice(0, min(n, ROW_CHUNK)))
-    if n <= ROW_CHUNK:
-        return parts
-    one = isinstance(parts, np.ndarray)
-    outs = [np.empty((n,) + p.shape[1:], dtype=p.dtype)
-            for p in ([parts] if one else parts)]
-    for lo in range(0, n, ROW_CHUNK):
-        rows = slice(lo, min(lo + ROW_CHUNK, n))
-        if lo:
-            parts = sample(rows)
-        for out, part in zip(outs, [parts] if one else parts):
-            out[rows] = part
-    return outs[0] if one else tuple(outs)
+    step = step or ROW_CHUNK
+    for lo in range(0, max(n, 1), step):
+        rows = slice(lo, min(lo + step, n))
+        parts = sample(rows)
+        one = isinstance(parts, np.ndarray)
+        if out is None:
+            if n <= step:
+                return parts
+            outs = [np.empty((n,) + p.shape[1:], dtype=p.dtype)
+                    for p in ([parts] if one else parts)]
+            out = outs[0] if one else tuple(outs)
+        for dest, part in zip([out] if one else out,
+                              [parts] if one else parts):
+            dest[rows] = part
+    return out
 
 
 def _positive_rows(parents: np.ndarray, draw) -> np.ndarray:
@@ -217,11 +220,36 @@ class GeometricRows:
 
     def __init__(self, mean: np.ndarray):
         self.mean = mean
+        # q is computed when needed, a few rows at a time; the largest row
+        # mean (as q / (1 - q), the geometric law's) bounds every row's
+        # int64 check
+        self.top = 0.0
+        step = self.step()
+        for lo in range(0, len(mean), step):
+            q = self._q(slice(lo, lo + step))
+            bad = ~((q > 0.0) & (q < 1.0))
+            if bad.any():
+                OffspringDistribution("geometric",
+                                      mean=float(mean[lo + bad.argmax()]))
+            self.top = max(self.top, float((q / (1.0 - q)).max()))
+
+    @staticmethod
+    def step() -> int:
+        """Rows per pass: a quarter of ``ROW_CHUNK``, as numpy's negative
+        binomial of per-row ``n`` and ``p`` holds four float arrays of its
+        rows beside ``p``, so a pass holds about one row chunk of floats."""
+        return max(ROW_CHUNK // 4, 1)
+
+    def _q(self, rows) -> np.ndarray:
+        """``q = mean / (1 + mean)`` of the rows ``rows``, in a new array."""
+        mean = self.mean[rows]
+        q = 1.0 + mean
         with np.errstate(invalid="ignore"):  # an infinite mean gives NaN
-            self.q = mean / (1.0 + mean)
-        bad = ~((self.q > 0.0) & (self.q < 1.0))
-        if bad.any():
-            OffspringDistribution("geometric", mean=float(mean[bad.argmax()]))
+            return np.divide(mean, q, out=q)
+
+    @property
+    def q(self) -> np.ndarray:
+        return self._q(slice(None))
 
     def __len__(self):
         return len(self.mean)
@@ -230,15 +258,30 @@ class GeometricRows:
         return OffspringDistribution("geometric", mean=float(self.mean[k]))
 
     def overflow_rows(self, parents: np.ndarray) -> Optional[np.ndarray]:
-        return _overflow_rows(parents, self.q / (1.0 - self.q))
+        # exact: a row's parents * max(mean, 1) is at most the largest one's
+        if _overflow_rows(parents, self.top) is None:
+            return None
+        q = self.q
+        return _overflow_rows(parents, q / (1.0 - q))
 
     def sample_generation_totals(self, parents: np.ndarray,
-                                 rng: np.random.Generator) -> np.ndarray:
-        def draw(rows):
-            n, q = parents[rows], self.q[rows]
-            return by_row_chunks(lambda c: rng.negative_binomial(
-                n[c], 1.0 - q[c]), len(n))
-        return _positive_rows(parents, draw)
+                                 rng: np.random.Generator,
+                                 out: Optional[np.ndarray] = None
+                                 ) -> np.ndarray:
+        """Totals of ``parents``, drawn and written :meth:`step` rows at a
+        time into ``out`` (a new array when None; it may be ``parents``, as
+        a chunk's parents are read before its totals are written)."""
+        def chunk(c):
+            n = parents[c]
+
+            def draw(rows):
+                p = self._q(c)[rows]
+                return rng.negative_binomial(n[rows], np.subtract(1.0, p,
+                                                                  out=p))
+            return _positive_rows(n, draw)
+        if out is None:
+            out = np.empty(len(parents), dtype=np.int64)
+        return by_row_chunks(chunk, len(parents), out, self.step())
 
 
 def _remainder_bound(a: float, integral: float, sigma: float, upow: float,
@@ -508,8 +551,11 @@ class OffspringDistribution:
     # -- generation totals --------------------------------------------------
 
     def sample_generation_totals(self, parents: np.ndarray,
-                                 rng: np.random.Generator) -> np.ndarray:
-        """Totals of ``parents[i]`` i.i.d. offspring counts, vectorized.
+                                 rng: np.random.Generator,
+                                 out: Optional[np.ndarray] = None
+                                 ) -> np.ndarray:
+        """Totals of ``parents[i]`` i.i.d. offspring counts, vectorized,
+        written into ``out`` when given (it may be ``parents``).
 
         Exact for every family and any parent count.  Raises
         :class:`PopulationOverflowError` when a total could leave int64.
@@ -519,8 +565,12 @@ class OffspringDistribution:
             worst = int(parents.max())
             raise PopulationOverflowError(math.log(worst)
                                           + math.log(max(self.mean, 1.0)))
-        return _positive_rows(parents, lambda rows: self._positive_totals(
+        totals = _positive_rows(parents, lambda rows: self._positive_totals(
             parents[rows], rng))
+        if out is None:
+            return totals
+        out[...] = totals
+        return out
 
     def _positive_totals(self, n: np.ndarray,
                          rng: np.random.Generator) -> np.ndarray:

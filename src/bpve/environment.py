@@ -95,20 +95,32 @@ class Mixer:
                                  f">= 0, got {self.mu!r} and {self.sigma!r}")
         self.width = 1 if kind == "finite" else 2  # uniforms per draw
 
-    def sample(self, u: np.ndarray):
+    def sample(self, u: np.ndarray, out=None):
         """``(xi, law)`` of the draws whose ``width`` uniforms lie along the
         last axis of ``u``: a finite draw's log-mean and component (the one
         ``Generator.choice`` with the weights gives); a Gaussian draw's
         log-mean ``mu + sigma * z``, ``z`` the Box-Muller normal of its two
-        uniforms (Box & Muller 1958; ``|z| < 8.58``), and mean ``exp(xi)``."""
+        uniforms (Box & Muller 1958; ``|z| < 8.58``), and mean ``exp(xi)``.
+        They are written into ``out``, a pair of arrays shaped as ``u[...,
+        0]`` (a component may take any integer dtype that holds it), when
+        given, else into new ones; a Gaussian draw takes no other array."""
+        if out is None:
+            law_type = np.intp if self.kind == "finite" else float
+            out = (np.empty(u.shape[:-1]), np.empty(u.shape[:-1], law_type))
+        xi, law = out
         if self.kind == "finite":
             comp = self.cdf.searchsorted(u[..., 0], side="right")
-            return self.xi[comp], comp
-        z = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
-        z *= np.cos(2.0 * math.pi * u[..., 1])
+            law[...], xi[...] = comp, self.xi[comp]
+            return out
+        # z = sqrt(-2 log1p(-u0)) * cos(2 pi u1), built in xi, the cosine in
+        # law, each step the float operation of the expression
+        np.log1p(np.negative(u[..., 0], out=xi), out=xi)
+        np.sqrt(np.multiply(-2.0, xi, out=xi), out=xi)
+        xi *= np.cos(np.multiply(2.0 * math.pi, u[..., 1], out=law), out=law)
         with np.errstate(over="ignore"):  # an infinite mean the law refuses
-            xi = self.mu + self.sigma * z
-            return xi, np.exp(xi)
+            np.add(self.mu, np.multiply(self.sigma, xi, out=xi), out=xi)
+            np.exp(xi, out=law)
+        return out
 
     def draw(self, seeds: Sequence[int], keys: Sequence[int]):
         """The draws of streams ``(seed, key)``, from :func:`first_uniforms`

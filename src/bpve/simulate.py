@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .distributions import GeometricRows, OffspringDistribution
+from .distributions import ROW_CHUNK, GeometricRows, OffspringDistribution
 from .environment import EnvironmentSpec, QuenchedEnvironment
 
 __all__ = [
@@ -62,7 +62,7 @@ def log_switch_threshold(dist: OffspringDistribution) -> int:
 # replicas draw environment randomness); then ``s`` and ``xi`` hold ``S_i``
 # and the log-mean, as scalars or per-live-replica arrays, and ``groups()``
 # splits the live replicas into ``(law, switch, selector)`` triples, a
-# selector being ``slice(None)`` or the positions of the group's replicas.
+# selector being ``slice(None)`` or a boolean mask of the group's replicas.
 # ``keep(live)`` keeps the replicas at the positions ``live``.
 
 class QuenchedLaws:
@@ -82,13 +82,25 @@ class QuenchedLaws:
         return [(self.dist, log_switch_threshold(self.dist), slice(None))]
 
 
+def _compact(a: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """``a[live]`` (positions in increasing order), written over the front of
+    ``a`` and returned as a view of it: one temporary of the kept rows."""
+    a[:len(live)] = a[live]
+    return a[:len(live)]
+
+
 class AnnealedLaws:
     """Each replica draws its own environment from a random spec: at each
     new stream key of the spec, so every generation (i.i.d.) or block of
     generations (cooling), the live replicas alone take their uniforms from
     ``env_rng`` in index order, for :meth:`~bpve.environment.Mixer.sample`
     to turn into laws.  A Gaussian draw's laws are the
-    :class:`~bpve.distributions.GeometricRows` of its sampled means."""
+    :class:`~bpve.distributions.GeometricRows` of its sampled means.
+
+    The per-replica arrays are allocated once, and the live replicas'
+    state is their front: ``Mixer.sample`` writes each draw into them, the
+    uniforms a buffer of ``ROW_CHUNK`` at a time, and ``keep`` compacts
+    them in place."""
 
     def __init__(self, spec: EnvironmentSpec, env_rng: np.random.Generator,
                  size: int):
@@ -96,25 +108,37 @@ class AnnealedLaws:
             raise ValueError("annealed simulation needs a random environment spec")
         self.spec, self.mixer, self.env_rng = spec, spec.mixer, env_rng
         # per live replica, from its latest draw: log-mean, S_i, and the
-        # law's mixer component (finite) or geometric mean (Gaussian)
-        self.xi, self.s, self.law = (np.zeros(size) for _ in range(3))
+        # law's mixer component (finite, in the smallest unsigned type that
+        # holds it) or geometric mean (Gaussian)
+        self.xi, self.s = np.empty(size), np.zeros(size)
+        finite = self.mixer.kind == "finite"
+        self.law = np.empty(size, dtype=np.min_scalar_type(
+            len(self.mixer.dists) - 1) if finite else float)
         self.draw_key = None
 
     def advance(self, i: int):
         key = self.spec.stream_index(i)
         if key != self.draw_key:
             self.draw_key = key
-            self.xi, self.law = self.mixer.sample(
-                self.env_rng.random((len(self.s), self.mixer.width)))
+            live, width = len(self.s), self.mixer.width
+            step = ROW_CHUNK // width
+            # random(out=) fills the buffer's rows in order, as random((k,
+            # width)) does, and leaves the stream where it would
+            buf = np.empty((min(live, step), width))
+            for lo in range(0, live, step):
+                rows = slice(lo, min(lo + step, live))
+                u = self.env_rng.random(out=buf[:rows.stop - lo])
+                self.mixer.sample(u, out=(self.xi[rows], self.law[rows]))
         self.s += self.xi
 
     def keep(self, live: np.ndarray):
-        self.xi, self.s, self.law = self.xi[live], self.s[live], self.law[live]
+        self.xi = _compact(self.xi, live)
+        self.s = _compact(self.s, live)
+        self.law = _compact(self.law, live)
 
     def groups(self):
         if self.mixer.kind == "finite":
-            return [(d, log_switch_threshold(d),
-                     np.flatnonzero(self.law == c))
+            return [(d, log_switch_threshold(d), self.law == c)
                     for c, d in enumerate(self.mixer.dists)]
         return [(GeometricRows(self.law), FINITE_VAR_LOG_SWITCH, slice(None))]
 
@@ -130,6 +154,23 @@ class Block(NamedTuple):
 
 def _take(v, rows):
     return v if np.ndim(v) == 0 else v[rows]
+
+
+def _draw_totals(groups, z: np.ndarray, rng: np.random.Generator):
+    """Replace the counts ``z`` by their offspring totals, one call per law
+    group, and return where a count is now 0 or past its group's switch."""
+    gone = np.zeros(len(z), dtype=bool)
+    for law, switch, sel in groups:
+        if not isinstance(sel, slice):
+            # one group's positions at a time: numpy gathers and scatters
+            # by index several times faster than by mask
+            sel = np.flatnonzero(sel)
+        part = z[sel]
+        if len(part):
+            # a slice group's part is z itself, drawn in place
+            z[sel] = law.sample_generation_totals(part, rng, out=part)
+            gone[sel] = (part == 0) | (part > switch)
+    return gone
 
 
 def check_ancestors(count: int, name: str = "z0") -> None:
@@ -170,8 +211,10 @@ def simulate_block(laws, z0: int, n: int, size: int,
         lo = np.full(size, math.log(z0) if 0 in track else np.inf)
         hi = np.full(size, math.log(z0) if 0 in track else -np.inf)
     last = max(track, default=-1)
-    frozen_at = np.full(size, -1, dtype=np.int64)
-    rows = np.arange(size)
+    switches = []  # (rows, generation) of the replicas switched to log scale
+    # the live replicas' rows (in the smallest unsigned type that holds
+    # them) and counts, compacted in place as they leave
+    rows = np.arange(size, dtype=np.min_scalar_type(max(size - 1, 0)))
     z = np.full(size, z0, dtype=np.int64)
 
     def retire(gone, first_col, switched, shift=0.0):
@@ -180,15 +223,24 @@ def simulate_block(laws, z0: int, n: int, size: int,
         not extinct switched at ``switched``."""
         nonlocal rows, z
         at = np.flatnonzero(gone)
-        out, left = rows[at], z[at]
-        val = np.log(left) + _take(shift, at) - _take(laws.s, at)
-        frozen_at[out[left > 0]] = switched
+        left = z[at]
+        val = np.log(left)
+        up = left > 0
+        if up.any():
+            switches.append((rows[at[up]], switched))
+        del left, up
+        val += _take(shift, at)
+        val -= _take(laws.s, at)
+        out = rows[at]
+        del at
         log_w[out, first_col:] = val[:, None]
         if last >= i:
             lo[out] = np.minimum(lo[out], val)
             hi[out] = np.maximum(hi[out], val)
+        del out, val
+        # freed before the compaction, which goes one array at a time
         live = np.flatnonzero(~gone)
-        rows, z = rows[live], z[live]
+        rows, z = _compact(rows, live), _compact(z, live)
         laws.keep(live)
 
     with np.errstate(divide="ignore"):
@@ -209,14 +261,10 @@ def simulate_block(laws, z0: int, n: int, size: int,
             if unsafe is not None and unsafe.any():
                 retire(unsafe, bisect.bisect_left(record, i), i - 1, laws.xi)
                 groups = laws.groups()
-            gone = np.zeros(len(z), dtype=bool)
-            for law, switch, sel in groups:
-                part = z[sel]
-                if len(part):
-                    z[sel] = part = law.sample_generation_totals(part, rng)
-                    gone[sel] = (part == 0) | (part > switch)
+            gone = _draw_totals(groups, z, rng)
             if i in cols or i in track:
-                cur = np.log(z) - laws.s
+                cur = np.log(z)
+                cur -= laws.s
                 if i in cols:
                     log_w[rows, cols[i]] = cur[:, None]
                 if i in track and len(rows) == size:
@@ -228,6 +276,9 @@ def simulate_block(laws, z0: int, n: int, size: int,
                     hi[rows] = np.maximum(hi[rows], cur)
             if gone.any():
                 retire(gone, bisect.bisect_right(record, i), i)
+    frozen_at = np.full(size, -1, dtype=np.int64)
+    for switched_rows, gen in switches:
+        frozen_at[switched_rows] = gen
     return Block(log_w, lo, hi, frozen_at)
 
 

@@ -3,9 +3,11 @@ offspring counts (an alias table for a finite pmf) and their sum per
 generation, the cooling block walk, one generation's law drawn from its own
 stream, the exact survival probability and mean squared increment of the
 normalized process in a quenched environment, and the per-column path
-spread.  No run path needs them, so they live with the tests."""
+spread; and the traced peak memory of a call.  No run path needs them, so
+they live with the tests."""
 
 import math
+import tracemalloc
 from typing import Optional
 
 import numpy as np
@@ -148,3 +150,14 @@ def path_spread(log_w: np.ndarray) -> np.ndarray:
     w = np.exp(log_w[log_w[:, -1] > -np.inf])
     w -= w[:, -1:].copy()
     return np.abs(w, out=w).max(axis=1)
+
+
+def traced_peak(run) -> int:
+    """Peak of the memory tracemalloc sees allocated during ``run()``;
+    ``run`` may read ``tracemalloc.get_traced_memory()`` itself."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -272,8 +272,9 @@ def test_zero_parent_rows_match_positive_rows_alone(kind):
 
 def test_geometric_rows_totals_in_row_chunks_are_one_negative_binomial(
         monkeypatch):
-    # 7-row chunks: 40 rows take five full chunks and a part
-    monkeypatch.setattr(distributions, "ROW_CHUNK", 7)
+    # 7-row passes (a quarter of the row chunk): 40 rows take five full
+    # passes and a part
+    monkeypatch.setattr(distributions, "ROW_CHUNK", 28)
     parents = np.arange(1, 41, dtype=np.int64) ** 2
     rows = distributions.GeometricRows(np.linspace(0.25, 2.5, len(parents)))
     got_rng, want_rng = substream(33, 0), substream(33, 0)

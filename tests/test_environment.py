@@ -13,7 +13,7 @@ from bpve.environment import (EnvironmentSpec, Mixer, PRESET_CONFIGS,
                               quench, quench_many)
 from bpve.simulate import AnnealedLaws
 from bpve.streams import substream
-from oracles import cooling_block_index, law_at
+from oracles import cooling_block_index, law_at, traced_peak
 
 TWO_POINT_MIXER = EnvironmentSpec.from_config(
     {"preset": "critical_two_point"}).mixer
@@ -414,12 +414,7 @@ def test_kahan_cumsum_peak_memory_is_the_result_and_one_chunk():
     # the single-row path holds one chunk of Python floats at a time; a
     # list of the whole horizon would take 17 MB at 2^18 values
     xs = np.random.default_rng(0).standard_normal(2**18)
-    tracemalloc.start()
-    try:
-        environment._kahan_cumsum(xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: environment._kahan_cumsum(xs))
     assert peak <= 8 * len(xs) + 6 * 10**6
 
 
@@ -435,13 +430,7 @@ def test_finite_mixer_quench_peaks_within_48_bytes_per_generation(
         xs.shape[:-1] + (xs.shape[-1] + 1,)))
     spec = QUENCH_SPECS["supercritical_mu0.2"]
     quench(spec, 1, 10)
-    tracemalloc.start()
-    try:
-        quench(spec, 7, 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 48 * 10**6
+    assert traced_peak(lambda: quench(spec, 7, 10**6)) <= 48 * 10**6
 
 
 @pytest.mark.parametrize("kind", ["finite", "gaussian"])
@@ -472,18 +461,18 @@ GAUSSIAN_SPECS = {
 
 def test_gaussian_quench_holds_its_arrays_alone():
     # per generation a law index, a log-mean and a running sum, and per draw
-    # the GeometricRows' mean and q: 40 B in all (one law object per draw
-    # held 608 B)
+    # the GeometricRows' mean: 32 B in all (40 B while the table held each
+    # q too; one law object per draw held 608 B)
     spec = GAUSSIAN_SPECS["iid"]
     quench(spec, 1, 10)
-    tracemalloc.start()
-    try:
-        env = quench(spec, 7, 10**5)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert isinstance(env.laws, GeometricRows)
-    assert held <= 48 * 10**5
+    envs, held = [], []
+
+    def run():
+        envs.append(quench(spec, 7, 10**5))
+        held.append(tracemalloc.get_traced_memory()[0])
+    traced_peak(run)
+    assert isinstance(envs[0].laws, GeometricRows)
+    assert held[0] <= 48 * 10**5
 
 
 @pytest.mark.parametrize("name", sorted(GAUSSIAN_SPECS))

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from bpve.environment import EnvironmentSpec, Mixer, quench
 from bpve.estimators import (mc_conditioned_critical, mc_flt_discrepancy, mc_halving_bound,
                              mc_increment_covariance, mc_l2_increment,
                              mc_l2_span, mc_survival, mc_w_positivity)
-from oracles import l2_exact, survival_exact
+from oracles import l2_exact, survival_exact, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -75,16 +74,6 @@ def test_sample_mean_is_numpy_mean_and_std_bit_for_bit(n):
     assert [v.hex() for v in (est.value, est.std_error)] == \
         [v.hex() for v in want]
     assert (est.replicas, est.master_seed) == (n, 7)
-
-
-def traced_peak(run) -> int:
-    """Peak of the memory tracemalloc sees allocated during ``run()``."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_conditioned_critical_peak_memory_grows_with_survivors_only():

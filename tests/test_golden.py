@@ -73,6 +73,21 @@ CONFIGS = {
         "env_seed": 7, "master_seed": 17,
         "params": {"n_list": [16, 32], "replicas": 4000,
                    "min_survivors": 50}},
+    # i.i.d. annealed runs of both mixers with blocks past one row chunk
+    # (2^14 replicas), so the in-place law draws and compaction are pinned
+    "critical_gaussian": {
+        "experiment": "critical",
+        "environment": {"kind": "iid_random", "mixer": {
+            "kind": "gaussian_logmean_geometric", "mu": 0.0, "sigma": 0.5}},
+        "env_seed": 19, "master_seed": 20,
+        "params": {"n_list": [12, 40], "replicas": 40000,
+                   "min_survivors": 50}},
+    "critical_two_point": {
+        "experiment": "critical",
+        "environment": {"preset": "critical_two_point"},
+        "env_seed": 21, "master_seed": 22,
+        "params": {"n_list": [12, 40], "replicas": 40000,
+                   "min_survivors": 50}},
     "w_positivity_heavy": {
         "experiment": "w_positivity",
         "environment": {"preset": "heavy_tail_supercritical"},
@@ -86,6 +101,10 @@ DIGESTS = {
         "6c72bbc3b640555619dc1600bd56f98baa16a90edc1534f522cc08f48658035c",
     "critical":
         "3caf7ec15e1f77c8895784c60a9e46e0555d9b4ddffabc5704c7b30978704e26",
+    "critical_gaussian":
+        "928b0b5f528ba9496072cfbba158474d46c12e6b44b30b3f6c9cebcb54c1b3d6",
+    "critical_two_point":
+        "128cbec2ae259389b814dd0c29ebae9be392d83f60cd857a3f28339d0a37f8c5",
     "flt":
         "761a936aebb8691c86ab4e483bc3cde36c645c18552340d21379940059e2edcd",
     "halving":
@@ -105,6 +124,10 @@ DIGESTS = {
 SERIES_DIGESTS = {
     "critical":
         "4e08db5e56f801505a56bf0da17428e9c06c0009300420c35bcfbab374cff32c",
+    "critical_gaussian":
+        "d8bf3f37040c78abd5d338d09a570ac1dbaa4691a4f74720f597ff7c88fb9420",
+    "critical_two_point":
+        "894b8bd3f9a487e5e94bb6cf95d2e6eac46df10833954d1d6573e18808d91893",
     "flt":
         "47df4c8f1c12432b22a0337a2edb62c23eb92a7de7c60b2a5e4ccab05ff7a808",
     "tightness":
@@ -132,7 +155,8 @@ def output_sha256(tmp_path, name: str, threads: int = 2) -> dict:
     # the runs that draw random environments, and the path spread, at one
     # thread as well
     *(pytest.param(name, 1, id=f"{name}-threads1")
-      for name in ("critical", "flt", "tightness")),
+      for name in ("critical", "critical_gaussian", "critical_two_point",
+                   "flt", "tightness")),
 ])
 def test_results_digest(tmp_path, name, threads):
     digests = output_sha256(tmp_path, name, threads)

@@ -5,12 +5,13 @@ import pytest
 
 from bpve import simulate
 from bpve.distributions import OffspringDistribution
-from bpve.environment import EnvironmentSpec, quench
+from bpve.environment import EnvironmentSpec, Mixer, quench
 from bpve.estimators import mc_survival
-from bpve.simulate import (FINITE_VAR_LOG_SWITCH, QuenchedLaws,
+from bpve.simulate import (FINITE_VAR_LOG_SWITCH, AnnealedLaws, QuenchedLaws,
                            log_switch_threshold, simulate_block,
                            stretched_indices)
 from bpve.streams import substream
+from oracles import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +103,22 @@ def test_stretched_grid_of_n_minus_r_plus_2_points_reads_every_generation(n):
     for size in (n - r + 2, 10 * (n - r)):
         idx = np.unique(stretched_indices(n, np.linspace(0.0, 1.0, size)))
         assert idx.tolist() == list(range(r, n + 1)), size
+
+
+@pytest.mark.parametrize("mixer,parent_bytes", [
+    (EnvironmentSpec.from_config({"preset": "critical_two_point"}).mixer, 105),
+    (Mixer("gaussian_logmean_geometric", mu=0.0, sigma=0.5), 109),
+], ids=["finite", "gaussian"])
+def test_annealed_block_peaks_within_two_thirds_of_its_old_working_set(
+        mixer, parent_bytes):
+    # a 30,000-replica block of a critical run (two recorded generations),
+    # its laws' state included, peaked at 105 B per replica on the finite
+    # mixer and 109 B on the Gaussian one while each step allocated new
+    # per-replica arrays; the laws are now drawn, the totals written and
+    # the replicas compacted in place, within a third less
+    size = 30000
+    spec = EnvironmentSpec("iid_random", mixer=mixer)
+    peak = traced_peak(lambda: simulate_block(
+        AnnealedLaws(spec, substream(7, 0), size), 1, 128, size,
+        substream(8, 0), [64, 128]))
+    assert peak <= parent_bytes * 2 / 3 * size

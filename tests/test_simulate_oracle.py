@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from bpve import estimators
+from bpve import distributions, estimators
 from bpve.distributions import OffspringDistribution
 from bpve.environment import EnvironmentSpec, Mixer, quench
 from bpve.simulate import (AnnealedLaws, QuenchedLaws, log_switch_threshold,
@@ -226,15 +226,33 @@ def test_path_spread_matches_per_column_reference(case, grid_size):
     assert 0 < len(got) < 3000 and (want > 0.0).any()
 
 
+def annealed_against_reference(spec, size, n, record, span):
+    """The kernel's annealed block and the reference's, on the same
+    streams; the two agree bitwise.  Returns the reference's results."""
+    ref, ref_frozen_at, early, lo, hi = reference_annealed(
+        spec, 1, n, substream(5, 0), substream(6, 0), size, record, span)
+    laws = AnnealedLaws(spec, substream(5, 0), size)
+    block = simulate_block(laws, 1, n, size, substream(6, 0), record,
+                           extremes=span)
+    assert np.array_equal(ref, block.log_w)
+    assert np.array_equal(ref_frozen_at, block.frozen_at)
+    assert np.array_equal(lo, block.lo) and np.array_equal(hi, block.hi)
+    assert np.isneginf(ref[:, -1]).any() and np.isfinite(ref[:, -1]).any()
+    return ref_frozen_at, early
+
+
+TWO_POINT = EnvironmentSpec.from_config({"preset": "critical_two_point"}).mixer
+# groups that switch at different sizes, 4000 and 1e12, so replicas leave
+# the working arrays from one group while the other stays
+POWER_TAIL_GEOMETRIC = Mixer("finite", dists=[
+    OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2),
+    OffspringDistribution("geometric", mean=0.8)], weights=[0.5, 0.5])
+
+
 @pytest.mark.parametrize("mixer", [
-    EnvironmentSpec.from_config({"preset": "critical_two_point"}).mixer,
+    TWO_POINT,
     Mixer("gaussian_logmean_geometric", mu=0.3, sigma=0.8),
-    # groups that switch at different sizes, 4000 and 1e12, so replicas
-    # leave the working arrays from one group while the other stays
-    Mixer("finite", dists=[
-        OffspringDistribution("power_law_tail", alpha=0.5, p0=0.2),
-        OffspringDistribution("geometric", mean=0.8)],
-          weights=[0.5, 0.5]),
+    POWER_TAIL_GEOMETRIC,
     # after one Poisson(3e9) generation, the next could pass 2**62: those
     # replicas switch one generation early
     Mixer("finite", dists=[
@@ -246,18 +264,29 @@ def test_path_spread_matches_per_column_reference(case, grid_size):
 def test_annealed_kernel_matches_reference(mixer, cooling):
     spec = (EnvironmentSpec("cooling", mixer=mixer) if cooling
             else EnvironmentSpec("iid_random", mixer=mixer))
-    n, record, span = 80, [0, 8, 40, 80], [0, *range(5, 30), 60, 79]
-    ref, ref_frozen_at, early, lo, hi = reference_annealed(
-        spec, 1, n, substream(5, 0), substream(6, 0), 3000, record, span)
-    laws = AnnealedLaws(spec, substream(5, 0), 3000)
-    block = simulate_block(laws, 1, n, 3000, substream(6, 0), record,
-                           extremes=span)
-    assert np.array_equal(ref, block.log_w)
-    assert np.array_equal(ref_frozen_at, block.frozen_at)
-    assert np.array_equal(lo, block.lo) and np.array_equal(hi, block.hi)
-    assert np.isneginf(ref[:, -1]).any() and np.isfinite(ref[:, -1]).any()
+    _, early = annealed_against_reference(
+        spec, 3000, 80, [0, 8, 40, 80], [0, *range(5, 30), 60, 79])
     poisson = mixer.kind == "finite" and mixer.dists[0].kind == "poisson"
     assert early.sum() > 100 if poisson else not early.any()
+
+
+@pytest.mark.parametrize("mixer", [
+    TWO_POINT, Mixer("gaussian_logmean_geometric", mu=0.3, sigma=0.8),
+    POWER_TAIL_GEOMETRIC,
+], ids=["finite", "gaussian", "power_tail_geometric"])
+@pytest.mark.parametrize("cooling", [False, True], ids=["iid", "cooling"])
+def test_annealed_kernel_matches_reference_past_a_row_chunk(mixer, cooling):
+    # 20,000 replicas: the first draws take their uniforms in more than one
+    # buffer of ROW_CHUNK, and the Gaussian totals in several passes, while
+    # the groups take their positions from masks and the state compacts in
+    # place
+    size = 20000
+    assert size > distributions.ROW_CHUNK
+    spec = (EnvironmentSpec("cooling", mixer=mixer) if cooling
+            else EnvironmentSpec("iid_random", mixer=mixer))
+    frozen_at, _ = annealed_against_reference(spec, size, 12, [0, 4, 12],
+                                              [0, *range(3, 9), 12])
+    assert (frozen_at >= 0).any() == (mixer is POWER_TAIL_GEOMETRIC)
 
 
 @pytest.mark.parametrize("mixer", [
