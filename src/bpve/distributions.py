@@ -62,11 +62,12 @@ _INT64_SAFE = 2**62
 _TOTALS_HEAD = 16
 _TAIL_CHUNK = 1 << 16
 
-# Rows per sampler call (by_row_chunks), for the samplers whose
-# temporaries set a run's peak memory: the geometric totals of a Gaussian
-# draw's laws (float copies of both arguments) and a quenched draw's
-# uniforms.  Their temporaries then scale with a chunk, not with a block of
-# replicas (up to 2^15 rows) or a quench's generations.
+# Rows per sampler pass, for the two samplers whose temporaries set a run's
+# peak memory: GeometricRows.step, the geometric totals of a Gaussian
+# draw's laws (float copies of both arguments), and Mixer.draw, a quenched
+# draw's uniforms (keys per pass).  Their temporaries then scale with a
+# pass, not with a block of replicas (up to 2^15 rows) or a quench's
+# generations.  Both read it at call time.
 ROW_CHUNK = 1 << 14
 
 # Moments of an infinite-support law: terms up to a head are summed exactly
@@ -171,32 +172,6 @@ def _overflow_rows(parents: np.ndarray, mean) -> Optional[np.ndarray]:
         if len(parents) and parents.max() * m > _INT64_SAFE else None
 
 
-def by_row_chunks(sample, n: int, out=None, step: Optional[int] = None):
-    """``sample(rows)`` over rows ``0..n-1``, called on consecutive ranges
-    ``rows`` of at most ``step`` rows (``ROW_CHUNK`` by default), in order;
-    ``sample`` returns an array, or a tuple of arrays, with one row per row
-    of ``rows``.  The chunks are written into ``out`` (such an array or
-    tuple) when given, else into outputs allocated at the first chunk, and
-    a single chunk's arrays are returned as they are.  numpy draws an array
-    argument's rows in order, so a per-row sampler keeps its stream and its
-    values, while its temporaries stay within one chunk."""
-    step = step or ROW_CHUNK
-    for lo in range(0, max(n, 1), step):
-        rows = slice(lo, min(lo + step, n))
-        parts = sample(rows)
-        one = isinstance(parts, np.ndarray)
-        if out is None:
-            if n <= step:
-                return parts
-            outs = [np.empty((n,) + p.shape[1:], dtype=p.dtype)
-                    for p in ([parts] if one else parts)]
-            out = outs[0] if one else tuple(outs)
-        for dest, part in zip([out] if one else out,
-                              [parts] if one else parts):
-            dest[rows] = part
-    return out
-
-
 def _positive_rows(parents: np.ndarray, draw) -> np.ndarray:
     """Totals of ``parents``: ``draw(rows)`` on the rows with a positive
     count, 0 on the others.  Without a zero, ``rows`` is every row."""
@@ -216,7 +191,10 @@ class GeometricRows:
     :meth:`OffspringDistribution.sample_generation_totals` interface;
     ``rows[k]`` is row ``k``'s law, built when read.  A mean whose ``q =
     mean / (1 + mean)`` is not in ``(0, 1)`` is refused as the geometric
-    :class:`OffspringDistribution` refuses it."""
+    :class:`OffspringDistribution` refuses it.  Only the means are held:
+    ``q`` is computed a pass of :meth:`step` rows at a time, for that
+    refusal and for the totals, and the int64 check reads it whole only
+    when the largest mean fails it."""
 
     def __init__(self, mean: np.ndarray):
         self.mean = mean
@@ -270,18 +248,22 @@ class GeometricRows:
                                  ) -> np.ndarray:
         """Totals of ``parents``, drawn and written :meth:`step` rows at a
         time into ``out`` (a new array when None; it may be ``parents``, as
-        a chunk's parents are read before its totals are written)."""
-        def chunk(c):
+        a pass's parents are read before its totals are written).  numpy
+        draws an array argument's rows in order, so the passes give the
+        stream and the values of one negative binomial call."""
+        if out is None:
+            out = np.empty(len(parents), dtype=np.int64)
+        step = self.step()
+        for lo in range(0, len(parents), step):
+            c = slice(lo, lo + step)
             n = parents[c]
 
             def draw(rows):
                 p = self._q(c)[rows]
                 return rng.negative_binomial(n[rows], np.subtract(1.0, p,
                                                                   out=p))
-            return _positive_rows(n, draw)
-        if out is None:
-            out = np.empty(len(parents), dtype=np.int64)
-        return by_row_chunks(chunk, len(parents), out, self.step())
+            out[c] = _positive_rows(n, draw)
+        return out
 
 
 def _remainder_bound(a: float, integral: float, sigma: float, upow: float,

@@ -36,8 +36,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .distributions import (GeometricRows, OffspringDistribution, by_row_chunks,
-                            check_keys)
+from . import distributions
+from .distributions import GeometricRows, OffspringDistribution, check_keys
 # the benchmark's tracer (bench/spans.py) wraps ``substream`` in this
 # module, so it stays bound though nothing here calls it
 from .streams import first_uniforms, substream
@@ -104,10 +104,7 @@ class Mixer:
         They are written into ``out``, a pair of arrays shaped as ``u[...,
         0]`` (a component may take any integer dtype that holds it), when
         given, else into new ones; a Gaussian draw takes no other array."""
-        if out is None:
-            law_type = np.intp if self.kind == "finite" else float
-            out = (np.empty(u.shape[:-1]), np.empty(u.shape[:-1], law_type))
-        xi, law = out
+        xi, law = out = self._outputs(u.shape[:-1]) if out is None else out
         if self.kind == "finite":
             comp = self.cdf.searchsorted(u[..., 0], side="right")
             law[...], xi[...] = comp, self.xi[comp]
@@ -122,17 +119,25 @@ class Mixer:
             np.exp(xi, out=law)
         return out
 
-    def draw(self, seeds: Sequence[int], keys: Sequence[int]):
-        """The draws of streams ``(seed, key)``, from :func:`first_uniforms`
-        in chunks of ``ROW_CHUNK`` keys: per seed a law table (the
-        components, or the :class:`GeometricRows` of the keys' means), and
-        per seed and key the law's index in it and the log-mean."""
-        seeds = np.array(seeds, dtype=object)[:, None]
+    def _outputs(self, shape):
+        """New ``(xi, law)`` arrays of ``shape`` for :meth:`sample`."""
+        return np.empty(shape), np.empty(
+            shape, np.intp if self.kind == "finite" else float)
 
-        def draws(c):  # the draws of keys c, a row per key
-            u = first_uniforms(seeds, keys[c], self.width)
-            return tuple(a.T for a in self.sample(u))
-        xi, law = (a.T for a in by_row_chunks(draws, len(keys)))
+    def draw(self, seeds: Sequence[int], keys: Sequence[int]):
+        """The draws of streams ``(seed, key)``: per seed a law table (the
+        components, or the :class:`GeometricRows` of the keys' means), and
+        per seed and key the law's index in it and the log-mean.  The
+        ``(seeds, keys)`` arrays are allocated once, and :meth:`sample`
+        fills their columns from :func:`first_uniforms`, a pass of
+        ``distributions.ROW_CHUNK`` keys at a time."""
+        seeds = np.array(seeds, dtype=object)[:, None]
+        xi, law = self._outputs((len(seeds), len(keys)))
+        step = distributions.ROW_CHUNK
+        for lo in range(0, len(keys), step):
+            c = slice(lo, lo + step)
+            self.sample(first_uniforms(seeds, keys[c], self.width),
+                        out=(xi[:, c], law[:, c]))
         if self.kind == "finite":
             return [tuple(self.dists)] * len(seeds), law, xi
         tables = [GeometricRows(row) for row in law]

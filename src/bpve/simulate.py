@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .distributions import ROW_CHUNK, GeometricRows, OffspringDistribution
+from .distributions import GeometricRows, OffspringDistribution
 from .environment import EnvironmentSpec, QuenchedEnvironment
 
 __all__ = [
@@ -82,13 +82,6 @@ class QuenchedLaws:
         return [(self.dist, log_switch_threshold(self.dist), slice(None))]
 
 
-def _compact(a: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """``a[live]`` (positions in increasing order), written over the front of
-    ``a`` and returned as a view of it: one temporary of the kept rows."""
-    a[:len(live)] = a[live]
-    return a[:len(live)]
-
-
 class AnnealedLaws:
     """Each replica draws its own environment from a random spec: at each
     new stream key of the spec, so every generation (i.i.d.) or block of
@@ -97,10 +90,9 @@ class AnnealedLaws:
     to turn into laws.  A Gaussian draw's laws are the
     :class:`~bpve.distributions.GeometricRows` of its sampled means.
 
-    The per-replica arrays are allocated once, and the live replicas'
-    state is their front: ``Mixer.sample`` writes each draw into them, the
-    uniforms a buffer of ``ROW_CHUNK`` at a time, and ``keep`` compacts
-    them in place."""
+    A draw takes its uniforms in one ``random((live, width))`` call, and
+    ``Mixer.sample`` writes its log-means and laws into the per-replica
+    arrays; ``keep`` selects the live replicas' rows."""
 
     def __init__(self, spec: EnvironmentSpec, env_rng: np.random.Generator,
                  size: int):
@@ -120,21 +112,12 @@ class AnnealedLaws:
         key = self.spec.stream_index(i)
         if key != self.draw_key:
             self.draw_key = key
-            live, width = len(self.s), self.mixer.width
-            step = ROW_CHUNK // width
-            # random(out=) fills the buffer's rows in order, as random((k,
-            # width)) does, and leaves the stream where it would
-            buf = np.empty((min(live, step), width))
-            for lo in range(0, live, step):
-                rows = slice(lo, min(lo + step, live))
-                u = self.env_rng.random(out=buf[:rows.stop - lo])
-                self.mixer.sample(u, out=(self.xi[rows], self.law[rows]))
+            u = self.env_rng.random((len(self.s), self.mixer.width))
+            self.mixer.sample(u, out=(self.xi, self.law))
         self.s += self.xi
 
     def keep(self, live: np.ndarray):
-        self.xi = _compact(self.xi, live)
-        self.s = _compact(self.s, live)
-        self.law = _compact(self.law, live)
+        self.xi, self.s, self.law = self.xi[live], self.s[live], self.law[live]
 
     def groups(self):
         if self.mixer.kind == "finite":
@@ -213,7 +196,7 @@ def simulate_block(laws, z0: int, n: int, size: int,
     last = max(track, default=-1)
     switches = []  # (rows, generation) of the replicas switched to log scale
     # the live replicas' rows (in the smallest unsigned type that holds
-    # them) and counts, compacted in place as they leave
+    # them) and counts
     rows = np.arange(size, dtype=np.min_scalar_type(max(size - 1, 0)))
     z = np.full(size, z0, dtype=np.int64)
 
@@ -238,9 +221,9 @@ def simulate_block(laws, z0: int, n: int, size: int,
             lo[out] = np.minimum(lo[out], val)
             hi[out] = np.maximum(hi[out], val)
         del out, val
-        # freed before the compaction, which goes one array at a time
+        # freed before the live rows are selected
         live = np.flatnonzero(~gone)
-        rows, z = _compact(rows, live), _compact(z, live)
+        rows, z = rows[live], z[live]
         laws.keep(live)
 
     with np.errstate(divide="ignore"):

@@ -2,7 +2,8 @@
 offspring counts (an alias table for a finite pmf) and their sum per
 generation, the cooling block walk, one generation's law drawn from its own
 stream, the exact survival probability and mean squared increment of the
-normalized process in a quenched environment, and the per-column path
+normalized process in a quenched environment (the survival probability also
+over many geometric environments at once), and the per-column path
 spread; and the traced peak memory of a call.  No run path needs them, so
 they live with the tests."""
 
@@ -128,6 +129,18 @@ def survival_exact(env, n: int, z0: int = 1) -> float:
     for dist in reversed(env.dists[:n]):
         s = pgf(dist, s)
     return 1.0 - s**z0
+
+
+def geometric_survival(means: np.ndarray) -> np.ndarray:
+    """``P(Z_n > 0)`` from one ancestor in each row's environment of
+    geometric laws, row ``r`` giving the means of generations ``1..n``:
+    ``1 - (f_1 o ... o f_n)(0)``, ``f_i(s) = (1 - q_i) / (1 - q_i s)`` with
+    ``q_i = m_i / (1 + m_i)``."""
+    q = means / (1.0 + means)
+    s = np.zeros(len(means))
+    for j in range(means.shape[1] - 1, -1, -1):
+        s = (1.0 - q[:, j]) / (1.0 - q[:, j] * s)
+    return 1.0 - s
 
 
 def l2_exact(env, k: int, n: int, m: int) -> float:

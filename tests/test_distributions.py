@@ -284,6 +284,22 @@ def test_geometric_rows_totals_in_row_chunks_are_one_negative_binomial(
     assert got_rng.random(4).tolist() == want_rng.random(4).tolist()
 
 
+def test_geometric_rows_totals_written_over_their_parents(monkeypatch):
+    # the kernel draws a Gaussian group's totals over its own counts: each
+    # 7-row pass reads its parents before writing its totals, and no pass
+    # reads a row an earlier pass wrote; zero rows take no draw
+    monkeypatch.setattr(distributions, "ROW_CHUNK", 28)
+    parents = np.arange(1, 41, dtype=np.int64) ** 2
+    parents[[0, 9, 10, 33]] = 0
+    rows = distributions.GeometricRows(np.linspace(0.25, 2.5, len(parents)))
+    got_rng, want_rng = substream(34, 0), substream(34, 0)
+    want = rows.sample_generation_totals(parents.copy(), want_rng)
+    got = rows.sample_generation_totals(parents, got_rng, out=parents)
+    assert got is parents
+    assert got.tolist() == want.tolist()
+    assert got_rng.random(4).tolist() == want_rng.random(4).tolist()
+
+
 def test_overflow_guard():
     d = OffspringDistribution("geometric", mean=4.0)
     rng = substream(9, 0)

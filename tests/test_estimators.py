@@ -7,11 +7,11 @@ import pytest
 from bpve import estimators
 from bpve.cli import jsonable
 from bpve.distributions import NotApplicableError, OffspringDistribution
-from bpve.environment import EnvironmentSpec, Mixer, quench
+from bpve.environment import EnvironmentSpec, Mixer, quench, quench_many
 from bpve.estimators import (mc_conditioned_critical, mc_flt_discrepancy, mc_halving_bound,
                              mc_increment_covariance, mc_l2_increment,
                              mc_l2_span, mc_survival, mc_w_positivity)
-from oracles import l2_exact, survival_exact, traced_peak
+from oracles import geometric_survival, l2_exact, survival_exact, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +349,30 @@ def test_conditioned_critical_runs():
     assert out[0].survivors > out[1].survivors > 0
     assert out[0].median_w > 0
     assert not out[1].inconclusive
+
+
+@pytest.mark.parametrize("mixer", [
+    EnvironmentSpec.from_config({"preset": "critical_two_point"}).mixer,
+    Mixer("gaussian_logmean_geometric", mu=0.0, sigma=0.5),
+], ids=["finite", "gaussian"])
+def test_conditioned_critical_survivors_match_annealed_survival(mixer):
+    # the annealed survival probability is the quenched one averaged over
+    # environments: here over 10^4 quenched draws, each exact by composing
+    # its geometric pgfs; survivors count replicas, each with its own
+    # environment, so the two sampling errors add
+    spec = EnvironmentSpec("iid_random", mixer=mixer)
+    n_list, replicas, envs = [16, 64], 40000, 10**4
+    quenched = quench_many(spec, range(envs), n_list[-1])
+    means = np.exp(np.stack([env.xi for env in quenched]))
+    assert geometric_survival(means[:1, :16])[0] == pytest.approx(
+        survival_exact(quenched[0], 16), rel=1e-12)
+    out = mc_conditioned_critical(spec, n_list, replicas, 31,
+                                  env_seed=10**5, threads=2)
+    for s in out:
+        p = geometric_survival(means[:, :s.n])
+        se = math.sqrt(p.mean() * (1.0 - p.mean()) / replicas
+                       + p.var() / envs)
+        assert abs(s.survivors / replicas - p.mean()) <= 4.5 * se, s.n
 
 
 def test_conditioned_critical_determinism():

@@ -74,7 +74,7 @@ CONFIGS = {
         "params": {"n_list": [16, 32], "replicas": 4000,
                    "min_survivors": 50}},
     # i.i.d. annealed runs of both mixers with blocks past one row chunk
-    # (2^14 replicas), so the in-place law draws and compaction are pinned
+    # (2^14 replicas), so the in-place law draws are pinned
     "critical_gaussian": {
         "experiment": "critical",
         "environment": {"kind": "iid_random", "mixer": {

@@ -114,8 +114,8 @@ def test_annealed_block_peaks_within_two_thirds_of_its_old_working_set(
     # a 30,000-replica block of a critical run (two recorded generations),
     # its laws' state included, peaked at 105 B per replica on the finite
     # mixer and 109 B on the Gaussian one while each step allocated new
-    # per-replica arrays; the laws are now drawn, the totals written and
-    # the replicas compacted in place, within a third less
+    # per-replica arrays; the laws are now drawn and the Gaussian totals
+    # written in place, within a third less
     size = 30000
     spec = EnvironmentSpec("iid_random", mixer=mixer)
     peak = traced_peak(lambda: simulate_block(

@@ -276,10 +276,9 @@ def test_annealed_kernel_matches_reference(mixer, cooling):
 ], ids=["finite", "gaussian", "power_tail_geometric"])
 @pytest.mark.parametrize("cooling", [False, True], ids=["iid", "cooling"])
 def test_annealed_kernel_matches_reference_past_a_row_chunk(mixer, cooling):
-    # 20,000 replicas: the first draws take their uniforms in more than one
-    # buffer of ROW_CHUNK, and the Gaussian totals in several passes, while
-    # the groups take their positions from masks and the state compacts in
-    # place
+    # 20,000 replicas: the Gaussian totals are drawn in several passes of
+    # GeometricRows.step rows, while the groups take their positions from
+    # masks
     size = 20000
     assert size > distributions.ROW_CHUNK
     spec = (EnvironmentSpec("cooling", mixer=mixer) if cooling
