@@ -184,17 +184,41 @@ def _positive_rows(parents: np.ndarray, draw) -> np.ndarray:
     return totals
 
 
+def _sample_totals(law, parents: np.ndarray, out: Optional[np.ndarray],
+                   step: int, draw) -> np.ndarray:
+    """Every law's totals: :class:`PopulationOverflowError`, nothing drawn,
+    where the law's exact ``overflow_rows`` finds a total past int64; else
+    passes of ``step`` rows in order into ``out`` (new when None; it may be
+    ``parents``: a pass reads its parents first), ``draw(n, c, rows)`` the
+    totals of the positive counts ``n``, rows ``rows`` of pass ``c``, and 0
+    those of a row without parents."""
+    parents = np.asarray(parents, dtype=np.int64)
+    bad = law.overflow_rows(parents)
+    if bad is not None:
+        # the largest count and the largest mean of the refused rows
+        mean = np.broadcast_to(law.mean, parents.shape)[bad].max()
+        raise PopulationOverflowError(math.log(int(parents[bad].max()))
+                                      + math.log(max(mean, 1.0)))
+    if out is None:
+        out = np.empty(len(parents), dtype=np.int64)
+    for lo in range(0, len(parents), step):
+        c = slice(lo, lo + step)
+        n = parents[c]
+        out[c] = _positive_rows(n, lambda rows: draw(n[rows], c, rows))
+    return out
+
+
 class GeometricRows:
     """Geometric laws ``P(X=k) = (1-q) q^k``, one ``mean`` per row (a
     Gaussian draw's laws, per parent row or per stream key), with the
     :meth:`OffspringDistribution.overflow_rows` and
-    :meth:`OffspringDistribution.sample_generation_totals` interface;
-    ``rows[k]`` is row ``k``'s law, built when read.  A mean whose ``q =
-    mean / (1 + mean)`` is not in ``(0, 1)`` is refused as the geometric
-    :class:`OffspringDistribution` refuses it.  Only the means are held:
-    ``q`` is computed a pass of :meth:`step` rows at a time, for that
-    refusal and for the totals, and the int64 check reads it whole only
-    when the largest mean fails it."""
+    :meth:`OffspringDistribution.sample_generation_totals` interface and
+    contract (:func:`_sample_totals`); ``rows[k]`` is row ``k``'s law,
+    built when read.  A mean whose ``q = mean / (1 + mean)`` is not in
+    ``(0, 1)`` is refused as the geometric :class:`OffspringDistribution`
+    refuses it.  Only the means are held: ``q`` is computed a pass of
+    :meth:`step` rows at a time, for that refusal and for the totals, and
+    the int64 check reads it whole only when the largest mean fails it."""
 
     def __init__(self, mean: np.ndarray):
         self.mean = mean
@@ -246,24 +270,14 @@ class GeometricRows:
                                  rng: np.random.Generator,
                                  out: Optional[np.ndarray] = None
                                  ) -> np.ndarray:
-        """Totals of ``parents``, drawn and written :meth:`step` rows at a
-        time into ``out`` (a new array when None; it may be ``parents``, as
-        a pass's parents are read before its totals are written).  numpy
-        draws an array argument's rows in order, so the passes give the
-        stream and the values of one negative binomial call."""
-        if out is None:
-            out = np.empty(len(parents), dtype=np.int64)
-        step = self.step()
-        for lo in range(0, len(parents), step):
-            c = slice(lo, lo + step)
-            n = parents[c]
+        """Totals of ``parents`` by :func:`_sample_totals`, in passes of
+        :meth:`step` rows: numpy draws an array argument's rows in order, so
+        the passes give the stream and values of one negative binomial."""
 
-            def draw(rows):
-                p = self._q(c)[rows]
-                return rng.negative_binomial(n[rows], np.subtract(1.0, p,
-                                                                  out=p))
-            out[c] = _positive_rows(n, draw)
-        return out
+        def draw(n, c, rows):
+            p = self._q(c)[rows]
+            return rng.negative_binomial(n, np.subtract(1.0, p, out=p))
+        return _sample_totals(self, parents, out, self.step(), draw)
 
 
 def _remainder_bound(a: float, integral: float, sigma: float, upow: float,
@@ -536,23 +550,13 @@ class OffspringDistribution:
                                  rng: np.random.Generator,
                                  out: Optional[np.ndarray] = None
                                  ) -> np.ndarray:
-        """Totals of ``parents[i]`` i.i.d. offspring counts, vectorized,
-        written into ``out`` when given (it may be ``parents``).
-
-        Exact for every family and any parent count.  Raises
-        :class:`PopulationOverflowError` when a total could leave int64.
-        """
-        parents = np.asarray(parents, dtype=np.int64)
-        if self.overflow_rows(parents) is not None:
-            worst = int(parents.max())
-            raise PopulationOverflowError(math.log(worst)
-                                          + math.log(max(self.mean, 1.0)))
-        totals = _positive_rows(parents, lambda rows: self._positive_totals(
-            parents[rows], rng))
-        if out is None:
-            return totals
-        out[...] = totals
-        return out
+        """Totals of ``parents[i]`` i.i.d. offspring counts, exact for every
+        family and any parent count, by :func:`_sample_totals` (a
+        :class:`PopulationOverflowError` past int64; ``out`` may be
+        ``parents``) in one pass: linear-fractional and power-tail totals
+        draw every row's first stage before the second."""
+        return _sample_totals(self, parents, out, max(len(parents), 1),
+                              lambda n, c, rows: self._positive_totals(n, rng))
 
     def _positive_totals(self, n: np.ndarray,
                          rng: np.random.Generator) -> np.ndarray:

@@ -263,11 +263,6 @@ class QuenchedEnvironment:
     def horizon(self) -> int:
         return len(self.index)
 
-    @property
-    def dists(self) -> List[OffspringDistribution]:
-        """The law of each generation, in order."""
-        return [self.laws[k] for k in self.index.tolist()]
-
     def map_laws(self, f, lo=0, hi=None, stop=None) -> np.ndarray:
         """``f(law)`` of generations ``lo + 1 .. hi`` as floats, from one call
         of ``f`` per law in order of first generation.  The first value with

@@ -3,9 +3,11 @@ offspring counts (an alias table for a finite pmf) and their sum per
 generation, the cooling block walk, one generation's law drawn from its own
 stream, the exact survival probability and mean squared increment of the
 normalized process in a quenched environment (the survival probability also
-over many geometric environments at once), and the per-column path
-spread; and the traced peak memory of a call.  No run path needs them, so
-they live with the tests."""
+over many geometric environments at once), the exact law of ``W_n`` in
+geometric and linear-fractional environments, and the per-column path
+spread; each generation's law of a quenched environment; and the traced
+peak memory of a call.  No run path needs them, so they live with the
+tests."""
 
 import math
 import tracemalloc
@@ -71,6 +73,12 @@ def sample_generation_total(dist, parents: int,
         np.array([parents], dtype=np.int64), rng)[0])
 
 
+def laws_of(env) -> list:
+    """The law of each generation of the quenched environment ``env``, in
+    order, read through its law table."""
+    return [env.laws[k] for k in env.index.tolist()]
+
+
 def cooling_block_index(spec, i: int) -> int:
     """Block of a cooling spec containing generation ``i`` (1-based), by a
     walk over its schedule in exact Python integers."""
@@ -126,7 +134,7 @@ def survival_exact(env, n: int, z0: int = 1) -> float:
     ``env``: ``1 - (f_1 o ... o f_n)(0)^z0``, ``f_i`` generation ``i``'s
     pgf."""
     s = 0.0
-    for dist in reversed(env.dists[:n]):
+    for dist in reversed(laws_of(env)[:n]):
         s = pgf(dist, s)
     return 1.0 - s**z0
 
@@ -143,6 +151,27 @@ def geometric_survival(means: np.ndarray) -> np.ndarray:
     return 1.0 - s
 
 
+def w_exceedance(env, n: int, eps: float) -> float:
+    """``P(W_n > eps)``, ``W_n = Z_n e^-S_n``, from one ancestor in the
+    quenched environment ``env`` of geometric and linear-fractional laws.
+    Generation ``i``'s pgf is the Mobius map of ``[[(1-p0)(1-q) - p0 q,
+    p0], [-q, 1]]`` (a geometric law has ``p0 = 1 - q``: ``[[0, 1-q], [-q,
+    1]]``), so ``f_1 o ... o f_n`` is that of the product ``[[a, b], [c,
+    d]]``, normalised after each step: ``P(Z_n = 0) = b/d``, and given
+    ``Z_n > 0``, ``Z_n`` is geometric on ``{1, 2, ...}`` with ratio ``-c/d``
+    (Kersting & Vatutin 2017).  ``W_n > eps`` exactly when ``Z_n >
+    floor(eps e^S_n)``."""
+    m = np.eye(2)
+    for dist in laws_of(env)[:n]:
+        q = dist._q
+        p0 = 1.0 - q if dist.kind == "geometric" else dist._p0
+        m = m @ np.array([[(1.0 - p0) * (1.0 - q) - p0 * q, p0], [-q, 1.0]])
+        m /= np.abs(m).max()
+    (_, b), (c, d) = m.tolist()
+    return (1.0 - b / d) * (-c / d) ** math.floor(
+        eps * math.exp(float(env.s[n])))
+
+
 def l2_exact(env, k: int, n: int, m: int) -> float:
     """``E(W_{n+m} - W_n)^2`` from ``k`` ancestors in the quenched
     environment ``env``: ``k * sum_{j=n+1..n+m} nu_j exp(-S_{j-1})``,
@@ -150,7 +179,7 @@ def l2_exact(env, k: int, n: int, m: int) -> float:
     ``W_j - W_{j-1}`` are orthogonal, each with conditional variance
     ``Z_{j-1} nu_j exp(-2 S_{j-1})`` given ``Z_{j-1}``, whose mean is ``k
     exp(S_{j-1})``."""
-    dists = env.dists
+    dists = laws_of(env)
     return k * math.fsum(dists[j - 1].normalized_variance
                          * math.exp(-float(env.s[j - 1]))
                          for j in range(n + 1, n + m + 1))

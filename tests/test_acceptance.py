@@ -16,6 +16,7 @@ import pytest
 from bpve import cli, conditions, estimators
 from bpve.distributions import OffspringDistribution, PhiFunction
 from bpve.environment import EnvironmentSpec, quench
+from oracles import laws_of
 
 THREADS = os.cpu_count() or 2
 
@@ -49,7 +50,7 @@ def test_criterion_01_closed_form_series(gw, capsys):
 
 def test_criterion_02_moment_ratio_comparison(gw, heavy, capsys):
     oracle = Fraction(2, 1) / (Fraction(5, 3) * Fraction(1, 1))
-    term = gw.dists[0].truncated_moment_ratio()
+    term = laws_of(gw)[0].truncated_moment_ratio()
     heavy_ratio = conditions.moment_ratio_sup(heavy, horizon=5)
     frac = conditions.fractional_variance_series(heavy, start=1, delta=0.25,
                                                  horizon=200)
@@ -124,7 +125,7 @@ def test_criterion_07_heavy_tail_regime(heavy, capsys):
     var = conditions.variance_series(heavy, start=1, horizon=50)
     frac = conditions.fractional_variance_series(heavy, start=1, delta=0.25,
                                                  horizon=200)
-    d = heavy.dists[0]
+    d = laws_of(heavy)[0]
     assert d.mean > 1.0
     # the heavy-tail law puts slowly decaying mass near zero, so the flat
     # window of the exceedance curve sits at smaller thresholds

@@ -15,6 +15,7 @@ from bpve.distributions import (NotApplicableError, OffspringDistribution,
 from bpve.environment import (EnvironmentSpec, Mixer, QuenchedEnvironment,
                               quench)
 from bpve.streams import substream
+from oracles import laws_of
 
 
 def test_variance_series_closed_form(gw_env):
@@ -44,7 +45,7 @@ def test_variance_series_recursion_index():
     for l in (1, 2, 3):
         a_l = variance_series(env, start=l, horizon=600).certified_value
         a_next = variance_series(env, start=l + 1, horizon=598).certified_value
-        zeta_l = env.dists[l - 1].normalized_variance
+        zeta_l = laws_of(env)[l - 1].normalized_variance
         xi_next = env.xi[l]  # log-mean of generation l + 1
         assert a_l == pytest.approx(zeta_l + math.exp(-xi_next) * a_next,
                                     abs=1e-9)
@@ -170,7 +171,8 @@ def test_psi_power_rows_take_one_moment_per_law(monkeypatch):
     shift, exponent, moment, term = conditions._series("psi", phi=phi)
     env = quench(spec, 88, 101)
     damp = np.exp(-(env.s[1:101] - env.s[1]))
-    want = [d.psi_moment(phi, float(w)) for d, w in zip(env.dists[1:], damp)]
+    want = [d.psi_moment(phi, float(w))
+            for d, w in zip(laws_of(env)[1:], damp)]
     np.testing.assert_array_max_ulp(
         conditions.damped_series(env, 1, shift, 100, exponent, moment, term),
         np.array(want), maxulp=4)
@@ -424,7 +426,7 @@ def test_per_law_moments_match_per_generation_terms(env, series, start,
     _, exponent, moment, term = conditions._series(series, delta=0.5)
     assert term is None
     count = env.horizon - start - shift + 1
-    dists = env.dists[start + shift - 1:]
+    dists = laws_of(env)[start + shift - 1:]
     with np.errstate(over="ignore"):
         damp = np.exp(-exponent * (env.s[start:start + count] - env.s[start]))
     want = []
@@ -457,7 +459,7 @@ def test_per_law_checks_match_per_generation_loops(monkeypatch, env, check,
                                                    method):
     # the same environment with a law slot per generation: map_laws then
     # calls once per generation, in order
-    per_generation = QuenchedEnvironment(tuple(env.dists),
+    per_generation = QuenchedEnvironment(tuple(laws_of(env)),
                                          np.arange(env.horizon), env.s, env.xi)
     calls = []
     real = getattr(OffspringDistribution, method)
@@ -496,7 +498,7 @@ GAUSSIAN_MIXER = Mixer("gaussian_logmean_geometric", mu=0.1, sigma=0.3)
 @pytest.mark.parametrize("lo,hi", [(0, None), (0, 1), (37, 38), (37, 120),
                                    (150, None), (399, None), (5, 5)])
 def test_windowed_map_laws_match_per_generation_calls(env, lo, hi):
-    laws = env.dists[lo:hi]
+    laws = laws_of(env)[lo:hi]
     want = np.array([d.normalized_variance for d in laws], dtype=float)
     threshold = float(np.median(want)) if len(want) else 0.0
     end = next((j + 1 for j, v in enumerate(want) if v > threshold),

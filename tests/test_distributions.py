@@ -300,6 +300,39 @@ def test_geometric_rows_totals_written_over_their_parents(monkeypatch):
     assert got_rng.random(4).tolist() == want_rng.random(4).tolist()
 
 
+@pytest.mark.parametrize("kind", TOTALS_LAWS)
+def test_totals_written_over_their_parents(kind):
+    # the kernel draws every group's totals over its own counts (out=part):
+    # the same values and stream position as a draw into a new array
+    parents = np.array([0, 3, 0, 17, 1, 0, 250, 4000, 2, 0], dtype=np.int64)
+    law = TOTALS_LAWS[kind]
+    got_rng, want_rng = substream(35, 0), substream(35, 0)
+    want = law.sample_generation_totals(parents.copy(), want_rng)
+    got = law.sample_generation_totals(parents, got_rng, out=parents)
+    assert got is parents
+    assert got.tolist() == want.tolist()
+    assert got_rng.random(4).tolist() == want_rng.random(4).tolist()
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+def test_geometric_rows_refuse_an_int64_overflow_as_every_law_does(
+        in_place):
+    # row 0's 2**61 parents of mean 1e6 could pass 2**62: numpy's negative
+    # binomial raised ValueError here; the refusal draws and writes nothing
+    rows = distributions.GeometricRows(np.array([1e6, 1.0]))
+    parents = np.array([2**61, 2**61], dtype=np.int64)
+    rng, fresh = substream(36, 0), substream(36, 0)
+    with pytest.raises(PopulationOverflowError):
+        rows.sample_generation_totals(parents, rng,
+                                      out=parents if in_place else None)
+    assert parents.tolist() == [2**61, 2**61]
+    assert rng.random(4).tolist() == fresh.random(4).tolist()
+    # the check is per row, not the largest mean's: row 1 alone is safe
+    safe = np.array([1, 2**61], dtype=np.int64)
+    assert rows.overflow_rows(safe) is None
+    assert (rows.sample_generation_totals(safe, rng) > 0).all()
+
+
 def test_overflow_guard():
     d = OffspringDistribution("geometric", mean=4.0)
     rng = substream(9, 0)

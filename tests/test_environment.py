@@ -13,7 +13,7 @@ from bpve.environment import (EnvironmentSpec, Mixer, PRESET_CONFIGS,
                               quench, quench_many)
 from bpve.simulate import AnnealedLaws
 from bpve.streams import substream
-from oracles import cooling_block_index, law_at, traced_peak
+from oracles import cooling_block_index, law_at, laws_of, traced_peak
 
 TWO_POINT_MIXER = EnvironmentSpec.from_config(
     {"preset": "critical_two_point"}).mixer
@@ -23,7 +23,7 @@ def test_constant_env(gw_dist):
     spec = EnvironmentSpec("constant", dists=(gw_dist,))
     env = quench(spec, 0, 10)
     assert env.horizon == 10
-    assert all(d == gw_dist for d in env.dists)
+    assert all(d == gw_dist for d in laws_of(env))
     assert env.s[0] == 0.0
     assert env.s[10] == pytest.approx(10 * math.log(1.25), abs=1e-12)
     assert np.allclose(env.xi, math.log(1.25))
@@ -49,7 +49,7 @@ def test_quench_prefix_consistency():
                  EnvironmentSpec("iid_random", mixer=gaussian),
                  EnvironmentSpec("cooling", mixer=gaussian)):
         short, long = quench(spec, 42, 1000), quench(spec, 42, 3000)
-        assert short.dists == long.dists[:1000]
+        assert laws_of(short) == laws_of(long)[:1000]
         assert np.array_equal(short.xi, long.xi[:1000])
         assert np.array_equal(short.s, long.s[:1001])
 
@@ -59,8 +59,8 @@ def test_dist_at_random_access():
     spec = EnvironmentSpec.from_config({"preset": "critical_two_point"})
     with pytest.raises(ValueError, match="come from quench"):
         spec.dist_at(9, 37)
-    laws = quench(spec, 9, 39).dists
-    assert laws[36] == quench(spec, 9, 37).dists[36]
+    laws = laws_of(quench(spec, 9, 39))
+    assert laws[36] == laws_of(quench(spec, 9, 37))[36]
     # different index can differ, and usually does over a range
     assert {d.mean for d in laws} == {d.mean for d in spec.mixer.dists}
 
@@ -68,7 +68,7 @@ def test_dist_at_random_access():
 def test_two_point_frequency():
     spec = EnvironmentSpec.from_config({"preset": "critical_two_point"})
     env = quench(spec, 7, 2000)
-    up = sum(1 for d in env.dists if d.mean > 1.0)
+    up = sum(1 for d in laws_of(env) if d.mean > 1.0)
     # binomial(2000, 1/2): 6 sigma is ~134
     assert abs(up - 1000) < 140
 
@@ -95,7 +95,7 @@ def test_supercritical_subcritical_drift():
 def test_cooling_doubling_blocks():
     spec = EnvironmentSpec.from_config({"preset": "cooling_doubling_blocks"})
     env_seed = 11
-    laws = quench(spec, env_seed, 31).dists
+    laws = laws_of(quench(spec, env_seed, 31))
     # block j covers generations [2^j, 2^{j+1} - 1]
     for j in range(5):
         lo, hi = 2**j, 2**(j + 1) - 1
@@ -105,7 +105,7 @@ def test_cooling_doubling_blocks():
 def test_cooling_explicit_schedule():
     spec = EnvironmentSpec("cooling", mixer=TWO_POINT_MIXER,
                            block_lengths=(3, 2))
-    laws = quench(spec, 5, 7).dists
+    laws = laws_of(quench(spec, 5, 7))
     # beyond the schedule the last block length repeats
     for lo, hi in ((1, 3), (4, 5), (6, 7)):
         assert set(laws[lo - 1:hi]) == {law_at(spec, 5, lo)}
@@ -145,7 +145,7 @@ def test_mixer_gaussian_logmean():
     spec = EnvironmentSpec("iid_random", mixer=mx)
     env = quench(spec, 4, 500)
     assert abs(env.xi.mean() - 0.1) < 6 * 0.2 / math.sqrt(500)
-    assert all(d.kind == "geometric" for d in env.dists)
+    assert all(d.kind == "geometric" for d in laws_of(env))
 
 
 def test_spec_config_round_trip(gw_dist):
@@ -173,7 +173,7 @@ def test_spec_config_round_trip(gw_dist):
         assert spec.kind == other.kind
         env_a = quench(spec, 13, 30)
         env_b = quench(other, 13, 30)
-        assert env_a.dists == env_b.dists
+        assert laws_of(env_a) == laws_of(env_b)
         assert np.array_equal(env_a.s, env_b.s)
 
 
@@ -301,7 +301,7 @@ def test_cooling_quench_draws_once_per_block(schedule, monkeypatch):
                               draws.append(np.broadcast(seeds, keys).size)
                               or real_first_uniforms(seeds, keys, width)))
             env = quench(spec, 9, 2000)
-        assert env.dists == per_generation
+        assert laws_of(env) == per_generation
         assert draws == [blocks]
         draws.clear()
 
@@ -347,9 +347,9 @@ QUENCH_SEEDS = [0, 5, -1, 2**63 + 5, 2**64 - 1, 123456789]
 def assert_same_environment(got: QuenchedEnvironment,
                             want: QuenchedEnvironment, identical=True):
     """Equal laws (the same objects if ``identical``), bitwise sums."""
-    assert got.dists == want.dists
+    assert laws_of(got) == laws_of(want)
     if identical:
-        assert all(a is b for a, b in zip(got.dists, want.dists))
+        assert all(a is b for a, b in zip(laws_of(got), laws_of(want)))
     assert np.array_equal(got.s, want.s)
     assert np.array_equal(got.xi, want.xi)
 
@@ -387,7 +387,7 @@ def test_quench_matches_per_generation_draws(name):
     for seed in (0, -1, 2**64 - 1):
         env = quench(spec, seed, 1000)
         laws = [law_at(spec, seed, i) for i in range(1, 1001)]
-        assert env.dists == laws
+        assert laws_of(env) == laws
         xi = np.array([mixer.sample(substream(seed, i).random(mixer.width))[0]
                        for i in range(1, 1001)])
         assert np.array_equal(env.xi, xi)
@@ -485,8 +485,8 @@ def test_gaussian_quench_builds_no_law_object(monkeypatch, name):
     env = quench(spec, 5, 1000)
     envs = quench_many(spec, QUENCH_SEEDS, 1000)
     assert built == []
-    assert env.dists == envs[QUENCH_SEEDS.index(5)].dists
-    assert env.dists[999] == OffspringDistribution(
+    assert laws_of(env) == laws_of(envs[QUENCH_SEEDS.index(5)])
+    assert laws_of(env)[999] == OffspringDistribution(
         "geometric", mean=float(env.laws.mean[env.index[999]]))
     assert len(built) > 0
 

@@ -11,7 +11,8 @@ from bpve.environment import EnvironmentSpec, Mixer, quench, quench_many
 from bpve.estimators import (mc_conditioned_critical, mc_flt_discrepancy, mc_halving_bound,
                              mc_increment_covariance, mc_l2_increment,
                              mc_l2_span, mc_survival, mc_w_positivity)
-from oracles import geometric_survival, l2_exact, survival_exact, traced_peak
+from oracles import (geometric_survival, l2_exact, survival_exact,
+                     traced_peak, w_exceedance)
 
 
 @pytest.fixture(scope="module")
@@ -136,11 +137,10 @@ def test_mc_survival_monotone_in_n(gw_env200):
     assert late.value <= early.value
 
 
-def brute_extinction(laws, z0: int, kmax: int = 60) -> float:
-    """``P(Z = 0)`` after ``laws``, one per generation, from ``z0``
-    ancestors, by convolving the pmfs up to ``kmax`` individuals: exact but
-    for the mass past ``kmax``, whose descendants all die with probability
-    below ``p0^kmax``."""
+def brute_law(laws, z0: int, kmax: int) -> np.ndarray:
+    """The pmf of ``Z`` on ``0..kmax`` after ``laws``, one per generation,
+    from ``z0`` ancestors, by convolving the pmfs up to ``kmax``
+    individuals: exact but for the mass past ``kmax``."""
     law_z = np.eye(1, kmax + 1, z0)[0]
     for law in laws:
         pmf = law.pmf_vector(np.arange(kmax + 1))
@@ -149,7 +149,13 @@ def brute_extinction(laws, z0: int, kmax: int = 60) -> float:
             new += parents * fold
             fold = np.convolve(fold, pmf)[:kmax + 1]
         law_z = new
-    return float(law_z[0])
+    return law_z
+
+
+def brute_extinction(laws, z0: int, kmax: int = 60) -> float:
+    """``P(Z = 0)`` by :func:`brute_law`: the mass past ``kmax`` has
+    descendants that all die with probability below ``p0^kmax``."""
+    return float(brute_law(laws, z0, kmax)[0])
 
 
 EXACT_LAWS = [OffspringDistribution("finite_pmf", pmf=[0.2, 0.3, 0.5]),
@@ -204,6 +210,53 @@ def test_mc_survival_matches_exact_survival(name, env_seed):
     est = mc_survival(env, 1, 200, 10**5, env_seed, threads=2)
     se = math.sqrt(exact * (1.0 - exact) / 10**5)
     assert abs(est.value - exact) <= 4.5 * se, (est.value, exact)
+
+
+def test_w_exceedance_matches_brute_force_convolution():
+    # the law of Z_k, k <= 3, by convolving the pmfs up to 200 individuals
+    # (the mass past it is below 1e-14 here), against the Mobius form at
+    # thresholds whose floor(eps e^S_k) is 0..20
+    laws = [OffspringDistribution("geometric", mean=1.3),
+            OffspringDistribution("linear_fractional", p0=0.25, q=0.4),
+            OffspringDistribution("geometric", mean=0.7),
+            OffspringDistribution("linear_fractional", p0=0.1, q=0.5)]
+    for seq in itertools.permutations(laws, 3):
+        env = quench(EnvironmentSpec("explicit_sequence", dists=seq), 0, 3)
+        for k in (1, 2, 3):
+            law_z = brute_law(seq[:k], 1, 200)
+            for j in range(21):
+                eps = (j + 0.5) * math.exp(-float(env.s[k]))
+                assert w_exceedance(env, k, eps) == pytest.approx(
+                    1.0 - law_z[:j + 1].sum(), abs=1e-12), (seq, k, j)
+
+
+W_SPECS = {
+    "linear_fractional": EnvironmentSpec("constant", dists=(
+        OffspringDistribution("linear_fractional", p0=0.3, q=0.6),)),
+    "iid_gaussian": EnvironmentSpec("iid_random", mixer=Mixer(
+        "gaussian_logmean_geometric", mu=0.1, sigma=0.3)),
+    "cooling_gaussian": QUENCHED_SPECS["cooling_gaussian"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(W_SPECS))
+def test_w_positivity_matches_exact_law_of_w(name):
+    # survival (eps 0) and every exceedance within 4.5 of the exact value's
+    # binomial standard errors, in the first environment from seed 5 whose
+    # exact survival is in [0.05, 0.95]; first, that no replica is expected
+    # to reach the 10^12 log-scale switch, so every W_n is exact
+    n, replicas = 40, 10**5
+    env = next(env for env in (quench(W_SPECS[name], s, n)
+                               for s in itertools.count(5))
+               if 0.05 <= w_exceedance(env, n, 0.0) <= 0.95)
+    assert replicas * sum(w_exceedance(env, k, 1e12 * math.exp(-env.s[k]))
+                          for k in range(1, n + 1)) < 1e-3
+    chk = mc_w_positivity(env, 1, n, np.logspace(-3, 1, 9), replicas, 41,
+                          threads=2)
+    for eps, est in [(0.0, chk.p_survive), *chk.p_w_above.items()]:
+        exact = w_exceedance(env, n, eps)
+        se = math.sqrt(exact * (1.0 - exact) / replicas)
+        assert abs(est.value - exact) <= 4.5 * se, (eps, est.value, exact)
 
 
 @pytest.mark.parametrize("k,n,m", [(1, 0, 40), (3, 5, 20)])

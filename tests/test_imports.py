@@ -10,8 +10,9 @@ report function certifies every damped condition series, one environment
 method evaluates a function once per law, the package binds no library name
 a second time, the mixer's and the spec's constructors alone check their
 keys and kinds, a law and a spec are each built one way, ``quench_many``
-alone draws a random environment's laws, and ``check_budget`` alone refuses
-a size past an in-memory budget."""
+alone draws a random environment's laws, ``check_budget`` alone refuses
+a size past an in-memory budget, and one routine keeps every law's totals
+contract."""
 
 import ast
 import json
@@ -273,6 +274,35 @@ def test_one_law_table_for_every_per_law_evaluation():
                        ("conditions.py", "jagers_sum"),
                        ("conditions.py", "moment_ratio_sup"),
                        ("estimators.py", "_check_span")}
+
+
+def test_one_totals_contract_for_every_law():
+    # both totals methods are one call of _sample_totals, and neither
+    # refuses a total past int64, skips a row without parents or writes out
+    # itself; and a quenched environment offers no per-generation law list
+    tree = ast.parse((ROOT / "src" / "bpve" / "distributions.py").read_text())
+    for cls in ("OffspringDistribution", "GeometricRows"):
+        body = next(node.body for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == cls)
+        method = next(node for node in body
+                      if getattr(node, "name", None)
+                      == "sample_generation_totals")
+        calls = [n for n in ast.walk(method) if isinstance(n, ast.Call)]
+        names = [getattr(c.func, "id", getattr(c.func, "attr", None))
+                 for c in calls]
+        assert names.count("_sample_totals") == 1, cls
+        assert not {"overflow_rows", "_positive_rows"} & set(names), cls
+        assert not any(isinstance(n, ast.Raise) for n in ast.walk(method))
+        # out is only handed on: the routine writes it
+        routine = calls[names.index("_sample_totals")]
+        outs = [n for n in ast.walk(method)
+                if isinstance(n, ast.Name) and n.id == "out"]
+        assert len(outs) == 1 and outs[0] in routine.args, cls
+    tree = ast.parse((ROOT / "src" / "bpve" / "environment.py").read_text())
+    body = next(node.body for node in tree.body
+                if isinstance(node, ast.ClassDef)
+                and node.name == "QuenchedEnvironment")
+    assert "dists" not in {getattr(node, "name", None) for node in body}
 
 
 def test_one_binding_per_name_and_one_owner_per_mixer_rule():

@@ -18,7 +18,7 @@ from bpve.simulate import (AnnealedLaws, QuenchedLaws, log_switch_threshold,
                            simulate_block, stretched_indices)
 from bpve.streams import substream
 import oracles
-from oracles import cooling_block_index
+from oracles import cooling_block_index, laws_of
 
 
 def _log_or_frozen(frozen, logz, z):
@@ -42,7 +42,7 @@ def reference_quenched(env, z0, n, rng, size, record, span=()):
     cur = np.full(size, math.log(z0) - env.s[0])
     for i in range(n + 1):
         if i > 0:
-            dist, xi = env.dists[i - 1], float(env.xi[i - 1])
+            dist, xi = laws_of(env)[i - 1], float(env.xi[i - 1])
             logz[frozen] += xi
             act = (~frozen) & (z > 0)
             early = act & (z * max(dist.mean, 1.0) > 2**62)
